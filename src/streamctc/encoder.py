@@ -26,7 +26,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class EncoderConfig:
     frontend_norm: str = "bn"  # "gn" (per-frame) | "bn" (running stats)
     frontend_conv: str = "causal"  # "causal" | "symmetric"
     frontend_kernel: int = 4
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.n_layers < 1:
@@ -82,8 +81,6 @@ class EncoderConfig:
             raise ValueError("frontend_conv must be 'causal' or 'symmetric'")
         if self.frontend_kernel < 1:
             raise ValueError("frontend_kernel must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
     @property
     def head_dim(self) -> int:
@@ -100,12 +97,18 @@ class EncoderConfig:
             "frontend_norm": self.frontend_norm,
             "frontend_conv": self.frontend_conv,
             "frontend_kernel": self.frontend_kernel,
-            "dropout": self.dropout,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        d = dict(d)
+        # checkpoint headers and older config dumps carry "dropout": 0.0
+        if d.pop("dropout", 0) != 0:
+            raise ValueError("dropout is not supported; only 0 is accepted")
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown encoder config key(s): {', '.join(unknown)}")
+        return cls(**d)
 
 
 def frontend_lookahead(config: EncoderConfig) -> int:
@@ -232,13 +235,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(t, h * dh)
 
 
-def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
-    # inverted dropout: scale kept units so eval needs no correction
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
-
-
-def _layer_forward(h, arrays, prefix, config, mask, train, rng):
+def _layer_forward(h, arrays, prefix, config, mask):
     g = lambda name: arrays[prefix + name]
     u, ln1_cache = layer_norm_forward(h, g("ln1.gain"), g("ln1.bias"))
     q = _split_heads(u @ g("attn.wq"), config.n_heads)
@@ -248,21 +245,11 @@ def _layer_forward(h, arrays, prefix, config, mask, train, rng):
     logits = beta * np.einsum("htd,hsd->hts", q, k)
     probs = masked_softmax(logits, mask)
     z = _merge_heads(np.einsum("hts,hsd->htd", probs, v))
-    attn_out = z @ g("attn.wo") + g("attn.bo")
-    drop1 = None
-    if train and config.dropout > 0.0:
-        drop1 = _dropout_mask(rng, attn_out.shape, config.dropout)
-        attn_out = attn_out * drop1
-    a = h + attn_out
+    a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
     f1 = w @ g("ffn.w1") + g("ffn.b1")
     f2 = gelu(f1)
-    ffn_out = f2 @ g("ffn.w2") + g("ffn.b2")
-    drop2 = None
-    if train and config.dropout > 0.0:
-        drop2 = _dropout_mask(rng, ffn_out.shape, config.dropout)
-        ffn_out = ffn_out * drop2
-    out = a + ffn_out
+    out = a + (f2 @ g("ffn.w2") + g("ffn.b2"))
     cache = {
         "u": u,
         "ln1": ln1_cache,
@@ -272,28 +259,25 @@ def _layer_forward(h, arrays, prefix, config, mask, train, rng):
         "probs": probs,
         "z": z,
         "beta": beta,
-        "drop1": drop1,
         "a": a,
         "w": w,
         "ln2": ln2_cache,
         "f1": f1,
         "f2": f2,
-        "drop2": drop2,
     }
     return out, cache
 
 
-def _layer_backward(d_out, h_in_unused, arrays, grads, prefix, config, cache):
+def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     g = lambda name: arrays[prefix + name]
 
     def acc(name, value):
         grads[prefix + name] = grads.get(prefix + name, 0.0) + value
 
     d_a = d_out.copy()
-    d_ffn_out = d_out if cache["drop2"] is None else d_out * cache["drop2"]
-    acc("ffn.w2", cache["f2"].T @ d_ffn_out)
-    acc("ffn.b2", d_ffn_out.sum(axis=0))
-    d_f2 = d_ffn_out @ g("ffn.w2").T
+    acc("ffn.w2", cache["f2"].T @ d_out)
+    acc("ffn.b2", d_out.sum(axis=0))
+    d_f2 = d_out @ g("ffn.w2").T
     d_f1 = d_f2 * gelu_grad(cache["f1"])
     acc("ffn.w1", cache["w"].T @ d_f1)
     acc("ffn.b1", d_f1.sum(axis=0))
@@ -304,10 +288,9 @@ def _layer_backward(d_out, h_in_unused, arrays, grads, prefix, config, cache):
     d_a += d_a2
 
     d_h = d_a.copy()
-    d_attn_out = d_a if cache["drop1"] is None else d_a * cache["drop1"]
-    acc("attn.wo", cache["z"].T @ d_attn_out)
-    acc("attn.bo", d_attn_out.sum(axis=0))
-    d_z = _split_heads(d_attn_out @ g("attn.wo").T, config.n_heads)
+    acc("attn.wo", cache["z"].T @ d_a)
+    acc("attn.bo", d_a.sum(axis=0))
+    d_z = _split_heads(d_a @ g("attn.wo").T, config.n_heads)
     d_probs = np.einsum("htd,hsd->hts", d_z, cache["v"])
     d_v = np.einsum("hts,htd->hsd", cache["probs"], d_z)
     d_logits = masked_softmax_backward(d_probs, cache["probs"])
@@ -327,29 +310,11 @@ def _layer_backward(d_out, h_in_unused, arrays, grads, prefix, config, cache):
     return d_h
 
 
-def attention_layer(
-    h_in: np.ndarray, params: ModelParams, mask: AttentionMask, layer: int = 0
-) -> np.ndarray:
-    """One pre-norm transformer layer: masked multi-head attention followed
-    by the feed-forward sublayer, residuals around both."""
-    h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.shape[0] != mask.n_positions:
-        raise ValueError(
-            f"sequence length {h_in.shape[0]} does not match mask "
-            f"positions {mask.n_positions}"
-        )
-    out, _ = _layer_forward(
-        h_in, params.arrays, f"layer{layer}.", params.config, mask, False, None
-    )
-    return out
-
-
 def forward_with_cache(
     params: ModelParams,
     features: FeatureSequence,
     spec: MaskSpec,
     train: bool = False,
-    rng: np.random.Generator | None = None,
 ):
     """Run the full encoder, returning (ForwardTrace, cache for backward)."""
     config = params.config
@@ -360,8 +325,6 @@ def forward_with_cache(
         raise ValueError(
             f"feature dim {x.shape[1]} does not match config {config.feature_dim}"
         )
-    if train and config.dropout > 0.0 and rng is None:
-        raise ValueError("dropout in train mode needs an rng")
     arrays = params.arrays
     cache = {"config": config, "train": train}
 
@@ -397,9 +360,7 @@ def forward_with_cache(
     hidden = []
     layer_caches = []
     for i in range(config.n_layers):
-        h, lc = _layer_forward(
-            h, arrays, f"layer{i}.", config, mask, train, rng
-        )
+        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, mask)
         layer_caches.append(lc)
         hidden.append(mask.plan.reduce(h) if mask.plan is not None else h)
     cache["layers"] = layer_caches
@@ -424,9 +385,8 @@ def forward(
     features: FeatureSequence,
     spec: MaskSpec,
     train: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    return forward_with_cache(params, features, spec, train, rng)[0]
+    return forward_with_cache(params, features, spec, train)[0]
 
 
 def backward(
@@ -476,7 +436,7 @@ def backward(
 
     for i in range(n - 1, -1, -1):
         d_h = _layer_backward(
-            d_h, None, arrays, grads, f"layer{i}.", config, cache["layers"][i]
+            d_h, arrays, grads, f"layer{i}.", config, cache["layers"][i]
         )
         if i in grad_hidden and i >= 1:
             if plan is not None:
@@ -511,7 +471,8 @@ def _params_payload(params: ModelParams) -> bytes:
     """Canonical serialization (used for both files and digests)."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        # the v1 header has a dropout field; the encoder has none, so it is always 0
+        "config": {**params.config.to_dict(), "dropout": 0.0},
         "arrangement": "pre_norm",
         "mask_spec": params.mask_spec.to_dict() if params.mask_spec else None,
         "bn_initialized": bool(params.bn_stats.initialized)

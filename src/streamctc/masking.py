@@ -87,14 +87,10 @@ class MaskSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaskSpec":
-        return cls(
-            variant=d["variant"],
-            right_frames=d.get("right_frames"),
-            chunk_frames=d.get("chunk_frames"),
-            future_frames=d.get("future_frames"),
-            left_limit=d.get("left_limit"),
-            frame_ms=d.get("frame_ms", 20.0),
-        )
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown mask spec key(s): {', '.join(unknown)}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -180,32 +176,22 @@ class AttentionMask:
 
     `allowed[i, j]` says position i may read position j. For the block
     variant the matrix lives on the augmented layout described by `plan`;
-    otherwise positions are the real frames and `plan` is None. All
-    variants use the same mask at every layer (`same_all_layers`).
+    otherwise positions are the real frames and `plan` is None. Every
+    layer of the encoder uses the same mask.
     """
 
     spec: MaskSpec
     n_frames: int
     allowed: np.ndarray
     plan: HardCopyPlan | None = None
-    same_all_layers: bool = True
 
     @property
     def n_positions(self) -> int:
         return int(self.allowed.shape[0])
 
-    @property
-    def t_query(self) -> int:
-        return int(self.allowed.shape[0])
 
-    @property
-    def t_key(self) -> int:
-        return int(self.allowed.shape[1])
-
-
-def build_mask(spec: MaskSpec, n_frames: int, layer: int = 0) -> AttentionMask:
-    """Realize the mask for one layer (identical across layers for every
-    variant here; `layer` is accepted for interface stability)."""
+def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
+    """Realize the mask shared by every encoder layer."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if spec.variant == "bidirectional":

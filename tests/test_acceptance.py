@@ -2,73 +2,33 @@
 
 Each test prints "PASS criterion N: ..." with the measured numbers, or
 "FAIL criterion N: ..." before re-raising, so the gate is readable straight
-off a captured pytest run.
+off a captured pytest run. The oracles behind criteria 1-3, 5-7 and 10 are
+the functions in `streamctc.checks` that `streamctc selfcheck` also runs.
 """
 
 import hashlib
-import itertools
 import json
 import time
 from contextlib import contextmanager
 
 import numpy as np
 
+from streamctc import checks
 from streamctc.cli import dispatch
-from streamctc.ctc import (
-    DecodeConfig,
-    LabelSequence,
-    UnsatisfiableTargetError,
-    ctc_brute_force,
-    ctc_loss,
-    greedy_decode,
-    min_frames,
-    prefix_beam_search,
-)
 from streamctc.encoder import (
     EncoderConfig,
     FeatureSequence,
-    backward,
-    checkpoint_digest,
     forward,
-    forward_with_cache,
     init_params,
     load_checkpoint,
-    save_checkpoint,
 )
-from streamctc.lm import load_lm, logp, save_lm, train_ngram
-from streamctc.losses import (
-    DistillSpec,
-    contrastive_loss,
-    distillation_loss,
-    frame_agreement,
-    guide_mask,
-    guide_penalty,
-    guided_ctc_loss,
-)
-from streamctc.masking import MaskSpec, eil, reception_field
-from streamctc.numerics import (
-    BatchNormStats,
-    batch_norm_forward,
-    batch_norm_backward,
-    check_gradient,
-    conv1d_forward,
-    conv1d_backward,
-    layer_norm_forward,
-    layer_norm_backward,
-    log_softmax,
-    log_softmax_backward,
-    masked_softmax,
-    masked_softmax_backward,
-)
+from streamctc.losses import frame_agreement
+from streamctc.masking import MaskSpec, reception_field
 from streamctc.pipeline import (
-    DatasetFormatError,
     PipelineConfig,
-    SyntheticTask,
     dev_posteriors,
-    generate_dataset,
     load_dataset,
     run_two_stage,
-    save_dataset,
 )
 
 
@@ -90,15 +50,9 @@ def verdict(capsys, number: int, title: str):
 
 
 def test_criterion_01_reference_latencies(capsys):
-    configs = (
-        MaskSpec(variant="time_restricted", right_frames=2),
-        MaskSpec(variant="chunk", chunk_frames=48),
-        MaskSpec(variant="block", chunk_frames=24, future_frames=12),
-        MaskSpec(variant="block", chunk_frames=12, future_frames=18),
-    )
     with verdict(capsys, 1, "four reference configs at 480 ms") as info:
         start = time.perf_counter()
-        values = [eil(spec, 12) for spec in configs]
+        values = checks.reference_latencies()
         wall = time.perf_counter() - start
         assert values == [480.0, 480.0, 480.0, 480.0]
         assert wall < 1.0
@@ -112,19 +66,7 @@ def test_criterion_02_ctc_matches_brute_force(capsys):
     rng = np.random.default_rng(20)
     with verdict(capsys, 2, "ctc_loss vs brute force on 200 instances") as info:
         start = time.perf_counter()
-        worst = 0.0
-        done = 0
-        while done < 200:
-            t_len = int(rng.integers(1, 7))
-            v = int(rng.integers(2, 5))
-            n = int(rng.integers(0, 4))
-            target = LabelSequence(tuple(int(x) for x in rng.integers(1, v, size=n)))
-            if min_frames(target) > t_len:
-                continue
-            lp = log_softmax(rng.normal(size=(t_len, v)))
-            loss, _ = ctc_loss(lp, target)
-            worst = max(worst, abs(loss - ctc_brute_force(lp, target)))
-            done += 1
+        worst = checks.ctc_brute_force_error(rng, 200)
         wall = time.perf_counter() - start
         assert worst <= 1e-10
         assert wall < 30.0
@@ -134,148 +76,15 @@ def test_criterion_02_ctc_matches_brute_force(capsys):
 # ------------------------------------------------------ 3: gradient suite
 
 
-def _grad_masked_attention(rng):
-    logits = rng.normal(size=(4, 4))
-    mask = rng.random((4, 4)) < 0.6
-    mask[np.arange(4), rng.integers(0, 4, size=4)] = True
-    w = rng.normal(size=(4, 4))
-
-    def op(lg):
-        probs = masked_softmax(lg, mask)
-        return float(np.sum(w * probs)), [masked_softmax_backward(w, probs)]
-
-    return check_gradient(op, [logits])
-
-
-def _grad_layer_norm(rng):
-    w = rng.normal(size=(5, 4))
-
-    def op(x, gain, bias):
-        y, cache = layer_norm_forward(x, gain, bias)
-        return float(np.sum(w * y)), list(layer_norm_backward(w, cache))
-
-    inputs = [rng.normal(size=(5, 4)), rng.normal(size=4), rng.normal(size=4)]
-    return check_gradient(op, inputs)
-
-
-def _grad_batch_norm(rng):
-    w = rng.normal(size=(6, 4))
-
-    def op(x, gain, bias):
-        # fresh stats per call: train mode mutates them
-        y, cache = batch_norm_forward(x, gain, bias, BatchNormStats.fresh(4), "train")
-        return float(np.sum(w * y)), list(batch_norm_backward(w, cache))
-
-    inputs = [rng.normal(size=(6, 4)), rng.normal(size=4), rng.normal(size=4)]
-    return check_gradient(op, inputs)
-
-
-def _grad_conv1d(rng, mode):
-    w = rng.normal(size=(7, 2))
-
-    def op(x, kernel, bias):
-        y, cache = conv1d_forward(x, kernel, mode, bias)
-        return float(np.sum(w * y)), list(conv1d_backward(w, cache))
-
-    inputs = [rng.normal(size=(7, 3)), rng.normal(size=(3, 3, 2)), rng.normal(size=2)]
-    return check_gradient(op, inputs)
-
-
-def _grad_ctc(rng):
-    target = LabelSequence((1, 2))
-
-    def op(x):
-        lp = log_softmax(x)
-        loss, g = ctc_loss(lp, target)
-        return loss, [log_softmax_backward(g, lp)]
-
-    return check_gradient(op, [rng.normal(size=(5, 4))])
-
-
-def _grad_guided_ctc(rng):
-    stream_lp = log_softmax(rng.normal(size=(6, 5)))
-    mask = guide_mask(stream_lp)
-    target = LabelSequence((1, 3))
-
-    def op(x):
-        lp = log_softmax(x)
-        loss, g = guided_ctc_loss(lp, target, mask, 0.1)
-        return loss, [log_softmax_backward(g, lp)]
-
-    return check_gradient(op, [rng.normal(size=(6, 5))])
-
-
-class _Trace:
-    def __init__(self, hidden):
-        self.hidden = tuple(hidden)
-
-
-def _grad_distillation(rng):
-    teacher = [rng.normal(size=(4, 3)) for _ in range(2)]
-    spec = DistillSpec((1, 2))
-
-    def op(h1, h2):
-        loss, grads = distillation_loss(_Trace([h1, h2]), _Trace(teacher), spec)
-        return loss, [grads[1], grads[2]]
-
-    inputs = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
-    return check_gradient(op, inputs)
-
-
-def _grad_contrastive(rng):
-    true_t = rng.normal(size=6)
-    distractors = rng.normal(size=(3, 6))
-
-    def op(c):
-        loss, g = contrastive_loss(c, true_t, distractors, 0.5)
-        return loss, [g]
-
-    return check_gradient(op, [rng.normal(size=6)])
-
-
-def _grad_encoder_chain(seed):
-    config = EncoderConfig(
-        n_layers=2, model_dim=8, n_heads=2, ffn_dim=12,
-        vocab_size=6, feature_dim=3, frontend_kernel=2,
-    )
-    params = init_params(config, seed)
-    spec = (
-        MaskSpec(variant="block", chunk_frames=2, future_frames=1)
-        if seed % 2
-        else MaskSpec(variant="chunk", chunk_frames=2)
-    )
-    rng = np.random.default_rng(seed + 300)
-    w = rng.normal(size=(4, 6))
-
-    def op(x):
-        trace = forward(params, FeatureSequence(x), spec)
-        _, cache = forward_with_cache(params, FeatureSequence(x), spec)
-        _, d_x = backward(params, cache, grad_logpost=w)
-        return float(np.sum(w * trace.posteriorgram)), [d_x]
-
-    return check_gradient(op, [rng.normal(size=(4, 3))], step=1e-6)
-
-
 def test_criterion_03_gradient_suite(capsys):
     with verdict(capsys, 3, "analytic gradients vs central differences") as info:
         start = time.perf_counter()
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
-            for err in (
-                _grad_masked_attention(rng),
-                _grad_layer_norm(rng),
-                _grad_batch_norm(rng),
-                _grad_conv1d(rng, "causal"),
-                _grad_conv1d(rng, "symmetric"),
-                _grad_ctc(rng),
-                _grad_guided_ctc(rng),
-                _grad_distillation(rng),
-                _grad_contrastive(rng),
-            ):
-                worst = max(worst, err)
-        for seed in range(10):
-            worst = max(worst, _grad_encoder_chain(seed))
+            for check in checks.GRADIENT_CHECKS:
+                worst = max(worst, check(rng))
+        worst = max(worst, checks.encoder_gradient_error(0, 10))
         wall = time.perf_counter() - start
         assert worst <= 1e-5
         assert wall < 120.0
@@ -330,28 +139,11 @@ def test_criterion_04_lookahead_causality(capsys):
 
 
 def test_criterion_05_degenerate_masks(capsys):
-    config = EncoderConfig(
-        n_layers=2, model_dim=8, n_heads=2, ffn_dim=12,
-        vocab_size=6, feature_dim=3, frontend_kernel=2,
-    )
     n_frames = 7
-    degenerate = (
-        MaskSpec(variant="chunk", chunk_frames=n_frames),
-        MaskSpec(variant="chunk", chunk_frames=n_frames + 4),
-        MaskSpec(variant="block", chunk_frames=n_frames, future_frames=0),
-        MaskSpec(variant="block", chunk_frames=n_frames + 2, future_frames=0),
-    )
     with verdict(capsys, 5, "wide chunk and block equal bidirectional") as info:
-        checked = 0
-        for seed in range(10):
-            params = init_params(config, seed + 50)
-            rng = np.random.default_rng(seed + 500)
-            x = FeatureSequence(rng.normal(size=(n_frames, config.feature_dim)))
-            want = forward(params, x, MaskSpec(variant="bidirectional")).posteriorgram
-            for spec in degenerate:
-                got = forward(params, x, spec).posteriorgram
-                assert np.array_equal(want, got), spec
-                checked += 1
+        worst = checks.degenerate_mask_error(0, 10, n_frames)
+        assert worst == 0.0
+        checked = 10 * len(checks.degenerate_specs(n_frames))
         info["detail"] = f"({checked} bit-identical posteriorgrams)"
 
 
@@ -360,68 +152,22 @@ def test_criterion_05_degenerate_masks(capsys):
 
 def test_criterion_06_guided_loss_identity(capsys):
     rng = np.random.default_rng(60)
-    alphas = (1.0, 0.1, 0.01)
     with verdict(capsys, 6, "guided loss decomposes exactly") as info:
-        worst = 0.0
-        for _ in range(20):
-            stream_lp = log_softmax(rng.normal(size=(6, 5)))
-            teacher_lp = log_softmax(rng.normal(size=(6, 5)))
-            target = LabelSequence((1, 3))
-            mask = guide_mask(stream_lp)
-            base, _ = ctc_loss(teacher_lp, target)
-            penalty, _ = guide_penalty(mask, np.exp(teacher_lp))
-            for alpha in alphas:
-                loss, _ = guided_ctc_loss(teacher_lp, target, mask, alpha)
-                worst = max(worst, abs((loss - base) - alpha * penalty))
+        worst = checks.guided_identity_residual(rng, 20)
         assert worst <= 1e-12
-        info["detail"] = f"(alpha {alphas}, worst |residual| {worst:.3g})"
+        info["detail"] = f"(alpha {checks.GUIDE_ALPHAS}, worst |residual| {worst:.3g})"
 
 
 # ----------------------------------------------------- 7: beam-search sanity
 
 
-def _exhaustive_best(lp, n_vocab):
-    t_len = lp.shape[0]
-    best_seq, best_score = None, -np.inf
-    for length in range(t_len + 1):
-        for seq in itertools.product(range(1, n_vocab), repeat=length):
-            target = LabelSequence(seq)
-            if min_frames(target) > t_len:
-                continue
-            score = -ctc_loss(lp, target)[0]
-            if score > best_score:
-                best_seq, best_score = seq, score
-    return best_seq, best_score
-
-
 def test_criterion_07_beam_search_sanity(capsys):
     rng = np.random.default_rng(70)
     with verdict(capsys, 7, "beam search agrees with greedy and exhaustive") as info:
-        for _ in range(100):
-            lp = log_softmax(rng.normal(size=(int(rng.integers(6, 9)), 5)))
-            top = prefix_beam_search(lp, DecodeConfig(beam_size=1))[0]
-            assert top.labels.tokens == greedy_decode(lp).tokens
-        exact = 0
-        for _ in range(12):
-            t_len = int(rng.integers(4, 7))
-            v = int(rng.integers(3, 5))
-            lp = log_softmax(rng.normal(size=(t_len, v)))
-            best_seq, best_score = _exhaustive_best(lp, v)
-            top = prefix_beam_search(lp, DecodeConfig(beam_size=2048))[0]
-            assert abs(top.acoustic - best_score) <= 1e-9
-            assert top.labels.tokens == best_seq
-            exact += 1
-        for _ in range(10):
-            lp = log_softmax(rng.normal(size=(7, 5)))
-            scores = [
-                prefix_beam_search(lp, DecodeConfig(beam_size=b))[0].combined
-                for b in (1, 2, 4, 8, 16)
-            ]
-            for small, big in zip(scores, scores[1:]):
-                assert big >= small - 1e-12
-        info["detail"] = (
-            f"(beam-1 == greedy x100, exhaustive match x{exact}, monotone x10)"
-        )
+        assert checks.beam_greedy_mismatches(rng, 100) == 0
+        assert checks.beam_exhaustive_error(rng, 12) <= 1e-9
+        assert checks.beam_monotone_drop(rng, 10) <= 1e-12
+        info["detail"] = "(beam-1 == greedy x100, exhaustive match x12, monotone x10)"
 
 
 # --------------------------------------------- 8: end-to-end directional
@@ -552,72 +298,19 @@ def test_criterion_09_training_determinism(capsys, tmp_path):
         first = _train_everything(tmp_path / "a", capsys)
         second = _train_everything(tmp_path / "b", capsys)
         assert first == second
+        # the CLI stage commands train what the pipeline trains
+        for name in ("S", "N", "T"):
+            assert first[name] == first[f"pipeline/{name}"], name
         info["detail"] = f"({len(first)} checkpoint digests identical across two runs)"
 
 
 # ------------------------------------------------------------ 10: round-trips
 
 
-def _flip(blob, pos):
-    out = bytearray(blob)
-    out[pos] ^= 0xFF
-    return bytes(out)
-
-
 def test_criterion_10_round_trips(capsys, tmp_path):
     with verdict(capsys, 10, "checkpoint, lm, and dataset round-trip") as info:
-        config = EncoderConfig(
-            n_layers=2, model_dim=8, n_heads=2, ffn_dim=12,
-            vocab_size=6, feature_dim=3, frontend_kernel=2,
-        )
-        params = init_params(config, 7)
-        first = tmp_path / "model.ckpt"
-        save_checkpoint(params, first)
-        loaded = load_checkpoint(first, expect_config=config)
-        assert checkpoint_digest(loaded) == checkpoint_digest(params)
-        again = tmp_path / "model2.ckpt"
-        save_checkpoint(loaded, again)
-        assert first.read_bytes() == again.read_bytes()
-
-        model = train_ngram(["ab|ba", "aab|b", "ba"], order=3, smoothing=0.2)
-        lm_first = tmp_path / "lm.txt"
-        save_lm(model, lm_first)
-        lm_loaded = load_lm(lm_first)
-        lm_again = tmp_path / "lm2.txt"
-        save_lm(lm_loaded, lm_again)
-        assert lm_first.read_bytes() == lm_again.read_bytes()
-        for token, context in (("a", ""), ("b", "a"), ("|", "ab")):
-            assert logp(model, token, context) == logp(lm_loaded, token, context)
-
-        task = SyntheticTask.make(
-            token_ids=(1, 2, 3), feature_dim=4, frames_per_token=(2, 3),
-            noise_std=0.3, seed=5, text_len=(2, 4),
-        )
-        split = generate_dataset(task, (4, 3, 2))
-        data_path = tmp_path / "set.bin"
-        save_dataset(split.labeled, data_path)
-        back = load_dataset(data_path)
-        assert len(back) == len(split.labeled)
-        for a, b in zip(split.labeled, back):
-            assert a.uid == b.uid and a.text == b.text
-            assert np.array_equal(a.features, b.features)
-        blob = bytearray(data_path.read_bytes())
-        uid_bytes = split.labeled[0].uid.encode("utf-8")
-        corruptions = {
-            "bad magic": lambda b: bytes([b[0] ^ 0xFF]) + bytes(b[1:]),
-            "bad index offset": lambda b: _flip(b, b.index(uid_bytes) + len(uid_bytes)),
-            "truncated": lambda b: bytes(b[:-4]),
-        }
-        for name, corrupt in corruptions.items():
-            broken = tmp_path / "broken.bin"
-            broken.write_bytes(corrupt(blob))
-            try:
-                load_dataset(broken)
-            except DatasetFormatError:
-                pass
-            else:
-                raise AssertionError(f"container with {name} was accepted")
+        assert checks.round_trip_failures(tmp_path) == []
         info["detail"] = (
             "(checkpoint bytes, lm bytes and scores, dataset contents,"
-            f" {len(corruptions)} index corruptions rejected)"
+            f" {len(checks.DATASET_CORRUPTIONS)} index corruptions rejected)"
         )

@@ -416,6 +416,27 @@ def test_pipeline_needs_workdir(capsys):
     assert dispatch(["pipeline"]) == 1
 
 
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("encoder", {**ENC, "n_layer": 7}, "n_layer"),
+        ("stream", {"variant": "chunk", "chunk_frame": 3}, "chunk_frame"),
+    ],
+    ids=["encoder", "stream"],
+)
+def test_unknown_nested_config_key_is_usage_error(capsys, workdir, section, value, key):
+    tmp, cfg = workdir
+    payload = json.loads(open(cfg).read())
+    payload[section] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(
+        capsys, "gen-data", "--config", str(bad), "--out-dir", str(tmp / "x")
+    )
+    assert code == 1
+    assert key in err
+
+
 # --------------------------------------------------------------- selfcheck
 
 
