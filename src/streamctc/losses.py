@@ -96,10 +96,9 @@ def guided_ctc_loss(
 
 @dataclass(frozen=True)
 class DistillSpec:
-    """Which layers to match and how to weight them (1-based indices)."""
+    """Which layers to match (1-based indices); each counts once."""
 
     layer_indices: tuple
-    weights: tuple = None
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.layer_indices)
@@ -110,20 +109,12 @@ class DistillSpec:
         if list(idx) != sorted(set(idx)):
             raise ValueError("layer indices must be strictly increasing")
         object.__setattr__(self, "layer_indices", idx)
-        w = self.weights
-        w = tuple(1.0 for _ in idx) if w is None else tuple(float(x) for x in w)
-        if len(w) != len(idx):
-            raise ValueError("one weight per layer index")
-        object.__setattr__(self, "weights", w)
 
     @classmethod
     def thirds(cls, n_layers: int) -> "DistillSpec":
         """Upper-coverage default: layers {ceil(n/3), ceil(2n/3), n}."""
         idx = sorted({math.ceil(n_layers / 3), math.ceil(2 * n_layers / 3), n_layers})
         return cls(layer_indices=tuple(idx))
-
-    def to_dict(self) -> dict:
-        return {"layer_indices": list(self.layer_indices), "weights": list(self.weights)}
 
 
 def distillation_loss(
@@ -137,7 +128,7 @@ def distillation_loss(
         raise ValueError(f"layer index beyond depth {depth}")
     loss = 0.0
     grads = {}
-    for idx, weight in zip(spec.layer_indices, spec.weights):
+    for idx in spec.layer_indices:
         hs = student_trace.hidden[idx - 1]
         ht = teacher_trace.hidden[idx - 1]
         if hs.shape != ht.shape:
@@ -145,8 +136,8 @@ def distillation_loss(
                 f"layer {idx}: student {hs.shape} vs teacher {ht.shape}"
             )
         diff = hs - ht
-        loss += weight * float((diff * diff).mean())
-        grads[idx] = weight * 2.0 * diff / diff.size
+        loss += float((diff * diff).mean())
+        grads[idx] = 2.0 * diff / diff.size
     return loss, grads
 
 

@@ -1,19 +1,28 @@
 """Two-stage pipeline orchestration.
 
-Runs the six stages in dependency order with checkpoint handoff:
+`STAGES` is the recipe as one table, in run order:
 
-  S   streaming CTC model fine-tuned on labeled data
-  T   full-context teacher trained with the guided loss against S
-  KD  streaming student distilled from T's hidden states (head from S)
-  N   full-context CTC model for labeling
-  U'  pseudo-labels for the unlabeled set, decoded with N and the LM
-  ST  self-trained student: KD fine-tuned on labeled + pseudo-labeled
+  data  labeled, unlabeled and dev sets of the synthetic task
+  lm    n-gram LM on the labeled transcripts
+  P     pre-trained starting point (random init or contrastive warm-up)
+  S     streaming CTC model fine-tuned on labeled data
+  T     full-context teacher trained with the guided loss against S
+  KD    streaming student distilled from T's hidden states (head from S)
+  N     full-context CTC model for labeling
+  U'    pseudo-labels for the unlabeled set, decoded with N and the LM
+  ST    self-trained student: KD fine-tuned on labeled + pseudo-labeled
 
-Every artifact (datasets, LM, checkpoints, reports) lands under one
-output directory. Resuming deletes nothing: the earliest missing
-artifact in the chain determines where recomputation starts, and all
-later stages re-run (training is deterministic, so recomputed artifacts
-are bit-identical to what a fresh run would produce).
+Each row names the stages whose artifacts it reads, the config fields its
+producer reads, and its files under the output directory. The dry-run
+plan, the resume decision and the run all read that table.
+
+Resume: a stage's input key is a sha256 of its config fields and of the
+input keys of the stages it reads; `reports/inputs.json` holds the key of
+every stage whose files on disk were built from it. With `resume` set, a
+stage is reused when its files exist, its stored key matches and no stage
+it reads was recomputed; otherwise it is recomputed. Training is
+deterministic, so a recomputed artifact is bit-identical to what a fresh
+run would produce.
 """
 
 from __future__ import annotations
@@ -23,12 +32,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 from ..ctc import DecodeConfig, edit_distance
 from ..encoder import (
     EncoderConfig,
-    ModelParams,
     checkpoint_digest,
     init_params,
     load_checkpoint,
@@ -38,11 +47,11 @@ from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
 from ..vocab import DELIMITER, Vocabulary
-from .data import SyntheticTask, generate_dataset, load_dataset, save_dataset
+from .data import DataSplit, SyntheticTask, generate_dataset, load_dataset, save_dataset
 from .optim import TrainConfig
 from .stages import (
+    BIDIRECTIONAL,
     MissingArtifactError,
-    TrainLog,
     distill,
     finetune_ctc,
     pretrain_contrastive,
@@ -51,13 +60,8 @@ from .stages import (
     train_guided_teacher,
 )
 
-STAGE_ORDER = ("S", "T", "KD", "N", "U'", "ST")
-TABLE_ALIASES = {"S": "S4", "T": "T4", "KD": "S5", "N": "N1", "ST": "S7"}
 STAGE_SEED_OFFSET = {"pretrain": 1, "S": 2, "T": 3, "KD": 4, "N": 5, "ST": 6}
-
-
-def _stage_key(stage: str) -> str:
-    return "U" if stage == "U'" else stage
+_TUPLE_FIELDS = ("frames_per_token", "text_len", "sizes", "distill_layers")
 
 
 @dataclass
@@ -91,7 +95,7 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
             f"{report.checkpoint}"
         )
     os.makedirs(reports_dir, exist_ok=True)
-    key = _stage_key(report.stage)
+    key = report.stage.rstrip("'")  # U' is stored as U
     csv_path = os.path.join(reports_dir, f"loss_{key}.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -108,7 +112,7 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
 
 
 def load_stage_report(reports_dir, stage: str) -> StageReport:
-    key = _stage_key(stage)
+    key = stage.rstrip("'")
     json_path = os.path.join(reports_dir, f"{key}.json")
     with open(json_path) as fh:
         payload = json.load(fh)
@@ -173,6 +177,9 @@ class PipelineConfig:
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
         if missing:
             raise ValueError(f"updates missing stages: {missing}")
+        unknown = sorted(set(self.updates) - set(STAGE_SEED_OFFSET))
+        if unknown:
+            raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
         if self.n_symbols < 1 or self.n_symbols > 26:
             raise ValueError("n_symbols must be in 1..26")
 
@@ -215,33 +222,16 @@ class PipelineConfig:
         return DistillSpec.thirds(self.encoder.n_layers)
 
     def to_dict(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "n_symbols": self.n_symbols,
-            "use_delimiter": self.use_delimiter,
-            "frames_per_token": list(self.frames_per_token),
-            "noise_std": self.noise_std,
-            "text_len": list(self.text_len),
-            "template_scale": self.template_scale,
-            "sizes": list(self.sizes),
-            "encoder": self.encoder.to_dict(),
-            "stream": self.stream.to_dict(),
-            "alpha": self.alpha,
-            "distill_layers": (
-                list(self.distill_layers) if self.distill_layers else None
-            ),
-            "lm_order": self.lm_order,
-            "lm_smoothing": self.lm_smoothing,
-            "beam_size": self.beam_size,
-            "lm_weight": self.lm_weight,
-            "word_insertion_penalty": self.word_insertion_penalty,
-            "peak_lr": self.peak_lr,
-            "batch_size": self.batch_size,
-            "updates": dict(self.updates),
-            "pretrain_mode": self.pretrain_mode,
-            "resume": self.resume,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(
+            encoder=self.encoder.to_dict(),
+            stream=self.stream.to_dict(),
+            updates=dict(self.updates),
+        )
+        for key in _TUPLE_FIELDS:
+            if d[key] is not None:
+                d[key] = list(d[key])
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -250,7 +240,7 @@ class PipelineConfig:
             d["encoder"] = EncoderConfig.from_dict(d["encoder"])
         if "stream" in d:
             d["stream"] = MaskSpec.from_dict(d["stream"])
-        for key in ("frames_per_token", "text_len", "sizes", "distill_layers"):
+        for key in _TUPLE_FIELDS:
             if d.get(key) is not None:
                 d[key] = tuple(d[key])
         return cls(**d)
@@ -261,323 +251,347 @@ def config_digest(config: PipelineConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _artifact_paths(out: str) -> list:
-    ck = os.path.join(out, "checkpoints")
-    da = os.path.join(out, "data")
-    rp = os.path.join(out, "reports")
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
 
-    def stage_files(key: str) -> list:
-        return [
-            os.path.join(ck, f"{key}.ckpt"),
-            os.path.join(rp, f"{key}.json"),
-            os.path.join(rp, f"loss_{key}.csv"),
-        ]
+    `produce(run, paths)` computes the stage and writes its files;
+    `load(run, paths)` reads them back. Both get the absolute `files` and
+    return (value, report), the report being None for data, lm and P.
+    """
 
-    return [
-        ("data", [os.path.join(da, f"{s}.bin") for s in ("labeled", "unlabeled", "dev")]),
-        ("lm", [os.path.join(out, "lm.txt")]),
-        ("P", [os.path.join(ck, "P.ckpt")]),
-        ("S", stage_files("S")),
-        ("T", stage_files("T")),
-        ("KD", stage_files("KD")),
-        ("N", stage_files("N")),
-        (
-            "U'",
-            [
-                os.path.join(da, "pseudo.bin"),
-                os.path.join(rp, "U.json"),
-                os.path.join(rp, "loss_U.csv"),
-            ],
+    name: str
+    alias: str | None  # the model's name in the paper's tables
+    reads: tuple  # stages whose artifacts the producer reads
+    fields: tuple  # config fields it reads; "updates.S" is one key of a dict
+    files: tuple  # artifacts, relative to the output directory
+    produce: Callable
+    load: Callable
+    note: Callable | None = None  # config -> dry-run note; None: not planned
+
+
+@dataclass
+class _Run:
+    """What the stage callables see: the config, decode fan-out, and the
+    value of every stage so far (a `DataSplit` for data, the model for P
+    and the trained stages, the pseudo-labeled set for U')."""
+
+    config: PipelineConfig
+    jobs: int
+    got: dict = field(default_factory=dict)
+    vocabulary: Vocabulary = field(default_factory=Vocabulary.default)
+
+    def path(self, *parts) -> str:
+        return os.path.join(self.config.out_dir, *parts)
+
+
+def _trained(name, alias, reads, fields, fit, note):
+    """The row of a stage that trains one model. `fit(run, data split,
+    train config)` returns (training set, (model, log))."""
+
+    def produce(run, paths):
+        cfg = run.config.train_config(name)
+        data, (params, log) = fit(run, run.got["data"], cfg)
+        digest = save_checkpoint(params, paths[0])
+        report = StageReport(
+            stage=name,
+            alias=alias,
+            checkpoint=paths[0],
+            digest=digest,
+            losses=log.losses,
+            dev_token_error=log.dev_token_error,
+            decode_config=None,
+            train_config=cfg.to_dict(),
+            wall_time_s=log.wall_time_s,
+            utterances_in=len(data),
+            skipped=log.skipped,
+            extra=log.extra,
+        )
+        save_stage_report(report, run.path("reports"))
+        return params, report
+
+    def load(run, paths):
+        report = load_stage_report(run.path("reports"), name)
+        return load_checkpoint(paths[0], expect_config=run.config.encoder), report
+
+    files = (f"checkpoints/{name}.ckpt", f"reports/{name}.json", f"reports/loss_{name}.csv")
+    train_fields = ("peak_lr", "batch_size", "seed", f"updates.{name}")
+    return Stage(name, alias, reads, fields + train_fields, files, produce, load, note)
+
+
+def _produce_data(run, paths):
+    split = generate_dataset(
+        run.config.task(run.vocabulary), run.config.sizes, run.vocabulary
+    )
+    for utts, path in zip((split.labeled, split.unlabeled, split.dev), paths):
+        save_dataset(utts, path)
+    return split, None
+
+
+def _produce_lm(run, paths):
+    model = train_ngram(
+        [u.text for u in run.got["data"].labeled],
+        run.config.lm_order,
+        run.config.lm_smoothing,
+    )
+    save_lm(model, paths[0])
+    return model, None
+
+
+def _produce_pretrained(run, paths):
+    config = run.config
+    params = init_params(config.encoder, config.seed)
+    if config.pretrain_mode == "contrastive" and int(config.updates.get("pretrain", 0)) > 0:
+        params, _ = pretrain_contrastive(
+            params, run.got["data"].unlabeled, config.train_config("pretrain")
+        )
+    save_checkpoint(params, paths[0])
+    return params, None
+
+
+def _load_model(run, paths):
+    return load_checkpoint(paths[0], expect_config=run.config.encoder), None
+
+
+def _fit_streaming(run, split, cfg):
+    return split.labeled, finetune_ctc(
+        run.got["P"], run.config.stream, split.labeled, cfg, split.dev, run.vocabulary
+    )
+
+
+def _fit_teacher(run, split, cfg):
+    return split.labeled, train_guided_teacher(
+        run.got["P"], run.got["S"], split.labeled, run.config.alpha, cfg, split.dev,
+        run.vocabulary,
+    )
+
+
+def _fit_distilled(run, split, cfg):
+    data = list(split.labeled) + list(split.unlabeled)
+    return data, distill(
+        run.got["P"], run.got["T"], run.config.stream, data, run.config.distill_spec(),
+        cfg, head_source=run.got["S"], dev=split.dev, vocabulary=run.vocabulary,
+    )
+
+
+def _fit_labeler(run, split, cfg):
+    return split.labeled, finetune_ctc(
+        run.got["P"], BIDIRECTIONAL, split.labeled, cfg, split.dev, run.vocabulary
+    )
+
+
+def _fit_self_trained(run, split, cfg):
+    data = list(split.labeled) + list(run.got["U'"])
+    return data, self_train(run.got["KD"], data, cfg, split.dev, run.vocabulary)
+
+
+def _produce_pseudo(run, paths):
+    started = time.perf_counter()
+    unlabeled = run.got["data"].unlabeled
+    decode_cfg = run.config.decode_config()
+    pseudo, dropped = pseudo_label(
+        run.got["N"], run.got["lm"], unlabeled, decode_cfg, run.vocabulary, jobs=run.jobs
+    )
+    hidden_refs = {u.uid: u.text for u in unlabeled}
+    edits = 0
+    total = 0
+    for u in pseudo:
+        ref = run.vocabulary.encode(hidden_refs[u.uid]).tokens
+        edits += edit_distance(ref, run.vocabulary.encode(u.text).tokens)
+        total += len(ref)
+    save_dataset(pseudo, paths[0])
+    report = StageReport(
+        stage="U'",
+        alias=None,
+        checkpoint=run.path("checkpoints", "N.ckpt"),
+        digest=checkpoint_digest(run.got["N"]),
+        losses=[],
+        dev_token_error=None,
+        decode_config=decode_cfg.to_dict(),
+        train_config=None,
+        wall_time_s=time.perf_counter() - started,
+        utterances_in=len(unlabeled),
+        skipped=0,
+        extra={
+            "dropped": dropped,
+            "pseudo_labeled": len(pseudo),
+            "hidden_reference_error": edits / total if total else None,
+        },
+    )
+    save_stage_report(report, run.path("reports"))
+    return pseudo, report
+
+
+# The callables reach the training, data and I/O functions through this
+# module's globals when they run, never through references taken when the
+# table is built, so patching `run.finetune_ctc` and its like reaches
+# every stage.
+STAGES = (
+    Stage(
+        "data", None, (),
+        ("seed", "n_symbols", "use_delimiter", "frames_per_token", "noise_std",
+         "text_len", "template_scale", "sizes", "encoder.feature_dim"),
+        ("data/labeled.bin", "data/unlabeled.bin", "data/dev.bin"),
+        _produce_data,
+        lambda run, paths: (DataSplit(*(load_dataset(p) for p in paths)), None),
+    ),
+    Stage(
+        "lm", None, ("data",), ("lm_order", "lm_smoothing"), ("lm.txt",),
+        _produce_lm, lambda run, paths: (load_lm(paths[0]), None),
+    ),
+    Stage(
+        "P", None, ("data",),
+        ("seed", "encoder", "pretrain_mode", "updates.pretrain", "peak_lr", "batch_size"),
+        ("checkpoints/P.ckpt",), _produce_pretrained, _load_model,
+    ),
+    _trained(
+        "S", "S4", ("P", "data"), ("stream",), _fit_streaming,
+        lambda c: "streaming CTC on labeled set",
+    ),
+    _trained(
+        "T", "T4", ("P", "S", "data"), ("alpha",), _fit_teacher,
+        lambda c: f"guided teacher, alpha={c.alpha}",
+    ),
+    _trained(
+        "KD", "S5", ("P", "T", "S", "data"),
+        ("stream", "distill_layers", "encoder.n_layers"), _fit_distilled,
+        lambda c: f"distillation, layers {list(c.distill_spec().layer_indices)}",
+    ),
+    _trained(
+        "N", "N1", ("P", "data"), (), _fit_labeler,
+        lambda c: "full-context CTC on labeled set",
+    ),
+    Stage(
+        "U'", None, ("N", "lm", "data"),
+        ("beam_size", "lm_weight", "word_insertion_penalty"),
+        ("data/pseudo.bin", "reports/U.json", "reports/loss_U.csv"),
+        _produce_pseudo,
+        lambda run, paths: (
+            load_dataset(paths[0]), load_stage_report(run.path("reports"), "U'")
         ),
-        ("ST", stage_files("ST")),
-    ]
+        lambda c: "pseudo-labeling of the unlabeled set",
+    ),
+    _trained(
+        "ST", "S7", ("KD", "U'", "data"), (), _fit_self_trained,
+        lambda c: "self-training on labeled + pseudo",
+    ),
+)
 
 
 def plan_stages(config: PipelineConfig) -> list:
     """The dry-run listing: six stages, dependencies, and settings."""
-    decode = config.decode_config().to_dict()
     plan = []
-    for stage, depends, updates, note in (
-        ("S", ["P", "data"], config.updates["S"], "streaming CTC on labeled set"),
-        ("T", ["P", "S"], config.updates["T"], f"guided teacher, alpha={config.alpha}"),
-        (
-            "KD",
-            ["P", "T", "S"],
-            config.updates["KD"],
-            f"distillation, layers {list(config.distill_spec().layer_indices)}",
-        ),
-        ("N", ["P", "data"], config.updates["N"], "full-context CTC on labeled set"),
-        ("U'", ["N", "lm"], 0, "pseudo-labeling of the unlabeled set"),
-        ("ST", ["KD", "U'"], config.updates["ST"], "self-training on labeled + pseudo"),
-    ):
+    for stage in STAGES:
+        if stage.note is None:
+            continue
         entry = {
-            "stage": stage,
-            "alias": TABLE_ALIASES.get(stage),
-            "depends_on": depends,
-            "updates": updates,
-            "note": note,
+            "stage": stage.name,
+            "alias": stage.alias,
+            "depends_on": list(stage.reads),
+            "updates": config.updates.get(stage.name, 0),
+            "note": stage.note(config),
         }
-        if stage == "U'":
-            entry["decode"] = decode
+        if stage.name == "U'":
+            entry["decode"] = config.decode_config().to_dict()
         plan.append(entry)
     return plan
 
 
-def _build_report(
-    stage: str,
-    checkpoint_path: str,
-    digest: str,
-    log: TrainLog,
-    utterances_in: int,
-    train_config: TrainConfig | None,
-    decode_config: dict | None = None,
-) -> StageReport:
-    return StageReport(
-        stage=stage,
-        alias=TABLE_ALIASES.get(stage),
-        checkpoint=checkpoint_path,
-        digest=digest,
-        losses=log.losses,
-        dev_token_error=log.dev_token_error,
-        decode_config=decode_config,
-        train_config=train_config.to_dict() if train_config else None,
-        wall_time_s=log.wall_time_s,
-        utterances_in=utterances_in,
-        skipped=log.skipped,
-        extra=log.extra,
-    )
+def input_keys(config: PipelineConfig) -> dict:
+    """Stage name -> sha256 of the config fields its row names and of the
+    input keys of the stages it reads."""
+    values = config.to_dict()
+    keys = {}
+    for stage in STAGES:
+        picked = {}
+        for name in stage.fields:
+            top, _, sub = name.partition(".")
+            picked[name] = values[top].get(sub) if sub else values[top]
+        blob = {"fields": picked, "reads": {r: keys[r] for r in stage.reads}}
+        data = json.dumps(blob, sort_keys=True).encode("utf-8")
+        keys[stage.name] = hashlib.sha256(data).hexdigest()
+    return keys
+
+
+def _write_keys(config: PipelineConfig, keys: dict) -> None:
+    path = os.path.join(config.out_dir, "reports", "inputs.json")
+    with open(path + ".tmp", "w") as fh:
+        json.dump(keys, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
+
+
+def _stale(config: PipelineConfig, keys: dict) -> list:
+    """The stages a run must recompute, in table order."""
+    path = os.path.join(config.out_dir, "reports", "inputs.json")
+    stored = {}
+    if config.resume and os.path.exists(path):
+        with open(path) as fh:
+            stored = json.load(fh)
+    stale = []
+    for stage in STAGES:
+        if (
+            stored.get(stage.name) != keys[stage.name]
+            or any(name in stale for name in stage.reads)
+            or not all(os.path.exists(os.path.join(config.out_dir, f)) for f in stage.files)
+        ):
+            stale.append(stage.name)
+    return stale
 
 
 def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
     """Execute (or, with `dry_run`, just plan) the full six-stage recipe.
 
-    Returns the ordered stage reports for S, T, KD, N, U', ST, reusing
-    on-disk artifacts up to the earliest missing one when `resume` is set.
-    `jobs` parallelizes pseudo-label decoding without changing results.
+    Returns the ordered stage reports for S, T, KD, N, U', ST. With
+    `resume` set, stages whose inputs are unchanged are loaded from disk
+    instead of recomputed. `jobs` parallelizes pseudo-label decoding
+    without changing results.
     """
     if dry_run:
         return plan_stages(config)
+    for sub in ("checkpoints", "data", "reports"):
+        os.makedirs(os.path.join(config.out_dir, sub), exist_ok=True)
+    keys = input_keys(config)
+    stale = _stale(config, keys)
+    done = {name: key for name, key in keys.items() if name not in stale}
+    _write_keys(config, done)
 
-    out = config.out_dir
-    ck_dir = os.path.join(out, "checkpoints")
-    da_dir = os.path.join(out, "data")
-    rp_dir = os.path.join(out, "reports")
-    for d in (ck_dir, da_dir, rp_dir):
-        os.makedirs(d, exist_ok=True)
-
-    artifacts = _artifact_paths(out)
-    start = len(artifacts)
-    for i, (_, paths) in enumerate(artifacts):
-        if not all(os.path.exists(p) for p in paths):
-            start = i
-            break
-    if not config.resume:
-        start = 0
-    fresh = {name: i >= start for i, (name, _) in enumerate(artifacts)}
-
-    vocabulary = Vocabulary.default()
+    run = _Run(config, jobs)
     started = time.perf_counter()
     reports = {}
+    for stage in STAGES:
+        paths = [run.path(f) for f in stage.files]
+        step = stage.produce if stage.name in stale else stage.load
+        run.got[stage.name], report = step(run, paths)
+        if report is not None:
+            reports[stage.name] = report
+        if stage.name in stale:
+            done[stage.name] = keys[stage.name]
+            _write_keys(config, done)
 
-    # data
-    labeled_p, unlabeled_p, dev_p = dict(artifacts)["data"]
-    if fresh["data"]:
-        split = generate_dataset(config.task(vocabulary), config.sizes, vocabulary)
-        save_dataset(split.labeled, labeled_p)
-        save_dataset(split.unlabeled, unlabeled_p)
-        save_dataset(split.dev, dev_p)
-        labeled, unlabeled, dev = split.labeled, split.unlabeled, split.dev
-    else:
-        labeled = load_dataset(labeled_p)
-        unlabeled = load_dataset(unlabeled_p)
-        dev = load_dataset(dev_p)
-
-    # language model on the labeled transcripts
-    lm_path = dict(artifacts)["lm"][0]
-    if fresh["lm"]:
-        lm_model = train_ngram(
-            [u.text for u in labeled], config.lm_order, config.lm_smoothing
-        )
-        save_lm(lm_model, lm_path)
-    else:
-        lm_model = load_lm(lm_path)
-
-    # pre-trained starting point P
-    p_path = dict(artifacts)["P"][0]
-    pretrain_updates = int(config.updates.get("pretrain", 0))
-    if fresh["P"]:
-        p_params = init_params(config.encoder, config.seed)
-        if config.pretrain_mode == "contrastive" and pretrain_updates > 0:
-            p_params, _ = pretrain_contrastive(
-                p_params,
-                unlabeled,
-                TrainConfig(
-                    peak_lr=config.peak_lr,
-                    total_updates=pretrain_updates,
-                    batch_size=config.batch_size,
-                    seed=config.seed + STAGE_SEED_OFFSET["pretrain"],
-                ),
-            )
-        save_checkpoint(p_params, p_path)
-    else:
-        p_params = load_checkpoint(p_path, expect_config=config.encoder)
-
-    def run_stage(stage: str, producer) -> ModelParams | tuple:
-        key = _stage_key(stage)
-        if fresh[stage]:
-            params, report = producer()
-            save_stage_report(report, rp_dir)
-        else:
-            report = load_stage_report(rp_dir, stage)
-            params = load_checkpoint(
-                os.path.join(ck_dir, f"{key}.ckpt"), expect_config=config.encoder
-            )
-        reports[stage] = report
-        return params
-
-    def trained(stage: str, params: ModelParams, log: TrainLog, n_in: int,
-                cfg: TrainConfig, decode: dict | None = None):
-        path = os.path.join(ck_dir, f"{_stage_key(stage)}.ckpt")
-        digest = save_checkpoint(params, path)
-        return params, _build_report(stage, path, digest, log, n_in, cfg, decode)
-
-    cfg_s = config.train_config("S")
-    s_params = run_stage(
-        "S",
-        lambda: trained(
-            "S",
-            *finetune_ctc(p_params, config.stream, labeled, cfg_s, dev, vocabulary),
-            len(labeled),
-            cfg_s,
-        ),
-    )
-
-    cfg_t = config.train_config("T")
-    t_params = run_stage(
-        "T",
-        lambda: trained(
-            "T",
-            *train_guided_teacher(
-                p_params, s_params, labeled, config.alpha, cfg_t, dev, vocabulary
-            ),
-            len(labeled),
-            cfg_t,
-        ),
-    )
-
-    cfg_kd = config.train_config("KD")
-    kd_data = list(labeled) + list(unlabeled)
-    kd_params = run_stage(
-        "KD",
-        lambda: trained(
-            "KD",
-            *distill(
-                p_params,
-                t_params,
-                config.stream,
-                kd_data,
-                config.distill_spec(),
-                cfg_kd,
-                head_source=s_params,
-                dev=dev,
-                vocabulary=vocabulary,
-            ),
-            len(kd_data),
-            cfg_kd,
-        ),
-    )
-
-    cfg_n = config.train_config("N")
-    bidi = MaskSpec(variant="bidirectional")
-    n_params = run_stage(
-        "N",
-        lambda: trained(
-            "N",
-            *finetune_ctc(p_params, bidi, labeled, cfg_n, dev, vocabulary),
-            len(labeled),
-            cfg_n,
-        ),
-    )
-
-    # pseudo-labels
-    pseudo_p = dict(artifacts)["U'"][0]
-    decode_cfg = config.decode_config()
-    if fresh["U'"]:
-        t_started = time.perf_counter()
-        pseudo, dropped = pseudo_label(
-            n_params, lm_model, unlabeled, decode_cfg, vocabulary, jobs=jobs
-        )
-        hidden_refs = {u.uid: u.text for u in unlabeled}
-        edits = 0
-        total = 0
-        for u in pseudo:
-            ref = vocabulary.encode(hidden_refs[u.uid]).tokens
-            edits += edit_distance(ref, vocabulary.encode(u.text).tokens)
-            total += len(ref)
-        reference_error = edits / total if total else None
-        save_dataset(pseudo, pseudo_p)
-        log = TrainLog(
-            losses=[],
-            skipped=0,
-            dev_token_error=None,
-            wall_time_s=time.perf_counter() - t_started,
-            extra={
-                "dropped": dropped,
-                "pseudo_labeled": len(pseudo),
-                "hidden_reference_error": reference_error,
-            },
-        )
-        report = _build_report(
-            "U'",
-            os.path.join(ck_dir, "N.ckpt"),
-            checkpoint_digest(n_params),
-            log,
-            len(unlabeled),
-            None,
-            decode_cfg.to_dict(),
-        )
-        save_stage_report(report, rp_dir)
-    else:
-        pseudo = load_dataset(pseudo_p)
-        report = load_stage_report(rp_dir, "U'")
-    reports["U'"] = report
-
-    cfg_st = config.train_config("ST")
-    st_data = list(labeled) + list(pseudo)
-    run_stage(
-        "ST",
-        lambda: trained(
-            "ST",
-            *self_train(kd_params, st_data, cfg_st, dev, vocabulary),
-            len(st_data),
-            cfg_st,
-        ),
-    )
-
-    dropped = reports["U'"].extra.get("dropped", 0)
+    split = run.got["data"]
     summary = {
         "config": config.to_dict(),
         "config_digest": config_digest(config),
-        "aliases": TABLE_ALIASES,
+        "aliases": {s.name: s.alias for s in STAGES if s.alias},
         "pretrain_mode": config.pretrain_mode,
-        "pretrain_updates": pretrain_updates,
-        "stage_digests": {s: reports[s].digest for s in STAGE_ORDER},
-        "dev_token_error": {
-            s: reports[s].dev_token_error for s in STAGE_ORDER
-        },
+        "pretrain_updates": int(config.updates.get("pretrain", 0)),
+        "stage_digests": {s: r.digest for s, r in reports.items()},
+        "dev_token_error": {s: r.dev_token_error for s, r in reports.items()},
         "conservation": {
-            "labeled": len(labeled),
-            "unlabeled": len(unlabeled),
-            "dev": len(dev),
+            "labeled": len(split.labeled),
+            "unlabeled": len(split.unlabeled),
+            "dev": len(split.dev),
             "kd_consumed": reports["KD"].utterances_in,
-            "pseudo_labeled": len(pseudo),
-            "pseudo_dropped": dropped,
+            "pseudo_labeled": len(run.got["U'"]),
+            "pseudo_dropped": reports["U'"].extra.get("dropped", 0),
             "st_consumed": reports["ST"].utterances_in,
         },
-        "total_updates": sum(len(reports[s].losses) for s in STAGE_ORDER),
+        "total_updates": sum(len(r.losses) for r in reports.values()),
+        "recomputed": stale,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(os.path.join(rp_dir, "pipeline.json"), "w") as fh:
+    with open(run.path("reports", "pipeline.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return [reports[s] for s in STAGE_ORDER]
+    return list(reports.values())

@@ -30,7 +30,6 @@ from ..encoder import (
     FeatureSequence,
     ModelParams,
     backward,
-    checkpoint_digest,
     forward,
     forward_with_cache,
 )
@@ -147,15 +146,33 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, loss_fn):
     return losses, skipped
 
 
-def _ctc_loss_fn(vocabulary: Vocabulary, spec: MaskSpec):
-    def fn(params: ModelParams, utt):
-        target = vocabulary.encode(utt.text)
-        trace, cache = forward_with_cache(params, _features(utt), spec, train=True)
-        loss, d_logpost = ctc_loss(trace.posteriorgram, target)
-        grads, _ = backward(params, cache, grad_logpost=d_logpost)
-        return loss, grads
+def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, labeled=True):
+    """The frame every training stage shares: check the training set,
+    copy `init` under mask `spec`, run the update loop, and log.
 
-    return fn
+    `prepare(work)` runs on the copy inside the timed span and returns
+    (loss_fn, extra): `loss_fn` feeds `_run_updates`, and `extra()` gives
+    the log's extras once the updates are done. `labeled` stages need at
+    least one target that fits its frames."""
+    data = list(data)
+    if not data:
+        raise ValueError("training set is empty")
+    if labeled:
+        _check_some_satisfiable(data, vocabulary)
+    started = time.perf_counter()
+    work = init.copy()
+    work.mask_spec = spec
+    loss_fn, extra = prepare(work)
+    losses, skipped = _run_updates(work, data, cfg, loss_fn)
+    extras = extra()
+    dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
+    return work, TrainLog(
+        losses=losses,
+        skipped=skipped,
+        dev_token_error=dev_ter,
+        wall_time_s=time.perf_counter() - started,
+        extra=extras,
+    )
 
 
 def finetune_ctc(
@@ -169,22 +186,15 @@ def finetune_ctc(
     """CTC fine-tuning under an attention mask. Returns (model, log);
     with 0 updates the returned model equals `init` (mask spec aside)."""
     vocabulary = vocabulary or Vocabulary.default()
-    data = list(data)
-    if not data:
-        raise ValueError("training set is empty")
-    _check_some_satisfiable(data, vocabulary)
-    started = time.perf_counter()
-    work = init.copy()
-    work.mask_spec = spec
-    losses, skipped = _run_updates(work, data, cfg, _ctc_loss_fn(vocabulary, spec))
-    dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
-    log = TrainLog(
-        losses=losses,
-        skipped=skipped,
-        dev_token_error=dev_ter,
-        wall_time_s=time.perf_counter() - started,
-    )
-    return work, log
+
+    def fn(params: ModelParams, utt):
+        target = vocabulary.encode(utt.text)
+        trace, cache = forward_with_cache(params, _features(utt), spec, train=True)
+        loss, d_logpost = ctc_loss(trace.posteriorgram, target)
+        grads, _ = backward(params, cache, grad_logpost=d_logpost)
+        return loss, grads
+
+    return _train(init, spec, data, cfg, lambda work: (fn, dict), dev, vocabulary)
 
 
 def train_guided_teacher(
@@ -200,43 +210,32 @@ def train_guided_teacher(
     frozen streaming model's per-frame spikes. With alpha 0 the run is
     bit-identical to plain CTC fine-tuning."""
     vocabulary = vocabulary or Vocabulary.default()
-    data = list(data)
-    if not data:
-        raise ValueError("training set is empty")
     if streaming.mask_spec is None:
         raise ValueError("guide model does not record a streaming mask spec")
-    _check_some_satisfiable(data, vocabulary)
-    started = time.perf_counter()
-    masks = {
-        utt.uid: guide_mask(
-            forward(streaming, _features(utt), streaming.mask_spec).posteriorgram
-        )
-        for utt in data
-    }
-    work = pretrained.copy()
-    work.mask_spec = BIDIRECTIONAL
+    data = list(data)
 
-    def fn(params: ModelParams, utt):
-        target = vocabulary.encode(utt.text)
-        trace, cache = forward_with_cache(
-            params, _features(utt), BIDIRECTIONAL, train=True
-        )
-        loss, d_logpost = guided_ctc_loss(
-            trace.posteriorgram, target, masks[utt.uid], alpha
-        )
-        grads, _ = backward(params, cache, grad_logpost=d_logpost)
-        return loss, grads
+    def prepare(work):
+        masks = {
+            utt.uid: guide_mask(
+                forward(streaming, _features(utt), streaming.mask_spec).posteriorgram
+            )
+            for utt in data
+        }
 
-    losses, skipped = _run_updates(work, data, cfg, fn)
-    dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
-    log = TrainLog(
-        losses=losses,
-        skipped=skipped,
-        dev_token_error=dev_ter,
-        wall_time_s=time.perf_counter() - started,
-        extra={"alpha": alpha},
-    )
-    return work, log
+        def fn(params: ModelParams, utt):
+            target = vocabulary.encode(utt.text)
+            trace, cache = forward_with_cache(
+                params, _features(utt), BIDIRECTIONAL, train=True
+            )
+            loss, d_logpost = guided_ctc_loss(
+                trace.posteriorgram, target, masks[utt.uid], alpha
+            )
+            grads, _ = backward(params, cache, grad_logpost=d_logpost)
+            return loss, grads
+
+        return fn, lambda: {"alpha": alpha}
+
+    return _train(pretrained, BIDIRECTIONAL, data, cfg, prepare, dev, vocabulary)
 
 
 def distill(
@@ -257,24 +256,13 @@ def distill(
     given, making the student decodable without CTC training.
     """
     vocabulary = vocabulary or Vocabulary.default()
-    data = list(data)
-    if not data:
-        raise ValueError("training set is empty")
-    started = time.perf_counter()
-    work = pretrained.copy()
-    work.mask_spec = spec
-    if head_source is not None:
-        work.arrays["head.w"] = head_source.arrays["head.w"].copy()
-        work.arrays["head.b"] = head_source.arrays["head.b"].copy()
     teacher_spec = teacher.mask_spec or BIDIRECTIONAL
-    teacher_digest = checkpoint_digest(teacher)
     trace_cache = {}
 
     def teacher_trace(utt):
-        key = (teacher_digest, utt.uid)
-        if key not in trace_cache:
-            trace_cache[key] = forward(teacher, _features(utt), teacher_spec)
-        return trace_cache[key]
+        if utt.uid not in trace_cache:
+            trace_cache[utt.uid] = forward(teacher, _features(utt), teacher_spec)
+        return trace_cache[utt.uid]
 
     def fn(params: ModelParams, utt):
         trace, cache = forward_with_cache(params, _features(utt), spec, train=True)
@@ -282,7 +270,9 @@ def distill(
         grads, _ = backward(params, cache, grad_hidden=grad_hidden)
         return loss, grads
 
-    def dev_distill_loss(model: ModelParams) -> float:
+    def dev_distill_loss(model: ModelParams) -> float | None:
+        if not dev:
+            return None
         values = [
             distillation_loss(
                 forward(model, _features(u), spec), teacher_trace(u), distill_spec
@@ -291,23 +281,21 @@ def distill(
         ]
         return float(np.mean(values))
 
-    first = dev_distill_loss(work) if dev else None
-    losses, skipped = _run_updates(work, data, cfg, fn)
-    last = dev_distill_loss(work) if dev else None
-    dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
-    log = TrainLog(
-        losses=losses,
-        skipped=skipped,
-        dev_token_error=dev_ter,
-        wall_time_s=time.perf_counter() - started,
-        extra={
+    def prepare(work):
+        if head_source is not None:
+            work.arrays["head.w"] = head_source.arrays["head.w"].copy()
+            work.arrays["head.b"] = head_source.arrays["head.b"].copy()
+        first = dev_distill_loss(work)
+        return fn, lambda: {
             "distill_layers": list(distill_spec.layer_indices),
             "head_from": "streaming" if head_source is not None else "init",
             "dev_distill_first": first,
-            "dev_distill_last": last,
-        },
+            "dev_distill_last": dev_distill_loss(work),
+        }
+
+    return _train(
+        pretrained, spec, data, cfg, prepare, dev, vocabulary, labeled=False
     )
-    return work, log
 
 
 def _top_hypothesis(job):
@@ -388,12 +376,6 @@ def pretrain_contrastive(
     """Brief self-supervised warm-up: final-layer states at sampled
     positions are pushed toward their own (constant) frontend outputs and
     away from other frames'. Always runs with the full-context mask."""
-    data = list(data)
-    if not data:
-        raise ValueError("training set is empty")
-    started = time.perf_counter()
-    work = init.copy()
-    work.mask_spec = None
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
@@ -425,17 +407,10 @@ def pretrain_contrastive(
         grads, _ = backward(params, cache, grad_hidden={top_layer: grad})
         return loss_total, grads
 
-    losses, skipped = _run_updates(work, data, cfg, fn)
-    log = TrainLog(
-        losses=losses,
-        skipped=skipped,
-        dev_token_error=None,
-        wall_time_s=time.perf_counter() - started,
-        extra={
-            "mode": "contrastive",
-            "n_masked": n_masked,
-            "n_distractors": n_distractors,
-            "temperature": temperature,
-        },
-    )
-    return work, log
+    extra = {
+        "mode": "contrastive",
+        "n_masked": n_masked,
+        "n_distractors": n_distractors,
+        "temperature": temperature,
+    }
+    return _train(init, None, data, cfg, lambda work: (fn, lambda: extra), labeled=False)

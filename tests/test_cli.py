@@ -421,8 +421,9 @@ def test_pipeline_needs_workdir(capsys):
     [
         ("encoder", {**ENC, "n_layer": 7}, "n_layer"),
         ("stream", {"variant": "chunk", "chunk_frame": 3}, "chunk_frame"),
+        ("updates", {"S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12, "STT": 50}, "STT"),
     ],
-    ids=["encoder", "stream"],
+    ids=["encoder", "stream", "updates"],
 )
 def test_unknown_nested_config_key_is_usage_error(capsys, workdir, section, value, key):
     tmp, cfg = workdir

@@ -200,7 +200,6 @@ def test_distill_spec_defaults_and_validation():
     assert DistillSpec.thirds(4).layer_indices == (2, 3, 4)
     assert DistillSpec.thirds(12).layer_indices == (4, 8, 12)
     assert DistillSpec.thirds(1).layer_indices == (1,)
-    assert DistillSpec((2, 3)).weights == (1.0, 1.0)
     with pytest.raises(ValueError):
         DistillSpec(())
     with pytest.raises(ValueError):
@@ -209,8 +208,6 @@ def test_distill_spec_defaults_and_validation():
         DistillSpec((3, 2))
     with pytest.raises(ValueError):
         DistillSpec((2, 2))
-    with pytest.raises(ValueError):
-        DistillSpec((1, 2), weights=(1.0,))
 
 
 def test_distill_identical_traces_zero():
@@ -239,12 +236,9 @@ def test_distill_matches_direct_formula():
     rng = np.random.default_rng(9)
     hs = [rng.normal(size=(5, 4)) for _ in range(4)]
     ht = [rng.normal(size=(5, 4)) for _ in range(4)]
-    spec = DistillSpec((2, 3, 4), weights=(1.0, 0.5, 2.0))
+    spec = DistillSpec((2, 3, 4))
     loss, _ = distillation_loss(make_trace(hs), make_trace(ht), spec)
-    direct = sum(
-        w * np.mean((hs[i - 1] - ht[i - 1]) ** 2)
-        for i, w in zip(spec.layer_indices, spec.weights)
-    )
+    direct = sum(np.mean((hs[i - 1] - ht[i - 1]) ** 2) for i in spec.layer_indices)
     assert abs(loss - direct) < 1e-12
 
 

@@ -1,5 +1,6 @@
 """Synthetic data, optimizer, training stages, and the six-stage run."""
 
+import dataclasses
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from streamctc.pipeline import (
     tri_stage_lr,
 )
 from streamctc.losses import DistillSpec
+from streamctc.pipeline.run import STAGES, input_keys
 from streamctc.vocab import Vocabulary
 
 VOCAB = Vocabulary.default()
@@ -600,6 +602,94 @@ def test_resume_reuses_everything_when_all_artifacts_exist(tmp_path):
     first = run_two_stage(config)
     second = run_two_stage(config)
     assert [r.wall_time_s for r in first] == [r.wall_time_s for r in second]
+
+
+def test_dry_run_depends_on_is_the_stage_table(tmp_path):
+    plan = {p["stage"]: p["depends_on"] for p in plan_stages(small_pipeline_config(tmp_path))}
+    assert plan["T"] == ["P", "S", "data"]
+    assert plan["ST"] == ["KD", "U'", "data"]
+    seen = set()
+    for stage in STAGES:
+        assert set(stage.reads) <= seen, stage.name
+        seen.add(stage.name)
+        if stage.name in plan:
+            assert plan[stage.name] == list(stage.reads)
+
+
+def test_every_config_field_feeds_an_input_key():
+    named = {f.partition(".")[0] for stage in STAGES for f in stage.fields}
+    config_fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert config_fields - {"out_dir", "resume"} <= named
+    assert named <= config_fields
+
+
+def test_input_keys_ignore_out_dir_and_resume(tmp_path):
+    config = small_pipeline_config(tmp_path / "a")
+    moved = dataclasses.replace(config, out_dir=str(tmp_path / "b"), resume=False)
+    assert input_keys(moved) == input_keys(config)
+    assert input_keys(dataclasses.replace(config, alpha=0.5)) != input_keys(config)
+
+
+def resume_config(out_dir, **changes):
+    """`small_pipeline_config` at four updates a stage: the resume tests
+    compare which stages ran, not model quality."""
+    updates = {"pretrain": 0, "S": 4, "T": 4, "KD": 4, "N": 4, "ST": 4}
+    return dataclasses.replace(
+        small_pipeline_config(out_dir), **{"updates": updates, **changes}
+    )
+
+
+def recomputed(out_dir):
+    with open(out_dir / "reports" / "pipeline.json") as fh:
+        return json.load(fh)["recomputed"]
+
+
+def test_fresh_run_records_every_stage_as_recomputed(tmp_path):
+    run_two_stage(resume_config(tmp_path))
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    with open(tmp_path / "reports" / "inputs.json") as fh:
+        assert json.load(fh) == input_keys(resume_config(tmp_path))
+    run_two_stage(resume_config(tmp_path))
+    assert recomputed(tmp_path) == []
+
+
+def test_resume_after_alpha_change_recomputes_t_kd_st(tmp_path):
+    first = {r.stage: r for r in run_two_stage(resume_config(tmp_path))}
+    second = run_two_stage(resume_config(tmp_path, alpha=0.5))
+    assert recomputed(tmp_path) == ["T", "KD", "ST"]
+    for r in second:
+        if r.stage in ("S", "N", "U'"):
+            assert r.wall_time_s == first[r.stage].wall_time_s, r.stage
+    fresh = run_two_stage(resume_config(tmp_path / "fresh", alpha=0.5))
+    assert [r.digest for r in second] == [r.digest for r in fresh]
+    assert second[1].extra["alpha"] == 0.5
+
+
+def test_resume_after_st_updates_change_recomputes_only_st(tmp_path):
+    run_two_stage(resume_config(tmp_path))
+    updates = {"pretrain": 0, "S": 4, "T": 4, "KD": 4, "N": 4, "ST": 6}
+    reports = run_two_stage(resume_config(tmp_path, updates=updates))
+    assert recomputed(tmp_path) == ["ST"]
+    assert len(reports[-1].losses) == 6
+
+
+def test_resume_after_deleting_kd_checkpoint_recomputes_kd_and_st(tmp_path):
+    config = resume_config(tmp_path)
+    first = run_two_stage(config)
+    os.remove(tmp_path / "checkpoints" / "KD.ckpt")
+    second = run_two_stage(config)
+    assert recomputed(tmp_path) == ["KD", "ST"]
+    assert [r.digest for r in first] == [r.digest for r in second]
+
+
+def test_workdir_without_input_keys_is_recomputed_once(tmp_path):
+    config = resume_config(tmp_path)
+    run_two_stage(config)
+    os.remove(tmp_path / "reports" / "inputs.json")
+    run_two_stage(config)
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    run_two_stage(dataclasses.replace(config, resume=False))
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
 
 
 def test_stage_report_round_trip(tmp_path):
