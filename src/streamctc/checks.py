@@ -29,7 +29,6 @@ from .ctc import (
 )
 from .encoder import (
     EncoderConfig,
-    FeatureSequence,
     ForwardTrace,
     backward,
     checkpoint_digest,
@@ -284,7 +283,7 @@ def encoder_gradient_error(seed: int, repeats: int) -> float:
         w = rng.normal(size=(4, 6))
 
         def op(x):
-            trace, cache = forward_with_cache(params, FeatureSequence(x), spec)
+            trace, cache = forward_with_cache(params, x, spec)
             _, d_x = backward(params, cache, grad_logpost=w)
             return float(np.sum(w * trace.posteriorgram)), [d_x]
 
@@ -374,7 +373,7 @@ def degenerate_mask_error(seed: int, repeats: int, n_frames: int = 7) -> float:
     for s in range(seed, seed + repeats):
         params = init_params(TINY_ENCODER, s + 50)
         rng = np.random.default_rng(s + 500)
-        x = FeatureSequence(rng.normal(size=(n_frames, TINY_ENCODER.feature_dim)))
+        x = rng.normal(size=(n_frames, TINY_ENCODER.feature_dim))
         want = forward(params, x, BIDIRECTIONAL).posteriorgram
         for spec in degenerate_specs(n_frames):
             got = forward(params, x, spec).posteriorgram

@@ -22,11 +22,14 @@ states, and produces parameter gradients plus the input-feature gradient.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,17 +90,7 @@ class EncoderConfig:
         return self.model_dim // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "model_dim": self.model_dim,
-            "n_heads": self.n_heads,
-            "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size,
-            "feature_dim": self.feature_dim,
-            "frontend_norm": self.frontend_norm,
-            "frontend_conv": self.frontend_conv,
-            "frontend_kernel": self.frontend_kernel,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
@@ -119,45 +112,86 @@ def frontend_lookahead(config: EncoderConfig) -> int:
     return 0 if config.frontend_conv == "causal" else (config.frontend_kernel - 1) // 2
 
 
-@dataclass(frozen=True)
-class FeatureSequence:
-    """T x D frame matrix with its stride in milliseconds."""
+@functools.lru_cache(maxsize=None)
+def param_layout(config: EncoderConfig) -> tuple:
+    """Ordered (name, shape) rows of every trainable array.
 
-    features: np.ndarray
-    frame_ms: float = 20.0
+    This is the one listing of the model's parameters: `ModelParams.flat`,
+    the gradient vector of `backward` and the Adam moments are laid out in
+    this order, and `load_checkpoint` checks stored arrays against it."""
+    d, f = config.model_dim, config.ffn_dim
+    rows = [
+        ("frontend.norm.gain", (config.feature_dim,)),
+        ("frontend.norm.bias", (config.feature_dim,)),
+        ("frontend.conv.kernel", (config.frontend_kernel, config.feature_dim, d)),
+        ("frontend.conv.bias", (d,)),
+    ]
+    for i in range(config.n_layers):
+        p = f"layer{i}."
+        rows += [
+            (p + "ln1.gain", (d,)),
+            (p + "ln1.bias", (d,)),
+            (p + "attn.wq", (d, d)),
+            (p + "attn.wk", (d, d)),
+            (p + "attn.wv", (d, d)),
+            (p + "attn.wo", (d, d)),
+            (p + "attn.bo", (d,)),
+            (p + "ln2.gain", (d,)),
+            (p + "ln2.bias", (d,)),
+            (p + "ffn.w1", (d, f)),
+            (p + "ffn.b1", (f,)),
+            (p + "ffn.w2", (f, d)),
+            (p + "ffn.b2", (d,)),
+        ]
+    rows += [
+        ("final_norm.gain", (d,)),
+        ("final_norm.bias", (d,)),
+        ("head.w", (d, config.vocab_size)),
+        ("head.b", (config.vocab_size,)),
+    ]
+    return tuple(rows)
 
-    def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 2:
-            raise ValueError("features must be T x D")
-        object.__setattr__(self, "features", f)
 
-    @property
-    def n_frames(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.features.shape[1])
+def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
+    """Named views into a vector laid out by `param_layout(config)`."""
+    views = {}
+    offset = 0
+    for name, shape in param_layout(config):
+        views[name] = vector[offset : offset + math.prod(shape)].reshape(shape)
+        offset += math.prod(shape)
+    if vector.shape != (offset,):
+        raise ValueError(f"parameter vector has shape {vector.shape}, layout ({offset},)")
+    return views
 
 
 @dataclass
 class ModelParams:
-    """Trainable arrays (by name) plus non-trainable frontend norm stats.
+    """Every trainable value in one float64 vector `flat`, laid out by
+    `param_layout`, plus non-trainable frontend norm stats.
 
-    `mask_spec` records the streaming variant the model was trained under,
-    carried through checkpoints so downstream stages can verify lineage.
+    `arrays` maps each name to a view into `flat`; it is read-only, so
+    training writes into the views or `flat` in place and never rebinds a
+    name. `mask_spec` records the streaming variant the model was trained
+    under, carried through checkpoints so downstream stages can verify
+    lineage.
     """
 
     config: EncoderConfig
-    arrays: dict
+    flat: np.ndarray
     bn_stats: BatchNormStats | None = None
     mask_spec: MaskSpec | None = None
+
+    def __post_init__(self):
+        self.arrays = MappingProxyType(param_views(self.config, self.flat))
+
+    def __reduce__(self):
+        # the views are rebuilt from `flat`; a mapping proxy does not pickle
+        return (ModelParams, (self.config, self.flat, self.bn_stats, self.mask_spec))
 
     def copy(self) -> "ModelParams":
         return ModelParams(
             config=self.config,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
+            flat=self.flat.copy(),
             bn_stats=self.bn_stats.copy() if self.bn_stats else None,
             mask_spec=self.mask_spec,
         )
@@ -172,52 +206,26 @@ class ForwardTrace:
     mask: AttentionMask
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def init_params(config: EncoderConfig, seed: int) -> ModelParams:
-    """Deterministic scaled-uniform initialization.
+    """Deterministic initialization in layout order: gains are 1, other
+    1-D arrays 0, and each matrix is uniform in +-1/sqrt(fan_in), fan_in
+    being the product of all its dimensions but the last.
 
     Running batch-norm stats start at (mean 0, var 1) and are marked
     initialized so a freshly built model can run in infer mode.
     """
     rng = np.random.default_rng(seed)
-    d, v = config.model_dim, config.vocab_size
-    arrays = {
-        "frontend.norm.gain": np.ones(config.feature_dim),
-        "frontend.norm.bias": np.zeros(config.feature_dim),
-        "frontend.conv.kernel": _uniform(
-            rng,
-            (config.frontend_kernel, config.feature_dim, d),
-            config.frontend_kernel * config.feature_dim,
-        ),
-        "frontend.conv.bias": np.zeros(d),
-    }
-    for i in range(config.n_layers):
-        p = f"layer{i}."
-        arrays[p + "ln1.gain"] = np.ones(d)
-        arrays[p + "ln1.bias"] = np.zeros(d)
-        arrays[p + "attn.wq"] = _uniform(rng, (d, d), d)
-        arrays[p + "attn.wk"] = _uniform(rng, (d, d), d)
-        arrays[p + "attn.wv"] = _uniform(rng, (d, d), d)
-        arrays[p + "attn.wo"] = _uniform(rng, (d, d), d)
-        arrays[p + "attn.bo"] = np.zeros(d)
-        arrays[p + "ln2.gain"] = np.ones(d)
-        arrays[p + "ln2.bias"] = np.zeros(d)
-        arrays[p + "ffn.w1"] = _uniform(rng, (d, config.ffn_dim), d)
-        arrays[p + "ffn.b1"] = np.zeros(config.ffn_dim)
-        arrays[p + "ffn.w2"] = _uniform(rng, (config.ffn_dim, d), config.ffn_dim)
-        arrays[p + "ffn.b2"] = np.zeros(d)
-    arrays["final_norm.gain"] = np.ones(d)
-    arrays["final_norm.bias"] = np.zeros(d)
-    arrays["head.w"] = _uniform(rng, (d, v), d)
-    arrays["head.b"] = np.zeros(v)
-    stats = None
+    size = sum(math.prod(shape) for _, shape in param_layout(config))
+    params = ModelParams(config=config, flat=np.zeros(size))
+    for name, shape in param_layout(config):
+        if len(shape) > 1:
+            bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
+            params.arrays[name][...] = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith(".gain"):
+            params.arrays[name][...] = 1.0
     if config.frontend_norm == "bn":
-        stats = BatchNormStats.fresh(config.feature_dim, initialized=True)
-    return ModelParams(config=config, arrays=arrays, bn_stats=stats)
+        params.bn_stats = BatchNormStats.fresh(config.feature_dim, initialized=True)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,7 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     g = lambda name: arrays[prefix + name]
 
     def acc(name, value):
-        grads[prefix + name] = grads.get(prefix + name, 0.0) + value
+        grads[prefix + name] += value
 
     d_a = d_out.copy()
     acc("ffn.w2", cache["f2"].T @ d_out)
@@ -312,13 +320,16 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
 
 def forward_with_cache(
     params: ModelParams,
-    features: FeatureSequence,
+    features: np.ndarray,
     spec: MaskSpec,
     train: bool = False,
 ):
-    """Run the full encoder, returning (ForwardTrace, cache for backward)."""
+    """Run the full encoder on a T x feature_dim matrix, returning
+    (ForwardTrace, cache for backward)."""
     config = params.config
-    x = features.features
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be T x D, got {x.ndim} dimension(s)")
     if x.shape[0] < 1:
         raise ValueError("empty feature sequence")
     if x.shape[1] != config.feature_dim:
@@ -353,7 +364,7 @@ def forward_with_cache(
     h0 = gelu(xc)
     cache["h0"] = h0
 
-    mask = build_mask(spec, features.n_frames)
+    mask = build_mask(spec, x.shape[0])
     cache["mask"] = mask
     h = mask.plan.augment(h0) if mask.plan is not None else h0
 
@@ -382,7 +393,7 @@ def forward_with_cache(
 
 def forward(
     params: ModelParams,
-    features: FeatureSequence,
+    features: np.ndarray,
     spec: MaskSpec,
     train: bool = False,
 ) -> ForwardTrace:
@@ -397,29 +408,27 @@ def backward(
 ):
     """Reverse pass. `grad_hidden` maps 1-based layer index -> gradient on
     that layer's traced hidden state (T x model_dim, real positions).
-    Returns (grads dict matching `params.arrays` keys, grad on the input
-    features)."""
+    Returns (gradient vector laid out like `params.flat`, grad on the
+    input features)."""
     config = cache["config"]
     arrays = params.arrays
     mask = cache["mask"]
     plan = mask.plan
-    grads = {}
+    grad = np.zeros_like(params.flat)
+    grads = param_views(config, grad)
 
     hn = cache["hn"]
+    d_hn = np.zeros_like(hn)
     if grad_logpost is not None:
         d_logits = log_softmax_backward(
             np.asarray(grad_logpost, dtype=np.float64), cache["logpost"]
         )
-        grads["head.w"] = hn.T @ d_logits
-        grads["head.b"] = d_logits.sum(axis=0)
+        grads["head.w"][...] = hn.T @ d_logits
+        grads["head.b"][...] = d_logits.sum(axis=0)
         d_hn = d_logits @ arrays["head.w"].T
-    else:
-        grads["head.w"] = np.zeros_like(arrays["head.w"])
-        grads["head.b"] = np.zeros_like(arrays["head.b"])
-        d_hn = np.zeros_like(hn)
-    d_hr, dg, db = layer_norm_backward(d_hn, cache["final_norm"])
-    grads["final_norm.gain"] = dg
-    grads["final_norm.bias"] = db
+    d_hr, grads["final_norm.gain"][...], grads["final_norm.bias"][...] = (
+        layer_norm_backward(d_hn, cache["final_norm"])
+    )
 
     grad_hidden = grad_hidden or {}
     n = config.n_layers
@@ -446,20 +455,14 @@ def backward(
 
     d_h0 = plan.reduce_grad(d_h) if plan is not None else d_h
     d_conv = d_h0 * gelu_grad(cache["conv_pre"])
-    d_xn, d_kernel, d_cbias = conv1d_backward(d_conv, cache["conv"])
-    grads["frontend.conv.kernel"] = d_kernel
-    grads["frontend.conv.bias"] = d_cbias
-    if cache["norm_kind"] == "gn":
-        d_x, dng, dnb = layer_norm_backward(d_xn, cache["norm"])
-    else:
-        d_x, dng, dnb = batch_norm_backward(d_xn, cache["norm"])
-    grads["frontend.norm.gain"] = dng
-    grads["frontend.norm.bias"] = dnb
-
-    for key in arrays:
-        if key not in grads:
-            grads[key] = np.zeros_like(arrays[key])
-    return grads, d_x
+    d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
+        conv1d_backward(d_conv, cache["conv"])
+    )
+    norm_backward = layer_norm_backward if cache["norm_kind"] == "gn" else batch_norm_backward
+    d_x, grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
+        norm_backward(d_xn, cache["norm"])
+    )
+    return grad, d_x
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +565,7 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
             struct.unpack("<Q", take(8))[0] for _ in range(ndim)
         )
         count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
-        named[name] = data.astype(np.float64)
+        named[name] = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
     if off != len(blob) - 8:
         raise CheckpointError(f"{path}: {len(blob) - 8 - off} unread bytes")
     stats = None
@@ -573,9 +575,17 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
             var=named.pop("buffer.frontend.bn.var").copy(),
             initialized=bool(header.get("bn_initialized")),
         )
+    layout = dict(param_layout(config))
+    stored = {name: arr.shape for name, arr in named.items()}
+    if stored != layout:
+        diff = [
+            f"{n} stored {stored.get(n)}, layout {layout.get(n)}"
+            for n in sorted(set(stored) | set(layout))
+            if stored.get(n) != layout.get(n)
+        ]
+        raise CheckpointError(f"{path}: arrays differ from the config's layout: {'; '.join(diff)}")
     mask_spec = (
         MaskSpec.from_dict(header["mask_spec"]) if header.get("mask_spec") else None
     )
-    return ModelParams(
-        config=config, arrays=named, bn_stats=stats, mask_spec=mask_spec
-    )
+    flat = np.concatenate([named[name].ravel() for name in layout]).astype(np.float64, copy=False)
+    return ModelParams(config=config, flat=flat, bn_stats=stats, mask_spec=mask_spec)

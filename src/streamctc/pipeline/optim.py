@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,21 +45,7 @@ class TrainConfig:
             raise ValueError("eps must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "peak_lr": self.peak_lr,
-            "total_updates": self.total_updates,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "warmup_frac": self.warmup_frac,
-            "constant_frac": self.constant_frac,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return asdict(self)
 
 
 def tri_stage_lr(step, cfg: TrainConfig) -> float:
@@ -83,50 +69,39 @@ def tri_stage_lr(step, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the parameter dict."""
+    """First/second moment vectors, laid out like the parameter vector,
+    and the number of steps taken."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def fresh(cls, arrays: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in arrays.items()},
-            v={k: np.zeros_like(a) for k, a in arrays.items()},
-        )
+    def fresh(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: dict,
-    grads: dict,
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One bias-corrected Adam update; returns (new params dict, new state).
+    """One bias-corrected Adam update of a parameter vector; returns (new
+    parameter vector, new state).
 
     Gradients must be finite (training fails fast on a bad batch rather
     than silently poisoning the moments).
     """
-    if set(params) != set(grads):
-        raise ValueError("params and grads must share keys")
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != params.shape:
+        raise ValueError(f"gradient shape {g.shape} does not match parameters {params.shape}")
+    ensure_finite(g, "gradient")
     t = state.t + 1
-    new_params = {}
-    new_m = {}
-    new_v = {}
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for key in sorted(params):
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != params[key].shape:
-            raise ValueError(f"gradient shape mismatch for {key}")
-        ensure_finite(g, f"gradient[{key}]")
-        m = beta1 * state.m[key] + (1.0 - beta1) * g
-        v = beta2 * state.v[key] + (1.0 - beta2) * (g * g)
-        new_m[key] = m
-        new_v[key] = v
-        new_params[key] = params[key] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * (g * g)
+    new_params = params - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return new_params, AdamState(m=m, v=v, t=t)

@@ -182,6 +182,21 @@ class PipelineConfig:
             raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
         if self.n_symbols < 1 or self.n_symbols > 26:
             raise ValueError("n_symbols must be in 1..26")
+        for stage, n in self.updates.items():
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"updates.{stage} must be an integer, got {n!r}")
+            try:
+                self.train_config(stage)
+            except ValueError as exc:
+                raise ValueError(f"stage {stage} (updates.{stage}={n}): {exc}") from None
+        if self.alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        layers = self.distill_spec().layer_indices
+        if layers[-1] > self.encoder.n_layers:
+            raise ValueError(
+                f"distill_layers {list(layers)} reach beyond encoder.n_layers "
+                f"{self.encoder.n_layers}"
+            )
 
     def token_ids(self, vocabulary: Vocabulary) -> list:
         first_letter = vocabulary.symbols.index("a")
@@ -204,7 +219,7 @@ class PipelineConfig:
     def train_config(self, stage: str) -> TrainConfig:
         return TrainConfig(
             peak_lr=self.peak_lr,
-            total_updates=int(self.updates[stage]),
+            total_updates=self.updates[stage],
             batch_size=self.batch_size,
             seed=self.seed + STAGE_SEED_OFFSET[stage],
         )

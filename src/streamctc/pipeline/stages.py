@@ -26,13 +26,7 @@ from ..ctc import (
     min_frames,
     prefix_beam_search,
 )
-from ..encoder import (
-    FeatureSequence,
-    ModelParams,
-    backward,
-    forward,
-    forward_with_cache,
-)
+from ..encoder import ModelParams, backward, forward, forward_with_cache
 from ..lm import FusionLm, NgramModel
 from ..losses import (
     DistillSpec,
@@ -64,10 +58,6 @@ class TrainLog:
     extra: dict = field(default_factory=dict)
 
 
-def _features(utt) -> FeatureSequence:
-    return FeatureSequence(features=utt.features, frame_ms=utt.frame_ms)
-
-
 def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float:
     """Corpus-level token error of greedy decoding under the model's own
     mask: total edit distance over total reference length."""
@@ -76,7 +66,7 @@ def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float
     total = 0
     for utt in utts:
         ref = vocabulary.encode(utt.text).tokens
-        post = forward(params, _features(utt), spec).posteriorgram
+        post = forward(params, utt.features, spec).posteriorgram
         hyp = greedy_decode(post).tokens
         edits += edit_distance(ref, hyp)
         total += len(ref)
@@ -88,7 +78,7 @@ def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float
 def dev_posteriors(params: ModelParams, utts) -> list:
     """Posteriorgrams under the model's own mask, in corpus order."""
     spec = params.mask_spec or BIDIRECTIONAL
-    return [forward(params, _features(u), spec).posteriorgram for u in utts]
+    return [forward(params, u.features, spec).posteriorgram for u in utts]
 
 
 def _check_some_satisfiable(data, vocabulary: Vocabulary) -> None:
@@ -102,10 +92,10 @@ def _check_some_satisfiable(data, vocabulary: Vocabulary) -> None:
 
 
 def _run_updates(params: ModelParams, data, cfg: TrainConfig, loss_fn):
-    """The shared loop. Mutates `params` in place and returns
-    (losses per update, skipped count)."""
+    """The shared loop. Writes each update into `params.flat` in place and
+    returns (losses per update, skipped count)."""
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState.fresh(params.arrays)
+    state = AdamState.fresh(params.flat)
     losses = []
     skipped = 0
     n = len(data)
@@ -113,35 +103,34 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, loss_fn):
         lr = tri_stage_lr(step, cfg)
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = sorted((data[int(i)] for i in idx), key=lambda u: u.uid)
-        total_grads = None
+        total = None
         loss_sum = 0.0
         ok = 0
         for utt in batch:
             try:
-                loss, grads = loss_fn(params, utt)
+                loss, grad = loss_fn(params, utt)
             except UnsatisfiableTargetError:
                 skipped += 1
                 continue
             ok += 1
             loss_sum += loss
-            if total_grads is None:
-                total_grads = grads
+            if total is None:
+                total = grad
             else:
-                for key in total_grads:
-                    total_grads[key] = total_grads[key] + grads[key]
+                total += grad
         if ok == 0:
             losses.append(math.nan)
             continue
-        mean_grads = {k: g / ok for k, g in total_grads.items()}
-        params.arrays, state = adam_step(
-            params.arrays,
-            mean_grads,
+        updated, state = adam_step(
+            params.flat,
+            total / ok,
             state,
             lr,
             beta1=cfg.beta1,
             beta2=cfg.beta2,
             eps=cfg.eps,
         )
+        params.flat[...] = updated
         losses.append(loss_sum / ok)
     return losses, skipped
 
@@ -189,7 +178,7 @@ def finetune_ctc(
 
     def fn(params: ModelParams, utt):
         target = vocabulary.encode(utt.text)
-        trace, cache = forward_with_cache(params, _features(utt), spec, train=True)
+        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
         loss, d_logpost = ctc_loss(trace.posteriorgram, target)
         grads, _ = backward(params, cache, grad_logpost=d_logpost)
         return loss, grads
@@ -217,7 +206,7 @@ def train_guided_teacher(
     def prepare(work):
         masks = {
             utt.uid: guide_mask(
-                forward(streaming, _features(utt), streaming.mask_spec).posteriorgram
+                forward(streaming, utt.features, streaming.mask_spec).posteriorgram
             )
             for utt in data
         }
@@ -225,7 +214,7 @@ def train_guided_teacher(
         def fn(params: ModelParams, utt):
             target = vocabulary.encode(utt.text)
             trace, cache = forward_with_cache(
-                params, _features(utt), BIDIRECTIONAL, train=True
+                params, utt.features, BIDIRECTIONAL, train=True
             )
             loss, d_logpost = guided_ctc_loss(
                 trace.posteriorgram, target, masks[utt.uid], alpha
@@ -261,11 +250,11 @@ def distill(
 
     def teacher_trace(utt):
         if utt.uid not in trace_cache:
-            trace_cache[utt.uid] = forward(teacher, _features(utt), teacher_spec)
+            trace_cache[utt.uid] = forward(teacher, utt.features, teacher_spec)
         return trace_cache[utt.uid]
 
     def fn(params: ModelParams, utt):
-        trace, cache = forward_with_cache(params, _features(utt), spec, train=True)
+        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
         loss, grad_hidden = distillation_loss(trace, teacher_trace(utt), distill_spec)
         grads, _ = backward(params, cache, grad_hidden=grad_hidden)
         return loss, grads
@@ -275,7 +264,7 @@ def distill(
             return None
         values = [
             distillation_loss(
-                forward(model, _features(u), spec), teacher_trace(u), distill_spec
+                forward(model, u.features, spec), teacher_trace(u), distill_spec
             )[0]
             for u in dev
         ]
@@ -283,8 +272,8 @@ def distill(
 
     def prepare(work):
         if head_source is not None:
-            work.arrays["head.w"] = head_source.arrays["head.w"].copy()
-            work.arrays["head.b"] = head_source.arrays["head.b"].copy()
+            work.arrays["head.w"][...] = head_source.arrays["head.w"]
+            work.arrays["head.b"][...] = head_source.arrays["head.b"]
         first = dev_distill_loss(work)
         return fn, lambda: {
             "distill_layers": list(distill_spec.layer_indices),
@@ -300,7 +289,7 @@ def distill(
 
 def _top_hypothesis(job):
     model, cfg, spec, utt = job
-    post = forward(model, _features(utt), spec).posteriorgram
+    post = forward(model, utt.features, spec).posteriorgram
     return prefix_beam_search(post, cfg)[0]
 
 
@@ -381,7 +370,7 @@ def pretrain_contrastive(
 
     def fn(params: ModelParams, utt):
         trace, cache = forward_with_cache(
-            params, _features(utt), BIDIRECTIONAL, train=True
+            params, utt.features, BIDIRECTIONAL, train=True
         )
         context = trace.hidden[-1]
         targets = cache["h0"]

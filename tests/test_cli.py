@@ -438,6 +438,38 @@ def test_unknown_nested_config_key_is_usage_error(capsys, workdir, section, valu
     assert key in err
 
 
+UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("updates", {**UPDATES, "S": 2.7}, "updates.S"),
+        ("updates", {**UPDATES, "S": True}, "updates.S"),
+        ("updates", {**UPDATES, "S": -5}, "updates.S"),
+        ("batch_size", 0, "batch_size"),
+        ("peak_lr", -1, "peak_lr"),
+        ("alpha", -1, "alpha"),
+        ("distill_layers", [9], "distill_layers"),
+    ],
+    ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
+         "peak_lr", "alpha", "distill_layers"],
+)
+def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
+    tmp, cfg = workdir
+    payload = json.loads(open(cfg).read())
+    payload[key] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "pipeline", "--config", str(bad), "--workdir", str(tmp / "run"),
+        "--dry-run",
+    )
+    assert code == 1
+    assert field in err
+    assert out == ""
+
+
 # --------------------------------------------------------------- selfcheck
 
 

@@ -1,10 +1,13 @@
+import math
+import pickle
+import types
+
 import numpy as np
 import pytest
 
 from streamctc.encoder import (
     CheckpointError,
     EncoderConfig,
-    FeatureSequence,
     backward,
     checkpoint_digest,
     forward,
@@ -12,6 +15,8 @@ from streamctc.encoder import (
     frontend_lookahead,
     init_params,
     load_checkpoint,
+    param_layout,
+    param_views,
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask, reception_field
@@ -32,7 +37,7 @@ TINY = EncoderConfig(
 
 def make_features(t, dim, seed=0):
     rng = np.random.default_rng(seed)
-    return FeatureSequence(rng.normal(size=(t, dim)))
+    return rng.normal(size=(t, dim))
 
 
 class TestConfig:
@@ -101,6 +106,49 @@ class TestInitParams:
         a = forward(params, feats, spec).posteriorgram
         b = forward(params, feats, spec).posteriorgram
         np.testing.assert_array_equal(a, b)
+
+
+class TestLayout:
+    def test_views_follow_the_layout(self):
+        params = init_params(TINY, 7)
+        layout = param_layout(TINY)
+        assert [(k, v.shape) for k, v in params.arrays.items()] == list(layout)
+        assert params.flat.shape == (sum(math.prod(shape) for _, shape in layout),)
+        for view in params.arrays.values():
+            assert np.shares_memory(view, params.flat)
+
+    def test_init_rules(self):
+        params = init_params(TINY, 7)
+        for name, shape in param_layout(TINY):
+            view = params.arrays[name]
+            if len(shape) > 1:
+                bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
+                assert np.all(np.abs(view) <= bound) and np.any(view != 0)
+            else:
+                assert np.all(view == (1.0 if name.endswith(".gain") else 0.0)), name
+
+    def test_rebinding_a_name_raises(self):
+        params = init_params(TINY, 7)
+        with pytest.raises(TypeError):
+            params.arrays["head.w"] = np.zeros((16, 5))
+
+    def test_writing_a_view_changes_flat_and_digest(self):
+        params = init_params(TINY, 7)
+        before = checkpoint_digest(params)
+        params.arrays["head.b"][2] = 0.5
+        assert 0.5 in params.flat
+        assert checkpoint_digest(params) != before
+
+    def test_copy_and_pickle_rebuild_views(self):
+        params = init_params(TINY, 7)
+        for other in (params.copy(), pickle.loads(pickle.dumps(params))):
+            assert not np.shares_memory(other.flat, params.flat)
+            other.arrays["head.b"][0] = 3.0
+            assert other.flat[-5] == 3.0 and params.flat[-5] == 0.0
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(ValueError):
+            param_views(TINY, np.zeros(10))
 
 
 class TestAttentionLayer:
@@ -187,7 +235,13 @@ class TestForward:
     def test_zero_length_rejected(self):
         params = init_params(TINY, 1)
         with pytest.raises(ValueError):
-            forward(params, FeatureSequence(np.zeros((0, 6))), MaskSpec("bidirectional"))
+            forward(params, np.zeros((0, 6)), MaskSpec("bidirectional"))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 4, 6)], ids=["1d", "3d"])
+    def test_features_must_be_a_matrix(self, shape):
+        params = init_params(TINY, 1)
+        with pytest.raises(ValueError, match="T x D"):
+            forward(params, np.zeros(shape), MaskSpec("bidirectional"))
 
     def test_feature_dim_mismatch(self):
         params = init_params(TINY, 1)
@@ -220,13 +274,13 @@ class TestForward:
         t = 1
         horizon = rf.latest[t]  # chunk_end(1)=3, +2 -> 5
         assert horizon == 5
-        beyond = feats.features.copy()
+        beyond = feats.copy()
         beyond[horizon + 1] += 10.0
-        out = forward(params, FeatureSequence(beyond), spec).posteriorgram
+        out = forward(params, beyond, spec).posteriorgram
         np.testing.assert_array_equal(out[t], base[t])
-        at = feats.features.copy()
+        at = feats.copy()
         at[horizon] += 10.0
-        out = forward(params, FeatureSequence(at), spec).posteriorgram
+        out = forward(params, at, spec).posteriorgram
         assert not np.array_equal(out[t], base[t])
 
     def test_causality_all_variants_infer_mode(self):
@@ -246,9 +300,9 @@ class TestForward:
             for t in range(t_len):
                 if rf.latest[t] + 1 >= t_len:
                     continue
-                x = feats.features.copy()
+                x = feats.copy()
                 x[rf.latest[t] + 1 :] += 3.0
-                out = forward(params, FeatureSequence(x), spec).posteriorgram
+                out = forward(params, x, spec).posteriorgram
                 np.testing.assert_array_equal(out[t], base[t], err_msg=str((spec, t)))
 
     def test_symmetric_frontend_adds_lookahead(self):
@@ -268,14 +322,14 @@ class TestForward:
         assert extra == 2
         t = 0
         # beyond attention horizon + conv halo: unchanged
-        x = feats.features.copy()
+        x = feats.copy()
         x[rf.latest[t] + extra + 1 :] += 5.0
-        out = forward(params, FeatureSequence(x), spec).posteriorgram
+        out = forward(params, x, spec).posteriorgram
         np.testing.assert_array_equal(out[t], base[t])
         # inside the conv halo: changed
-        x = feats.features.copy()
+        x = feats.copy()
         x[rf.latest[t] + extra] += 5.0
-        out = forward(params, FeatureSequence(x), spec).posteriorgram
+        out = forward(params, x, spec).posteriorgram
         assert not np.array_equal(out[t], base[t])
 
 
@@ -310,10 +364,11 @@ class TestBackward:
         def op(*weight_values):
             params = base.copy()
             for key, val in zip(keys, weight_values):
-                params.arrays[key] = val
+                params.arrays[key][...] = val
             trace, cache = forward_with_cache(params, feats, spec, train=(norm == "bn"))
             loss = float((trace.posteriorgram * w_post).sum())
-            grads, _ = backward(params, cache, grad_logpost=w_post)
+            grad, _ = backward(params, cache, grad_logpost=w_post)
+            grads = param_views(cfg, grad)
             return loss, [grads[k] for k in keys]
 
         err = check_gradient(
@@ -332,7 +387,7 @@ class TestBackward:
         x0 = rng.normal(size=(6, 6))
 
         def op(x):
-            trace, cache = forward_with_cache(params, FeatureSequence(x), spec)
+            trace, cache = forward_with_cache(params, x, spec)
             loss = float((trace.posteriorgram * w_post).sum())
             _, d_x = backward(params, cache, grad_logpost=w_post)
             return loss, [d_x]
@@ -351,10 +406,11 @@ class TestBackward:
         def op(*weight_values):
             p = params.copy()
             for key, val in zip(keys, weight_values):
-                p.arrays[key] = val
+                p.arrays[key][...] = val
             trace, cache = forward_with_cache(p, feats, spec)
             loss = float((trace.hidden[0] * w1).sum() + (trace.hidden[1] * w2).sum())
-            grads, _ = backward(p, cache, grad_hidden={1: w1, 2: w2})
+            grad, _ = backward(p, cache, grad_hidden={1: w1, 2: w2})
+            grads = param_views(TINY, grad)
             return loss, [grads[k] for k in keys]
 
         err = check_gradient(
@@ -419,6 +475,21 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"hello world, definitely not arrays")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "shape"])
+    def test_arrays_must_match_the_layout(self, tmp_path, change):
+        arrays = dict(init_params(TINY, 13).arrays)
+        if change == "missing":
+            del arrays["head.b"]
+        elif change == "extra":
+            arrays["head.c"] = np.zeros(5)
+        else:
+            arrays["head.b"] = np.zeros(6)
+        fake = types.SimpleNamespace(config=TINY, arrays=arrays, bn_stats=None, mask_spec=None)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(fake, path)
+        with pytest.raises(CheckpointError, match="head"):
             load_checkpoint(path)
 
     def test_digest_depends_on_values(self):

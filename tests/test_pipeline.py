@@ -229,64 +229,62 @@ def test_train_config_validation():
 
 
 def test_adam_zero_gradient_from_fresh_state_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    new, state2 = adam_step(
-        params, {"w": np.zeros(2)}, AdamState.fresh(params), lr=0.1
-    )
-    assert np.array_equal(new["w"], params["w"])
+    params = np.array([1.0, -2.0])
+    new, state2 = adam_step(params, np.zeros(2), AdamState.fresh(params), lr=0.1)
+    assert np.array_equal(new, params)
     assert state2.t == 1
 
 
 def test_adam_moments_decay_on_zero_gradient():
-    params = {"w": np.array([1.0, -2.0])}
-    state = AdamState(m={"w": np.array([0.5, 0.5])}, v={"w": np.array([0.2, 0.2])}, t=3)
-    _, state2 = adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.allclose(state2.m["w"], 0.9 * 0.5)
-    assert np.allclose(state2.v["w"], 0.999 * 0.2)
+    params = np.array([1.0, -2.0])
+    state = AdamState(m=np.array([0.5, 0.5]), v=np.array([0.2, 0.2]), t=3)
+    _, state2 = adam_step(params, np.zeros(2), state, lr=0.1)
+    assert np.allclose(state2.m, 0.9 * 0.5)
+    assert np.allclose(state2.v, 0.999 * 0.2)
     assert state2.t == 4
 
 
 def test_adam_first_step_moves_by_lr():
     rng = np.random.default_rng(0)
     g = rng.normal(size=5)
-    params = {"w": np.zeros(5)}
-    new, _ = adam_step(params, {"w": g}, AdamState.fresh(params), lr=0.01)
+    params = np.zeros(5)
+    new, _ = adam_step(params, g, AdamState.fresh(params), lr=0.01)
     want = -0.01 * g / (np.abs(g) + 1e-8)
-    assert np.allclose(new["w"], want, atol=1e-9)
+    assert np.allclose(new, want, atol=1e-9)
 
 
 def test_adam_matches_scalar_loop_implementation():
     rng = np.random.default_rng(1)
-    params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
+    params = rng.normal(size=10)
     state = AdamState.fresh(params)
     b1, b2, eps = 0.9, 0.999, 1e-8
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(x) for k, x in params.items()}
-    ref = {k: x.copy() for k, x in params.items()}
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    ref = params.copy()
     cur = params
     for t in range(1, 6):
-        grads = {k: rng.normal(size=x.shape) for k, x in params.items()}
+        grads = rng.normal(size=params.shape)
         lr = 0.05 / t
         cur, state = adam_step(cur, grads, state, lr, beta1=b1, beta2=b2, eps=eps)
-        for key in ref:
-            flat = ref[key].reshape(-1)
-            gm = m[key].reshape(-1)
-            gv = v[key].reshape(-1)
-            gg = grads[key].reshape(-1)
-            for i in range(flat.size):
-                gm[i] = b1 * gm[i] + (1 - b1) * gg[i]
-                gv[i] = b2 * gv[i] + (1 - b2) * gg[i] * gg[i]
-                mh = gm[i] / (1 - b1**t)
-                vh = gv[i] / (1 - b2**t)
-                flat[i] = flat[i] - lr * mh / (math.sqrt(vh) + eps)
-        for key in ref:
-            assert np.array_equal(cur[key], ref[key]), key
+        for i in range(ref.size):
+            m[i] = b1 * m[i] + (1 - b1) * grads[i]
+            v[i] = b2 * v[i] + (1 - b2) * grads[i] * grads[i]
+            mh = m[i] / (1 - b1**t)
+            vh = v[i] / (1 - b2**t)
+            ref[i] = ref[i] - lr * mh / (math.sqrt(vh) + eps)
+        assert np.array_equal(cur, ref), t
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = {"w": np.zeros(2)}
+    params = np.zeros(2)
     with pytest.raises(Exception):
-        adam_step(params, {"w": np.array([1.0, np.nan])}, AdamState.fresh(params), 0.1)
+        adam_step(params, np.array([1.0, np.nan]), AdamState.fresh(params), 0.1)
+
+
+def test_adam_rejects_gradient_of_another_shape():
+    params = np.zeros(2)
+    with pytest.raises(ValueError, match="shape"):
+        adam_step(params, np.zeros(3), AdamState.fresh(params), 0.1)
 
 
 # ------------------------------------------------------------ CTC fine-tune
