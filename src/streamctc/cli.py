@@ -28,7 +28,7 @@ from .ctc import (
 )
 from .encoder import init_params, load_checkpoint, save_checkpoint
 from .lm import FusionLm, load_lm, save_lm, train_ngram
-from .masking import MaskSpec, build_mask, latency_report
+from .masking import VARIANTS, MaskSpec, build_mask, latency_report
 from .pipeline import (
     PipelineConfig,
     config_digest,
@@ -216,7 +216,7 @@ def _add_mask_flags(p):
     p.add_argument(
         "--variant",
         required=True,
-        choices=("bidirectional", "time_restricted", "chunk", "block"),
+        choices=VARIANTS,
     )
     p.add_argument("--chunk-ms", type=float)
     p.add_argument("--future-ms", type=float)

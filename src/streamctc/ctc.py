@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import BLANK, DELIMITER, LabelSequence, Vocabulary
+from .vocab import BLANK, DELIMITER, LabelSequence
 
 NEG_INF = -np.inf
 
@@ -39,6 +39,31 @@ def _extend_with_blanks(tokens) -> np.ndarray:
     return ext
 
 
+def _sweep(emit: np.ndarray, ext: np.ndarray):
+    """One log-space pass over the CTC lattice, frame by frame.
+
+    `emit[t, s]` is the log-prob of emitting state `s` of the blank-extended
+    label `ext` at frame t. Returns (pre, cur): `pre[t, s]` is the log mass
+    entering state s at frame t before that frame's emission (0 at the two
+    start states of frame 0), and `cur = pre + emit`. Run on the reversed
+    label and time axes, `pre` is beta (Graves et al. 2006).
+    """
+    # state s may be entered from s - 2 when it is a label unlike s - 2's
+    skip = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    pre = np.full(emit.shape, NEG_INF)
+    pre[0, :2] = 0.0
+    cur = np.empty_like(pre)
+    np.add(pre[0], emit[0], out=cur[0])
+    for t in range(1, emit.shape[0]):
+        prev, nxt = cur[t - 1], pre[t]
+        # stay, then advance one state, then skip a blank between labels
+        nxt[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=nxt[1:])
+        np.logaddexp(nxt[2:], prev[:-2], out=nxt[2:], where=skip)
+        np.add(nxt, emit[t], out=cur[t])
+    return pre, cur
+
+
 def ctc_loss(log_posteriors: np.ndarray, target: LabelSequence):
     """Negative log-probability of `target` plus its gradient.
 
@@ -57,46 +82,14 @@ def ctc_loss(log_posteriors: np.ndarray, target: LabelSequence):
             f"target needs {min_frames(target)} frames, got {t_len}"
         )
     ext = _extend_with_blanks(target.tokens)
-    s_len = ext.shape[0]
+    emit = lp[:, ext]
+    # alpha[t, s]: log-prob of the prefix ending in state s, including the
+    # emission at t; beta[t, s]: log-prob of completing the label from state
+    # s after t, excluding the emission at t
+    alpha = _sweep(emit, ext)[1]
+    beta = _sweep(emit[::-1, ::-1], ext[::-1])[0][::-1, ::-1]
 
-    # alpha[t, s]: log-prob of emitting prefix ending in state s, including
-    # the emission at t
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = lp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = lp[0, ext[1]]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        stay = prev
-        from_prev = np.full(s_len, NEG_INF)
-        from_prev[1:] = prev[:-1]
-        from_skip = np.full(s_len, NEG_INF)
-        can_skip = np.zeros(s_len, dtype=bool)
-        can_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-        from_skip[can_skip] = prev[np.flatnonzero(can_skip) - 2]
-        alpha[t] = (
-            np.logaddexp(np.logaddexp(stay, from_prev), from_skip) + lp[t, ext]
-        )
-
-    # beta[t, s]: log-prob of completing the label from state s after t,
-    # excluding the emission at t itself
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[t_len - 1, s_len - 1] = 0.0
-    if s_len > 1:
-        beta[t_len - 1, s_len - 2] = 0.0
-    can_skip_fwd = np.zeros(s_len, dtype=bool)
-    can_skip_fwd[: s_len - 2] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, ext]
-        stay = nxt
-        to_next = np.full(s_len, NEG_INF)
-        to_next[:-1] = nxt[1:]
-        to_skip = np.full(s_len, NEG_INF)
-        to_skip[can_skip_fwd] = nxt[np.flatnonzero(can_skip_fwd) + 2]
-        beta[t] = np.logaddexp(np.logaddexp(stay, to_next), to_skip)
-
-    total = np.logaddexp(alpha[t_len - 1, s_len - 1],
-                         alpha[t_len - 1, s_len - 2] if s_len > 1 else NEG_INF)
+    total = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if ext.shape[0] > 1 else NEG_INF)
     if not np.isfinite(total):
         raise UnsatisfiableTargetError("no valid alignment has finite probability")
     loss = -float(total)
@@ -104,8 +97,7 @@ def ctc_loss(log_posteriors: np.ndarray, target: LabelSequence):
     # occupancy of state s at t: alpha + beta - total; fold states onto tokens
     occ = np.exp(alpha + beta - total)
     grad = np.zeros_like(lp)
-    for s in range(s_len):
-        grad[:, ext[s]] -= occ[:, s]
+    np.subtract.at(grad.T, ext, occ.T)
     return loss, grad
 
 
@@ -277,23 +269,6 @@ def prefix_beam_search(log_posteriors: np.ndarray, cfg: DecodeConfig) -> list:
         hyps.append(Hypothesis(LabelSequence(()), NEG_INF, 0.0, NEG_INF))
     hyps.sort(key=lambda h: -h.combined)
     return hyps
-
-
-def hypotheses_to_tsv(hyps, vocab: Vocabulary) -> str:
-    lines = []
-    for rank, h in enumerate(hyps, start=1):
-        lines.append(
-            "\t".join(
-                [
-                    str(rank),
-                    f"{h.combined:.17g}",
-                    f"{h.acoustic:.17g}",
-                    f"{h.lm:.17g}",
-                    h.labels.text(vocab),
-                ]
-            )
-        )
-    return "\n".join(lines)
 
 
 def posteriorgram_to_csv(log_posteriors: np.ndarray) -> str:

@@ -18,6 +18,10 @@ positions plus the posteriorgram); ``forward_with_cache`` additionally
 returns everything ``backward`` needs. ``backward`` accepts a gradient on
 the log-posteriorgram and/or gradients injected directly on traced hidden
 states, and produces parameter gradients plus the input-feature gradient.
+
+The kernels do not check finiteness; the forward pass checks only its
+posteriorgram, which every hidden state reaches through the residual path,
+so a NaN or Inf anywhere in it raises ``NonFiniteError`` there.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ class EncoderConfig:
     frontend_kernel: int = 4
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError("n_layers must be >= 1")
+        for name in ("n_layers", "model_dim", "n_heads", "ffn_dim", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % self.n_heads != 0:
             raise ValueError("model_dim must be divisible by n_heads")
         if self.vocab_size < 2:
@@ -164,7 +169,7 @@ def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """Every trainable value in one float64 vector `flat`, laid out by
     `param_layout`, plus non-trainable frontend norm stats.
@@ -197,7 +202,7 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Per-layer hidden states (real frame positions) and the posteriorgram."""
 

@@ -26,7 +26,7 @@ from .encoder import ForwardTrace
 from .vocab import BLANK, LabelSequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GuideMask:
     """T x V 0/1 matrix: at most one 1 per time index, none when that
     frame's argmax was the blank."""

@@ -93,7 +93,7 @@ class MaskSpec:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HardCopyPlan:
     """Layout of a sequence augmented with per-chunk lookahead copies.
 
@@ -170,7 +170,7 @@ def plan_hard_copy(n_frames: int, chunk_frames: int, future_frames: int) -> Hard
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionMask:
     """Boolean attend-permission matrix plus the layout it applies to.
 
@@ -243,7 +243,7 @@ def reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
     return folded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReceptionField:
     """Per-output-frame earliest/latest reachable input frame indices."""
 

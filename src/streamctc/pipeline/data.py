@@ -23,6 +23,24 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset container fails structural validation."""
 
 
+def check_generation(frames_per_token, text_len, noise_std, sizes=(1, 1, 1)) -> tuple:
+    """Range-check the generation knobs; returns them normalized as
+    ((lo, hi) frames per token, (lo, hi) text length, (labeled, unlabeled,
+    dev) split sizes). Raises ValueError naming the first bad field."""
+    ranges = []
+    for name, pair in (("frames_per_token", frames_per_token), ("text_len", text_len)):
+        lo_hi = tuple(int(x) for x in pair)
+        if len(lo_hi) != 2 or lo_hi[0] < 1 or lo_hi[1] < lo_hi[0]:
+            raise ValueError(f"{name} must be a range (min, max) with min >= 1, got {list(pair)}")
+        ranges.append(lo_hi)
+    if noise_std < 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise ValueError(f"sizes must be 3 split sizes, each >= 1, got {list(sizes)}")
+    return ranges[0], ranges[1], sizes
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticTask:
     """Feature templates per token plus generation knobs.
@@ -62,16 +80,11 @@ class SyntheticTask:
                 if np.array_equal(normalized[a], normalized[b]):
                     raise ValueError(f"templates for {a} and {b} coincide")
         object.__setattr__(self, "templates", normalized)
-        lo, hi = (int(x) for x in self.frames_per_token)
-        if lo < 1 or hi < lo:
-            raise ValueError("frames_per_token must be a range with min >= 1")
-        object.__setattr__(self, "frames_per_token", (lo, hi))
-        tlo, thi = (int(x) for x in self.text_len)
-        if tlo < 1 or thi < tlo:
-            raise ValueError("text_len must be a range with min >= 1")
-        object.__setattr__(self, "text_len", (tlo, thi))
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        frames, text_len, _ = check_generation(
+            self.frames_per_token, self.text_len, self.noise_std
+        )
+        object.__setattr__(self, "frames_per_token", frames)
+        object.__setattr__(self, "text_len", text_len)
 
     @property
     def feature_dim(self) -> int:
@@ -193,9 +206,9 @@ def generate_dataset(
     `sizes` is (labeled, unlabeled, dev), each >= 1.
     """
     vocabulary = vocabulary or Vocabulary.default()
-    n_labeled, n_unlabeled, n_dev = (int(s) for s in sizes)
-    if min(n_labeled, n_unlabeled, n_dev) < 1:
-        raise ValueError("each split size must be >= 1")
+    n_labeled, n_unlabeled, n_dev = check_generation(
+        task.frames_per_token, task.text_len, task.noise_std, sizes
+    )[2]
     for tid in task.templates:
         if tid >= vocabulary.size:
             raise ValueError(f"template token {tid} outside the vocabulary")
@@ -270,7 +283,10 @@ class _Reader:
 
 
 def load_dataset(path) -> tuple:
-    """Read a container back, validating the index against the records."""
+    """Read a container back, validating the index against the records.
+
+    This is where outside data enters, so non-finite features are rejected
+    here; the numeric kernels downstream do not check."""
     with open(path, "rb") as fh:
         buf = fh.read()
     r = _Reader(buf)
@@ -301,6 +317,8 @@ def load_dataset(path) -> tuple:
         )
         if r.pos - offset != nbytes:
             raise DatasetFormatError(f"index length mismatch for {uid!r}")
+        if not np.isfinite(feats).all():
+            raise DatasetFormatError(f"non-finite features in {uid!r}")
         utts.append(
             Utterance(
                 uid=uid,

@@ -67,7 +67,7 @@ def tri_stage_lr(step, cfg: TrainConfig) -> float:
     return cfg.peak_lr * (total - step) / span
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First/second moment vectors, laid out like the parameter vector,
     and the number of steps taken."""

@@ -47,7 +47,8 @@ from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
 from ..vocab import DELIMITER, Vocabulary
-from .data import DataSplit, SyntheticTask, generate_dataset, load_dataset, save_dataset
+from .data import DataSplit, SyntheticTask, check_generation, generate_dataset
+from .data import load_dataset, save_dataset
 from .optim import TrainConfig
 from .stages import (
     BIDIRECTIONAL,
@@ -182,6 +183,17 @@ class PipelineConfig:
             raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
         if self.n_symbols < 1 or self.n_symbols > 26:
             raise ValueError("n_symbols must be in 1..26")
+        check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
+        top = max(self.token_ids(Vocabulary.default()))
+        if self.encoder.vocab_size <= top:
+            raise ValueError(
+                f"encoder.vocab_size {self.encoder.vocab_size} must exceed the "
+                f"largest task token id {top}"
+            )
+        if self.lm_order < 1:
+            raise ValueError(f"lm_order must be >= 1, got {self.lm_order}")
+        if self.lm_smoothing <= 0:
+            raise ValueError(f"lm_smoothing must be > 0, got {self.lm_smoothing}")
         for stage, n in self.updates.items():
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"updates.{stage} must be an integer, got {n!r}")

@@ -33,14 +33,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def blank(self) -> int:
-        return BLANK
-
-    @property
-    def delimiter(self) -> int:
-        return DELIMITER
-
     def char_of(self, token: int) -> str:
         sym = self.symbols[token]
         return "?" if sym == "<unk>" else sym

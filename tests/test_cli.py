@@ -451,9 +451,22 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("peak_lr", -1, "peak_lr"),
         ("alpha", -1, "alpha"),
         ("distill_layers", [9], "distill_layers"),
+        ("encoder", {**ENC, "n_heads": 0}, "n_heads"),
+        ("encoder", {**ENC, "model_dim": 0}, "model_dim"),
+        ("encoder", {**ENC, "ffn_dim": 0}, "ffn_dim"),
+        ("encoder", {**ENC, "feature_dim": 0}, "feature_dim"),
+        ("encoder", {**ENC, "vocab_size": 5}, "encoder.vocab_size"),
+        ("lm_order", 0, "lm_order"),
+        ("lm_smoothing", 0, "lm_smoothing"),
+        ("noise_std", -1, "noise_std"),
+        ("sizes", [0, 1, 1], "sizes"),
+        ("text_len", [3, 1], "text_len"),
+        ("frames_per_token", [0, 2], "frames_per_token"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
-         "peak_lr", "alpha", "distill_layers"],
+         "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
+         "feature_dim", "vocab_size", "lm_order", "lm_smoothing", "noise_std",
+         "sizes", "text_len", "frames_per_token"],
 )
 def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     tmp, cfg = workdir

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamctc.ctc import (
     DecodeConfig,
-    Hypothesis,
     UnsatisfiableTargetError,
     collapse,
     ctc_brute_force,
@@ -13,7 +14,6 @@ from streamctc.ctc import (
     edit_distance,
     edit_distance_rate,
     greedy_decode,
-    hypotheses_to_tsv,
     min_frames,
     posteriorgram_to_csv,
     prefix_beam_search,
@@ -142,6 +142,32 @@ class TestCtcLoss:
     def test_token_out_of_vocab(self):
         with pytest.raises(ValueError):
             ctc_loss(random_logpost(3, 3, 8), LabelSequence((5,)))
+
+
+@st.composite
+def satisfiable_instances(draw):
+    """(log-posteriorgram, target) with T >= min_frames: empty targets,
+    repeated labels and T == min_frames all occur."""
+    v = draw(st.integers(2, 5))
+    tokens = draw(st.lists(st.integers(1, v - 1), max_size=5))
+    if tokens and draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens.insert(i, tokens[i])
+    target = LabelSequence(tuple(tokens))
+    t = max(1, min_frames(target) + draw(st.sampled_from([0, 0, 1, 2, 7])))
+    return random_logpost(t, v, draw(st.integers(0, 2**32 - 1))), target
+
+
+@given(satisfiable_instances())
+@settings(max_examples=60, deadline=None)
+def test_loss_is_invariant_under_time_reversal(instance):
+    # beta is the alpha sweep over the reversed label and time axes, so
+    # reversing both must give the same loss and the time-flipped gradient
+    lp, target = instance
+    loss, grad = ctc_loss(lp, target)
+    loss_r, grad_r = ctc_loss(lp[::-1], LabelSequence(target.tokens[::-1]))
+    assert abs(loss - loss_r) <= 1e-12
+    np.testing.assert_allclose(grad_r[::-1], grad, rtol=0, atol=1e-12)
 
 
 class TestGreedyDecode:
@@ -337,17 +363,6 @@ class TestEditDistance:
 
 
 class TestSerialization:
-    def test_hypotheses_tsv(self):
-        vocab = Vocabulary.default()
-        hyps = [
-            Hypothesis(vocab.encode("ab"), -1.5, -0.5, -2.0),
-            Hypothesis(vocab.encode("a"), -2.5, -0.25, -2.75),
-        ]
-        text = hypotheses_to_tsv(hyps, vocab)
-        lines = text.split("\n")
-        assert lines[0].split("\t") == ["1", "-2", "-1.5", "-0.5", "ab"]
-        assert lines[1].startswith("2\t")
-
     def test_posteriorgram_csv_roundtrip(self):
         lp = random_logpost(3, 4, 15)
         text = posteriorgram_to_csv(lp)

@@ -20,7 +20,7 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask, reception_field
-from streamctc.numerics import check_gradient, gelu, layer_norm
+from streamctc.numerics import NonFiniteError, check_gradient, gelu, layer_norm
 
 TINY = EncoderConfig(
     n_layers=2,
@@ -50,6 +50,13 @@ class TestConfig:
             EncoderConfig(frontend_norm="instance")
         with pytest.raises(ValueError):
             EncoderConfig(frontend_kernel=0)
+
+    @pytest.mark.parametrize(
+        "name", ["n_layers", "model_dim", "n_heads", "ffn_dim", "feature_dim"]
+    )
+    def test_dimensions_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=name):
+            EncoderConfig(**{name: 0})
 
     def test_dict_roundtrip(self):
         cfg = EncoderConfig(n_layers=3, frontend_conv="symmetric")
@@ -333,6 +340,19 @@ class TestForward:
         assert not np.array_equal(out[t], base[t])
 
 
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("norm", ["gn", "bn"])
+    def test_non_finite_features_raise_at_posteriorgram(self, norm, train):
+        # the kernels do not check; the one check on the posteriorgram
+        # catches a NaN anywhere upstream
+        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": norm})
+        x = make_features(7, 6)
+        x[3, 2] = np.nan
+        spec = MaskSpec("block", chunk_frames=3, future_frames=1)
+        with pytest.raises(NonFiniteError, match="posteriorgram"):
+            forward(init_params(cfg, 1), x, spec, train=train)
+
+
 class TestBackward:
     @pytest.mark.parametrize(
         "spec",
@@ -491,6 +511,12 @@ class TestCheckpoints:
         save_checkpoint(fake, path)
         with pytest.raises(CheckpointError, match="head"):
             load_checkpoint(path)
+
+    def test_equality_is_identity_not_values(self):
+        a, b = init_params(TINY, 0), init_params(TINY, 0)
+        assert (a == b) is False
+        assert a == a
+        assert checkpoint_digest(a) == checkpoint_digest(b)
 
     def test_digest_depends_on_values(self):
         a = init_params(TINY, 13)

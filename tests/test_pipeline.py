@@ -177,6 +177,16 @@ def test_container_round_trip_and_validation(tmp_path):
         load_dataset(bad)
 
 
+def test_container_with_non_finite_features_is_rejected(tmp_path):
+    feats = np.zeros((3, 2))
+    feats[1, 0] = np.nan
+    path = tmp_path / "nan.bin"
+    save_dataset((Utterance(uid="ok", features=np.ones((2, 2))),
+                  Utterance(uid="bad", features=feats)), path)
+    with pytest.raises(DatasetFormatError, match="'bad'"):
+        load_dataset(path)
+
+
 def test_container_holds_unlabeled_records(tmp_path):
     utts = (
         Utterance(uid="a", features=np.zeros((3, 2)), text=None),
