@@ -74,6 +74,13 @@ def _int_tuple(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _announce(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
     digest = hashlib.sha256(blob).hexdigest()
@@ -779,7 +786,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beam", type=int)
     p.add_argument("--lm-weight", type=float)
     p.add_argument("--penalty", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--report")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_pseudo_label)
@@ -788,7 +795,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--workdir")
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--pretrain", choices=("random", "contrastive"))
     p.set_defaults(fn=cmd_pipeline)
 
@@ -800,7 +807,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lm")
     p.add_argument("--lm-weight", type=float)
     p.add_argument("--penalty", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", help="TSV path (uid, text, scores)")
     p.set_defaults(fn=cmd_decode)
 

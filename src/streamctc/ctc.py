@@ -154,6 +154,9 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+        for name in ("lm_weight", "word_insertion_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {

@@ -3,10 +3,13 @@
 Architecture, per utterance (T x feature_dim input):
 
     frontend: norm -> conv1d -> GELU          (T x model_dim)
-    [block variant: hard-copy augmentation]   (T' x model_dim)
+    augment into the mask's layout            (T' x model_dim)
     n x pre-norm transformer layer            (T' x model_dim)
-    [drop copies]                             (T x model_dim)
+    drop the layout's copies                  (T x model_dim)
     final layer norm -> linear head -> log-softmax  (T x V)
+
+T' exceeds T only for block masks with lookahead; on every other layout
+both steps return their input.
 
 The frontend norm is either a per-frame feature normalization ("gn") or
 per-channel batch normalization over time ("bn", carrying running stats);
@@ -256,7 +259,7 @@ def _layer_forward(h, arrays, prefix, config, mask):
     v = _split_heads(u @ g("attn.wv"), config.n_heads)
     beta = 1.0 / np.sqrt(config.head_dim)
     logits = beta * np.einsum("htd,hsd->hts", q, k)
-    probs = masked_softmax(logits, mask)
+    probs = masked_softmax(logits, mask.allowed)
     z = _merge_heads(np.einsum("hts,hsd->htd", probs, v))
     a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
@@ -371,17 +374,17 @@ def forward_with_cache(
 
     mask = build_mask(spec, x.shape[0])
     cache["mask"] = mask
-    h = mask.plan.augment(h0) if mask.plan is not None else h0
+    h = mask.plan.augment(h0)
 
     hidden = []
     layer_caches = []
     for i in range(config.n_layers):
         h, lc = _layer_forward(h, arrays, f"layer{i}.", config, mask)
         layer_caches.append(lc)
-        hidden.append(mask.plan.reduce(h) if mask.plan is not None else h)
+        hidden.append(mask.plan.reduce(h))
     cache["layers"] = layer_caches
 
-    hr = mask.plan.reduce(h) if mask.plan is not None else h
+    hr = mask.plan.reduce(h)
     hn, cache["final_norm"] = layer_norm_forward(
         hr, arrays["final_norm.gain"], arrays["final_norm.bias"]
     )
@@ -417,8 +420,7 @@ def backward(
     input features)."""
     config = cache["config"]
     arrays = params.arrays
-    mask = cache["mask"]
-    plan = mask.plan
+    plan = cache["mask"].plan
     grad = np.zeros_like(params.flat)
     grads = param_views(config, grad)
 
@@ -437,28 +439,20 @@ def backward(
 
     grad_hidden = grad_hidden or {}
     n = config.n_layers
-    if plan is not None:
-        d_h = np.zeros((plan.n_augmented, config.model_dim))
-        real = ~plan.is_copy
-        d_h[real] = d_hr
-        if n in grad_hidden:
-            d_h[real] += grad_hidden[n]
-    else:
-        d_h = d_hr.copy()
-        if n in grad_hidden:
-            d_h = d_h + grad_hidden[n]
+    real = ~plan.is_copy
+    d_h = np.zeros((plan.n_augmented, config.model_dim))
+    d_h[real] = d_hr
+    if n in grad_hidden:
+        d_h[real] += grad_hidden[n]
 
     for i in range(n - 1, -1, -1):
         d_h = _layer_backward(
             d_h, arrays, grads, f"layer{i}.", config, cache["layers"][i]
         )
         if i in grad_hidden and i >= 1:
-            if plan is not None:
-                d_h[~plan.is_copy] += grad_hidden[i]
-            else:
-                d_h = d_h + grad_hidden[i]
+            d_h[real] += grad_hidden[i]
 
-    d_h0 = plan.reduce_grad(d_h) if plan is not None else d_h
+    d_h0 = plan.reduce_grad(d_h)
     d_conv = d_h0 * gelu_grad(cache["conv_pre"])
     d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
         conv1d_backward(d_conv, cache["conv"])

@@ -61,7 +61,7 @@ def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if smoothing <= 0:
+    if not smoothing > 0:
         raise ValueError("smoothing must be > 0")
     sequences = [_as_tokens(seq) for seq in corpus]
     if not sequences:

@@ -12,6 +12,11 @@ Four attention variants over a T-frame sequence:
   only inside their chunk's scope, so the lookahead does NOT compound:
   deeper layers see the copies, not fresher frames.
 
+Every mask carries its position layout (``HardCopyPlan``): ``chunk`` is
+``block`` without lookahead, ``bidirectional`` one chunk spanning the
+utterance, and ``time_restricted`` a band over one chunk's layout. Only
+``block`` with lookahead and more than one chunk has copies.
+
 Induced latency is reported in milliseconds given the per-frame stride.
 ``reception_field`` composes a mask with itself to answer "which input
 frames can influence output frame i after n layers"; the causality tests
@@ -100,7 +105,8 @@ class HardCopyPlan:
     Augmented order is [chunk 0][copies after chunk 0][chunk 1][copies...].
     `index_map[p]` is the source frame of augmented position p; `is_copy[p]`
     marks the duplicated lookahead frames, which are dropped again before
-    any per-frame output is read (`output_positions`).
+    any per-frame output is read (`output_positions`). A layout without
+    copies is the identity, and its three maps return their argument.
     """
 
     n_frames: int
@@ -122,16 +128,22 @@ class HardCopyPlan:
     def output_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.is_copy)
 
+    @property
+    def has_copies(self) -> bool:
+        return self.n_augmented != self.n_frames
+
     def augment(self, x: np.ndarray) -> np.ndarray:
         """Gather frames (rows of x) into the augmented layout."""
-        return np.asarray(x)[self.index_map]
+        return np.asarray(x)[self.index_map] if self.has_copies else x
 
     def reduce(self, x_aug: np.ndarray) -> np.ndarray:
         """Drop copy rows, restoring original frame order."""
-        return np.asarray(x_aug)[~self.is_copy]
+        return np.asarray(x_aug)[~self.is_copy] if self.has_copies else x_aug
 
     def reduce_grad(self, grad_aug: np.ndarray) -> np.ndarray:
         """Scatter-add an augmented-layout gradient back onto source frames."""
+        if not self.has_copies:
+            return grad_aug
         shape = (self.n_frames,) + grad_aug.shape[1:]
         out = np.zeros(shape, dtype=grad_aug.dtype)
         np.add.at(out, self.index_map, grad_aug)
@@ -148,25 +160,22 @@ def plan_hard_copy(n_frames: int, chunk_frames: int, future_frames: int) -> Hard
         raise ValueError("chunk_frames must be >= 1")
     if future_frames < 0:
         raise ValueError("future_frames must be >= 0")
-    index, copies, chunks = [], [], []
-    k = 0
-    for start in range(0, n_frames, chunk_frames):
-        end = min(start + chunk_frames, n_frames)
-        index.extend(range(start, end))
-        copies.extend([False] * (end - start))
-        chunks.extend([k] * (end - start))
-        n_copy = min(future_frames, n_frames - end)
-        index.extend(range(end, end + n_copy))
-        copies.extend([True] * n_copy)
-        chunks.extend([k] * n_copy)
-        k += 1
+    # chunk k and its copies are the contiguous frames [kC, (k+1)C + F),
+    # clipped at the end; the copies are those at or past (k+1)C
+    index, chunks = [], []
+    for k, start in enumerate(range(0, n_frames, chunk_frames)):
+        stop = min(start + chunk_frames + future_frames, n_frames)
+        index.extend(range(start, stop))
+        chunks.extend([k] * (stop - start))
+    index_map = np.asarray(index, dtype=np.int64)
+    chunk_id = np.asarray(chunks, dtype=np.int64)
     return HardCopyPlan(
         n_frames=n_frames,
         chunk_frames=chunk_frames,
         future_frames=future_frames,
-        index_map=np.asarray(index, dtype=np.int64),
-        is_copy=np.asarray(copies, dtype=bool),
-        chunk_id=np.asarray(chunks, dtype=np.int64),
+        index_map=index_map,
+        is_copy=index_map >= (chunk_id + 1) * chunk_frames,
+        chunk_id=chunk_id,
     )
 
 
@@ -174,16 +183,15 @@ def plan_hard_copy(n_frames: int, chunk_frames: int, future_frames: int) -> Hard
 class AttentionMask:
     """Boolean attend-permission matrix plus the layout it applies to.
 
-    `allowed[i, j]` says position i may read position j. For the block
-    variant the matrix lives on the augmented layout described by `plan`;
-    otherwise positions are the real frames and `plan` is None. Every
-    layer of the encoder uses the same mask.
+    `allowed[i, j]` says position i may read position j, positions being
+    those of the layout `plan`: the real frames plus, for block with
+    lookahead, the copies. Every layer of the encoder uses the same mask.
     """
 
     spec: MaskSpec
     n_frames: int
     allowed: np.ndarray
-    plan: HardCopyPlan | None = None
+    plan: HardCopyPlan
 
     @property
     def n_positions(self) -> int:
@@ -194,26 +202,16 @@ def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
     """Realize the mask shared by every encoder layer."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if spec.variant == "bidirectional":
-        allowed = np.ones((n_frames, n_frames), dtype=bool)
-        return AttentionMask(spec, n_frames, allowed)
+    plan = plan_hard_copy(n_frames, spec.chunk_frames or n_frames, spec.future_frames or 0)
     if spec.variant == "time_restricted":
         idx = np.arange(n_frames)
         diff = idx[None, :] - idx[:, None]  # j - i
         allowed = diff <= spec.right_frames
         if spec.left_limit is not None:
             allowed &= diff >= -spec.left_limit
-        return AttentionMask(spec, n_frames, allowed)
-    if spec.variant == "chunk":
-        ck = np.arange(n_frames) // spec.chunk_frames
-        diff = ck[None, :] - ck[:, None]  # chunk(j) - chunk(i)
-        allowed = diff <= 0
-        if spec.left_limit is not None:
-            allowed &= diff >= -spec.left_limit
-        return AttentionMask(spec, n_frames, allowed)
-    # block: own chunk fully visible (copies included); earlier chunks
-    # contribute only their real frames, so lookahead never compounds.
-    plan = plan_hard_copy(n_frames, spec.chunk_frames, spec.future_frames)
+        return AttentionMask(spec, n_frames, allowed, plan)
+    # chunk layouts: own chunk fully visible (copies included); earlier
+    # chunks contribute only their real frames, so lookahead never compounds.
     ck = plan.chunk_id
     same = ck[None, :] == ck[:, None]
     earlier = ck[None, :] < ck[:, None]
@@ -226,21 +224,16 @@ def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
 def reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
     """Boolean (T, T) matrix: input frame j can reach output frame i through
     n attention hops. Residual paths keep the diagonal true regardless of
-    depth. Block masks are composed on the augmented layout and folded back
-    onto real frames."""
+    depth. Masks are composed on their layout, then copy rows are dropped
+    and copy columns folded onto their source frames."""
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
     step = mask.allowed | np.eye(mask.n_positions, dtype=bool)
     reach = np.eye(mask.n_positions, dtype=bool)
     for _ in range(n_layers):
         reach = (reach.astype(np.uint8) @ step.astype(np.uint8)) > 0
-    if mask.plan is None:
-        return reach
-    plan = mask.plan
-    rows = reach[~plan.is_copy]
-    folded = np.zeros((plan.n_frames, plan.n_frames), dtype=bool)
-    np.logical_or.at(folded.T, plan.index_map, rows.T)
-    return folded
+    # on booleans the scatter-add of `reduce_grad` is a logical or
+    return mask.plan.reduce_grad(mask.plan.reduce(reach).T).T
 
 
 @dataclass(frozen=True, eq=False)

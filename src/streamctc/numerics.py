@@ -40,28 +40,21 @@ def ensure_finite(x: np.ndarray, what: str = "array") -> np.ndarray:
     return x
 
 
-def _allowed_matrix(mask) -> np.ndarray:
-    # Accepts a plain boolean matrix or anything carrying an `allowed` field
-    # (masking.AttentionMask), keeping this module free of upward imports.
-    allowed = getattr(mask, "allowed", mask)
-    return np.asarray(allowed, dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
 
 
-def masked_softmax(logits, mask) -> np.ndarray:
+def masked_softmax(logits, allowed) -> np.ndarray:
     """Row-wise softmax over allowed positions only.
 
-    `logits` is (T_q, T_k) or (heads, T_q, T_k); `mask` is a boolean
+    `logits` is (T_q, T_k) or (heads, T_q, T_k); `allowed` is a boolean
     (T_q, T_k) matrix broadcast over the head axis. Disallowed entries come
     out exactly 0 and each row sums to 1 over its allowed set. A row with no
     allowed position is a mask-builder bug and raises.
     """
     logits = as_f64(logits)
-    allowed = _allowed_matrix(mask)
+    allowed = np.asarray(allowed, dtype=bool)
     if logits.shape[-2:] != allowed.shape:
         raise ValueError(
             f"mask shape {allowed.shape} does not match logits {logits.shape}"

@@ -33,7 +33,7 @@ def check_generation(frames_per_token, text_len, noise_std, sizes=(1, 1, 1)) -> 
         if len(lo_hi) != 2 or lo_hi[0] < 1 or lo_hi[1] < lo_hi[0]:
             raise ValueError(f"{name} must be a range (min, max) with min >= 1, got {list(pair)}")
         ranges.append(lo_hi)
-    if noise_std < 0:
+    if not noise_std >= 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != 3 or min(sizes) < 1:

@@ -28,20 +28,20 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
+        if not self.peak_lr > 0:
             raise ValueError("peak_lr must be > 0")
         if self.total_updates < 0:
             raise ValueError("total_updates must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.warmup_frac < 0 or self.constant_frac < 0:
+        if not (self.warmup_frac >= 0 and self.constant_frac >= 0):
             raise ValueError("schedule fractions must be >= 0")
-        if self.warmup_frac + self.constant_frac > 1.0:
+        if not self.warmup_frac + self.constant_frac <= 1.0:
             raise ValueError("schedule fractions must sum to <= 1")
         for b in (self.beta1, self.beta2):
             if not 0.0 <= b < 1.0:
                 raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be > 0")
 
     def to_dict(self) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -173,6 +174,8 @@ class PipelineConfig:
     resume: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pretrain_mode not in ("random", "contrastive"):
             raise ValueError("pretrain_mode must be 'random' or 'contrastive'")
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
@@ -184,6 +187,8 @@ class PipelineConfig:
         if self.n_symbols < 1 or self.n_symbols > 26:
             raise ValueError("n_symbols must be in 1..26")
         check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
+        if not 0 < self.template_scale < math.inf:
+            raise ValueError(f"template_scale must be finite and > 0, got {self.template_scale}")
         top = max(self.token_ids(Vocabulary.default()))
         if self.encoder.vocab_size <= top:
             raise ValueError(
@@ -192,7 +197,7 @@ class PipelineConfig:
             )
         if self.lm_order < 1:
             raise ValueError(f"lm_order must be >= 1, got {self.lm_order}")
-        if self.lm_smoothing <= 0:
+        if not self.lm_smoothing > 0:
             raise ValueError(f"lm_smoothing must be > 0, got {self.lm_smoothing}")
         for stage, n in self.updates.items():
             if not isinstance(n, int) or isinstance(n, bool):
@@ -201,7 +206,7 @@ class PipelineConfig:
                 self.train_config(stage)
             except ValueError as exc:
                 raise ValueError(f"stage {stage} (updates.{stage}={n}): {exc}") from None
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         layers = self.distill_spec().layer_indices
         if layers[-1] > self.encoder.n_layers:
@@ -209,6 +214,7 @@ class PipelineConfig:
                 f"distill_layers {list(layers)} reach beyond encoder.n_layers "
                 f"{self.encoder.n_layers}"
             )
+        self.decode_config()
 
     def token_ids(self, vocabulary: Vocabulary) -> list:
         first_letter = vocabulary.symbols.index("a")
@@ -572,8 +578,10 @@ def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
     Returns the ordered stage reports for S, T, KD, N, U', ST. With
     `resume` set, stages whose inputs are unchanged are loaded from disk
     instead of recomputed. `jobs` parallelizes pseudo-label decoding
-    without changing results.
+    without changing results; it must be >= 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if dry_run:
         return plan_stages(config)
     for sub in ("checkpoints", "data", "reports"):

@@ -1,11 +1,12 @@
 """Training stages: CTC fine-tuning, guided teacher, distillation,
 pseudo-labeling, self-training, and contrastive pre-training.
 
-All stages share one deterministic update loop: batches are drawn from a
-seeded generator, gradients are accumulated in utterance-id order, and
-samples whose targets cannot fit their frame count are skipped and
-counted. Stage outputs are a trained model plus a log (loss curve,
-skip count, dev token error, wall time).
+All training stages share one deterministic update loop: batches are
+drawn from a seeded generator, each utterance gets one forward pass, the
+stage's objective and one backward pass, gradients are accumulated in
+utterance-id order, and samples whose targets cannot fit their frame
+count are skipped and counted. Stage outputs are a trained model plus a
+log (loss curve, skip count, dev token error, wall time).
 """
 
 from __future__ import annotations
@@ -91,9 +92,22 @@ def _check_some_satisfiable(data, vocabulary: Vocabulary) -> None:
     )
 
 
-def _run_updates(params: ModelParams, data, cfg: TrainConfig, loss_fn):
-    """The shared loop. Writes each update into `params.flat` in place and
-    returns (losses per update, skipped count)."""
+def _run_updates(params: ModelParams, data, cfg: TrainConfig, objective):
+    """The shared loop. Per utterance: a training-mode forward pass under
+    `params.mask_spec` (full context when None), then `objective(utt,
+    trace, cache)` -> (loss, keyword arguments of `backward`), or
+    `UnsatisfiableTargetError` to skip it, then the backward pass. Writes
+    each update into `params.flat` in place and returns (losses per
+    update, skipped count)."""
+    spec = params.mask_spec or BIDIRECTIONAL
+
+    def one_utterance(utt):
+        # a frame of its own, so this utterance's activations are freed
+        # before the next forward pass allocates its own
+        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
+        loss, backward_args = objective(utt, trace, cache)
+        return loss, backward(params, cache, **backward_args)[0]
+
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
     losses = []
@@ -108,7 +122,7 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, loss_fn):
         ok = 0
         for utt in batch:
             try:
-                loss, grad = loss_fn(params, utt)
+                loss, grad = one_utterance(utt)
             except UnsatisfiableTargetError:
                 skipped += 1
                 continue
@@ -140,9 +154,9 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, labeled=True
     copy `init` under mask `spec`, run the update loop, and log.
 
     `prepare(work)` runs on the copy inside the timed span and returns
-    (loss_fn, extra): `loss_fn` feeds `_run_updates`, and `extra()` gives
-    the log's extras once the updates are done. `labeled` stages need at
-    least one target that fits its frames."""
+    (objective, extra): `objective` feeds `_run_updates`, and `extra()`
+    gives the log's extras once the updates are done. `labeled` stages
+    need at least one target that fits its frames."""
     data = list(data)
     if not data:
         raise ValueError("training set is empty")
@@ -151,8 +165,8 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, labeled=True
     started = time.perf_counter()
     work = init.copy()
     work.mask_spec = spec
-    loss_fn, extra = prepare(work)
-    losses, skipped = _run_updates(work, data, cfg, loss_fn)
+    objective, extra = prepare(work)
+    losses, skipped = _run_updates(work, data, cfg, objective)
     extras = extra()
     dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
     return work, TrainLog(
@@ -176,14 +190,11 @@ def finetune_ctc(
     with 0 updates the returned model equals `init` (mask spec aside)."""
     vocabulary = vocabulary or Vocabulary.default()
 
-    def fn(params: ModelParams, utt):
-        target = vocabulary.encode(utt.text)
-        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
-        loss, d_logpost = ctc_loss(trace.posteriorgram, target)
-        grads, _ = backward(params, cache, grad_logpost=d_logpost)
-        return loss, grads
+    def objective(utt, trace, cache):
+        loss, d_logpost = ctc_loss(trace.posteriorgram, vocabulary.encode(utt.text))
+        return loss, {"grad_logpost": d_logpost}
 
-    return _train(init, spec, data, cfg, lambda work: (fn, dict), dev, vocabulary)
+    return _train(init, spec, data, cfg, lambda work: (objective, dict), dev, vocabulary)
 
 
 def train_guided_teacher(
@@ -211,18 +222,13 @@ def train_guided_teacher(
             for utt in data
         }
 
-        def fn(params: ModelParams, utt):
-            target = vocabulary.encode(utt.text)
-            trace, cache = forward_with_cache(
-                params, utt.features, BIDIRECTIONAL, train=True
-            )
+        def objective(utt, trace, cache):
             loss, d_logpost = guided_ctc_loss(
-                trace.posteriorgram, target, masks[utt.uid], alpha
+                trace.posteriorgram, vocabulary.encode(utt.text), masks[utt.uid], alpha
             )
-            grads, _ = backward(params, cache, grad_logpost=d_logpost)
-            return loss, grads
+            return loss, {"grad_logpost": d_logpost}
 
-        return fn, lambda: {"alpha": alpha}
+        return objective, lambda: {"alpha": alpha}
 
     return _train(pretrained, BIDIRECTIONAL, data, cfg, prepare, dev, vocabulary)
 
@@ -253,11 +259,9 @@ def distill(
             trace_cache[utt.uid] = forward(teacher, utt.features, teacher_spec)
         return trace_cache[utt.uid]
 
-    def fn(params: ModelParams, utt):
-        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
+    def objective(utt, trace, cache):
         loss, grad_hidden = distillation_loss(trace, teacher_trace(utt), distill_spec)
-        grads, _ = backward(params, cache, grad_hidden=grad_hidden)
-        return loss, grads
+        return loss, {"grad_hidden": grad_hidden}
 
     def dev_distill_loss(model: ModelParams) -> float | None:
         if not dev:
@@ -275,7 +279,7 @@ def distill(
             work.arrays["head.w"][...] = head_source.arrays["head.w"]
             work.arrays["head.b"][...] = head_source.arrays["head.b"]
         first = dev_distill_loss(work)
-        return fn, lambda: {
+        return objective, lambda: {
             "distill_layers": list(distill_spec.layer_indices),
             "head_from": "streaming" if head_source is not None else "init",
             "dev_distill_first": first,
@@ -368,10 +372,7 @@ def pretrain_contrastive(
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
-    def fn(params: ModelParams, utt):
-        trace, cache = forward_with_cache(
-            params, utt.features, BIDIRECTIONAL, train=True
-        )
+    def objective(utt, trace, cache):
         context = trace.hidden[-1]
         targets = cache["h0"]
         t_len = context.shape[0]
@@ -393,8 +394,7 @@ def pretrain_contrastive(
             )
             loss_total += loss / n_pos
             grad[pos] += g_context / n_pos
-        grads, _ = backward(params, cache, grad_hidden={top_layer: grad})
-        return loss_total, grads
+        return loss_total, {"grad_hidden": {top_layer: grad}}
 
     extra = {
         "mode": "contrastive",
@@ -402,4 +402,4 @@ def pretrain_contrastive(
         "n_distractors": n_distractors,
         "temperature": temperature,
     }
-    return _train(init, None, data, cfg, lambda work: (fn, lambda: extra), labeled=False)
+    return _train(init, None, data, cfg, lambda work: (objective, lambda: extra), labeled=False)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, flag handling, output channels."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -462,11 +463,25 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("sizes", [0, 1, 1], "sizes"),
         ("text_len", [3, 1], "text_len"),
         ("frames_per_token", [0, 2], "frames_per_token"),
+        ("beam_size", 0, "beam_size"),
+        ("template_scale", 0, "template_scale"),
+        ("seed", -1, "seed"),
+        ("alpha", math.nan, "alpha"),
+        ("peak_lr", math.nan, "peak_lr"),
+        ("noise_std", math.nan, "noise_std"),
+        ("lm_smoothing", math.nan, "lm_smoothing"),
+        ("lm_weight", math.nan, "lm_weight"),
+        ("word_insertion_penalty", math.nan, "word_insertion_penalty"),
+        ("template_scale", math.nan, "template_scale"),
+        ("lm_weight", math.inf, "lm_weight"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
          "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
          "feature_dim", "vocab_size", "lm_order", "lm_smoothing", "noise_std",
-         "sizes", "text_len", "frames_per_token"],
+         "sizes", "text_len", "frames_per_token", "beam_size", "template_scale",
+         "seed", "nan-alpha", "nan-peak_lr", "nan-noise_std", "nan-lm_smoothing",
+         "nan-lm_weight", "nan-word_insertion_penalty", "nan-template_scale",
+         "inf-lm_weight"],
 )
 def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     tmp, cfg = workdir
@@ -481,6 +496,29 @@ def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     assert code == 1
     assert field in err
     assert out == ""
+
+
+def test_pipeline_jobs_below_one_fails_before_any_stage(capsys, workdir):
+    tmp, cfg = workdir
+    run_dir = tmp / "run"
+    run_dir.mkdir()
+    code, out, err = run(
+        capsys, "pipeline", "--config", str(cfg), "--workdir", str(run_dir), "--jobs", "0"
+    )
+    assert code == 1
+    assert "--jobs" in err
+    assert out == ""
+    assert list(run_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [("pseudo-label", "--out", "x.bin"), ("decode",)])
+def test_jobs_below_one_is_a_usage_error(capsys, tmp_path, command):
+    code, _, err = run(
+        capsys, *command, "--model", str(tmp_path / "m.ckpt"),
+        "--data", str(tmp_path / "d.bin"), "--jobs", "0",
+    )
+    assert code == 1
+    assert "--jobs" in err
 
 
 # --------------------------------------------------------------- selfcheck

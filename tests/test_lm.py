@@ -75,6 +75,8 @@ def test_training_rejects_bad_inputs():
     with pytest.raises(ValueError):
         train_ngram(["a"], order=1, smoothing=0.0)
     with pytest.raises(ValueError):
+        train_ngram(["a"], order=1, smoothing=float("nan"))
+    with pytest.raises(ValueError):
         train_ngram(["a"], order=1, smoothing=1.0, vocab=("a", "a"))
     with pytest.raises(ValueError):
         train_ngram(["a"], order=1, smoothing=1.0, vocab=("a", START))

@@ -34,8 +34,6 @@ def bfs_reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
     for p, s in enumerate(fields):
         for q in s:
             dense[p, q] = True
-    if mask.plan is None:
-        return dense
     plan = mask.plan
     real_rows = [p for p in range(n) if not plan.is_copy[p]]
     folded = np.zeros((plan.n_frames, plan.n_frames), dtype=bool)
@@ -183,6 +181,60 @@ class TestBuildMask:
         assert m.plan.n_augmented == 6
         chunk = build_mask(MaskSpec("chunk", chunk_frames=2), 6)
         np.testing.assert_array_equal(m.allowed, chunk.allowed)
+
+
+def _spec_strategy():
+    left = st.none() | st.integers(0, 4)
+    return st.one_of(
+        st.just(MaskSpec("bidirectional")),
+        st.builds(
+            lambda r, l: MaskSpec("time_restricted", right_frames=r, left_limit=l),
+            st.integers(0, 4), left,
+        ),
+        st.builds(
+            lambda c, l: MaskSpec("chunk", chunk_frames=c, left_limit=l),
+            st.integers(1, 6), left,
+        ),
+        st.builds(
+            lambda c, f, l: MaskSpec("block", chunk_frames=c, future_frames=f, left_limit=l),
+            st.integers(1, 6), st.integers(0, 4), left,
+        ),
+    )
+
+
+class TestOneLayoutKind:
+    @given(st.integers(1, 6), st.none() | st.integers(0, 4), st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_is_block_without_lookahead(self, c, left, t):
+        chunk = build_mask(MaskSpec("chunk", chunk_frames=c, left_limit=left), t)
+        block = build_mask(
+            MaskSpec("block", chunk_frames=c, future_frames=0, left_limit=left), t
+        )
+        np.testing.assert_array_equal(chunk.allowed, block.allowed)
+        np.testing.assert_array_equal(chunk.plan.chunk_id, block.plan.chunk_id)
+
+    @given(st.integers(1, 20), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_bidirectional_is_one_chunk_spanning_the_utterance(self, t, extra):
+        full = build_mask(MaskSpec("bidirectional"), t)
+        chunk = build_mask(MaskSpec("chunk", chunk_frames=t + extra), t)
+        np.testing.assert_array_equal(full.allowed, chunk.allowed)
+        assert full.allowed.all()
+
+    @given(_spec_strategy(), st.integers(1, 20))
+    @settings(max_examples=120, deadline=None)
+    def test_every_layout_round_trips(self, spec, t):
+        plan = build_mask(spec, t).plan
+        x = np.arange(t * 2, dtype=np.float64).reshape(t, 2)
+        np.testing.assert_array_equal(plan.reduce(plan.augment(x)), x)
+        copies = spec.variant == "block" and spec.future_frames > 0 and plan.n_chunks > 1
+        assert plan.has_copies == copies
+        assert plan.is_copy.any() == copies
+        if not copies:
+            # no copies: the maps hand back their argument, signed zeros too
+            g = -np.zeros((t, 2))
+            assert plan.augment(x) is x and plan.reduce(x) is x
+            assert plan.reduce_grad(g) is g
 
 
 class TestHardCopyPlan:

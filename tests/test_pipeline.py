@@ -236,6 +236,9 @@ def test_train_config_validation():
             peak_lr=1e-3, total_updates=1, batch_size=1, seed=0,
             warmup_frac=0.7, constant_frac=0.4,
         )
+    for name in ("peak_lr", "warmup_frac", "constant_frac", "eps"):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"peak_lr": 1e-3, "total_updates": 1, name: math.nan})
 
 
 def test_adam_zero_gradient_from_fresh_state_keeps_params():
@@ -339,6 +342,46 @@ def test_finetune_skips_and_counts_unsatisfiable():
         init, STREAM, list(split.labeled) + [bad], quick_cfg(30, batch=7)
     )
     assert log.skipped > 0
+
+
+def test_run_updates_skips_what_the_objective_rejects():
+    # with the batch as large as the set, every update takes every
+    # utterance, so skipping some must equal training without them
+    from streamctc.ctc import ctc_loss
+    from streamctc.pipeline.stages import _run_updates
+
+    data = list(data_fixture().labeled)
+    rejected = {data[1].uid, data[4].uid}
+    seen = []
+
+    def objective(utt, trace, cache):
+        seen.append(utt.uid)
+        if utt.uid in rejected:
+            raise UnsatisfiableTargetError("rejected by the test")
+        loss, d = ctc_loss(trace.posteriorgram, VOCAB.encode(utt.text))
+        return loss, {"grad_logpost": d}
+
+    cfg = quick_cfg(4, batch=len(data), lr=1e-2)
+    runs = []
+    for subset in (data, [u for u in data if u.uid not in rejected]):
+        params = init_params(TINY_ENC, 0)
+        params.mask_spec = STREAM
+        runs.append((params, *_run_updates(params, subset, cfg, objective)))
+    (skipping, losses, skipped), (reference, ref_losses, ref_skipped) = runs
+    assert skipped == 4 * len(rejected) and ref_skipped == 0
+    assert losses == ref_losses
+    np.testing.assert_array_equal(skipping.flat, reference.flat)
+    # rejected utterances still ran forward: the objective saw all of them,
+    # and the batch-norm running statistics folded them in
+    assert seen[: len(data)] == sorted(u.uid for u in data)
+    assert not np.array_equal(skipping.bn_stats.mean, reference.bn_stats.mean)
+
+
+def test_run_two_stage_rejects_jobs_below_one_before_writing(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_two_stage(PipelineConfig(out_dir=str(out)), jobs=0)
+    assert not out.exists()
 
 
 def test_finetune_all_unsatisfiable_is_an_error():
