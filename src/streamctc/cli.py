@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import checks
@@ -537,6 +537,15 @@ def cmd_decode(args) -> int:
     if args.greedy and (args.lm or args.lm_weight or args.penalty):
         raise UsageError("--greedy does not take language-model flags")
     beam = 8 if args.beam is None else args.beam
+    if not args.greedy:
+        try:
+            cfg = DecodeConfig(
+                beam_size=beam,
+                lm_weight=args.lm_weight or 0.0,
+                word_insertion_penalty=args.penalty or 0.0,
+            )
+        except ValueError as exc:
+            raise UsageError(f"bad decode flags: {exc}")
     resolved = {
         "cmd": "decode",
         "model": args.model,
@@ -558,13 +567,8 @@ def cmd_decode(args) -> int:
             for utt, post in zip(data, dev_posteriors(model, data))
         ]
     else:
-        lm_model = load_lm(args.lm) if args.lm else None
-        cfg = DecodeConfig(
-            beam_size=beam,
-            lm_weight=args.lm_weight or 0.0,
-            word_insertion_penalty=args.penalty or 0.0,
-            lm=FusionLm(lm_model, vocabulary) if lm_model else None,
-        )
+        if args.lm:
+            cfg = replace(cfg, lm=FusionLm(load_lm(args.lm), vocabulary))
         hyps = decode_utterances(model, data, cfg, jobs=args.jobs)
         rows = [
             (utt.uid, top.labels.text(vocabulary), f"{top.acoustic:.17g}",

@@ -14,7 +14,10 @@ both steps return their input.
 The frontend norm is either a per-frame feature normalization ("gn") or
 per-channel batch normalization over time ("bn", carrying running stats);
 the conv is causal or symmetric. Each transformer layer is pre-norm:
-``h + MHA(LN(h))`` then ``a + FFN(LN(a))``.
+``h + MHA(LN(h))`` then ``a + FFN(LN(a))``. Attention splits queries, keys
+and values into ``(heads, T', head_dim)`` stacks and runs, forward and
+backward, as batched matmul (``@``) over the head axis; every transpose is
+``swapaxes(-1, -2)``, so a leading batch axis leaves those lines as they are.
 
 ``forward`` returns a ForwardTrace (per-layer hidden states at real frame
 positions plus the posteriorgram); ``forward_with_cache`` additionally
@@ -258,9 +261,9 @@ def _layer_forward(h, arrays, prefix, config, mask):
     k = _split_heads(u @ g("attn.wk"), config.n_heads)
     v = _split_heads(u @ g("attn.wv"), config.n_heads)
     beta = 1.0 / np.sqrt(config.head_dim)
-    logits = beta * np.einsum("htd,hsd->hts", q, k)
+    logits = beta * (q @ k.swapaxes(-1, -2))
     probs = masked_softmax(logits, mask.allowed)
-    z = _merge_heads(np.einsum("hts,hsd->htd", probs, v))
+    z = _merge_heads(probs @ v)
     a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
     f1 = w @ g("ffn.w1") + g("ffn.b1")
@@ -307,12 +310,12 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     acc("attn.wo", cache["z"].T @ d_a)
     acc("attn.bo", d_a.sum(axis=0))
     d_z = _split_heads(d_a @ g("attn.wo").T, config.n_heads)
-    d_probs = np.einsum("htd,hsd->hts", d_z, cache["v"])
-    d_v = np.einsum("hts,htd->hsd", cache["probs"], d_z)
+    d_probs = d_z @ cache["v"].swapaxes(-1, -2)
+    d_v = cache["probs"].swapaxes(-1, -2) @ d_z
     d_logits = masked_softmax_backward(d_probs, cache["probs"])
     beta = cache["beta"]
-    d_q = beta * np.einsum("hts,hsd->htd", d_logits, cache["k"])
-    d_k = beta * np.einsum("hts,htd->hsd", d_logits, cache["q"])
+    d_q = beta * (d_logits @ cache["k"])
+    d_k = beta * (d_logits.swapaxes(-1, -2) @ cache["q"])
     u = cache["u"]
     d_u = np.zeros_like(u)
     for name, d_proj in (("attn.wq", d_q), ("attn.wk", d_k), ("attn.wv", d_v)):

@@ -301,6 +301,25 @@ def test_decode_usage_and_runtime_errors(capsys, trained):
     )[0] == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--beam", "0", "beam_size"),
+        ("--lm-weight", "nan", "lm_weight"),
+        ("--penalty", "inf", "word_insertion_penalty"),
+    ],
+)
+def test_decode_bad_scoring_flag_is_a_usage_error(capsys, tmp_path, flag, value, field):
+    code, out, err = run(
+        capsys, "decode", "--model", str(tmp_path / "nope.ckpt"),
+        "--data", str(tmp_path / "nope.bin"), flag, value,
+    )
+    assert code == 1
+    assert field in err
+    assert "config digest" not in err
+    assert out == ""
+
+
 def test_decode_out_tsv_scores(capsys, trained, tmp_path):
     tmp, cfg, labeled = trained
     out = tmp_path / "hyp.tsv"

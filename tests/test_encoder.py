@@ -192,31 +192,67 @@ class TestAttentionLayer:
             frontend_norm="gn",
         )
         params = init_params(cfg, 5)
-        a = params.arrays
         spec = MaskSpec("time_restricted", right_frames=1)
         trace, cache = forward_with_cache(params, make_features(5, 4, seed=9), spec)
         x, got = cache["h0"], trace.hidden[0]
         mask = build_mask(spec, 5)
+        expect = _direct_loop_layer(params.arrays, x, mask.allowed, n_heads=1)
+        np.testing.assert_allclose(got, expect, atol=1e-12)
 
-        # re-derive the layer with explicit per-position loops, one head
-        u = layer_norm(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])
-        q, k, v = u @ a["layer0.attn.wq"], u @ a["layer0.attn.wk"], u @ a["layer0.attn.wv"]
-        beta = 1.0 / np.sqrt(8)
-        z = np.zeros_like(u)
-        for t in range(5):
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MaskSpec("time_restricted", right_frames=1, left_limit=2),
+            MaskSpec("chunk", chunk_frames=3),
+            MaskSpec("block", chunk_frames=3, future_frames=2, left_limit=1),
+            MaskSpec("bidirectional"),
+        ],
+        ids=lambda spec: spec.variant,
+    )
+    def test_multi_head_direct_loop_oracle(self, n_heads, spec):
+        cfg = EncoderConfig(
+            n_layers=1,
+            model_dim=8,
+            n_heads=n_heads,
+            ffn_dim=12,
+            vocab_size=4,
+            feature_dim=4,
+            frontend_norm="gn",
+        )
+        params = init_params(cfg, 6)
+        trace, cache = forward_with_cache(params, make_features(8, 4, seed=10), spec)
+        mask = cache["mask"]
+        if spec.variant == "block":
+            assert mask.plan.n_augmented > 8
+        x_aug = mask.plan.augment(cache["h0"])
+        expect = _direct_loop_layer(params.arrays, x_aug, mask.allowed, n_heads)
+        np.testing.assert_allclose(trace.hidden[0], mask.plan.reduce(expect), atol=1e-12)
+
+
+def _direct_loop_layer(a, x, allowed, n_heads):
+    """Layer 0 re-derived with explicit loops over heads and positions."""
+    u = layer_norm(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])
+    q, k, v = u @ a["layer0.attn.wq"], u @ a["layer0.attn.wk"], u @ a["layer0.attn.wv"]
+    n, d = u.shape
+    dh = d // n_heads
+    beta = 1.0 / np.sqrt(dh)
+    z = np.zeros_like(u)
+    for head in range(n_heads):
+        cols = slice(head * dh, (head + 1) * dh)
+        for t in range(n):
             weights = {}
-            for tau in range(5):
-                if mask.allowed[t, tau]:
-                    weights[tau] = np.exp(beta * float(q[t] @ k[tau]))
+            for tau in range(n):
+                if allowed[t, tau]:
+                    weights[tau] = np.exp(beta * float(q[t, cols] @ k[tau, cols]))
             total = sum(weights.values())
             for tau, wgt in weights.items():
-                z[t] += (wgt / total) * v[tau]
-        att = x + (z @ a["layer0.attn.wo"] + a["layer0.attn.bo"])
-        w = layer_norm(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])
-        expect = att + gelu(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"]) @ a[
-            "layer0.ffn.w2"
-        ] + a["layer0.ffn.b2"]
-        np.testing.assert_allclose(got, expect, atol=1e-12)
+                z[t, cols] += (wgt / total) * v[tau, cols]
+    att = x + (z @ a["layer0.attn.wo"] + a["layer0.attn.bo"])
+    w = layer_norm(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])
+    return att + gelu(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"]) @ a[
+        "layer0.ffn.w2"
+    ] + a["layer0.ffn.b2"]
 
 
 class TestForward:
