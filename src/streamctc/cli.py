@@ -195,17 +195,6 @@ def _loss_summary(losses) -> str:
     return f"loss {losses[0]:.6g} -> {losses[-1]:.6g}"
 
 
-def _mask_text(spec: MaskSpec) -> str:
-    parts = [spec.variant]
-    if spec.chunk_frames is not None:
-        parts.append(f"C={spec.chunk_frames}")
-    if spec.future_frames is not None:
-        parts.append(f"F={spec.future_frames}")
-    if spec.right_frames is not None:
-        parts.append(f"R={spec.right_frames}")
-    return " ".join(parts)
-
-
 def _file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -441,7 +430,7 @@ def cmd_train(args) -> int:
     ck_digest = save_checkpoint(model, args.out)
     if "alpha" in log.extra:
         print(f"alpha {log.extra['alpha']:g}")
-    mask = _mask_text(model.mask_spec)
+    mask = f"{model.mask_spec.variant} {model.mask_spec.param_text()}".rstrip()
     print(f"stage {stage}  mask {mask}  updates {cfg.total_updates}")
     print(f"{_loss_summary(log.losses)}  skipped {log.skipped}")
     if log.dev_token_error is not None:

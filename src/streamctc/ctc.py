@@ -149,11 +149,16 @@ class DecodeConfig:
     beam_size: int = 500
     lm_weight: float = 0.0
     word_insertion_penalty: float = 0.0
-    lm: object = None  # NgramModel scoring vocabulary token ids
+    lm: object = None  # logp(token_id, context_ids), e.g. lm.FusionLm
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+        if self.lm is not None and not callable(getattr(self.lm, "logp", None)):
+            raise ValueError(
+                f"lm must have a logp(token_id, context_ids) method, got "
+                f"{type(self.lm).__name__}; wrap an NgramModel in FusionLm"
+            )
         for name in ("lm_weight", "word_insertion_penalty"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -80,6 +80,16 @@ class MaskSpec:
             if getattr(self, name) is not None:
                 raise ValueError(f"{self.variant} does not take {name}")
 
+    def param_text(self) -> str:
+        """The fields that are set, as `R=.. C=.. F=.. L=..`; "" when none is."""
+        fields = (
+            ("R", self.right_frames),
+            ("C", self.chunk_frames),
+            ("F", self.future_frames),
+            ("L", self.left_limit),
+        )
+        return " ".join(f"{key}={value}" for key, value in fields if value is not None)
+
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
@@ -304,7 +314,7 @@ class LatencyReport:
     def table(self) -> str:
         lines = [
             f"variant            {self.spec.variant}",
-            f"params             {_param_text(self.spec)}",
+            f"params             {self.spec.param_text() or '-'}",
             f"layers             {self.n_layers}",
             f"frame_ms           {self.spec.frame_ms:g}",
             f"EIL {_num(self.eil_ms)} ms",
@@ -325,19 +335,6 @@ class LatencyReport:
         return "\t".join(
             [spec.variant, c_ms, f_ms, r, str(self.n_layers), _num(self.eil_ms)]
         )
-
-
-def _param_text(spec: MaskSpec) -> str:
-    parts = []
-    if spec.right_frames is not None:
-        parts.append(f"R={spec.right_frames}")
-    if spec.chunk_frames is not None:
-        parts.append(f"C={spec.chunk_frames}")
-    if spec.future_frames is not None:
-        parts.append(f"F={spec.future_frames}")
-    if spec.left_limit is not None:
-        parts.append(f"L={spec.left_limit}")
-    return " ".join(parts) if parts else "-"
 
 
 def _num(x: float) -> str:

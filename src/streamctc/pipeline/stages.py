@@ -1,12 +1,16 @@
 """Training stages: CTC fine-tuning, guided teacher, distillation,
 pseudo-labeling, self-training, and contrastive pre-training.
 
-All training stages share one deterministic update loop: batches are
-drawn from a seeded generator, each utterance gets one forward pass, the
-stage's objective and one backward pass, gradients are accumulated in
-utterance-id order, and samples whose targets cannot fit their frame
-count are skipped and counted. Stage outputs are a trained model plus a
-log (loss curve, skip count, dev token error, wall time).
+All training stages share one deterministic update loop. Before it runs,
+each stage builds its target map once: the uid of every utterance that
+can train, mapped to what it trains toward (an encoded label that fits
+its frames, that label plus a guide mask, a teacher trace, or nothing for
+contrastive pairs). Batches are drawn from a seeded generator over the
+whole training set; an utterance without a target is skipped and counted
+before its forward pass, and every other one gets one forward pass, the
+stage's objective and one backward pass, with gradients accumulated in
+utterance-id order. Stage outputs are a trained model plus a log (loss
+curve, skip count, dev token error, wall time).
 """
 
 from __future__ import annotations
@@ -82,30 +86,36 @@ def dev_posteriors(params: ModelParams, utts) -> list:
     return [forward(params, u.features, spec).posteriorgram for u in utts]
 
 
-def _check_some_satisfiable(data, vocabulary: Vocabulary) -> None:
+def _ctc_targets(data, vocabulary: Vocabulary) -> dict:
+    """uid -> encoded label for each utterance whose label fits its
+    frames (`min_frames(label) <= n_frames`); raises when none does."""
+    targets = {}
     for utt in data:
-        target = vocabulary.encode(utt.text)
-        if min_frames(target) <= utt.n_frames:
-            return
-    raise UnsatisfiableTargetError(
-        f"all {len(data)} training samples have targets longer than their frames"
-    )
+        label = vocabulary.encode(utt.text)
+        if min_frames(label) <= utt.n_frames:
+            targets[utt.uid] = label
+    if not targets:
+        raise UnsatisfiableTargetError(
+            f"all {len(data)} training samples have targets longer than their frames"
+        )
+    return targets
 
 
-def _run_updates(params: ModelParams, data, cfg: TrainConfig, objective):
-    """The shared loop. Per utterance: a training-mode forward pass under
-    `params.mask_spec` (full context when None), then `objective(utt,
-    trace, cache)` -> (loss, keyword arguments of `backward`), or
-    `UnsatisfiableTargetError` to skip it, then the backward pass. Writes
-    each update into `params.flat` in place and returns (losses per
-    update, skipped count)."""
+def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, objective):
+    """The shared loop. Each update draws its batch from all of `data` and
+    counts an utterance with no entry in `targets` as skipped, before its
+    forward pass. Every other one gets a training-mode forward pass under
+    `params.mask_spec` (full context when None), `objective(target,
+    trace, cache)` -> (loss, keyword arguments of `backward`) and the
+    backward pass. Writes each update into `params.flat` in place and
+    returns (losses per update, skipped count)."""
     spec = params.mask_spec or BIDIRECTIONAL
 
     def one_utterance(utt):
         # a frame of its own, so this utterance's activations are freed
         # before the next forward pass allocates its own
         trace, cache = forward_with_cache(params, utt.features, spec, train=True)
-        loss, backward_args = objective(utt, trace, cache)
+        loss, backward_args = objective(targets[utt.uid], trace, cache)
         return loss, backward(params, cache, **backward_args)[0]
 
     rng = np.random.default_rng(cfg.seed)
@@ -117,27 +127,19 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, objective):
         lr = tri_stage_lr(step, cfg)
         idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
         batch = sorted((data[int(i)] for i in idx), key=lambda u: u.uid)
-        total = None
-        loss_sum = 0.0
-        ok = 0
-        for utt in batch:
-            try:
-                loss, grad = one_utterance(utt)
-            except UnsatisfiableTargetError:
-                skipped += 1
-                continue
-            ok += 1
-            loss_sum += loss
-            if total is None:
-                total = grad
-            else:
-                total += grad
-        if ok == 0:
+        usable = [utt for utt in batch if utt.uid in targets]
+        skipped += len(batch) - len(usable)
+        if not usable:
             losses.append(math.nan)
             continue
+        loss_sum, total = one_utterance(usable[0])
+        for utt in usable[1:]:
+            loss, grad = one_utterance(utt)
+            loss_sum += loss
+            total += grad
         updated, state = adam_step(
             params.flat,
-            total / ok,
+            total / len(usable),
             state,
             lr,
             beta1=cfg.beta1,
@@ -145,28 +147,29 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, objective):
             eps=cfg.eps,
         )
         params.flat[...] = updated
-        losses.append(loss_sum / ok)
+        losses.append(loss_sum / len(usable))
     return losses, skipped
 
 
-def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, labeled=True):
-    """The frame every training stage shares: check the training set,
-    copy `init` under mask `spec`, run the update loop, and log.
+def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None):
+    """The frame every training stage shares: copy `init` under mask
+    `spec`, build the stage's targets, run the update loop, and log.
 
-    `prepare(work)` runs on the copy inside the timed span and returns
-    (objective, extra): `objective` feeds `_run_updates`, and `extra()`
-    gives the log's extras once the updates are done. `labeled` stages
-    need at least one target that fits its frames."""
+    `prepare(work, data)` runs on the copy inside the timed span and
+    returns (targets, objective, extra): `targets` maps the uid of each
+    utterance that can train to its target and is the stage's one rule
+    for which utterances train, `objective` feeds `_run_updates`, and
+    `extra()` gives the log's extras once the updates are done."""
     data = list(data)
     if not data:
         raise ValueError("training set is empty")
-    if labeled:
-        _check_some_satisfiable(data, vocabulary)
+    if len({utt.uid for utt in data}) < len(data):
+        raise ValueError("training set repeats an utterance id")
     started = time.perf_counter()
     work = init.copy()
     work.mask_spec = spec
-    objective, extra = prepare(work)
-    losses, skipped = _run_updates(work, data, cfg, objective)
+    targets, objective, extra = prepare(work, data)
+    losses, skipped = _run_updates(work, data, cfg, targets, objective)
     extras = extra()
     dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
     return work, TrainLog(
@@ -190,11 +193,14 @@ def finetune_ctc(
     with 0 updates the returned model equals `init` (mask spec aside)."""
     vocabulary = vocabulary or Vocabulary.default()
 
-    def objective(utt, trace, cache):
-        loss, d_logpost = ctc_loss(trace.posteriorgram, vocabulary.encode(utt.text))
+    def objective(label, trace, cache):
+        loss, d_logpost = ctc_loss(trace.posteriorgram, label)
         return loss, {"grad_logpost": d_logpost}
 
-    return _train(init, spec, data, cfg, lambda work: (objective, dict), dev, vocabulary)
+    def prepare(work, data):
+        return _ctc_targets(data, vocabulary), objective, dict
+
+    return _train(init, spec, data, cfg, prepare, dev, vocabulary)
 
 
 def train_guided_teacher(
@@ -212,23 +218,20 @@ def train_guided_teacher(
     vocabulary = vocabulary or Vocabulary.default()
     if streaming.mask_spec is None:
         raise ValueError("guide model does not record a streaming mask spec")
-    data = list(data)
 
-    def prepare(work):
-        masks = {
-            utt.uid: guide_mask(
-                forward(streaming, utt.features, streaming.mask_spec).posteriorgram
-            )
-            for utt in data
-        }
+    def objective(target, trace, cache):
+        label, mask = target
+        loss, d_logpost = guided_ctc_loss(trace.posteriorgram, label, mask, alpha)
+        return loss, {"grad_logpost": d_logpost}
 
-        def objective(utt, trace, cache):
-            loss, d_logpost = guided_ctc_loss(
-                trace.posteriorgram, vocabulary.encode(utt.text), masks[utt.uid], alpha
-            )
-            return loss, {"grad_logpost": d_logpost}
-
-        return objective, lambda: {"alpha": alpha}
+    def prepare(work, data):
+        labels = _ctc_targets(data, vocabulary)
+        targets = {}
+        for utt in data:
+            if utt.uid in labels:
+                post = forward(streaming, utt.features, streaming.mask_spec)
+                targets[utt.uid] = (labels[utt.uid], guide_mask(post.posteriorgram))
+        return targets, objective, lambda: {"alpha": alpha}
 
     return _train(pretrained, BIDIRECTIONAL, data, cfg, prepare, dev, vocabulary)
 
@@ -252,43 +255,40 @@ def distill(
     """
     vocabulary = vocabulary or Vocabulary.default()
     teacher_spec = teacher.mask_spec or BIDIRECTIONAL
-    trace_cache = {}
 
-    def teacher_trace(utt):
-        if utt.uid not in trace_cache:
-            trace_cache[utt.uid] = forward(teacher, utt.features, teacher_spec)
-        return trace_cache[utt.uid]
-
-    def objective(utt, trace, cache):
-        loss, grad_hidden = distillation_loss(trace, teacher_trace(utt), distill_spec)
+    def objective(teacher_trace, trace, cache):
+        loss, grad_hidden = distillation_loss(trace, teacher_trace, distill_spec)
         return loss, {"grad_hidden": grad_hidden}
 
-    def dev_distill_loss(model: ModelParams) -> float | None:
-        if not dev:
-            return None
-        values = [
-            distillation_loss(
-                forward(model, u.features, spec), teacher_trace(u), distill_spec
-            )[0]
-            for u in dev
-        ]
-        return float(np.mean(values))
-
-    def prepare(work):
+    def prepare(work, data):
         if head_source is not None:
             work.arrays["head.w"][...] = head_source.arrays["head.w"]
             work.arrays["head.b"][...] = head_source.arrays["head.b"]
-        first = dev_distill_loss(work)
-        return objective, lambda: {
+        # every utterance can train: its target is the teacher's trace
+        traces = {
+            u.uid: forward(teacher, u.features, teacher_spec) for u in (*data, *dev)
+        }
+
+        def dev_distill_loss() -> float | None:
+            if not dev:
+                return None
+            values = [
+                distillation_loss(
+                    forward(work, u.features, spec), traces[u.uid], distill_spec
+                )[0]
+                for u in dev
+            ]
+            return float(np.mean(values))
+
+        first = dev_distill_loss()
+        return traces, objective, lambda: {
             "distill_layers": list(distill_spec.layer_indices),
             "head_from": "streaming" if head_source is not None else "init",
             "dev_distill_first": first,
-            "dev_distill_last": dev_distill_loss(work),
+            "dev_distill_last": dev_distill_loss(),
         }
 
-    return _train(
-        pretrained, spec, data, cfg, prepare, dev, vocabulary, labeled=False
-    )
+    return _train(pretrained, spec, data, cfg, prepare, dev, vocabulary)
 
 
 def _top_hypothesis(job):
@@ -372,12 +372,10 @@ def pretrain_contrastive(
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
-    def objective(utt, trace, cache):
+    def objective(_, trace, cache):
         context = trace.hidden[-1]
         targets = cache["h0"]
         t_len = context.shape[0]
-        if t_len < 2:
-            raise UnsatisfiableTargetError("too few frames for contrastive pairs")
         n_pos = min(n_masked, t_len)
         k = min(n_distractors, t_len - 1)
         positions = position_rng.choice(t_len, size=n_pos, replace=False)
@@ -402,4 +400,9 @@ def pretrain_contrastive(
         "n_distractors": n_distractors,
         "temperature": temperature,
     }
-    return _train(init, None, data, cfg, lambda work: (objective, lambda: extra), labeled=False)
+
+    def prepare(work, data):
+        # contrastive pairs need a distractor frame besides the positive
+        return {u.uid: None for u in data if u.n_frames >= 2}, objective, lambda: extra
+
+    return _train(init, None, data, cfg, prepare)

@@ -213,6 +213,23 @@ def test_flags_override_config(capsys, trained):
     assert payload["checkpoint_digest"]
 
 
+def test_train_prints_the_mask_left_limit(capsys, trained):
+    tmp, cfg, labeled = trained
+    argv = ("finetune", "--data", labeled, "--mask", "stream", "--updates", "1")
+    code, out, _ = run(capsys, *argv, "--config", cfg, "--out", str(tmp / "a.ckpt"))
+    assert code == 0
+    assert "stage S  mask block C=3 F=1  updates 1" in out
+    limited = json.loads(open(cfg).read())
+    limited["stream"]["left_limit"] = 2
+    cfg_l = tmp / "limited.json"
+    cfg_l.write_text(json.dumps(limited))
+    code, out, _ = run(
+        capsys, *argv, "--config", str(cfg_l), "--out", str(tmp / "b.ckpt")
+    )
+    assert code == 0
+    assert "stage S  mask block C=3 F=1 L=2  updates 1" in out
+
+
 def test_remaining_stage_commands_chain(capsys, trained):
     tmp, cfg, labeled = trained
     s = str(tmp / "S.ckpt")

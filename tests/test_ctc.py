@@ -19,6 +19,7 @@ from streamctc.ctc import (
     prefix_beam_search,
     word_count,
 )
+from streamctc.lm import FusionLm, train_ngram
 from streamctc.numerics import check_gradient, log_softmax
 from streamctc.vocab import BLANK, DELIMITER, LabelSequence, Vocabulary
 
@@ -305,6 +306,15 @@ class TestPrefixBeamSearch:
     def test_beam_size_validated(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_size=0)
+
+    def test_lm_must_score_token_ids(self):
+        lm = train_ngram(["ab|ba"], 3, 0.2)
+        with pytest.raises(ValueError, match="FusionLm"):
+            DecodeConfig(beam_size=4, lm_weight=1.0, lm=lm)
+        fused = FusionLm(lm, Vocabulary.default())
+        cfg = DecodeConfig(beam_size=4, lm_weight=1.0, lm=fused)
+        assert cfg.to_dict()["lm"] == "attached"
+        prefix_beam_search(random_logpost(4, 29, 3), cfg)
 
 
 class TestBruteForce:

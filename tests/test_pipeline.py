@@ -352,13 +352,12 @@ def test_run_updates_skips_what_the_objective_rejects():
 
     data = list(data_fixture().labeled)
     rejected = {data[1].uid, data[4].uid}
+    targets = {u.uid: VOCAB.encode(u.text) for u in data if u.uid not in rejected}
     seen = []
 
-    def objective(utt, trace, cache):
-        seen.append(utt.uid)
-        if utt.uid in rejected:
-            raise UnsatisfiableTargetError("rejected by the test")
-        loss, d = ctc_loss(trace.posteriorgram, VOCAB.encode(utt.text))
+    def objective(label, trace, cache):
+        seen.append(label)
+        loss, d = ctc_loss(trace.posteriorgram, label)
         return loss, {"grad_logpost": d}
 
     cfg = quick_cfg(4, batch=len(data), lr=1e-2)
@@ -366,15 +365,71 @@ def test_run_updates_skips_what_the_objective_rejects():
     for subset in (data, [u for u in data if u.uid not in rejected]):
         params = init_params(TINY_ENC, 0)
         params.mask_spec = STREAM
-        runs.append((params, *_run_updates(params, subset, cfg, objective)))
+        runs.append((params, *_run_updates(params, subset, cfg, targets, objective)))
     (skipping, losses, skipped), (reference, ref_losses, ref_skipped) = runs
     assert skipped == 4 * len(rejected) and ref_skipped == 0
     assert losses == ref_losses
     np.testing.assert_array_equal(skipping.flat, reference.flat)
-    # rejected utterances still ran forward: the objective saw all of them,
-    # and the batch-norm running statistics folded them in
-    assert seen[: len(data)] == sorted(u.uid for u in data)
-    assert not np.array_equal(skipping.bn_stats.mean, reference.bn_stats.mean)
+    # utterances without a target are skipped before their forward pass:
+    # the objective sees only the others, in uid order, and the batch-norm
+    # running statistics never fold the skipped ones in
+    assert seen == [targets[uid] for uid in sorted(targets)] * 8
+    assert skipping.bn_stats.mean.tobytes() == reference.bn_stats.mean.tobytes()
+    assert skipping.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
+
+
+@pytest.mark.parametrize(
+    "stage", ["finetune_ctc", "train_guided_teacher", "pretrain_contrastive"]
+)
+@pytest.mark.parametrize("norm", ["gn", "bn"])
+def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, norm, stage):
+    from streamctc.pipeline import stages
+
+    enc = dataclasses.replace(TINY_ENC, frontend_norm=norm)
+    usable = list(data_fixture().labeled)
+    rng = np.random.default_rng(5)
+    # uids that sort between the usable ones; contrastive pairs need two
+    # frames, the CTC stages a label that fits its frames
+    if stage == "pretrain_contrastive":
+        shapes = {"L0001a": ((1, 6), "a"), "L0004a": ((1, 6), "ab")}
+    else:
+        shapes = {"L0001a": ((2, 6), "abcabc"), "L0004a": ((2, 6), "aa")}
+    unusable = [
+        Utterance(uid=uid, features=rng.normal(size=shape), text=text)
+        for uid, (shape, text) in shapes.items()
+    ]
+    updates = 3
+
+    def train(data):
+        init = init_params(enc, 0)
+        cfg = quick_cfg(updates, batch=len(usable) + len(unusable), lr=1e-2)
+        if stage == "finetune_ctc":
+            return stages.finetune_ctc(init, STREAM, data, cfg)
+        if stage == "train_guided_teacher":
+            streaming = init_params(enc, 1)
+            streaming.mask_spec = STREAM
+            return stages.train_guided_teacher(init, streaming, data, 0.5, cfg)
+        return stages.pretrain_contrastive(init, data, cfg)
+
+    seen = []
+    for name in ("forward", "forward_with_cache"):
+        def spy(params, features, *args, _original=getattr(stages, name), **kwargs):
+            seen.append(features)
+            return _original(params, features, *args, **kwargs)
+
+        monkeypatch.setattr(stages, name, spy)
+
+    model, log = train(usable + unusable)
+    assert seen and not any(f is u.features for f in seen for u in unusable)
+    reference, ref_log = train(usable)
+    assert log.skipped == updates * len(unusable) and ref_log.skipped == 0
+    assert log.losses == ref_log.losses
+    assert model.flat.tobytes() == reference.flat.tobytes()
+    if norm == "bn":
+        assert model.bn_stats.mean.tobytes() == reference.bn_stats.mean.tobytes()
+        assert model.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
+    else:
+        assert model.bn_stats is None and reference.bn_stats is None
 
 
 def test_run_two_stage_rejects_jobs_below_one_before_writing(tmp_path):
@@ -391,6 +446,11 @@ def test_finetune_all_unsatisfiable_is_an_error():
         finetune_ctc(init, STREAM, bad, quick_cfg(5))
     with pytest.raises(ValueError):
         finetune_ctc(init, STREAM, [], quick_cfg(5))
+    # targets are keyed by utterance id, so ids must be unique
+    good = Utterance(uid="G", features=np.zeros((9, 6)), text="a")
+    twice = [good, dataclasses.replace(good, text="b")]
+    with pytest.raises(ValueError, match="repeats an utterance id"):
+        finetune_ctc(init, STREAM, twice, quick_cfg(5))
 
 
 # ------------------------------------------------------------ guided teacher
