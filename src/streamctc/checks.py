@@ -229,11 +229,11 @@ def guided_ctc_gradient_error(rng) -> float:
 
 @_repeated
 def distillation_gradient_error(rng) -> float:
-    teacher = ForwardTrace(tuple(rng.normal(size=(4, 3)) for _ in range(2)), None, None)
+    teacher = ForwardTrace(tuple(rng.normal(size=(4, 3)) for _ in range(2)), None)
     spec = DistillSpec((1, 2))
 
     def op(h1, h2):
-        loss, grads = distillation_loss(ForwardTrace((h1, h2), None, None), teacher, spec)
+        loss, grads = distillation_loss(ForwardTrace((h1, h2), None), teacher, spec)
         return loss, [grads[1], grads[2]]
 
     inputs = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]

@@ -74,11 +74,11 @@ def _int_tuple(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _announce(resolved: dict) -> str:
@@ -229,7 +229,7 @@ def _frames_from(ms_value, frame_value, frame_ms, name):
     if ms_value is None:
         return frame_value
     q = ms_value / frame_ms
-    if abs(q - round(q)) > 1e-9:
+    if not math.isfinite(q) or abs(q - round(q)) > 1e-9:
         raise UsageError(
             f"--{name}-ms {ms_value:g} is not a whole number of "
             f"{frame_ms:g} ms frames"
@@ -238,6 +238,8 @@ def _frames_from(ms_value, frame_value, frame_ms, name):
 
 
 def _mask_from_args(args) -> MaskSpec:
+    if not 0 < args.frame_ms < math.inf:
+        raise UsageError(f"--frame-ms must be finite and > 0, got {args.frame_ms:g}")
     chunk = _frames_from(args.chunk_ms, args.chunk_frames, args.frame_ms, "chunk")
     future = _frames_from(args.future_ms, args.future_frames, args.frame_ms, "future")
     try:
@@ -734,13 +736,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("latency", help="latency metrics for a mask config")
     _add_mask_flags(p)
-    p.add_argument("--layers", type=int, default=12)
+    p.add_argument("--layers", type=_positive_int, default=12)
     p.add_argument("--out", help="machine-readable TSV path")
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("mask-dump", help="print a mask as a text grid")
     _add_mask_flags(p)
-    p.add_argument("--frames", type=int, required=True)
+    p.add_argument("--frames", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mask_dump)
 
@@ -779,7 +781,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beam", type=int)
     p.add_argument("--lm-weight", type=float)
     p.add_argument("--penalty", type=float)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--report")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_pseudo_label)
@@ -788,7 +790,7 @@ def build_parser() -> _Parser:
     _add_config_flags(p)
     p.add_argument("--workdir")
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--pretrain", choices=("random", "contrastive"))
     p.set_defaults(fn=cmd_pipeline)
 
@@ -800,7 +802,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lm")
     p.add_argument("--lm-weight", type=float)
     p.add_argument("--penalty", type=float)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="TSV path (uid, text, scores)")
     p.set_defaults(fn=cmd_decode)
 

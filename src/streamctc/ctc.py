@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_int
 from .vocab import BLANK, DELIMITER, LabelSequence
 
 NEG_INF = -np.inf
@@ -152,8 +153,7 @@ class DecodeConfig:
     lm: object = None  # logp(token_id, context_ids), e.g. lm.FusionLm
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        check_int("beam_size", self.beam_size, 1)
         if self.lm is not None and not callable(getattr(self.lm, "logp", None)):
             raise ValueError(
                 f"lm must have a logp(token_id, context_ids) method, got "

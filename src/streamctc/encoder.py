@@ -43,13 +43,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .masking import AttentionMask, MaskSpec, build_mask
+from .masking import MaskSpec, build_mask
 from .numerics import (
     BatchNormStats,
     batch_norm_forward,
     batch_norm_backward,
     conv1d_forward,
     conv1d_backward,
+    check_int,
     ensure_finite,
     gelu,
     gelu_grad,
@@ -82,19 +83,17 @@ class EncoderConfig:
     frontend_kernel: int = 4
 
     def __post_init__(self):
-        for name in ("n_layers", "model_dim", "n_heads", "ffn_dim", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_layers", "model_dim", "n_heads", "ffn_dim", "feature_dim",
+                     "frontend_kernel"):
+            check_int(name, getattr(self, name), 1)
         if self.model_dim % self.n_heads != 0:
             raise ValueError("model_dim must be divisible by n_heads")
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2 (blank plus a symbol)")
+        # blank plus a symbol
+        check_int("vocab_size", self.vocab_size, 2)
         if self.frontend_norm not in ("gn", "bn"):
             raise ValueError("frontend_norm must be 'gn' or 'bn'")
         if self.frontend_conv not in ("causal", "symmetric"):
             raise ValueError("frontend_conv must be 'causal' or 'symmetric'")
-        if self.frontend_kernel < 1:
-            raise ValueError("frontend_kernel must be >= 1")
 
     @property
     def head_dim(self) -> int:
@@ -214,7 +213,6 @@ class ForwardTrace:
 
     hidden: tuple
     posteriorgram: np.ndarray
-    mask: AttentionMask
 
 
 def init_params(config: EncoderConfig, seed: int) -> ModelParams:
@@ -222,8 +220,9 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     1-D arrays 0, and each matrix is uniform in +-1/sqrt(fan_in), fan_in
     being the product of all its dimensions but the last.
 
-    Running batch-norm stats start at (mean 0, var 1) and are marked
-    initialized so a freshly built model can run in infer mode.
+    A "bn" frontend's running stats start at (mean 0, var 1), so a fresh
+    model runs in infer mode; each train-mode forward pass folds its
+    statistics in with weight `BN_MOMENTUM`.
     """
     rng = np.random.default_rng(seed)
     size = sum(math.prod(shape) for _, shape in param_layout(config))
@@ -235,7 +234,7 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
         elif name.endswith(".gain"):
             params.arrays[name][...] = 1.0
     if config.frontend_norm == "bn":
-        params.bn_stats = BatchNormStats.fresh(config.feature_dim, initialized=True)
+        params.bn_stats = BatchNormStats.fresh(config.feature_dim)
     return params
 
 
@@ -396,10 +395,7 @@ def forward_with_cache(
     logpost = log_softmax(logits)
     ensure_finite(logpost, "posteriorgram")
     cache["logpost"] = logpost
-    trace = ForwardTrace(
-        hidden=tuple(hidden), posteriorgram=logpost, mask=mask
-    )
-    return trace, cache
+    return ForwardTrace(hidden=tuple(hidden), posteriorgram=logpost), cache
 
 
 def forward(
@@ -480,9 +476,8 @@ def _params_payload(params: ModelParams) -> bytes:
         "config": {**params.config.to_dict(), "dropout": 0.0},
         "arrangement": "pre_norm",
         "mask_spec": params.mask_spec.to_dict() if params.mask_spec else None,
-        "bn_initialized": bool(params.bn_stats.initialized)
-        if params.bn_stats
-        else None,
+        # v1 headers also mark running stats as set; here they always are
+        "bn_initialized": True if params.bn_stats else None,
     }
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -572,10 +567,13 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
         raise CheckpointError(f"{path}: {len(blob) - 8 - off} unread bytes")
     stats = None
     if "buffer.frontend.bn.mean" in named:
+        if header.get("bn_initialized") is not True:
+            raise CheckpointError(
+                f"{path}: batch-norm buffers without bn_initialized true are not supported"
+            )
         stats = BatchNormStats(
             mean=named.pop("buffer.frontend.bn.mean").copy(),
             var=named.pop("buffer.frontend.bn.var").copy(),
-            initialized=bool(header.get("bn_initialized")),
         )
     layout = dict(param_layout(config))
     stored = {name: arr.shape for name, arr in named.items()}

@@ -23,6 +23,7 @@ import numpy as np
 
 from .ctc import ctc_loss
 from .encoder import ForwardTrace
+from .numerics import check_int
 from .vocab import BLANK, LabelSequence
 
 
@@ -101,11 +102,9 @@ class DistillSpec:
     layer_indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.layer_indices)
+        idx = tuple(check_int("layer index", i, 1) for i in self.layer_indices)
         if not idx:
             raise ValueError("need at least one layer index")
-        if any(i < 1 for i in idx):
-            raise ValueError("layer indices are 1-based")
         if list(idx) != sorted(set(idx)):
             raise ValueError("layer indices must be strictly increasing")
         object.__setattr__(self, "layer_indices", idx)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_int
+
 VARIANTS = ("bidirectional", "time_restricted", "chunk", "block")
 
 
@@ -37,9 +39,10 @@ VARIANTS = ("bidirectional", "time_restricted", "chunk", "block")
 class MaskSpec:
     """Validated description of one attention variant.
 
-    Fields irrelevant to the variant must stay None. `left_limit` caps how
-    far back attention reaches (None = unlimited): frames for
-    time_restricted, whole chunks for chunk/block.
+    Fields irrelevant to the variant must stay None; the frame counts are
+    integers. `left_limit` caps how far back attention reaches (None =
+    unlimited): frames for time_restricted, whole chunks for chunk/block.
+    `frame_ms` is the finite, positive frame stride.
     """
 
     variant: str
@@ -52,10 +55,11 @@ class MaskSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.frame_ms <= 0:
-            raise ValueError("frame_ms must be > 0")
-        if self.left_limit is not None and self.left_limit < 0:
-            raise ValueError("left_limit must be >= 0 or None")
+        if not 0 < self.frame_ms < math.inf:
+            raise ValueError(f"frame_ms must be finite and > 0, got {self.frame_ms}")
+        for name in ("right_frames", "chunk_frames", "future_frames", "left_limit"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), 0)
         if self.variant == "bidirectional":
             self._forbid("right_frames", "chunk_frames", "future_frames")
             if self.left_limit is not None:
@@ -276,23 +280,24 @@ def eil(spec: MaskSpec, n_layers: int) -> float:
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     ms = spec.frame_ms
-    if spec.variant == "bidirectional":
-        return math.inf
     if spec.variant == "time_restricted":
         return n_layers * spec.right_frames * ms
-    if spec.variant == "chunk":
-        return spec.chunk_frames * ms / 2.0
-    return spec.chunk_frames * ms / 2.0 + spec.future_frames * ms
+    c, f = _chunk_layout(spec)
+    return c * ms / 2.0 + f * ms
+
+
+def _chunk_layout(spec: MaskSpec) -> tuple:
+    """(C, F) of a chunk layout, read as `build_mask` reads it: chunk is
+    block without lookahead, and bidirectional one chunk of unbounded
+    length, so its latencies come out infinite."""
+    return spec.chunk_frames or math.inf, spec.future_frames or 0
 
 
 def _max_lookahead_at_depth(spec: MaskSpec, depth: int) -> float:
-    if spec.variant == "bidirectional":
-        return math.inf
     if spec.variant == "time_restricted":
         return depth * spec.right_frames
-    if spec.variant == "chunk":
-        return spec.chunk_frames - 1
-    return spec.chunk_frames - 1 + spec.future_frames
+    c, f = _chunk_layout(spec)
+    return c - 1 + f
 
 
 @dataclass(frozen=True)
@@ -342,14 +347,11 @@ def _num(x: float) -> str:
 
 
 def latency_report(spec: MaskSpec, n_layers: int) -> LatencyReport:
-    if spec.variant == "bidirectional":
-        per_frame = math.inf
-    elif spec.variant == "time_restricted":
+    if spec.variant == "time_restricted":
         per_frame = float(n_layers * spec.right_frames)
     else:
-        per_frame = (spec.chunk_frames - 1) / 2.0
-        if spec.variant == "block":
-            per_frame += spec.future_frames
+        c, f = _chunk_layout(spec)
+        per_frame = (c - 1) / 2.0 + f
     growth = tuple(
         (depth, _max_lookahead_at_depth(spec, depth))
         for depth in range(1, n_layers + 1)

@@ -13,7 +13,7 @@ the encoder's posteriorgram and on the gradient Adam applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -38,6 +38,16 @@ def ensure_finite(x: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"non-finite values in {what}")
     return x
+
+
+def check_int(name: str, value, low: int) -> int:
+    """`value` if it is an int (a bool is not) of at least `low`; otherwise
+    a ValueError that names `name`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +133,32 @@ def layer_norm_backward(grad_out: np.ndarray, cache):
     return dx, dgain, dbias
 
 
+BN_MOMENTUM = 0.1
+
+
 @dataclass(eq=False)
 class BatchNormStats:
-    """Running per-channel statistics; mutated only in train mode."""
+    """Running per-channel statistics, mutated only in train mode. They
+    start at mean 0 and var 1, and each train-mode call folds its batch
+    statistics in with weight `BN_MOMENTUM`."""
 
     mean: np.ndarray
     var: np.ndarray
-    initialized: bool = False
-    momentum: float = 0.1
 
     @classmethod
-    def fresh(cls, dim: int, initialized: bool = False) -> "BatchNormStats":
-        return cls(mean=np.zeros(dim), var=np.ones(dim), initialized=initialized)
+    def fresh(cls, dim: int) -> "BatchNormStats":
+        return cls(mean=np.zeros(dim), var=np.ones(dim))
 
     def copy(self) -> "BatchNormStats":
-        return BatchNormStats(
-            self.mean.copy(), self.var.copy(), self.initialized, self.momentum
-        )
+        return BatchNormStats(self.mean.copy(), self.var.copy())
 
 
 def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-5):
     """Per-channel normalization over all leading axes.
 
     Train mode normalizes with batch statistics and folds them into the
-    running stats; infer mode uses the stored running stats and requires
-    them to be initialized.
+    running stats with weight `BN_MOMENTUM`; infer mode normalizes with
+    the running stats.
     """
     x = as_f64(x)
     gain = as_f64(gain)
@@ -159,17 +170,9 @@ def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: flo
             raise ValueError("batch_norm train mode needs at least 2 samples")
         mu = x.mean(axis=reduce_axes)
         var = x.var(axis=reduce_axes)
-        if stats.initialized:
-            m = stats.momentum
-            stats.mean = (1.0 - m) * stats.mean + m * mu
-            stats.var = (1.0 - m) * stats.var + m * var
-        else:
-            stats.mean = mu.copy()
-            stats.var = var.copy()
-            stats.initialized = True
+        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mu
+        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * var
     elif mode == "infer":
-        if not stats.initialized:
-            raise ValueError("batch_norm infer mode requires initialized stats")
         mu = stats.mean
         var = stats.var
     else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics import check_int
 from ..vocab import BLANK, LabelSequence, Vocabulary
 
 MAGIC = b"STCDSET1"
@@ -24,20 +25,20 @@ class DatasetFormatError(ValueError):
 
 
 def check_generation(frames_per_token, text_len, noise_std, sizes=(1, 1, 1)) -> tuple:
-    """Range-check the generation knobs; returns them normalized as
+    """Check the generation knobs; returns them as tuples
     ((lo, hi) frames per token, (lo, hi) text length, (labeled, unlabeled,
     dev) split sizes). Raises ValueError naming the first bad field."""
     ranges = []
     for name, pair in (("frames_per_token", frames_per_token), ("text_len", text_len)):
-        lo_hi = tuple(int(x) for x in pair)
-        if len(lo_hi) != 2 or lo_hi[0] < 1 or lo_hi[1] < lo_hi[0]:
+        lo_hi = tuple(check_int(name, x, 1) for x in pair)
+        if len(lo_hi) != 2 or lo_hi[1] < lo_hi[0]:
             raise ValueError(f"{name} must be a range (min, max) with min >= 1, got {list(pair)}")
         ranges.append(lo_hi)
     if not noise_std >= 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) != 3 or min(sizes) < 1:
-        raise ValueError(f"sizes must be 3 split sizes, each >= 1, got {list(sizes)}")
+    sizes = tuple(check_int("sizes", s, 1) for s in sizes)
+    if len(sizes) != 3:
+        raise ValueError(f"sizes must be 3 split sizes, got {list(sizes)}")
     return ranges[0], ranges[1], sizes
 
 
@@ -55,7 +56,6 @@ class SyntheticTask:
     noise_std: float
     seed: int
     text_len: tuple = (2, 6)
-    frame_ms: float = 20.0
 
     def __post_init__(self):
         if not self.templates:
@@ -194,7 +194,7 @@ def synthesize_utterance(
     if task.noise_std > 0:
         rows = rows + task.noise_std * rng.standard_normal(rows.shape)
     text = vocabulary.decode(LabelSequence(tuple(tokens)))
-    utt = Utterance(uid=uid, features=rows, text=text, frame_ms=task.frame_ms)
+    utt = Utterance(uid=uid, features=rows, text=text)
     return utt, repeats
 
 

@@ -1,4 +1,10 @@
-"""Tri-stage learning-rate schedule and Adam, both deterministic."""
+"""Tri-stage learning-rate schedule and Adam, both deterministic.
+
+The recipe is fixed: the schedule warms up over the first `WARMUP_FRAC`
+(10%) of updates, holds the peak for `HOLD_FRAC` (40%), then decays
+linearly to 0, as in wav2vec 2.0 fine-tuning; Adam uses its standard
+`BETA1` 0.9, `BETA2` 0.999 and `EPS` 1e-8.
+"""
 
 from __future__ import annotations
 
@@ -6,43 +12,34 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..numerics import ensure_finite
+from ..numerics import check_int, ensure_finite
+
+WARMUP_FRAC = 0.1
+HOLD_FRAC = 0.4
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One stage's optimization settings.
+    """One stage's optimization settings: peak learning rate, number of
+    updates, utterances per update and the seed of the batch draws.
 
-    The schedule warms up linearly from 0 over the first `warmup_frac` of
-    updates, holds the peak for `constant_frac`, then decays linearly to 0.
+    The schedule's shape (`WARMUP_FRAC`, `HOLD_FRAC`) and Adam's
+    `BETA1`, `BETA2` and `EPS` are module constants.
     """
 
     peak_lr: float
     total_updates: int
     batch_size: int = 4
     seed: int = 0
-    warmup_frac: float = 0.1
-    constant_frac: float = 0.4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.peak_lr > 0:
             raise ValueError("peak_lr must be > 0")
-        if self.total_updates < 0:
-            raise ValueError("total_updates must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (self.warmup_frac >= 0 and self.constant_frac >= 0):
-            raise ValueError("schedule fractions must be >= 0")
-        if not self.warmup_frac + self.constant_frac <= 1.0:
-            raise ValueError("schedule fractions must sum to <= 1")
-        for b in (self.beta1, self.beta2):
-            if not 0.0 <= b < 1.0:
-                raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        for name, low in (("total_updates", 0), ("batch_size", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -55,16 +52,13 @@ def tri_stage_lr(step, cfg: TrainConfig) -> float:
         raise ValueError(f"step {step} outside 0..{total}")
     if total == 0:
         return 0.0
-    warm = cfg.warmup_frac * total
-    hold = cfg.constant_frac * total
+    warm = WARMUP_FRAC * total
+    hold = HOLD_FRAC * total
     if step < warm:
         return cfg.peak_lr * step / warm
     if step <= warm + hold:
         return cfg.peak_lr
-    span = total - warm - hold
-    if span <= 0:
-        return cfg.peak_lr
-    return cfg.peak_lr * (total - step) / span
+    return cfg.peak_lr * (total - step) / (total - warm - hold)
 
 
 @dataclass(eq=False)
@@ -81,15 +75,7 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
     """One bias-corrected Adam update of a parameter vector; returns (new
     parameter vector, new state).
 
@@ -101,7 +87,7 @@ def adam_step(
         raise ValueError(f"gradient shape {g.shape} does not match parameters {params.shape}")
     ensure_finite(g, "gradient")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    new_params = params - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
+    new_params = params - lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
     return new_params, AdamState(m=m, v=v, t=t)

@@ -47,6 +47,7 @@ from ..encoder import (
 from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
+from ..numerics import check_int
 from ..vocab import DELIMITER, Vocabulary
 from .data import DataSplit, SyntheticTask, check_generation, generate_dataset
 from .data import load_dataset, save_dataset
@@ -174,8 +175,10 @@ class PipelineConfig:
     resume: bool = True
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)
+        for name in ("use_delimiter", "resume"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.pretrain_mode not in ("random", "contrastive"):
             raise ValueError("pretrain_mode must be 'random' or 'contrastive'")
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
@@ -184,8 +187,8 @@ class PipelineConfig:
         unknown = sorted(set(self.updates) - set(STAGE_SEED_OFFSET))
         if unknown:
             raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
-        if self.n_symbols < 1 or self.n_symbols > 26:
-            raise ValueError("n_symbols must be in 1..26")
+        if check_int("n_symbols", self.n_symbols, 1) > 26:
+            raise ValueError(f"n_symbols must be in 1..26, got {self.n_symbols}")
         check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
         if not 0 < self.template_scale < math.inf:
             raise ValueError(f"template_scale must be finite and > 0, got {self.template_scale}")
@@ -195,20 +198,20 @@ class PipelineConfig:
                 f"encoder.vocab_size {self.encoder.vocab_size} must exceed the "
                 f"largest task token id {top}"
             )
-        if self.lm_order < 1:
-            raise ValueError(f"lm_order must be >= 1, got {self.lm_order}")
+        check_int("lm_order", self.lm_order, 1)
         if not self.lm_smoothing > 0:
             raise ValueError(f"lm_smoothing must be > 0, got {self.lm_smoothing}")
         for stage, n in self.updates.items():
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValueError(f"updates.{stage} must be an integer, got {n!r}")
             try:
                 self.train_config(stage)
             except ValueError as exc:
                 raise ValueError(f"stage {stage} (updates.{stage}={n}): {exc}") from None
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        layers = self.distill_spec().layer_indices
+        try:
+            layers = self.distill_spec().layer_indices
+        except ValueError as exc:
+            raise ValueError(f"distill_layers {list(self.distill_layers)}: {exc}") from None
         if layers[-1] > self.encoder.n_layers:
             raise ValueError(
                 f"distill_layers {list(layers)} reach beyond encoder.n_layers "
@@ -374,7 +377,7 @@ def _produce_lm(run, paths):
 def _produce_pretrained(run, paths):
     config = run.config
     params = init_params(config.encoder, config.seed)
-    if config.pretrain_mode == "contrastive" and int(config.updates.get("pretrain", 0)) > 0:
+    if config.pretrain_mode == "contrastive" and config.updates.get("pretrain", 0) > 0:
         params, _ = pretrain_contrastive(
             params, run.got["data"].unlabeled, config.train_config("pretrain")
         )
@@ -610,7 +613,7 @@ def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
         "config_digest": config_digest(config),
         "aliases": {s.name: s.alias for s in STAGES if s.alias},
         "pretrain_mode": config.pretrain_mode,
-        "pretrain_updates": int(config.updates.get("pretrain", 0)),
+        "pretrain_updates": config.updates.get("pretrain", 0),
         "stage_digests": {s: r.digest for s, r in reports.items()},
         "dev_token_error": {s: r.dev_token_error for s, r in reports.items()},
         "conservation": {

@@ -45,6 +45,11 @@ from ..vocab import Vocabulary
 from .optim import AdamState, TrainConfig, adam_step, tri_stage_lr
 
 BIDIRECTIONAL = MaskSpec(variant="bidirectional")
+# the contrastive warm-up: positions per utterance, distractors per
+# position, and the softmax temperature
+CONTRASTIVE_POSITIONS = 2
+CONTRASTIVE_DISTRACTORS = 5
+CONTRASTIVE_TEMPERATURE = 1.0
 
 
 class MissingArtifactError(RuntimeError):
@@ -137,15 +142,7 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
             loss, grad = one_utterance(utt)
             loss_sum += loss
             total += grad
-        updated, state = adam_step(
-            params.flat,
-            total / len(usable),
-            state,
-            lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-        )
+        updated, state = adam_step(params.flat, total / len(usable), state, lr)
         params.flat[...] = updated
         losses.append(loss_sum / len(usable))
     return losses, skipped
@@ -358,17 +355,12 @@ def self_train(
     return finetune_ctc(kd, kd.mask_spec, data, cfg, dev=dev, vocabulary=vocabulary)
 
 
-def pretrain_contrastive(
-    init: ModelParams,
-    data,
-    cfg: TrainConfig,
-    n_masked: int = 2,
-    n_distractors: int = 5,
-    temperature: float = 1.0,
-):
-    """Brief self-supervised warm-up: final-layer states at sampled
-    positions are pushed toward their own (constant) frontend outputs and
-    away from other frames'. Always runs with the full-context mask."""
+def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
+    """Brief self-supervised warm-up: final-layer states at
+    `CONTRASTIVE_POSITIONS` sampled positions per utterance are pushed
+    toward their own (constant) frontend outputs and away from those of
+    `CONTRASTIVE_DISTRACTORS` other frames, at `CONTRASTIVE_TEMPERATURE`.
+    Always runs with the full-context mask."""
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
@@ -376,8 +368,8 @@ def pretrain_contrastive(
         context = trace.hidden[-1]
         targets = cache["h0"]
         t_len = context.shape[0]
-        n_pos = min(n_masked, t_len)
-        k = min(n_distractors, t_len - 1)
+        n_pos = min(CONTRASTIVE_POSITIONS, t_len)
+        k = min(CONTRASTIVE_DISTRACTORS, t_len - 1)
         positions = position_rng.choice(t_len, size=n_pos, replace=False)
         grad = np.zeros_like(context)
         loss_total = 0.0
@@ -388,21 +380,14 @@ def pretrain_contrastive(
                 context[pos],
                 targets[pos],
                 [targets[int(j)] for j in picked],
-                temperature,
+                CONTRASTIVE_TEMPERATURE,
             )
             loss_total += loss / n_pos
             grad[pos] += g_context / n_pos
         return loss_total, {"grad_hidden": {top_layer: grad}}
 
-    extra = {
-        "mode": "contrastive",
-        "n_masked": n_masked,
-        "n_distractors": n_distractors,
-        "temperature": temperature,
-    }
-
     def prepare(work, data):
         # contrastive pairs need a distractor frame besides the positive
-        return {u.uid: None for u in data if u.n_frames >= 2}, objective, lambda: extra
+        return {u.uid: None for u in data if u.n_frames >= 2}, objective, dict
 
     return _train(init, None, data, cfg, prepare)

@@ -23,6 +23,9 @@ ENC = {
 }
 
 
+STREAM = {"variant": "block", "chunk_frames": 3, "future_frames": 1}
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     cfg = {
@@ -34,7 +37,7 @@ def workdir(tmp_path):
         "text_len": [2, 5],
         "sizes": [8, 6, 4],
         "encoder": ENC,
-        "stream": {"variant": "block", "chunk_frames": 3, "future_frames": 1},
+        "stream": STREAM,
         "updates": {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12},
         "peak_lr": 0.002,
         "batch_size": 3,
@@ -510,6 +513,15 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("word_insertion_penalty", math.nan, "word_insertion_penalty"),
         ("template_scale", math.nan, "template_scale"),
         ("lm_weight", math.inf, "lm_weight"),
+        ("sizes", [2.7, 3, 2], "sizes"),
+        ("distill_layers", [1.5, 2], "distill_layers"),
+        ("encoder", {**ENC, "model_dim": 16.0}, "model_dim"),
+        ("stream", {**STREAM, "chunk_frames": 12.5}, "chunk_frames"),
+        ("batch_size", 2.5, "batch_size"),
+        ("n_symbols", 2.5, "n_symbols"),
+        ("use_delimiter", "no", "use_delimiter"),
+        ("resume", "no", "resume"),
+        ("stream", {**STREAM, "frame_ms": math.nan}, "frame_ms"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
          "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
@@ -517,7 +529,10 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
          "sizes", "text_len", "frames_per_token", "beam_size", "template_scale",
          "seed", "nan-alpha", "nan-peak_lr", "nan-noise_std", "nan-lm_smoothing",
          "nan-lm_weight", "nan-word_insertion_penalty", "nan-template_scale",
-         "inf-lm_weight"],
+         "inf-lm_weight", "fractional-sizes", "fractional-distill_layers",
+         "float-model_dim", "fractional-chunk_frames", "fractional-batch_size",
+         "fractional-n_symbols", "string-use_delimiter", "string-resume",
+         "nan-frame_ms"],
 )
 def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     tmp, cfg = workdir
@@ -555,6 +570,39 @@ def test_jobs_below_one_is_a_usage_error(capsys, tmp_path, command):
     )
     assert code == 1
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("command, flag", [("latency", "--layers"), ("mask-dump", "--frames")])
+def test_count_below_one_is_a_usage_error(capsys, command, flag):
+    code, out, err = run(
+        capsys, command, "--variant", "chunk", "--chunk-frames", "4", flag, "0"
+    )
+    assert code == 1
+    assert flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--chunk-ms", "--future-ms"])
+def test_non_finite_ms_is_a_usage_error(capsys, flag, value):
+    sizes = {"--chunk-ms": "240", "--future-ms": "360", flag: value}
+    code, out, err = run(capsys, "latency", "--variant", "block", *sum(sizes.items(), ()))
+    assert code == 1
+    assert flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["latency", "mask-dump"])
+@pytest.mark.parametrize("size", [("--chunk-frames", "4"), ("--chunk-ms", "240")])
+@pytest.mark.parametrize("frame_ms", ["nan", "inf", "0"])
+def test_bad_frame_ms_is_a_usage_error(capsys, command, size, frame_ms):
+    extra = ("--frames", "8") if command == "mask-dump" else ()
+    code, out, err = run(
+        capsys, command, "--variant", "chunk", *size, "--frame-ms", frame_ms, *extra
+    )
+    assert code == 1
+    assert "frame-ms" in err
+    assert out == ""
 
 
 # --------------------------------------------------------------- selfcheck

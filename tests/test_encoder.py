@@ -1,11 +1,14 @@
+import json
 import math
 import pickle
+import struct
 import types
 
 import numpy as np
 import pytest
 
 from streamctc.encoder import (
+    CHECKPOINT_MAGIC,
     CheckpointError,
     EncoderConfig,
     backward,
@@ -102,7 +105,6 @@ class TestInitParams:
     def test_bn_stats_ready_for_infer(self):
         cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": "bn"})
         params = init_params(cfg, 0)
-        assert params.bn_stats.initialized
         trace = forward(params, make_features(5, 6), MaskSpec("bidirectional"))
         assert trace.posteriorgram.shape == (5, 5)
 
@@ -499,7 +501,6 @@ class TestCheckpoints:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.bn_stats.mean, params.bn_stats.mean)
-        assert loaded.bn_stats.initialized
 
     def test_config_mismatch(self, tmp_path):
         params = init_params(TINY, 13)
@@ -546,6 +547,26 @@ class TestCheckpoints:
         path = tmp_path / "m.ckpt"
         save_checkpoint(fake, path)
         with pytest.raises(CheckpointError, match="head"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [False, None, "absent"])
+    def test_bn_buffers_need_a_header_that_says_initialized(self, tmp_path, value):
+        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": "bn"})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(cfg, 2), path)
+        blob = path.read_bytes()[:-8]
+        start = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", blob[start : start + 4])
+        header = json.loads(blob[start + 4 : start + 4 + hlen])
+        assert header["bn_initialized"] is True
+        if value == "absent":
+            del header["bn_initialized"]
+        else:
+            header["bn_initialized"] = value
+        hjson = json.dumps(header, sort_keys=True).encode()
+        body = blob[:start] + struct.pack("<I", len(hjson)) + hjson + blob[start + 4 + hlen :]
+        path.write_bytes(body + struct.pack("<Q", len(body) + 8))
+        with pytest.raises(CheckpointError, match="bn_initialized"):
             load_checkpoint(path)
 
     def test_equality_is_identity_not_values(self):

@@ -192,7 +192,6 @@ def make_trace(hidden):
     return ForwardTrace(
         hidden=tuple(np.asarray(h, dtype=np.float64) for h in hidden),
         posteriorgram=np.zeros((len(hidden[0]), 3)),
-        mask=None,
     )
 
 

@@ -327,15 +327,42 @@ class TestReceptionField:
         )
         np.testing.assert_array_equal(rf.earliest, np.maximum(np.arange(8) - 2, 0))
 
-    def test_max_lookahead_consistent_with_report(self):
-        for spec, n in [
-            (MaskSpec("time_restricted", right_frames=2), 3),
-            (MaskSpec("chunk", chunk_frames=4), 3),
-            (MaskSpec("block", chunk_frames=3, future_frames=2), 3),
-        ]:
-            rf = reception_field(spec, n, 40)
-            measured = int((rf.latest - np.arange(40)).max())
-            assert measured == latency_report(spec, n).max_lookahead
+    @settings(max_examples=80, deadline=None)
+    @given(
+        variant=st.sampled_from(["time_restricted", "chunk", "block"]),
+        right=st.integers(0, 4),
+        chunk=st.integers(1, 6),
+        future=st.integers(0, 6),
+        left=st.none() | st.integers(0, 3),
+        depth=st.integers(1, 4),
+    )
+    def test_max_lookahead_consistent_with_report(
+        self, variant, right, chunk, future, left, depth
+    ):
+        if variant == "time_restricted":
+            spec = MaskSpec(variant, right_frames=right, left_limit=left)
+            chunk, future = 0, 0
+        elif variant == "chunk":
+            spec = MaskSpec(variant, chunk_frames=chunk, left_limit=left)
+            right, future = 0, 0
+        else:
+            spec = MaskSpec(variant, chunk_frames=chunk, future_frames=future, left_limit=left)
+            right = 0
+        # long enough for a full first chunk with its F frames after it, and
+        # for frames depth*R before the end
+        n = depth * right + 2 * chunk + future + 1
+        report = latency_report(spec, depth)
+
+        def lookahead(d):
+            return reception_field(spec, d, n).latest - np.arange(n)
+
+        assert report.max_lookahead == lookahead(depth).max()
+        assert report.growth == tuple((d, lookahead(d).max()) for d in range(1, depth + 1))
+        if variant == "time_restricted":
+            settled = lookahead(depth)[: n - depth * right]
+        else:
+            settled = lookahead(depth)[:chunk]
+        assert report.per_frame_lookahead == settled.mean()
 
 
 class TestLatency:

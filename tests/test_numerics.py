@@ -152,15 +152,6 @@ class TestBatchNorm:
         y = batch_norm(x, np.ones(6), np.zeros(6), stats, "train")
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-4)
-        assert stats.initialized
-
-    def test_first_train_step_seeds_running_stats(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(16, 3))
-        stats = BatchNormStats.fresh(3)
-        batch_norm(x, np.ones(3), np.zeros(3), stats, "train")
-        np.testing.assert_allclose(stats.mean, x.mean(axis=0))
-        np.testing.assert_allclose(stats.var, x.var(axis=0))
 
     def test_running_stats_ema(self):
         rng = np.random.default_rng(9)
@@ -175,16 +166,11 @@ class TestBatchNorm:
 
     def test_infer_uses_running_stats_per_frame(self):
         stats = BatchNormStats(
-            mean=np.array([1.0, -1.0]), var=np.array([4.0, 0.25]), initialized=True
+            mean=np.array([1.0, -1.0]), var=np.array([4.0, 0.25])
         )
         x = np.array([[3.0, 0.0], [1.0, -1.0]])
         y = batch_norm(x, np.ones(2), np.zeros(2), stats, "infer", eps=0.0)
         np.testing.assert_allclose(y, [[1.0, 2.0], [0.0, 0.0]], atol=1e-12)
-
-    def test_infer_without_stats_raises(self):
-        stats = BatchNormStats.fresh(2)
-        with pytest.raises(ValueError):
-            batch_norm(np.zeros((3, 2)), np.ones(2), np.zeros(2), stats, "infer")
 
     def test_train_gradient(self):
         rng = np.random.default_rng(10)
@@ -205,7 +191,7 @@ class TestBatchNorm:
     def test_infer_gradient(self):
         rng = np.random.default_rng(11)
         stats = BatchNormStats(
-            mean=rng.normal(size=4), var=rng.random(4) + 0.5, initialized=True
+            mean=rng.normal(size=4), var=rng.random(4) + 0.5
         )
         x = rng.normal(size=(5, 4))
         gain = rng.normal(size=4)
