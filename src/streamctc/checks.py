@@ -283,8 +283,8 @@ def encoder_gradient_error(seed: int, repeats: int) -> float:
         w = rng.normal(size=(4, 6))
 
         def op(x):
-            trace, cache = forward_with_cache(params, x, spec)
-            _, d_x = backward(params, cache, grad_logpost=w)
+            [trace], cache = forward_with_cache(params, [x], spec)
+            _, [d_x] = backward(params, cache, grad_logpost=[w])
             return float(np.sum(w * trace.posteriorgram)), [d_x]
 
         worst = max(worst, check_gradient(op, [rng.normal(size=(4, 3))], step=1e-6))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_int
+from .numerics import check_float, check_int
 from .vocab import BLANK, DELIMITER, LabelSequence
 
 NEG_INF = -np.inf
@@ -160,8 +160,7 @@ class DecodeConfig:
                 f"{type(self.lm).__name__}; wrap an NgramModel in FusionLm"
             )
         for name in ("lm_weight", "word_insertion_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            check_float(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return {

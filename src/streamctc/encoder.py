@@ -11,23 +11,37 @@ Architecture, per utterance (T x feature_dim input):
 T' exceeds T only for block masks with lookahead; on every other layout
 both steps return their input.
 
-The frontend norm is either a per-frame feature normalization ("gn") or
-per-channel batch normalization over time ("bn", carrying running stats);
-the conv is causal or symmetric. Each transformer layer is pre-norm:
-``h + MHA(LN(h))`` then ``a + FFN(LN(a))``. Attention splits queries, keys
-and values into ``(heads, T', head_dim)`` stacks and runs, forward and
-backward, as batched matmul (``@``) over the head axis; every transpose is
-``swapaxes(-1, -2)``, so a leading batch axis leaves those lines as they are.
+``forward_with_cache`` runs a batch of B utterances as one padded pass:
+frames sit in (B, T_max, ...) arrays and layout positions in B x T'_max
+rows, each member's real rows first. The frontend norm and conv see a
+member's pad frames as the zeros past the end of a lone utterance, and
+the attention mask of the batch is each member's own mask over its
+positions, with every pad position attending only to itself, so no real
+query sees a pad key. A pass over one utterance is the reference: a
+batch's outputs and input gradients equal its members' batch-of-one
+calls, and its parameter gradient their sum, up to float rounding.
+``forward`` is a batch of one.
 
-``forward`` returns a ForwardTrace (per-layer hidden states at real frame
-positions plus the posteriorgram); ``forward_with_cache`` additionally
-returns everything ``backward`` needs. ``backward`` accepts a gradient on
-the log-posteriorgram and/or gradients injected directly on traced hidden
-states, and produces parameter gradients plus the input-feature gradient.
+The frontend norm is either a per-frame feature normalization ("gn") or
+per-channel batch normalization over time ("bn", carrying running stats;
+in train mode each member is normalized by its own statistics, folded into
+the running stats once per member in batch order); the conv is causal or
+symmetric. Each transformer layer is pre-norm: ``h + MHA(LN(h))`` then
+``a + FFN(LN(a))``. Attention splits queries, keys and values into
+``(B, heads, T'_max, head_dim)`` stacks and runs, forward and backward, as
+batched matmul (``@``) over the batch and head axes.
+
+``forward_with_cache`` returns one ForwardTrace per member (per-layer
+hidden states at real frame positions, the posteriorgram and the frontend
+output) plus everything ``backward`` needs. ``backward`` accepts, per
+member, a gradient on the log-posteriorgram and/or gradients injected
+directly on traced hidden states, and produces the parameter gradient
+summed over the batch plus each member's input-feature gradient.
 
 The kernels do not check finiteness; the forward pass checks only its
 posteriorgram, which every hidden state reaches through the residual path,
-so a NaN or Inf anywhere in it raises ``NonFiniteError`` there.
+so a NaN or Inf anywhere in a real frame's computation raises
+``NonFiniteError`` there.
 """
 
 from __future__ import annotations
@@ -209,10 +223,13 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Per-layer hidden states (real frame positions) and the posteriorgram."""
+    """One utterance's per-layer hidden states and posteriorgram at its
+    real frame positions, plus `frontend`, the frontend output its first
+    layer reads (None on traces built outside the encoder)."""
 
     hidden: tuple
     posteriorgram: np.ndarray
+    frontend: np.ndarray | None = None
 
 
 def init_params(config: EncoderConfig, seed: int) -> ModelParams:
@@ -243,25 +260,99 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    t, d = x.shape
-    return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
+@dataclass(frozen=True, eq=False)
+class _Padding:
+    """Where the members of one batch sit in the padded arrays of a pass.
+
+    Member b fills row b: its `lengths[b]` frames of the (B, T, ...) frame
+    arrays, then its layout positions of the (B x P, ...) position rows,
+    real rows first and pad rows after. `allowed` is the (B, 1, P, P)
+    attention mask: the member's own mask over its positions, and each pad
+    position attending only to itself, so no real query sees a pad key.
+    """
+
+    lengths: tuple
+    real: np.ndarray  # (B, T, 1): real frames
+    allowed: np.ndarray
+    # flat frame row and flat position row of each real position; None
+    # when no member has copies, so that positions are the padded frames
+    frames: np.ndarray | None
+    positions: np.ndarray | None
+    # flat position row of each member's output positions (its frames in
+    # order, copies dropped), member after member
+    outputs: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        """B x P, the number of position rows."""
+        return self.allowed.shape[0] * self.allowed.shape[-1]
+
+    def augment(self, h0: np.ndarray) -> np.ndarray:
+        """(B, T, d) frames -> (B x P, d) position rows, pad rows 0."""
+        rows = h0.reshape(-1, h0.shape[-1])
+        if self.frames is None:
+            return rows
+        out = np.zeros((self.n_rows, rows.shape[1]))
+        out[self.positions] = rows[self.frames]
+        return out
+
+    def reduce_grad(self, d_h: np.ndarray) -> np.ndarray:
+        """(B x P, d) position gradient -> (B, T, d), copies scatter-added
+        onto their source frames."""
+        shape = self.real.shape[:2] + (d_h.shape[1],)
+        if self.frames is None:
+            return d_h.reshape(shape)
+        out = np.zeros((shape[0] * shape[1], shape[2]))
+        np.add.at(out, self.frames, d_h[self.positions])
+        return out.reshape(shape)
+
+
+def _pad(spec: MaskSpec, lengths: list) -> _Padding:
+    masks = [build_mask(spec, n) for n in lengths]
+    t_max = max(lengths)
+    p_max = max(mask.n_positions for mask in masks)
+    allowed = np.zeros((len(masks), p_max, p_max), dtype=bool)
+    frames, positions, outputs = [], [], []
+    for b, mask in enumerate(masks):
+        n_pos = mask.n_positions
+        allowed[b, :n_pos, :n_pos] = mask.allowed
+        pads = np.arange(n_pos, p_max)
+        allowed[b, pads, pads] = True
+        frames.append(b * t_max + mask.plan.index_map)
+        positions.append(b * p_max + np.arange(n_pos))
+        outputs.append(b * p_max + mask.plan.output_positions)
+    copies = any(mask.plan.has_copies for mask in masks)
+    return _Padding(
+        lengths=tuple(lengths),
+        real=(np.arange(t_max) < np.asarray(lengths)[:, None])[..., None],
+        allowed=allowed[:, None],
+        frames=np.concatenate(frames) if copies else None,
+        positions=np.concatenate(positions) if copies else None,
+        outputs=np.concatenate(outputs),
+    )
+
+
+def _split_heads(x: np.ndarray, n_batch: int, n_heads: int) -> np.ndarray:
+    """(B x P, d) rows -> (B, heads, P, head_dim) stacks."""
+    rows, d = x.shape
+    return x.reshape(n_batch, rows // n_batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, t, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dh)
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
 
 
-def _layer_forward(h, arrays, prefix, config, mask):
+def _layer_forward(h, arrays, prefix, config, allowed):
     g = lambda name: arrays[prefix + name]
+    n_batch = allowed.shape[0]
     u, ln1_cache = layer_norm_forward(h, g("ln1.gain"), g("ln1.bias"))
-    q = _split_heads(u @ g("attn.wq"), config.n_heads)
-    k = _split_heads(u @ g("attn.wk"), config.n_heads)
-    v = _split_heads(u @ g("attn.wv"), config.n_heads)
+    q = _split_heads(u @ g("attn.wq"), n_batch, config.n_heads)
+    k = _split_heads(u @ g("attn.wk"), n_batch, config.n_heads)
+    v = _split_heads(u @ g("attn.wv"), n_batch, config.n_heads)
     beta = 1.0 / np.sqrt(config.head_dim)
     logits = beta * (q @ k.swapaxes(-1, -2))
-    probs = masked_softmax(logits, mask.allowed)
+    probs = masked_softmax(logits, allowed)
     z = _merge_heads(probs @ v)
     a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
@@ -308,7 +399,7 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     d_h = d_a.copy()
     acc("attn.wo", cache["z"].T @ d_a)
     acc("attn.bo", d_a.sum(axis=0))
-    d_z = _split_heads(d_a @ g("attn.wo").T, config.n_heads)
+    d_z = _split_heads(d_a @ g("attn.wo").T, cache["probs"].shape[0], config.n_heads)
     d_probs = d_z @ cache["v"].swapaxes(-1, -2)
     d_v = cache["probs"].swapaxes(-1, -2) @ d_z
     d_logits = masked_softmax_backward(d_probs, cache["probs"])
@@ -330,40 +421,44 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
 
 def forward_with_cache(
     params: ModelParams,
-    features: np.ndarray,
+    features,
     spec: MaskSpec,
     train: bool = False,
 ):
-    """Run the full encoder on a T x feature_dim matrix, returning
-    (ForwardTrace, cache for backward)."""
+    """Run the encoder on a batch, `features` being a list of
+    T_b x feature_dim matrices, as one padded pass. Returns (one
+    ForwardTrace per member in batch order, cache for backward)."""
     config = params.config
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be T x D, got {x.ndim} dimension(s)")
-    if x.shape[0] < 1:
-        raise ValueError("empty feature sequence")
-    if x.shape[1] != config.feature_dim:
-        raise ValueError(
-            f"feature dim {x.shape[1]} does not match config {config.feature_dim}"
-        )
+    xs = [np.asarray(f, dtype=np.float64) for f in features]
+    if not xs:
+        raise ValueError("empty batch")
+    for x in xs:
+        if x.ndim != 2:
+            raise ValueError(f"features must be T x D, got {x.ndim} dimension(s)")
+        if x.shape[0] < 1:
+            raise ValueError("empty feature sequence")
+        if x.shape[1] != config.feature_dim:
+            raise ValueError(
+                f"feature dim {x.shape[1]} does not match config {config.feature_dim}"
+            )
+    lengths = [x.shape[0] for x in xs]
+    pad = _pad(spec, lengths)
+    x = np.zeros((len(xs), max(lengths), config.feature_dim))
+    for b, member in enumerate(xs):
+        x[b, : lengths[b]] = member
     arrays = params.arrays
-    cache = {"config": config, "train": train}
+    cache = {"config": config, "pad": pad}
 
+    gain, bias = arrays["frontend.norm.gain"], arrays["frontend.norm.bias"]
     if config.frontend_norm == "gn":
-        xn, cache["norm"] = layer_norm_forward(
-            x, arrays["frontend.norm.gain"], arrays["frontend.norm.bias"]
-        )
-        cache["norm_kind"] = "gn"
+        xn, cache["norm"] = layer_norm_forward(x, gain, bias)
+        # pad rows read as zeros, the conv's padding past a lone utterance
+        xn = np.where(pad.real, xn, 0.0)
     else:
         mode = "train" if train else "infer"
         xn, cache["norm"] = batch_norm_forward(
-            x,
-            arrays["frontend.norm.gain"],
-            arrays["frontend.norm.bias"],
-            params.bn_stats,
-            mode,
+            x, gain, bias, params.bn_stats, mode, lengths=lengths
         )
-        cache["norm_kind"] = "bn"
     xc, cache["conv"] = conv1d_forward(
         xn,
         arrays["frontend.conv.kernel"],
@@ -372,30 +467,35 @@ def forward_with_cache(
     )
     cache["conv_pre"] = xc
     h0 = gelu(xc)
-    cache["h0"] = h0
-
-    mask = build_mask(spec, x.shape[0])
-    cache["mask"] = mask
-    h = mask.plan.augment(h0)
+    h = pad.augment(h0)
 
     hidden = []
     layer_caches = []
     for i in range(config.n_layers):
-        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, mask)
+        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, pad.allowed)
         layer_caches.append(lc)
-        hidden.append(mask.plan.reduce(h))
+        hidden.append(h[pad.outputs])
     cache["layers"] = layer_caches
 
-    hr = mask.plan.reduce(h)
     hn, cache["final_norm"] = layer_norm_forward(
-        hr, arrays["final_norm.gain"], arrays["final_norm.bias"]
+        hidden[-1], arrays["final_norm.gain"], arrays["final_norm.bias"]
     )
     cache["hn"] = hn
     logits = hn @ arrays["head.w"] + arrays["head.b"]
     logpost = log_softmax(logits)
     ensure_finite(logpost, "posteriorgram")
     cache["logpost"] = logpost
-    return ForwardTrace(hidden=tuple(hidden), posteriorgram=logpost), cache
+    traces = []
+    start = 0
+    for b, length in enumerate(lengths):
+        rows = slice(start, start + length)
+        traces.append(ForwardTrace(
+            hidden=tuple(layer[rows] for layer in hidden),
+            posteriorgram=logpost[rows],
+            frontend=h0[b, :length],
+        ))
+        start += length
+    return traces, cache
 
 
 def forward(
@@ -404,22 +504,25 @@ def forward(
     spec: MaskSpec,
     train: bool = False,
 ) -> ForwardTrace:
-    return forward_with_cache(params, features, spec, train)[0]
+    """One T x feature_dim utterance, run as a batch of one."""
+    return forward_with_cache(params, [features], spec, train)[0][0]
 
 
 def backward(
     params: ModelParams,
     cache: dict,
-    grad_logpost: np.ndarray | None = None,
-    grad_hidden: dict | None = None,
+    grad_logpost=None,
+    grad_hidden=None,
 ):
-    """Reverse pass. `grad_hidden` maps 1-based layer index -> gradient on
-    that layer's traced hidden state (T x model_dim, real positions).
-    Returns (gradient vector laid out like `params.flat`, grad on the
-    input features)."""
+    """Reverse pass over the batch of `forward_with_cache`. `grad_logpost`
+    holds one gradient per member on its log-posteriorgram (T_b x V);
+    `grad_hidden` holds one dict per member mapping a 1-based layer index
+    to the gradient on that layer's traced hidden state (T_b x model_dim).
+    Returns (gradient vector laid out like `params.flat`, summed over the
+    members; one input-feature gradient per member)."""
     config = cache["config"]
     arrays = params.arrays
-    plan = cache["mask"].plan
+    pad = cache["pad"]
     grad = np.zeros_like(params.flat)
     grads = param_views(config, grad)
 
@@ -427,7 +530,7 @@ def backward(
     d_hn = np.zeros_like(hn)
     if grad_logpost is not None:
         d_logits = log_softmax_backward(
-            np.asarray(grad_logpost, dtype=np.float64), cache["logpost"]
+            np.concatenate(grad_logpost, dtype=np.float64), cache["logpost"]
         )
         grads["head.w"][...] = hn.T @ d_logits
         grads["head.b"][...] = d_logits.sum(axis=0)
@@ -436,31 +539,40 @@ def backward(
         layer_norm_backward(d_hn, cache["final_norm"])
     )
 
-    grad_hidden = grad_hidden or {}
+    grad_hidden = grad_hidden or [{}] * len(pad.lengths)
+    injected = set().union(*grad_hidden)
+
+    def hidden_grad(layer):
+        return np.concatenate([
+            g[layer] if layer in g else np.zeros((n, config.model_dim))
+            for g, n in zip(grad_hidden, pad.lengths)
+        ])
+
     n = config.n_layers
-    real = ~plan.is_copy
-    d_h = np.zeros((plan.n_augmented, config.model_dim))
-    d_h[real] = d_hr
-    if n in grad_hidden:
-        d_h[real] += grad_hidden[n]
+    d_h = np.zeros((pad.n_rows, config.model_dim))
+    d_h[pad.outputs] = d_hr + hidden_grad(n) if n in injected else d_hr
 
     for i in range(n - 1, -1, -1):
         d_h = _layer_backward(
             d_h, arrays, grads, f"layer{i}.", config, cache["layers"][i]
         )
-        if i in grad_hidden and i >= 1:
-            d_h[real] += grad_hidden[i]
+        if i in injected and i >= 1:
+            d_h[pad.outputs] += hidden_grad(i)
 
-    d_h0 = plan.reduce_grad(d_h)
+    d_h0 = pad.reduce_grad(d_h)
     d_conv = d_h0 * gelu_grad(cache["conv_pre"])
     d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
         conv1d_backward(d_conv, cache["conv"])
     )
-    norm_backward = layer_norm_backward if cache["norm_kind"] == "gn" else batch_norm_backward
+    if config.frontend_norm == "gn":
+        norm_backward = layer_norm_backward
+        d_xn = np.where(pad.real, d_xn, 0.0)
+    else:
+        norm_backward = batch_norm_backward
     d_x, grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
         norm_backward(d_xn, cache["norm"])
     )
-    return grad, d_x
+    return grad, [d_x[b, :length] for b, length in enumerate(pad.lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_int
+from .numerics import check_float, check_int
 
 VARIANTS = ("bidirectional", "time_restricted", "chunk", "block")
 
@@ -55,7 +55,7 @@ class MaskSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0 < self.frame_ms < math.inf:
+        if not check_float("frame_ms", self.frame_ms) > 0:
             raise ValueError(f"frame_ms must be finite and > 0, got {self.frame_ms}")
         for name in ("right_frames", "chunk_frames", "future_frames", "left_limit"):
             if getattr(self, name) is not None:
@@ -210,6 +210,14 @@ class AttentionMask:
     @property
     def n_positions(self) -> int:
         return int(self.allowed.shape[0])
+
+
+def n_positions(spec: MaskSpec, n_frames: int) -> int:
+    """Positions in the layout of `build_mask(spec, n_frames)`, counted
+    without building it: the frames plus, after each chunk that ends before
+    the last frame, up to `future_frames` lookahead copies."""
+    chunk, future = spec.chunk_frames or n_frames, spec.future_frames or 0
+    return n_frames + sum(min(future, n_frames - end) for end in range(chunk, n_frames, chunk))
 
 
 def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:

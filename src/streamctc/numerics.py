@@ -13,6 +13,8 @@ the encoder's posteriorgram and on the gradient Adam applies.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,15 @@ def check_int(name: str, value, low: int) -> int:
     return value
 
 
+def check_float(name: str, value) -> float:
+    """`value` as a float if it is a finite real number (an int or a float;
+    a bool, a string, None, NaN or an infinity is not); otherwise a
+    ValueError that names `name`. Range checks stay with the caller."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
@@ -58,14 +69,16 @@ def check_int(name: str, value, low: int) -> int:
 def masked_softmax(logits, allowed) -> np.ndarray:
     """Row-wise softmax over allowed positions only.
 
-    `logits` is (T_q, T_k) or (heads, T_q, T_k); `allowed` is a boolean
-    (T_q, T_k) matrix broadcast over the head axis. Disallowed entries come
-    out exactly 0 and each row sums to 1 over its allowed set. A row with no
-    allowed position is a mask-builder bug and raises.
+    `logits` is (..., T_q, T_k), say (batch, heads, T_q, T_k); `allowed`
+    is a boolean (..., T_q, T_k) array that broadcasts to it, say one
+    (T_q, T_k) matrix for every head or a (batch, 1, T_q, T_k) stack.
+    Disallowed entries come out exactly 0 and each row sums to 1 over its
+    allowed set. A row with no allowed position is a mask-builder bug and
+    raises.
     """
     logits = as_f64(logits)
     allowed = np.asarray(allowed, dtype=bool)
-    if logits.shape[-2:] != allowed.shape:
+    if np.broadcast_shapes(logits.shape, allowed.shape) != logits.shape:
         raise ValueError(
             f"mask shape {allowed.shape} does not match logits {logits.shape}"
         )
@@ -153,33 +166,44 @@ class BatchNormStats:
         return BatchNormStats(self.mean.copy(), self.var.copy())
 
 
-def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-5):
-    """Per-channel normalization over all leading axes.
+def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-5,
+                       lengths=None):
+    """Per-channel normalization of a (T, D) sequence, or of a padded
+    (B, T, D) batch whose member b holds `lengths[b]` real frames followed
+    by pad rows (every row is real when `lengths` is None).
 
-    Train mode normalizes with batch statistics and folds them into the
-    running stats with weight `BN_MOMENTUM`; infer mode normalizes with
-    the running stats.
+    Train mode normalizes each member with the mean and variance of its own
+    real frames and folds them into the running stats with weight
+    `BN_MOMENTUM`, one member at a time in batch order; infer mode
+    normalizes with the running stats. Pad rows come out 0 and take no
+    gradient.
     """
     x = as_f64(x)
     gain = as_f64(gain)
     bias = as_f64(bias)
-    reduce_axes = tuple(range(x.ndim - 1))
+    batch = x.reshape((-1,) + x.shape[-2:])
+    n_rows = batch.shape[1]
+    lengths = np.full(len(batch), n_rows) if lengths is None else np.asarray(lengths)
+    real = (np.arange(n_rows) < lengths[:, None])[..., None]
     if mode == "train":
-        n = int(np.prod(x.shape[:-1]))
-        if n < 2:
+        if lengths.min() < 2:
             raise ValueError("batch_norm train mode needs at least 2 samples")
-        mu = x.mean(axis=reduce_axes)
-        var = x.var(axis=reduce_axes)
-        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mu
-        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * var
+        count = lengths[:, None, None]
+        mu = np.where(real, batch, 0.0).sum(axis=1, keepdims=True) / count
+        centered = np.where(real, batch - mu, 0.0)
+        var = (centered * centered).sum(axis=1, keepdims=True) / count
+        for member_mu, member_var in zip(mu[:, 0], var[:, 0]):
+            stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * member_mu
+            stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * member_var
     elif mode == "infer":
         mu = stats.mean
         var = stats.var
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gain * xhat + bias, (xhat, inv_std, gain, mode)
+    xhat = np.where(real, (batch - mu) * inv_std, 0.0)
+    y = np.where(real, gain * xhat + bias, 0.0)
+    return y.reshape(x.shape), (xhat, inv_std, gain, mode, real)
 
 
 def batch_norm(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-5) -> np.ndarray:
@@ -187,21 +211,22 @@ def batch_norm(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-
 
 
 def batch_norm_backward(grad_out: np.ndarray, cache):
-    xhat, inv_std, gain, mode = cache
-    reduce_axes = tuple(range(grad_out.ndim - 1))
-    dgain = (grad_out * xhat).sum(axis=reduce_axes)
-    dbias = grad_out.sum(axis=reduce_axes)
-    dxhat = grad_out * gain
+    xhat, inv_std, gain, mode, real = cache
+    grad = np.where(real, grad_out.reshape(xhat.shape), 0.0)
+    dgain = (grad * xhat).sum(axis=(0, 1))
+    dbias = grad.sum(axis=(0, 1))
+    dxhat = grad * gain
     if mode == "infer":
         # running stats are constants
-        return dxhat * inv_std, dgain, dbias
-    n = int(np.prod(grad_out.shape[:-1]))
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=reduce_axes)
-        - xhat * (dxhat * xhat).sum(axis=reduce_axes) / n
-    )
-    return dx, dgain, dbias
+        dx = dxhat * inv_std
+    else:
+        count = real.sum(axis=1, keepdims=True)
+        dx = inv_std * (
+            dxhat
+            - dxhat.sum(axis=1, keepdims=True) / count
+            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / count
+        )
+    return np.where(real, dx, 0.0).reshape(grad_out.shape), dgain, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +244,8 @@ def _conv_padding(kernel_size: int, mode: str) -> tuple[int, int]:
 
 
 def conv1d_forward(x, kernel, mode: str, bias=None):
-    """1-D convolution along time. `x` is (T, D_in), `kernel` (K, D_in, D_out).
+    """1-D convolution along time. `x` is (T, D_in), or (B, T, D_in) for a
+    batch of sequences convolved independently; `kernel` is (K, D_in, D_out).
 
     Causal mode: output frame t sees input frames <= t only. Symmetric mode
     centers the kernel. Both zero-pad so the output length is T, and K > T
@@ -232,13 +258,13 @@ def conv1d_forward(x, kernel, mode: str, bias=None):
         raise ValueError("kernel size must be >= 1")
     if x.shape[-1] != d_in:
         raise ValueError(f"input dim {x.shape[-1]} != kernel dim {d_in}")
-    t = x.shape[0]
+    t = x.shape[-2]
     left, right = _conv_padding(k, mode)
-    xp = np.zeros((t + left + right, d_in))
-    xp[left : left + t] = x
-    y = np.zeros((t, d_out))
+    xp = np.zeros(x.shape[:-2] + (t + left + right, d_in))
+    xp[..., left : left + t, :] = x
+    y = np.zeros(x.shape[:-1] + (d_out,))
     for tap in range(k):
-        y += xp[tap : tap + t] @ kernel[tap]
+        y += xp[..., tap : tap + t, :] @ kernel[tap]
     if bias is not None:
         y = y + as_f64(bias)
     return y, (xp, kernel, left, t)
@@ -250,14 +276,15 @@ def conv1d(x, kernel, mode: str, bias=None) -> np.ndarray:
 
 def conv1d_backward(grad_out: np.ndarray, cache):
     xp, kernel, left, t = cache
-    k = kernel.shape[0]
+    k, d_in, d_out = kernel.shape
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
+    rows = grad_out.reshape(-1, d_out)
     for tap in range(k):
-        dkernel[tap] = xp[tap : tap + t].T @ grad_out
-        dxp[tap : tap + t] += grad_out @ kernel[tap].T
-    dx = dxp[left : left + t]
-    dbias = grad_out.sum(axis=0)
+        dkernel[tap] = xp[..., tap : tap + t, :].reshape(-1, d_in).T @ rows
+        dxp[..., tap : tap + t, :] += grad_out @ kernel[tap].T
+    dx = dxp[..., left : left + t, :]
+    dbias = rows.sum(axis=0)
     return dx, dkernel, dbias
 
 

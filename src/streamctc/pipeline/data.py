@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import check_int
+from ..numerics import check_float, check_int
 from ..vocab import BLANK, LabelSequence, Vocabulary
 
 MAGIC = b"STCDSET1"
@@ -34,7 +34,7 @@ def check_generation(frames_per_token, text_len, noise_std, sizes=(1, 1, 1)) -> 
         if len(lo_hi) != 2 or lo_hi[1] < lo_hi[0]:
             raise ValueError(f"{name} must be a range (min, max) with min >= 1, got {list(pair)}")
         ranges.append(lo_hi)
-    if not noise_std >= 0:
+    if not check_float("noise_std", noise_std) >= 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     sizes = tuple(check_int("sizes", s, 1) for s in sizes)
     if len(sizes) != 3:

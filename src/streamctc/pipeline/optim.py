@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..numerics import check_int, ensure_finite
+from ..numerics import check_float, check_int, ensure_finite
 
 WARMUP_FRAC = 0.1
 HOLD_FRAC = 0.4
@@ -36,7 +36,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.peak_lr > 0:
+        if not check_float("peak_lr", self.peak_lr) > 0:
             raise ValueError("peak_lr must be > 0")
         for name, low in (("total_updates", 0), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)

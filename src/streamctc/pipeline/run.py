@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -47,7 +46,7 @@ from ..encoder import (
 from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
-from ..numerics import check_int
+from ..numerics import check_float, check_int
 from ..vocab import DELIMITER, Vocabulary
 from .data import DataSplit, SyntheticTask, check_generation, generate_dataset
 from .data import load_dataset, save_dataset
@@ -176,6 +175,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
+        for name in ("noise_std", "template_scale", "alpha", "lm_smoothing", "lm_weight",
+                     "word_insertion_penalty", "peak_lr"):
+            check_float(name, getattr(self, name))
         for name in ("use_delimiter", "resume"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -190,7 +192,7 @@ class PipelineConfig:
         if check_int("n_symbols", self.n_symbols, 1) > 26:
             raise ValueError(f"n_symbols must be in 1..26, got {self.n_symbols}")
         check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
-        if not 0 < self.template_scale < math.inf:
+        if not self.template_scale > 0:
             raise ValueError(f"template_scale must be finite and > 0, got {self.template_scale}")
         top = max(self.token_ids(Vocabulary.default()))
         if self.encoder.vocab_size <= top:

@@ -7,10 +7,13 @@ can train, mapped to what it trains toward (an encoded label that fits
 its frames, that label plus a guide mask, a teacher trace, or nothing for
 contrastive pairs). Batches are drawn from a seeded generator over the
 whole training set; an utterance without a target is skipped and counted
-before its forward pass, and every other one gets one forward pass, the
-stage's objective and one backward pass, with gradients accumulated in
-utterance-id order. Stage outputs are a trained model plus a log (loss
-curve, skip count, dev token error, wall time).
+before its forward pass. The others, in utterance-id order, run as
+consecutive micro-batches whose padded attention area stays within
+`MICRO_BATCH_AREA`: one encoder forward pass per micro-batch, the stage's
+objective per utterance on its own rows of the batch, and one backward
+pass, with gradients summed over the micro-batches. Stage outputs are a
+trained model plus a log (loss curve, skip count, dev token error, wall
+time).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..losses import (
     guide_mask,
     guided_ctc_loss,
 )
-from ..masking import MaskSpec
+from ..masking import MaskSpec, n_positions
 from ..vocab import Vocabulary
 from .optim import AdamState, TrainConfig, adam_step, tri_stage_lr
 
@@ -50,6 +53,9 @@ BIDIRECTIONAL = MaskSpec(variant="bidirectional")
 CONTRASTIVE_POSITIONS = 2
 CONTRASTIVE_DISTRACTORS = 5
 CONTRASTIVE_TEMPERATURE = 1.0
+# a micro-batch's padded attention area, members x (longest layout)^2,
+# stays within this many positions^2: about one 128-position utterance
+MICRO_BATCH_AREA = 2**14
 
 
 class MissingArtifactError(RuntimeError):
@@ -106,22 +112,48 @@ def _ctc_targets(data, vocabulary: Vocabulary) -> dict:
     return targets
 
 
+def _micro_batches(utts, spec: MaskSpec) -> list:
+    """Split `utts` into consecutive runs whose padded attention area,
+    members x (longest layout)^2 positions, stays within
+    `MICRO_BATCH_AREA`; an utterance whose own area is over it runs
+    alone."""
+    batches, longest = [], 0
+    for utt in utts:
+        width = n_positions(spec, utt.n_frames)
+        if batches and (len(batches[-1]) + 1) * max(longest, width) ** 2 <= MICRO_BATCH_AREA:
+            batches[-1].append(utt)
+            longest = max(longest, width)
+        else:
+            batches.append([utt])
+            longest = width
+    return batches
+
+
 def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, objective):
     """The shared loop. Each update draws its batch from all of `data` and
     counts an utterance with no entry in `targets` as skipped, before its
-    forward pass. Every other one gets a training-mode forward pass under
-    `params.mask_spec` (full context when None), `objective(target,
-    trace, cache)` -> (loss, keyword arguments of `backward`) and the
-    backward pass. Writes each update into `params.flat` in place and
-    returns (losses per update, skipped count)."""
+    forward pass. The others, in uid order, are split into micro-batches
+    (`_micro_batches`), and each micro-batch gets one training-mode
+    forward pass under `params.mask_spec` (full context when None),
+    `objective(target, trace)` -> (loss, keyword arguments of `backward`)
+    per member in uid order, and one backward pass. Writes each update
+    into `params.flat` in place and returns (losses per update, skipped
+    count)."""
     spec = params.mask_spec or BIDIRECTIONAL
 
-    def one_utterance(utt):
-        # a frame of its own, so this utterance's activations are freed
+    def one_pass(group):
+        # a frame of its own, so this micro-batch's activations are freed
         # before the next forward pass allocates its own
-        trace, cache = forward_with_cache(params, utt.features, spec, train=True)
-        loss, backward_args = objective(targets[utt.uid], trace, cache)
-        return loss, backward(params, cache, **backward_args)[0]
+        traces, cache = forward_with_cache(
+            params, [utt.features for utt in group], spec, train=True
+        )
+        losses, member_args = [], []
+        for utt, trace in zip(group, traces):
+            loss, backward_args = objective(targets[utt.uid], trace)
+            losses.append(loss)
+            member_args.append(backward_args)
+        batch_args = {key: [args[key] for args in member_args] for key in member_args[0]}
+        return losses, backward(params, cache, **batch_args)[0]
 
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
@@ -137,14 +169,17 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
         if not usable:
             losses.append(math.nan)
             continue
-        loss_sum, total = one_utterance(usable[0])
-        for utt in usable[1:]:
-            loss, grad = one_utterance(utt)
-            loss_sum += loss
-            total += grad
+        member_losses, total = [], None
+        for group in _micro_batches(usable, spec):
+            group_losses, grad = one_pass(group)
+            member_losses += group_losses
+            if total is None:
+                total = grad
+            else:
+                total += grad
         updated, state = adam_step(params.flat, total / len(usable), state, lr)
         params.flat[...] = updated
-        losses.append(loss_sum / len(usable))
+        losses.append(sum(member_losses) / len(usable))
     return losses, skipped
 
 
@@ -190,7 +225,7 @@ def finetune_ctc(
     with 0 updates the returned model equals `init` (mask spec aside)."""
     vocabulary = vocabulary or Vocabulary.default()
 
-    def objective(label, trace, cache):
+    def objective(label, trace):
         loss, d_logpost = ctc_loss(trace.posteriorgram, label)
         return loss, {"grad_logpost": d_logpost}
 
@@ -216,7 +251,7 @@ def train_guided_teacher(
     if streaming.mask_spec is None:
         raise ValueError("guide model does not record a streaming mask spec")
 
-    def objective(target, trace, cache):
+    def objective(target, trace):
         label, mask = target
         loss, d_logpost = guided_ctc_loss(trace.posteriorgram, label, mask, alpha)
         return loss, {"grad_logpost": d_logpost}
@@ -253,7 +288,7 @@ def distill(
     vocabulary = vocabulary or Vocabulary.default()
     teacher_spec = teacher.mask_spec or BIDIRECTIONAL
 
-    def objective(teacher_trace, trace, cache):
+    def objective(teacher_trace, trace):
         loss, grad_hidden = distillation_loss(trace, teacher_trace, distill_spec)
         return loss, {"grad_hidden": grad_hidden}
 
@@ -364,9 +399,9 @@ def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
-    def objective(_, trace, cache):
+    def objective(_, trace):
         context = trace.hidden[-1]
-        targets = cache["h0"]
+        targets = trace.frontend
         t_len = context.shape[0]
         n_pos = min(CONTRASTIVE_POSITIONS, t_len)
         k = min(CONTRASTIVE_DISTRACTORS, t_len - 1)

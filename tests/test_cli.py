@@ -549,6 +549,35 @@ def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     assert out == ""
 
 
+FLOAT_FIELDS = ("noise_std", "template_scale", "alpha", "lm_smoothing", "lm_weight",
+                "word_insertion_penalty", "peak_lr")
+
+
+@pytest.mark.parametrize(
+    "value", ["0.5", True, None, math.inf], ids=["string", "bool", "null", "inf"]
+)
+@pytest.mark.parametrize("key", [*FLOAT_FIELDS, "stream.frame_ms"])
+def test_non_number_float_field_fails_dry_run(capsys, workdir, key, value):
+    # a string once failed with a comparison error naming no field, a bool
+    # passed as 0 or 1, and an infinite peak_lr, alpha, noise_std or
+    # lm_smoothing passed the dry run
+    tmp, cfg = workdir
+    payload = json.loads(open(cfg).read())
+    if key == "stream.frame_ms":
+        payload["stream"] = {**payload["stream"], "frame_ms": value}
+    else:
+        payload[key] = value
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "pipeline", "--config", str(bad), "--workdir", str(tmp / "run"),
+        "--dry-run",
+    )
+    assert code == 1
+    assert f"{key.split('.')[-1]} must be a finite number, got {value!r}" in err
+    assert out == ""
+
+
 def test_pipeline_jobs_below_one_fails_before_any_stage(capsys, workdir):
     tmp, cfg = workdir
     run_dir = tmp / "run"

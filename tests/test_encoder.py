@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamctc.encoder import (
     CHECKPOINT_MAGIC,
@@ -162,14 +164,12 @@ class TestLayout:
 
 class TestAttentionLayer:
     """The first encoder layer (trace.hidden[0]) against references fed
-    the frontend output cache["h0"]."""
+    the frontend output trace.frontend."""
 
     def test_single_frame_softmax_is_one(self):
         params = init_params(TINY, 0)
-        trace, cache = forward_with_cache(
-            params, make_features(1, 6), MaskSpec("bidirectional")
-        )
-        out, x = trace.hidden[0], cache["h0"]
+        trace = forward(params, make_features(1, 6), MaskSpec("bidirectional"))
+        out, x = trace.hidden[0], trace.frontend
         assert out.shape == (1, 16)
         # independent single-frame evaluation: attention output reduces to
         # wo @ wv of the pre-normed input, since the lone weight is 1
@@ -195,8 +195,8 @@ class TestAttentionLayer:
         )
         params = init_params(cfg, 5)
         spec = MaskSpec("time_restricted", right_frames=1)
-        trace, cache = forward_with_cache(params, make_features(5, 4, seed=9), spec)
-        x, got = cache["h0"], trace.hidden[0]
+        trace = forward(params, make_features(5, 4, seed=9), spec)
+        x, got = trace.frontend, trace.hidden[0]
         mask = build_mask(spec, 5)
         expect = _direct_loop_layer(params.arrays, x, mask.allowed, n_heads=1)
         np.testing.assert_allclose(got, expect, atol=1e-12)
@@ -223,11 +223,11 @@ class TestAttentionLayer:
             frontend_norm="gn",
         )
         params = init_params(cfg, 6)
-        trace, cache = forward_with_cache(params, make_features(8, 4, seed=10), spec)
-        mask = cache["mask"]
+        trace = forward(params, make_features(8, 4, seed=10), spec)
+        mask = build_mask(spec, 8)
         if spec.variant == "block":
             assert mask.plan.n_augmented > 8
-        x_aug = mask.plan.augment(cache["h0"])
+        x_aug = mask.plan.augment(trace.frontend)
         expect = _direct_loop_layer(params.arrays, x_aug, mask.allowed, n_heads)
         np.testing.assert_allclose(trace.hidden[0], mask.plan.reduce(expect), atol=1e-12)
 
@@ -423,9 +423,9 @@ class TestBackward:
             params = base.copy()
             for key, val in zip(keys, weight_values):
                 params.arrays[key][...] = val
-            trace, cache = forward_with_cache(params, feats, spec, train=(norm == "bn"))
+            [trace], cache = forward_with_cache(params, [feats], spec, train=(norm == "bn"))
             loss = float((trace.posteriorgram * w_post).sum())
-            grad, _ = backward(params, cache, grad_logpost=w_post)
+            grad, _ = backward(params, cache, grad_logpost=[w_post])
             grads = param_views(cfg, grad)
             return loss, [grads[k] for k in keys]
 
@@ -445,9 +445,9 @@ class TestBackward:
         x0 = rng.normal(size=(6, 6))
 
         def op(x):
-            trace, cache = forward_with_cache(params, x, spec)
+            [trace], cache = forward_with_cache(params, [x], spec)
             loss = float((trace.posteriorgram * w_post).sum())
-            _, d_x = backward(params, cache, grad_logpost=w_post)
+            _, [d_x] = backward(params, cache, grad_logpost=[w_post])
             return loss, [d_x]
 
         assert check_gradient(op, [x0]) <= 1e-5
@@ -465,9 +465,9 @@ class TestBackward:
             p = params.copy()
             for key, val in zip(keys, weight_values):
                 p.arrays[key][...] = val
-            trace, cache = forward_with_cache(p, feats, spec)
+            [trace], cache = forward_with_cache(p, [feats], spec)
             loss = float((trace.hidden[0] * w1).sum() + (trace.hidden[1] * w2).sum())
-            grad, _ = backward(p, cache, grad_hidden={1: w1, 2: w2})
+            grad, _ = backward(p, cache, grad_hidden=[{1: w1, 2: w2}])
             grads = param_views(TINY, grad)
             return loss, [grads[k] for k in keys]
 
@@ -478,6 +478,123 @@ class TestBackward:
             rng=np.random.default_rng(1),
         )
         assert err <= 1e-5
+
+
+ORACLE_SPECS = (
+    MaskSpec("bidirectional"),
+    MaskSpec("time_restricted", right_frames=1, left_limit=2),
+    MaskSpec("chunk", chunk_frames=3),
+    MaskSpec("block", chunk_frames=3, future_frames=2),
+)
+
+
+def _oracle_params(norm, conv, seed):
+    """A small model whose gains and biases are not 1 and 0, so a pad row
+    that leaked through a norm would show."""
+    cfg = EncoderConfig(
+        n_layers=3, model_dim=8, n_heads=2, ffn_dim=12, vocab_size=5,
+        feature_dim=4, frontend_norm=norm, frontend_conv=conv, frontend_kernel=3,
+    )
+    params = init_params(cfg, seed)
+    params.flat += np.random.default_rng(seed).normal(scale=0.3, size=params.flat.shape)
+    if params.bn_stats is not None:
+        params.bn_stats.mean += 0.3
+    return params
+
+
+def assert_relatively_close(got, want, bound=1e-12):
+    """max |got - want| within `bound` times the largest |want|."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+class TestBatchedPass:
+    """A padded batch against its members' batch-of-one calls."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_its_batch_of_one_calls(self, data):
+        norm = data.draw(st.sampled_from(["gn", "bn"]), label="norm")
+        conv = data.draw(st.sampled_from(["causal", "symmetric"]), label="conv")
+        spec = data.draw(st.sampled_from(ORACLE_SPECS), label="spec")
+        train = data.draw(st.booleans(), label="train")
+        inject = data.draw(st.sampled_from(["posteriorgram", "hidden", "both"]), label="inject")
+        # bn train mode needs two frames per utterance; gn takes one
+        shortest = 2 if norm == "bn" else 1
+        lengths = data.draw(st.lists(st.integers(shortest, 9), min_size=1, max_size=5), label="lengths")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        base = _oracle_params(norm, conv, seed % 1000)
+        cfg = base.config
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(n, cfg.feature_dim)) for n in lengths]
+        kwargs = [{} for _ in lengths]
+        for n, member in zip(lengths, kwargs):
+            if inject != "hidden":
+                member["grad_logpost"] = rng.normal(size=(n, cfg.vocab_size))
+            if inject != "posteriorgram":
+                layers = rng.permutation(np.arange(1, cfg.n_layers + 1))[: rng.integers(1, 4)]
+                member["grad_hidden"] = {
+                    int(k): rng.normal(size=(n, cfg.model_dim)) for k in layers
+                }
+
+        batched = base.copy()
+        traces, cache = forward_with_cache(batched, xs, spec, train=train)
+        batch_kwargs = {key: [m[key] for m in kwargs] for key in kwargs[0]}
+        grad, d_xs = backward(batched, cache, **batch_kwargs)
+
+        single = base.copy()
+        summed = np.zeros_like(grad)
+        assert len(traces) == len(d_xs) == len(xs)
+        for x, member, trace, d_x in zip(xs, kwargs, traces, d_xs):
+            [want], one_cache = forward_with_cache(single, [x], spec, train=train)
+            want_grad, [want_d_x] = backward(
+                single, one_cache, **{key: [value] for key, value in member.items()}
+            )
+            summed += want_grad
+            assert_relatively_close(trace.posteriorgram, want.posteriorgram)
+            assert_relatively_close(trace.frontend, want.frontend)
+            for got_h, want_h in zip(trace.hidden, want.hidden, strict=True):
+                assert_relatively_close(got_h, want_h)
+            assert_relatively_close(d_x, want_d_x)
+        assert_relatively_close(grad, summed)
+        if norm == "bn":
+            # running statistics fold once per member, in batch order
+            np.testing.assert_array_equal(batched.bn_stats.mean, single.bn_stats.mean)
+            np.testing.assert_array_equal(batched.bn_stats.var, single.bn_stats.var)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("norm", ["gn", "bn"])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.variant)
+    def test_a_longer_member_leaves_the_others_unchanged(self, spec, norm, train):
+        dim = _oracle_params(norm, "symmetric", 2).config.feature_dim
+        xs = [make_features(n, dim, seed=n) for n in (4, 7, 2)]
+        longer = make_features(13, dim, seed=13)
+        before, _ = forward_with_cache(_oracle_params(norm, "symmetric", 2), xs, spec, train=train)
+        after, _ = forward_with_cache(
+            _oracle_params(norm, "symmetric", 2), [*xs[:2], longer, xs[2]], spec, train=train
+        )
+        for want, got in zip(before, [*after[:2], after[3]]):
+            assert_relatively_close(got.posteriorgram, want.posteriorgram)
+
+    def test_one_frame_bn_member_raises_as_it_does_alone(self):
+        params = _oracle_params("bn", "causal", 0)
+        cfg = params.config
+        spec = MaskSpec("chunk", chunk_frames=3)
+        stats = params.bn_stats.copy()
+        one = make_features(1, cfg.feature_dim)
+        with pytest.raises(ValueError) as alone:
+            forward(params, one, spec, train=True)
+        others = [make_features(n, cfg.feature_dim, seed=n) for n in (5, 3)]
+        with pytest.raises(ValueError) as batched:
+            forward_with_cache(params, [others[0], one, others[1]], spec, train=True)
+        assert str(batched.value) == str(alone.value)
+        # nothing was folded into the running statistics
+        np.testing.assert_array_equal(params.bn_stats.mean, stats.mean)
+        np.testing.assert_array_equal(params.bn_stats.var, stats.var)
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            forward_with_cache(init_params(TINY, 0), [], MaskSpec("bidirectional"))
 
 
 class TestCheckpoints:

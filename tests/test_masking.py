@@ -11,6 +11,7 @@ from streamctc.masking import (
     build_mask,
     eil,
     latency_report,
+    n_positions,
     plan_hard_copy,
     reachability,
     reception_field,
@@ -235,6 +236,12 @@ class TestOneLayoutKind:
             g = -np.zeros((t, 2))
             assert plan.augment(x) is x and plan.reduce(x) is x
             assert plan.reduce_grad(g) is g
+
+
+    @given(_spec_strategy(), st.integers(1, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_n_positions_counts_the_layout(self, spec, t):
+        assert n_positions(spec, t) == build_mask(spec, t).n_positions
 
 
 class TestHardCopyPlan:

@@ -206,6 +206,40 @@ class TestBatchNorm:
         assert check_gradient(op, [x, gain, bias]) <= 1e-5
 
 
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_padded_batch_matches_its_members(self, mode):
+        # each member normalizes over its own real rows, whatever the pad
+        # rows hold, and the running stats fold one member at a time
+        rng = np.random.default_rng(12)
+        lengths = [5, 2, 4]
+        members = [rng.normal(size=(n, 3)) * 2 + 1 for n in lengths]
+        batch = rng.normal(size=(3, 5, 3)) * 50
+        for b, x in enumerate(members):
+            batch[b, : len(x)] = x
+        gain, bias = rng.normal(size=3), rng.normal(size=3)
+        w = rng.normal(size=batch.shape)
+        start = BatchNormStats(mean=rng.normal(size=3), var=rng.random(3) + 0.5)
+        stats = start.copy()
+        y, cache = batch_norm_forward(batch, gain, bias, stats, mode, lengths=lengths)
+        dx, dg, db = batch_norm_backward(w, cache)
+        alone = start.copy()
+        want_dg, want_db = np.zeros(3), np.zeros(3)
+        for b, x in enumerate(members):
+            n = len(x)
+            want_y, one = batch_norm_forward(x, gain, bias, alone, mode)
+            want_dx, g, bb = batch_norm_backward(w[b, :n], one)
+            want_dg += g
+            want_db += bb
+            np.testing.assert_allclose(y[b, :n], want_y, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(dx[b, :n], want_dx, rtol=1e-13, atol=1e-13)
+            # pad rows are 0 and take no gradient
+            assert not y[b, n:].any() and not dx[b, n:].any()
+        np.testing.assert_allclose(dg, want_dg, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(db, want_db, rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(stats.mean, alone.mean)
+        np.testing.assert_array_equal(stats.var, alone.var)
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(12)

@@ -349,7 +349,7 @@ def test_run_updates_skips_what_the_objective_rejects():
     targets = {u.uid: VOCAB.encode(u.text) for u in data if u.uid not in rejected}
     seen = []
 
-    def objective(label, trace, cache):
+    def objective(label, trace):
         seen.append(label)
         loss, d = ctc_loss(trace.posteriorgram, label)
         return loss, {"grad_logpost": d}
@@ -370,6 +370,48 @@ def test_run_updates_skips_what_the_objective_rejects():
     assert seen == [targets[uid] for uid in sorted(targets)] * 8
     assert skipping.bn_stats.mean.tobytes() == reference.bn_stats.mean.tobytes()
     assert skipping.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
+
+
+def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
+    from streamctc.ctc import ctc_loss
+    from streamctc.pipeline import stages
+
+    # full-context layouts have one position per frame: four members of
+    # `full` fill the budget exactly, and `wide` alone is over it
+    full = math.isqrt(stages.MICRO_BATCH_AREA // 4)
+    wide = math.isqrt(stages.MICRO_BATCH_AREA) + 1
+    lengths = [full] * 5 + [wide, 10, 10]
+    rng = np.random.default_rng(3)
+    data = [
+        Utterance(uid=f"U{i}", features=rng.normal(size=(n, 6)), text="ab")
+        for i, n in enumerate(lengths)
+    ]
+    targets = {u.uid: VOCAB.encode(u.text) for u in data}
+    uid_of = {id(u.features): u.uid for u in data}
+    passes = []
+    original = stages.forward_with_cache
+
+    def spy(params, features, *args, **kwargs):
+        passes.append([uid_of[id(f)] for f in features])
+        return original(params, features, *args, **kwargs)
+
+    def objective(label, trace):
+        loss, d = ctc_loss(trace.posteriorgram, label)
+        return loss, {"grad_logpost": d}
+
+    monkeypatch.setattr(stages, "forward_with_cache", spy)
+    cfg = quick_cfg(1, batch=len(data), lr=1e-2)
+    split = init_params(TINY_ENC, 0)
+    split_losses, _ = stages._run_updates(split, data, cfg, targets, objective)
+    # consecutive runs in uid order; the utterance over the budget trains alone
+    assert passes == [["U0", "U1", "U2", "U3"], ["U4"], ["U5"], ["U6", "U7"]]
+    # one pass over the whole batch gives the same update up to rounding
+    monkeypatch.setattr(stages, "MICRO_BATCH_AREA", 10**9)
+    whole = init_params(TINY_ENC, 0)
+    whole_losses, _ = stages._run_updates(whole, data, cfg, targets, objective)
+    assert len(passes) == 5 and len(passes[-1]) == len(data)
+    np.testing.assert_allclose(split_losses, whole_losses, rtol=1e-12)
+    np.testing.assert_allclose(split.flat, whole.flat, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -408,13 +450,16 @@ def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, norm, sta
     seen = []
     for name in ("forward", "forward_with_cache"):
         def spy(params, features, *args, _original=getattr(stages, name), **kwargs):
-            seen.append(features)
+            # forward takes one utterance's features, forward_with_cache a list
+            seen.extend(features if isinstance(features, list) else [features])
             return _original(params, features, *args, **kwargs)
 
         monkeypatch.setattr(stages, name, spy)
 
     model, log = train(usable + unusable)
     assert seen and not any(f is u.features for f in seen for u in unusable)
+    # every member reached the spy as its own array, each usable one included
+    assert {id(u.features) for u in usable} <= {id(f) for f in seen}
     reference, ref_log = train(usable)
     assert log.skipped == updates * len(unusable) and ref_log.skipped == 0
     assert log.losses == ref_log.losses
