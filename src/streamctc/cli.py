@@ -460,8 +460,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_lm_weight(args) -> None:
+    """A nonzero --lm-weight scales the language model's score; without
+    --lm there is no such score, so the flag would change nothing."""
+    if args.lm_weight and not args.lm:
+        raise UsageError(f"--lm-weight {args.lm_weight:g} needs --lm")
+
+
 def cmd_pseudo_label(args) -> int:
     config = _merged_config(args)
+    _check_lm_weight(args)
     decode_cfg = config.decode_config()
     resolved = {
         "cmd": "pseudo-label",
@@ -537,6 +545,7 @@ def cmd_decode(args) -> int:
             )
         except ValueError as exc:
             raise UsageError(f"bad decode flags: {exc}")
+    _check_lm_weight(args)
     resolved = {
         "cmd": "decode",
         "model": args.model,

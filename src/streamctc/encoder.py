@@ -318,10 +318,10 @@ def _pad(spec: MaskSpec, lengths: list) -> _Padding:
         allowed[b, :n_pos, :n_pos] = mask.allowed
         pads = np.arange(n_pos, p_max)
         allowed[b, pads, pads] = True
-        frames.append(b * t_max + mask.plan.index_map)
+        frames.append(b * t_max + mask.index_map)
         positions.append(b * p_max + np.arange(n_pos))
-        outputs.append(b * p_max + mask.plan.output_positions)
-    copies = any(mask.plan.has_copies for mask in masks)
+        outputs.append(b * p_max + np.flatnonzero(~mask.is_copy))
+    copies = any(mask.is_copy.any() for mask in masks)
     return _Padding(
         lengths=tuple(lengths),
         real=(np.arange(t_max) < np.asarray(lengths)[:, None])[..., None],
@@ -654,11 +654,22 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
         header = json.loads(take(hlen).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: format version {header.get('version')} unsupported"
         )
-    config = EncoderConfig.from_dict(header["config"])
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointError(f"{path}: header config is missing or not an object")
+    spec = header.get("mask_spec")
+    if spec is not None and not isinstance(spec, dict):
+        raise CheckpointError(f"{path}: header mask_spec is neither null nor an object")
+    try:
+        config = EncoderConfig.from_dict(header["config"])
+        mask_spec = MaskSpec.from_dict(spec) if spec else None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if expect_config is not None and config != expect_config:
         raise CheckpointError(
             f"{path}: checkpoint config {config.to_dict()} does not match "
@@ -696,8 +707,5 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
             if stored.get(n) != layout.get(n)
         ]
         raise CheckpointError(f"{path}: arrays differ from the config's layout: {'; '.join(diff)}")
-    mask_spec = (
-        MaskSpec.from_dict(header["mask_spec"]) if header.get("mask_spec") else None
-    )
     flat = np.concatenate([named[name].ravel() for name in layout]).astype(np.float64, copy=False)
     return ModelParams(config=config, flat=flat, bn_stats=stats, mask_spec=mask_spec)

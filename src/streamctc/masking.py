@@ -1,4 +1,4 @@
-"""Streaming attention masks, hard-copy augmentation, and latency accounting.
+"""Streaming attention masks, their hard-copy layout, and latency accounting.
 
 Four attention variants over a T-frame sequence:
 
@@ -12,10 +12,13 @@ Four attention variants over a T-frame sequence:
   only inside their chunk's scope, so the lookahead does NOT compound:
   deeper layers see the copies, not fresher frames.
 
-Every mask carries its position layout (``HardCopyPlan``): ``chunk`` is
-``block`` without lookahead, ``bidirectional`` one chunk spanning the
-utterance, and ``time_restricted`` a band over one chunk's layout. Only
-``block`` with lookahead and more than one chunk has copies.
+Every mask carries its position layout: ``index_map`` gives each
+position's source frame and ``is_copy`` marks the lookahead copies. The
+encoder gathers frames into that layout and scatter-adds gradients back
+with these two maps. ``chunk`` is ``block`` without lookahead,
+``bidirectional`` one chunk spanning the utterance, and
+``time_restricted`` a band over one chunk's layout. Only ``block`` with
+lookahead and more than one chunk has copies.
 
 Induced latency is reported in milliseconds given the per-frame stride.
 ``reception_field`` composes a mask with itself to answer "which input
@@ -113,99 +116,22 @@ class MaskSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class HardCopyPlan:
-    """Layout of a sequence augmented with per-chunk lookahead copies.
-
-    Augmented order is [chunk 0][copies after chunk 0][chunk 1][copies...].
-    `index_map[p]` is the source frame of augmented position p; `is_copy[p]`
-    marks the duplicated lookahead frames, which are dropped again before
-    any per-frame output is read (`output_positions`). A layout without
-    copies is the identity, and its three maps return their argument.
-    """
-
-    n_frames: int
-    chunk_frames: int
-    future_frames: int
-    index_map: np.ndarray
-    is_copy: np.ndarray
-    chunk_id: np.ndarray
-
-    @property
-    def n_augmented(self) -> int:
-        return int(self.index_map.shape[0])
-
-    @property
-    def n_chunks(self) -> int:
-        return 0 if self.n_frames == 0 else int(self.chunk_id[-1]) + 1
-
-    @property
-    def output_positions(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_copy)
-
-    @property
-    def has_copies(self) -> bool:
-        return self.n_augmented != self.n_frames
-
-    def augment(self, x: np.ndarray) -> np.ndarray:
-        """Gather frames (rows of x) into the augmented layout."""
-        return np.asarray(x)[self.index_map] if self.has_copies else x
-
-    def reduce(self, x_aug: np.ndarray) -> np.ndarray:
-        """Drop copy rows, restoring original frame order."""
-        return np.asarray(x_aug)[~self.is_copy] if self.has_copies else x_aug
-
-    def reduce_grad(self, grad_aug: np.ndarray) -> np.ndarray:
-        """Scatter-add an augmented-layout gradient back onto source frames."""
-        if not self.has_copies:
-            return grad_aug
-        shape = (self.n_frames,) + grad_aug.shape[1:]
-        out = np.zeros(shape, dtype=grad_aug.dtype)
-        np.add.at(out, self.index_map, grad_aug)
-        return out
-
-
-def plan_hard_copy(n_frames: int, chunk_frames: int, future_frames: int) -> HardCopyPlan:
-    """Build the copy layout: after each chunk, the next `future_frames`
-    real frames (clipped at the sequence end) are appended as copies, so the
-    final chunk gets none."""
-    if n_frames < 0:
-        raise ValueError("n_frames must be >= 0")
-    if chunk_frames < 1:
-        raise ValueError("chunk_frames must be >= 1")
-    if future_frames < 0:
-        raise ValueError("future_frames must be >= 0")
-    # chunk k and its copies are the contiguous frames [kC, (k+1)C + F),
-    # clipped at the end; the copies are those at or past (k+1)C
-    index, chunks = [], []
-    for k, start in enumerate(range(0, n_frames, chunk_frames)):
-        stop = min(start + chunk_frames + future_frames, n_frames)
-        index.extend(range(start, stop))
-        chunks.extend([k] * (stop - start))
-    index_map = np.asarray(index, dtype=np.int64)
-    chunk_id = np.asarray(chunks, dtype=np.int64)
-    return HardCopyPlan(
-        n_frames=n_frames,
-        chunk_frames=chunk_frames,
-        future_frames=future_frames,
-        index_map=index_map,
-        is_copy=index_map >= (chunk_id + 1) * chunk_frames,
-        chunk_id=chunk_id,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class AttentionMask:
     """Boolean attend-permission matrix plus the layout it applies to.
 
-    `allowed[i, j]` says position i may read position j, positions being
-    those of the layout `plan`: the real frames plus, for block with
-    lookahead, the copies. Every layer of the encoder uses the same mask.
+    The layout's positions are the real frames plus, for block with
+    lookahead, the copies: chunk after chunk, each followed by its copies.
+    `index_map[p]` is the source frame of position p and `is_copy[p]`
+    marks a copy, which is dropped again before any per-frame output is
+    read. `allowed[i, j]` says position i may read position j. Every layer
+    of the encoder uses the same mask.
     """
 
     spec: MaskSpec
     n_frames: int
     allowed: np.ndarray
-    plan: HardCopyPlan
+    index_map: np.ndarray
+    is_copy: np.ndarray
 
     @property
     def n_positions(self) -> int:
@@ -224,23 +150,32 @@ def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
     """Realize the mask shared by every encoder layer."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    plan = plan_hard_copy(n_frames, spec.chunk_frames or n_frames, spec.future_frames or 0)
+    chunk, future = spec.chunk_frames or n_frames, spec.future_frames or 0
+    # chunk k and its copies are the contiguous frames [kC, (k+1)C + F),
+    # clipped at the end; the copies are those at or past (k+1)C
+    index, chunks = [], []
+    for k, start in enumerate(range(0, n_frames, chunk)):
+        stop = min(start + chunk + future, n_frames)
+        index.extend(range(start, stop))
+        chunks.extend([k] * (stop - start))
+    index_map = np.asarray(index, dtype=np.int64)
+    ck = np.asarray(chunks, dtype=np.int64)
+    is_copy = index_map >= (ck + 1) * chunk
     if spec.variant == "time_restricted":
         idx = np.arange(n_frames)
         diff = idx[None, :] - idx[:, None]  # j - i
         allowed = diff <= spec.right_frames
         if spec.left_limit is not None:
             allowed &= diff >= -spec.left_limit
-        return AttentionMask(spec, n_frames, allowed, plan)
+        return AttentionMask(spec, n_frames, allowed, index_map, is_copy)
     # chunk layouts: own chunk fully visible (copies included); earlier
     # chunks contribute only their real frames, so lookahead never compounds.
-    ck = plan.chunk_id
     same = ck[None, :] == ck[:, None]
     earlier = ck[None, :] < ck[:, None]
-    allowed = same | (earlier & ~plan.is_copy[None, :])
+    allowed = same | (earlier & ~is_copy[None, :])
     if spec.left_limit is not None:
         allowed &= (ck[:, None] - ck[None, :]) <= spec.left_limit
-    return AttentionMask(spec, n_frames, allowed, plan)
+    return AttentionMask(spec, n_frames, allowed, index_map, is_copy)
 
 
 def reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
@@ -253,9 +188,9 @@ def reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
     step = mask.allowed | np.eye(mask.n_positions, dtype=bool)
     reach = np.eye(mask.n_positions, dtype=bool)
     for _ in range(n_layers):
-        reach = (reach.astype(np.uint8) @ step.astype(np.uint8)) > 0
-    # on booleans the scatter-add of `reduce_grad` is a logical or
-    return mask.plan.reduce_grad(mask.plan.reduce(reach).T).T
+        reach = reach @ step  # on booleans, matmul is or-of-ands
+    fold = mask.index_map[:, None] == np.arange(mask.n_frames)
+    return reach[~mask.is_copy] @ fold
 
 
 @dataclass(frozen=True, eq=False)

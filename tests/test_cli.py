@@ -3,12 +3,21 @@
 import json
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from streamctc.cli import dispatch
-from streamctc.encoder import EncoderConfig
+from streamctc.encoder import (
+    CHECKPOINT_MAGIC,
+    CheckpointError,
+    EncoderConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from streamctc.masking import MaskSpec, build_mask
 from streamctc.pipeline import load_dataset
 
@@ -338,6 +347,54 @@ def test_decode_bad_scoring_flag_is_a_usage_error(capsys, tmp_path, flag, value,
     assert field in err
     assert "config digest" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["decode", "pseudo-label"])
+def test_lm_weight_without_lm_is_a_usage_error(capsys, tmp_path, command):
+    argv = [command, "--model", str(tmp_path / "nope.ckpt"),
+            "--data", str(tmp_path / "nope.bin"), "--lm-weight", "0.5"]
+    if command == "pseudo-label":
+        argv += ["--out", str(tmp_path / "out.bin")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "--lm-weight 0.5 needs --lm" in err
+    assert "config digest" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header: [],
+        lambda header: {"version": 1},
+        lambda header: {"version": 1, "config": [1]},
+        lambda header: {**header, "mask_spec": [1]},
+        lambda header: {**header, "mask_spec": "block"},
+        lambda header: {**header, "mask_spec": {"chunk_frames": 2}},
+    ],
+    ids=["list", "no-config", "list-config", "list-mask-spec", "string-mask-spec",
+         "mask-spec-without-variant"],
+)
+def test_malformed_checkpoint_header_is_an_error(capsys, tmp_path, edit):
+    path = tmp_path / "bad.ckpt"
+    config = EncoderConfig(n_layers=1, model_dim=4, n_heads=1, ffn_dim=4, feature_dim=2,
+                           frontend_norm="gn")
+    save_checkpoint(init_params(config, 0), path)
+    blob = path.read_bytes()[:-8]
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[start : start + 4])
+    header = json.loads(blob[start + 4 : start + 4 + hlen])
+    hjson = json.dumps(edit(header)).encode()
+    body = blob[:start] + struct.pack("<I", len(hjson)) + hjson + blob[start + 4 + hlen :]
+    path.write_bytes(body + struct.pack("<Q", len(body) + 8))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+    code, out, err = run(
+        capsys, "posteriors", "--model", str(path), "--data", str(tmp_path / "nope.bin")
+    )
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0]
 
 
 def test_decode_out_tsv_scores(capsys, trained, tmp_path):

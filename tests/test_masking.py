@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctc.encoder import _pad
 from streamctc.masking import (
     AttentionMask,
     MaskSpec,
@@ -12,7 +13,6 @@ from streamctc.masking import (
     eil,
     latency_report,
     n_positions,
-    plan_hard_copy,
     reachability,
     reception_field,
 )
@@ -35,13 +35,12 @@ def bfs_reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:
     for p, s in enumerate(fields):
         for q in s:
             dense[p, q] = True
-    plan = mask.plan
-    real_rows = [p for p in range(n) if not plan.is_copy[p]]
-    folded = np.zeros((plan.n_frames, plan.n_frames), dtype=bool)
+    real_rows = [p for p in range(n) if not mask.is_copy[p]]
+    folded = np.zeros((mask.n_frames, mask.n_frames), dtype=bool)
     for i, p in enumerate(real_rows):
         for q in range(n):
             if dense[p, q]:
-                folded[i, plan.index_map[q]] = True
+                folded[i, mask.index_map[q]] = True
     return folded
 
 
@@ -65,6 +64,8 @@ class TestMaskSpecValidation:
     def test_block_requires_both(self):
         with pytest.raises(ValueError):
             MaskSpec("block", chunk_frames=4)
+        with pytest.raises(ValueError):
+            MaskSpec("block", chunk_frames=0, future_frames=1)
         with pytest.raises(ValueError):
             MaskSpec("block", chunk_frames=4, future_frames=-1)
 
@@ -153,13 +154,12 @@ class TestBuildMask:
     def test_block_layout_and_mask(self):
         # T=6, C=2, F=1: augmented [0,1,c2, 2,3,c4, 4,5] -> 8 positions
         m = build_mask(MaskSpec("block", chunk_frames=2, future_frames=1), 6)
-        plan = m.plan
-        assert plan.n_augmented == 8
-        np.testing.assert_array_equal(plan.index_map, [0, 1, 2, 2, 3, 4, 4, 5])
+        assert m.n_positions == 8
+        np.testing.assert_array_equal(m.index_map, [0, 1, 2, 2, 3, 4, 4, 5])
         np.testing.assert_array_equal(
-            plan.is_copy, [False, False, True, False, False, True, False, False]
+            m.is_copy, [False, False, True, False, False, True, False, False]
         )
-        np.testing.assert_array_equal(plan.output_positions, [0, 1, 3, 4, 6, 7])
+        np.testing.assert_array_equal(np.flatnonzero(~m.is_copy), [0, 1, 3, 4, 6, 7])
         # third frame (augmented position 4, chunk 1) sees chunk 0 real
         # frames but not chunk 0's copy, plus all of chunk 1 incl. the copy
         # of the fifth frame; never the sixth frame
@@ -171,15 +171,17 @@ class TestBuildMask:
 
     def test_block_copy_count_clipped_at_end(self):
         m = build_mask(MaskSpec("block", chunk_frames=3, future_frames=5), 7)
-        plan = m.plan
         # chunk 0 copies frames 3..6 (4 of them), chunk 1 copies frame 6,
         # chunk 2 (frame 6 alone) copies nothing
-        assert plan.n_augmented == 7 + 4 + 1
-        assert plan.n_chunks == 3
+        assert m.n_positions == 7 + 4 + 1
+        np.testing.assert_array_equal(
+            m.index_map, [0, 1, 2, 3, 4, 5, 6, 3, 4, 5, 6, 6]
+        )
+        np.testing.assert_array_equal(m.is_copy, [0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0])
 
     def test_block_future_zero_copies_nothing(self):
         m = build_mask(MaskSpec("block", chunk_frames=2, future_frames=0), 6)
-        assert m.plan.n_augmented == 6
+        assert m.n_positions == 6 and not m.is_copy.any()
         chunk = build_mask(MaskSpec("chunk", chunk_frames=2), 6)
         np.testing.assert_array_equal(m.allowed, chunk.allowed)
 
@@ -212,7 +214,8 @@ class TestOneLayoutKind:
             MaskSpec("block", chunk_frames=c, future_frames=0, left_limit=left), t
         )
         np.testing.assert_array_equal(chunk.allowed, block.allowed)
-        np.testing.assert_array_equal(chunk.plan.chunk_id, block.plan.chunk_id)
+        np.testing.assert_array_equal(chunk.index_map, block.index_map)
+        np.testing.assert_array_equal(chunk.is_copy, block.is_copy)
 
     @given(st.integers(1, 20), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -225,17 +228,11 @@ class TestOneLayoutKind:
     @given(_spec_strategy(), st.integers(1, 20))
     @settings(max_examples=120, deadline=None)
     def test_every_layout_round_trips(self, spec, t):
-        plan = build_mask(spec, t).plan
+        mask = build_mask(spec, t)
         x = np.arange(t * 2, dtype=np.float64).reshape(t, 2)
-        np.testing.assert_array_equal(plan.reduce(plan.augment(x)), x)
-        copies = spec.variant == "block" and spec.future_frames > 0 and plan.n_chunks > 1
-        assert plan.has_copies == copies
-        assert plan.is_copy.any() == copies
-        if not copies:
-            # no copies: the maps hand back their argument, signed zeros too
-            g = -np.zeros((t, 2))
-            assert plan.augment(x) is x and plan.reduce(x) is x
-            assert plan.reduce_grad(g) is g
+        np.testing.assert_array_equal(x[mask.index_map][~mask.is_copy], x)
+        copies = spec.variant == "block" and spec.future_frames > 0 and spec.chunk_frames < t
+        assert mask.is_copy.any() == copies
 
 
     @given(_spec_strategy(), st.integers(1, 40))
@@ -245,30 +242,26 @@ class TestOneLayoutKind:
 
 
 class TestHardCopyPlan:
+    """The block layout's hard copies, gathered and scattered by the encoder."""
+
     def test_augment_reduce_roundtrip(self):
-        plan = plan_hard_copy(7, 2, 2)
-        x = np.arange(7 * 3, dtype=np.float64).reshape(7, 3)
-        aug = plan.augment(x)
-        assert aug.shape == (plan.n_augmented, 3)
-        np.testing.assert_array_equal(plan.reduce(aug), x)
+        pad = _pad(MaskSpec("block", chunk_frames=2, future_frames=2), [7])
+        x = np.arange(7 * 3, dtype=np.float64).reshape(1, 7, 3)
+        aug = pad.augment(x)
+        assert aug.shape == (pad.n_rows, 3) and pad.n_rows > 7
+        np.testing.assert_array_equal(aug[pad.outputs], x[0])
 
     def test_reduce_grad_accumulates_copies(self):
-        plan = plan_hard_copy(4, 2, 1)
+        pad = _pad(MaskSpec("block", chunk_frames=2, future_frames=1), [4])
         # layout [0,1,c2,2,3]; frame 2 appears twice
-        g = np.ones((plan.n_augmented, 1))
-        back = plan.reduce_grad(g)
-        np.testing.assert_array_equal(back[:, 0], [1, 1, 2, 1])
+        back = pad.reduce_grad(np.ones((pad.n_rows, 1)))
+        np.testing.assert_array_equal(back[0, :, 0], [1, 1, 2, 1])
 
     def test_truncated_copies_at_end(self):
-        plan = plan_hard_copy(5, 2, 3)
+        mask = build_mask(MaskSpec("block", chunk_frames=2, future_frames=3), 5)
         # chunk 0 copies 2,3,4; chunk 1 copies only 4; chunk 2 none
-        assert plan.n_augmented == 5 + 3 + 1
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            plan_hard_copy(4, 0, 1)
-        with pytest.raises(ValueError):
-            plan_hard_copy(4, 2, -1)
+        assert mask.n_positions == 5 + 3 + 1
+        np.testing.assert_array_equal(mask.index_map, [0, 1, 2, 3, 4, 2, 3, 4, 4])
 
 
 class TestReachability:
@@ -290,6 +283,12 @@ class TestReachability:
         got = reachability(mask, n_layers)
         want = bfs_reachability(mask, n_layers)
         np.testing.assert_array_equal(got, want)
+
+    def test_many_paths_do_not_wrap_to_unreachable(self):
+        # 256 or more paths into one position still read as reachable
+        assert reachability(build_mask(MaskSpec("bidirectional"), 256), 2).all()
+        rf = reception_field(MaskSpec("chunk", chunk_frames=256), 2, 300)
+        assert rf.latest[0] == 255 and rf.earliest[299] == 0
 
     @given(st.integers(1, 4), st.integers(0, 3), st.integers(4, 10))
     @settings(max_examples=20, deadline=None)
