@@ -2,7 +2,7 @@
 
 Architecture, per utterance (T x feature_dim input):
 
-    frontend: norm -> conv1d -> GELU          (T x model_dim)
+    frontend: batch norm -> causal conv1d -> GELU  (T x model_dim)
     augment into the mask's layout            (T' x model_dim)
     n x pre-norm transformer layer            (T' x model_dim)
     drop the layout's copies                  (T x model_dim)
@@ -22,14 +22,14 @@ batch's outputs and input gradients equal its members' batch-of-one
 calls, and its parameter gradient their sum, up to float rounding.
 ``forward`` is a batch of one.
 
-The frontend norm is either a per-frame feature normalization ("gn") or
-per-channel batch normalization over time ("bn", carrying running stats;
-in train mode each member is normalized by its own statistics, folded into
-the running stats once per member in batch order); the conv is causal or
-symmetric. Each transformer layer is pre-norm: ``h + MHA(LN(h))`` then
-``a + FFN(LN(a))``. Attention splits queries, keys and values into
-``(B, heads, T'_max, head_dim)`` stacks and runs, forward and backward, as
-batched matmul (``@``) over the batch and head axes.
+The frontend norm is per-channel batch normalization over time with
+running stats (in train mode each member is normalized by its own
+statistics, folded into the running stats once per member in batch
+order). The conv is causal, output frame t reading frames t-K+1 .. t, so
+the mask alone sets the lookahead. Each transformer layer is pre-norm:
+``h + MHA(LN(h))`` then ``a + FFN(LN(a))``. Attention splits queries, keys
+and values into ``(B, heads, T'_max, head_dim)`` stacks and runs, forward
+and backward, as batched matmul (``@``) over the batch and head axes.
 
 ``forward_with_cache`` returns one ForwardTrace per member (per-layer
 hidden states at real frame positions, the posteriorgram and the frontend
@@ -84,6 +84,11 @@ class CheckpointError(ValueError):
     """Checkpoint file is malformed, truncated, or mismatches expectations."""
 
 
+# v1 checkpoint header config fields that name no choice: every header
+# carries these values, and `EncoderConfig.from_dict` accepts no other
+HEADER_CONSTANTS = {"dropout": 0.0, "frontend_norm": "bn", "frontend_conv": "causal"}
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     n_layers: int = 4
@@ -92,8 +97,6 @@ class EncoderConfig:
     ffn_dim: int = 64
     vocab_size: int = 29
     feature_dim: int = 8
-    frontend_norm: str = "bn"  # "gn" (per-frame) | "bn" (running stats)
-    frontend_conv: str = "causal"  # "causal" | "symmetric"
     frontend_kernel: int = 4
 
     def __post_init__(self):
@@ -104,10 +107,6 @@ class EncoderConfig:
             raise ValueError("model_dim must be divisible by n_heads")
         # blank plus a symbol
         check_int("vocab_size", self.vocab_size, 2)
-        if self.frontend_norm not in ("gn", "bn"):
-            raise ValueError("frontend_norm must be 'gn' or 'bn'")
-        if self.frontend_conv not in ("causal", "symmetric"):
-            raise ValueError("frontend_conv must be 'causal' or 'symmetric'")
 
     @property
     def head_dim(self) -> int:
@@ -119,21 +118,13 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         d = dict(d)
-        # checkpoint headers and older config dumps carry "dropout": 0.0
-        if d.pop("dropout", 0) != 0:
-            raise ValueError("dropout is not supported; only 0 is accepted")
+        for key, value in HEADER_CONSTANTS.items():
+            if (got := d.pop(key, value)) != value:
+                raise ValueError(f"{key} {got!r} is not supported; only {value!r} is accepted")
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown encoder config key(s): {', '.join(unknown)}")
         return cls(**d)
-
-
-def frontend_lookahead(config: EncoderConfig) -> int:
-    """Future frames visible to the frontend conv (0 when causal).
-
-    Symmetric padding puts the extra zero of an even kernel on the left, so
-    the right reach is (K-1)//2 for every K."""
-    return 0 if config.frontend_conv == "causal" else (config.frontend_kernel - 1) // 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,7 +182,7 @@ def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
 @dataclass(eq=False)
 class ModelParams:
     """Every trainable value in one float64 vector `flat`, laid out by
-    `param_layout`, plus non-trainable frontend norm stats.
+    `param_layout`, plus the frontend batch norm's running statistics.
 
     `arrays` maps each name to a view into `flat`; it is read-only, so
     training writes into the views or `flat` in place and never rebinds a
@@ -202,7 +193,7 @@ class ModelParams:
 
     config: EncoderConfig
     flat: np.ndarray
-    bn_stats: BatchNormStats | None = None
+    bn_stats: BatchNormStats
     mask_spec: MaskSpec | None = None
 
     def __post_init__(self):
@@ -216,7 +207,7 @@ class ModelParams:
         return ModelParams(
             config=self.config,
             flat=self.flat.copy(),
-            bn_stats=self.bn_stats.copy() if self.bn_stats else None,
+            bn_stats=self.bn_stats.copy(),
             mask_spec=self.mask_spec,
         )
 
@@ -237,21 +228,19 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     1-D arrays 0, and each matrix is uniform in +-1/sqrt(fan_in), fan_in
     being the product of all its dimensions but the last.
 
-    A "bn" frontend's running stats start at (mean 0, var 1), so a fresh
+    The frontend's running stats start at (mean 0, var 1), so a fresh
     model runs in infer mode; each train-mode forward pass folds its
     statistics in with weight `BN_MOMENTUM`.
     """
     rng = np.random.default_rng(seed)
     size = sum(math.prod(shape) for _, shape in param_layout(config))
-    params = ModelParams(config=config, flat=np.zeros(size))
+    params = ModelParams(config, np.zeros(size), BatchNormStats.fresh(config.feature_dim))
     for name, shape in param_layout(config):
         if len(shape) > 1:
             bound = 1.0 / np.sqrt(math.prod(shape[:-1]))
             params.arrays[name][...] = rng.uniform(-bound, bound, size=shape)
         elif name.endswith(".gain"):
             params.arrays[name][...] = 1.0
-    if config.frontend_norm == "bn":
-        params.bn_stats = BatchNormStats.fresh(config.feature_dim)
     return params
 
 
@@ -272,7 +261,6 @@ class _Padding:
     """
 
     lengths: tuple
-    real: np.ndarray  # (B, T, 1): real frames
     allowed: np.ndarray
     # flat frame row and flat position row of each real position; None
     # when no member has copies, so that positions are the padded frames
@@ -299,7 +287,7 @@ class _Padding:
     def reduce_grad(self, d_h: np.ndarray) -> np.ndarray:
         """(B x P, d) position gradient -> (B, T, d), copies scatter-added
         onto their source frames."""
-        shape = self.real.shape[:2] + (d_h.shape[1],)
+        shape = (len(self.lengths), max(self.lengths), d_h.shape[1])
         if self.frames is None:
             return d_h.reshape(shape)
         out = np.zeros((shape[0] * shape[1], shape[2]))
@@ -324,7 +312,6 @@ def _pad(spec: MaskSpec, lengths: list) -> _Padding:
     copies = any(mask.is_copy.any() for mask in masks)
     return _Padding(
         lengths=tuple(lengths),
-        real=(np.arange(t_max) < np.asarray(lengths)[:, None])[..., None],
         allowed=allowed[:, None],
         frames=np.concatenate(frames) if copies else None,
         positions=np.concatenate(positions) if copies else None,
@@ -449,21 +436,13 @@ def forward_with_cache(
     arrays = params.arrays
     cache = {"config": config, "pad": pad}
 
-    gain, bias = arrays["frontend.norm.gain"], arrays["frontend.norm.bias"]
-    if config.frontend_norm == "gn":
-        xn, cache["norm"] = layer_norm_forward(x, gain, bias)
-        # pad rows read as zeros, the conv's padding past a lone utterance
-        xn = np.where(pad.real, xn, 0.0)
-    else:
-        mode = "train" if train else "infer"
-        xn, cache["norm"] = batch_norm_forward(
-            x, gain, bias, params.bn_stats, mode, lengths=lengths
-        )
+    # pad rows leave the norm as zeros, the conv's padding past a lone utterance
+    xn, cache["norm"] = batch_norm_forward(
+        x, arrays["frontend.norm.gain"], arrays["frontend.norm.bias"], params.bn_stats,
+        "train" if train else "infer", lengths=lengths,
+    )
     xc, cache["conv"] = conv1d_forward(
-        xn,
-        arrays["frontend.conv.kernel"],
-        config.frontend_conv,
-        arrays["frontend.conv.bias"],
+        xn, arrays["frontend.conv.kernel"], arrays["frontend.conv.bias"]
     )
     cache["conv_pre"] = xc
     h0 = gelu(xc)
@@ -564,13 +543,8 @@ def backward(
     d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
         conv1d_backward(d_conv, cache["conv"])
     )
-    if config.frontend_norm == "gn":
-        norm_backward = layer_norm_backward
-        d_xn = np.where(pad.real, d_xn, 0.0)
-    else:
-        norm_backward = batch_norm_backward
     d_x, grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
-        norm_backward(d_xn, cache["norm"])
+        batch_norm_backward(d_xn, cache["norm"])
     )
     return grad, [d_x[b, :length] for b, length in enumerate(pad.lengths)]
 
@@ -584,22 +558,22 @@ def _params_payload(params: ModelParams) -> bytes:
     """Canonical serialization (used for both files and digests)."""
     header = {
         "version": CHECKPOINT_VERSION,
-        # the v1 header has a dropout field; the encoder has none, so it is always 0
-        "config": {**params.config.to_dict(), "dropout": 0.0},
+        "config": {**params.config.to_dict(), **HEADER_CONSTANTS},
         "arrangement": "pre_norm",
         "mask_spec": params.mask_spec.to_dict() if params.mask_spec else None,
         # v1 headers also mark running stats as set; here they always are
-        "bn_initialized": True if params.bn_stats else None,
+        "bn_initialized": True,
     }
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     hjson = json.dumps(header, sort_keys=True).encode()
     buf.write(struct.pack("<I", len(hjson)))
     buf.write(hjson)
-    named = dict(params.arrays)
-    if params.bn_stats is not None:
-        named["buffer.frontend.bn.mean"] = params.bn_stats.mean
-        named["buffer.frontend.bn.var"] = params.bn_stats.var
+    named = {
+        **params.arrays,
+        "buffer.frontend.bn.mean": params.bn_stats.mean,
+        "buffer.frontend.bn.var": params.bn_stats.var,
+    }
     buf.write(struct.pack("<I", len(named)))
     for name in sorted(named):
         arr = np.ascontiguousarray(named[name], dtype="<f8")
@@ -670,6 +644,8 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
         mask_spec = MaskSpec.from_dict(spec) if spec else None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    if header.get("bn_initialized") is not True:
+        raise CheckpointError(f"{path}: header bn_initialized is not true")
     if expect_config is not None and config != expect_config:
         raise CheckpointError(
             f"{path}: checkpoint config {config.to_dict()} does not match "
@@ -688,17 +664,9 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
         named[name] = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
     if off != len(blob) - 8:
         raise CheckpointError(f"{path}: {len(blob) - 8 - off} unread bytes")
-    stats = None
-    if "buffer.frontend.bn.mean" in named:
-        if header.get("bn_initialized") is not True:
-            raise CheckpointError(
-                f"{path}: batch-norm buffers without bn_initialized true are not supported"
-            )
-        stats = BatchNormStats(
-            mean=named.pop("buffer.frontend.bn.mean").copy(),
-            var=named.pop("buffer.frontend.bn.var").copy(),
-        )
-    layout = dict(param_layout(config))
+    # the frontend's running statistics are stored beside the parameters
+    buffers = ("buffer.frontend.bn.mean", "buffer.frontend.bn.var")
+    layout = {**dict(param_layout(config)), **dict.fromkeys(buffers, (config.feature_dim,))}
     stored = {name: arr.shape for name, arr in named.items()}
     if stored != layout:
         diff = [
@@ -707,5 +675,6 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
             if stored.get(n) != layout.get(n)
         ]
         raise CheckpointError(f"{path}: arrays differ from the config's layout: {'; '.join(diff)}")
-    flat = np.concatenate([named[name].ravel() for name in layout]).astype(np.float64, copy=False)
-    return ModelParams(config=config, flat=flat, bn_stats=stats, mask_spec=mask_spec)
+    stats = BatchNormStats(*(named[name].copy() for name in buffers))
+    flat = np.concatenate([named[name].ravel() for name, _ in param_layout(config)])
+    return ModelParams(config, flat.astype(np.float64, copy=False), stats, mask_spec)

@@ -41,8 +41,7 @@ class NgramModel:
     ends: dict
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        _check_order(self.order)
         if () not in self.tokens or () not in self.ends:
             raise ValueError("model must store the empty context")
 
@@ -51,25 +50,21 @@ def _as_tokens(sequence) -> list:
     return [str(t) for t in sequence]
 
 
-def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
-    """Estimate an order-n model from an iterable of token sequences.
-
-    Sequences may be strings (characters as tokens) or iterables of
-    string tokens. When `vocab` is omitted it is the sorted set of corpus
-    tokens. Tokens must be non-empty, whitespace-free, and distinct from
-    the reserved symbols.
-    """
+def _check_order(order: int) -> int:
     if order < 1:
         raise ValueError("order must be >= 1")
+    return order
+
+
+def _check_smoothing(smoothing: float) -> float:
     if not smoothing > 0:
         raise ValueError("smoothing must be > 0")
-    sequences = [_as_tokens(seq) for seq in corpus]
-    if not sequences:
-        raise ValueError("corpus is empty")
+    return smoothing
 
-    if vocab is None:
-        vocab = sorted({t for seq in sequences for t in seq})
-    vocab = tuple(str(t) for t in vocab)
+
+def _check_vocab(vocab: tuple) -> tuple:
+    """`vocab` if its tokens are non-empty, whitespace-free, distinct and
+    not reserved; otherwise a ValueError naming the first bad one."""
     if not vocab:
         raise ValueError("vocabulary is empty")
     seen = set()
@@ -81,6 +76,26 @@ def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
         if t in seen:
             raise ValueError(f"duplicate vocabulary token {t!r}")
         seen.add(t)
+    return vocab
+
+
+def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
+    """Estimate an order-n model from an iterable of token sequences.
+
+    Sequences may be strings (characters as tokens) or iterables of
+    string tokens. When `vocab` is omitted it is the sorted set of corpus
+    tokens. Tokens must be non-empty, whitespace-free, and distinct from
+    the reserved symbols.
+    """
+    _check_order(order)
+    _check_smoothing(smoothing)
+    sequences = [_as_tokens(seq) for seq in corpus]
+    if not sequences:
+        raise ValueError("corpus is empty")
+
+    if vocab is None:
+        vocab = sorted({t for seq in sequences for t in seq})
+    vocab = _check_vocab(tuple(str(t) for t in vocab))
     known = set(vocab)
 
     counts = {}  # context -> token -> count
@@ -227,6 +242,16 @@ def _int_field(value: str, i: int, key: str) -> int:
         raise LmFormatError(f"line {i + 1}: bad {key} count {value!r}") from None
 
 
+def _header_field(lines, i: int, key: str, parse, check):
+    """Header line `i`'s value, parsed and checked as `train_ngram` checks
+    it; an error names the line."""
+    value = _expect(lines, i, key)
+    try:
+        return check(parse(value))
+    except ValueError as exc:
+        raise LmFormatError(f"line {i + 1}: bad {key} {value!r}: {exc}") from None
+
+
 def load_lm(path) -> NgramModel:
     """Parse a saved model; errors carry the offending line number."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -235,17 +260,11 @@ def load_lm(path) -> NgramModel:
     version = _expect(lines, 0, "ngram")
     if version != str(FORMAT_VERSION):
         raise LmFormatError(f"line 1: unsupported format version {version!r}")
-    try:
-        order = int(_expect(lines, 1, "order"))
-    except ValueError:
-        raise LmFormatError("line 2: bad order") from None
-    try:
-        smoothing = float(_expect(lines, 2, "smoothing"))
-    except ValueError:
-        raise LmFormatError("line 3: bad smoothing constant") from None
-    vocab = tuple(t for t in _expect(lines, 3, "vocab").split(" ") if t)
-    if not vocab:
-        raise LmFormatError("line 4: empty vocabulary")
+    order = _header_field(lines, 1, "order", int, _check_order)
+    smoothing = _header_field(lines, 2, "smoothing", float, _check_smoothing)
+    vocab = _header_field(
+        lines, 3, "vocab", lambda v: tuple(t for t in v.split(" ") if t), _check_vocab
+    )
 
     n_tokens = _int_field(_expect(lines, 4, "tokens"), 4, "token")
     tokens = {}

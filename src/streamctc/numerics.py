@@ -234,22 +234,12 @@ def batch_norm_backward(grad_out: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
-def _conv_padding(kernel_size: int, mode: str) -> tuple[int, int]:
-    if mode == "causal":
-        return kernel_size - 1, 0
-    if mode == "symmetric":
-        # even kernels get the extra zero on the left
-        return kernel_size // 2, (kernel_size - 1) // 2
-    raise ValueError(f"unknown conv1d mode {mode!r}")
-
-
-def conv1d_forward(x, kernel, mode: str, bias=None):
-    """1-D convolution along time. `x` is (T, D_in), or (B, T, D_in) for a
-    batch of sequences convolved independently; `kernel` is (K, D_in, D_out).
-
-    Causal mode: output frame t sees input frames <= t only. Symmetric mode
-    centers the kernel. Both zero-pad so the output length is T, and K > T
-    is permitted.
+def conv1d_forward(x, kernel, bias=None):
+    """Causal 1-D convolution along time. `x` is (T, D_in), or (B, T, D_in)
+    for a batch of sequences convolved independently; `kernel` is
+    (K, D_in, D_out). Output frame t sees input frames t-K+1 .. t: the
+    input is left-padded with K-1 zeros, so the output length is T, and
+    K > T is permitted.
     """
     x = as_f64(x)
     kernel = as_f64(kernel)
@@ -259,23 +249,22 @@ def conv1d_forward(x, kernel, mode: str, bias=None):
     if x.shape[-1] != d_in:
         raise ValueError(f"input dim {x.shape[-1]} != kernel dim {d_in}")
     t = x.shape[-2]
-    left, right = _conv_padding(k, mode)
-    xp = np.zeros(x.shape[:-2] + (t + left + right, d_in))
-    xp[..., left : left + t, :] = x
+    xp = np.zeros(x.shape[:-2] + (t + k - 1, d_in))
+    xp[..., k - 1 :, :] = x
     y = np.zeros(x.shape[:-1] + (d_out,))
     for tap in range(k):
         y += xp[..., tap : tap + t, :] @ kernel[tap]
     if bias is not None:
         y = y + as_f64(bias)
-    return y, (xp, kernel, left, t)
+    return y, (xp, kernel, t)
 
 
-def conv1d(x, kernel, mode: str, bias=None) -> np.ndarray:
-    return conv1d_forward(x, kernel, mode, bias)[0]
+def conv1d(x, kernel, bias=None) -> np.ndarray:
+    return conv1d_forward(x, kernel, bias)[0]
 
 
 def conv1d_backward(grad_out: np.ndarray, cache):
-    xp, kernel, left, t = cache
+    xp, kernel, t = cache
     k, d_in, d_out = kernel.shape
     dxp = np.zeros_like(xp)
     dkernel = np.zeros_like(kernel)
@@ -283,7 +272,7 @@ def conv1d_backward(grad_out: np.ndarray, cache):
     for tap in range(k):
         dkernel[tap] = xp[..., tap : tap + t, :].reshape(-1, d_in).T @ rows
         dxp[..., tap : tap + t, :] += grad_out @ kernel[tap].T
-    dx = dxp[..., left : left + t, :]
+    dx = dxp[..., k - 1 :, :]
     dbias = rows.sum(axis=0)
     return dx, dkernel, dbias
 

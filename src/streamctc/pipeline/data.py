@@ -99,13 +99,11 @@ class SyntheticTask:
         noise_std: float = 0.4,
         seed: int = 0,
         text_len=(2, 6),
-        template_scale: float = 1.0,
     ) -> "SyntheticTask":
         """Draw one Gaussian template per token id from `seed`."""
         rng = np.random.default_rng(seed)
         templates = {
-            int(t): template_scale * rng.standard_normal(feature_dim)
-            for t in token_ids
+            int(t): rng.standard_normal(feature_dim) for t in token_ids
         }
         return cls(
             templates=templates,

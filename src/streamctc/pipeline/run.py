@@ -135,11 +135,9 @@ class PipelineConfig:
     seed: int = 0
     # synthetic task
     n_symbols: int = 3
-    use_delimiter: bool = True
     frames_per_token: tuple = (2, 4)
     noise_std: float = 0.4
     text_len: tuple = (2, 6)
-    template_scale: float = 1.0
     sizes: tuple = (24, 24, 16)
     # models
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -175,12 +173,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
-        for name in ("noise_std", "template_scale", "alpha", "lm_smoothing", "lm_weight",
+        for name in ("noise_std", "alpha", "lm_smoothing", "lm_weight",
                      "word_insertion_penalty", "peak_lr"):
             check_float(name, getattr(self, name))
-        for name in ("use_delimiter", "resume"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.resume, bool):
+            raise ValueError(f"resume must be true or false, got {self.resume!r}")
         if self.pretrain_mode not in ("random", "contrastive"):
             raise ValueError("pretrain_mode must be 'random' or 'contrastive'")
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
@@ -192,8 +189,6 @@ class PipelineConfig:
         if check_int("n_symbols", self.n_symbols, 1) > 26:
             raise ValueError(f"n_symbols must be in 1..26, got {self.n_symbols}")
         check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
-        if not self.template_scale > 0:
-            raise ValueError(f"template_scale must be finite and > 0, got {self.template_scale}")
         top = max(self.token_ids(Vocabulary.default()))
         if self.encoder.vocab_size <= top:
             raise ValueError(
@@ -222,11 +217,9 @@ class PipelineConfig:
         self.decode_config()
 
     def token_ids(self, vocabulary: Vocabulary) -> list:
+        """The first `n_symbols` letters, then the word delimiter."""
         first_letter = vocabulary.symbols.index("a")
-        ids = [first_letter + i for i in range(self.n_symbols)]
-        if self.use_delimiter:
-            ids.append(DELIMITER)
-        return ids
+        return [first_letter + i for i in range(self.n_symbols)] + [DELIMITER]
 
     def task(self, vocabulary: Vocabulary) -> SyntheticTask:
         return SyntheticTask.make(
@@ -236,7 +229,6 @@ class PipelineConfig:
             noise_std=self.noise_std,
             seed=self.seed,
             text_len=self.text_len,
-            template_scale=self.template_scale,
         )
 
     def train_config(self, stage: str) -> TrainConfig:
@@ -467,8 +459,8 @@ def _produce_pseudo(run, paths):
 STAGES = (
     Stage(
         "data", None, (),
-        ("seed", "n_symbols", "use_delimiter", "frames_per_token", "noise_std",
-         "text_len", "template_scale", "sizes", "encoder.feature_dim"),
+        ("seed", "n_symbols", "frames_per_token", "noise_std", "text_len", "sizes",
+         "encoder.feature_dim"),
         ("data/labeled.bin", "data/unlabeled.bin", "data/dev.bin"),
         _produce_data,
         lambda run, paths: (DataSplit(*(load_dataset(p) for p in paths)), None),

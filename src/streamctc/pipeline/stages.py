@@ -5,7 +5,9 @@ All training stages share one deterministic update loop. Before it runs,
 each stage builds its target map once: the uid of every utterance that
 can train, mapped to what it trains toward (an encoded label that fits
 its frames, that label plus a guide mask, a teacher trace, or nothing for
-contrastive pairs). Batches are drawn from a seeded generator over the
+contrastive pairs). Only utterances of at least 2 frames can train, since
+the frontend's train-mode batch norm normalizes each utterance by its own
+statistics. Batches are drawn from a seeded generator over the
 whole training set; an utterance without a target is skipped and counted
 before its forward pass. The others, in utterance-id order, run as
 consecutive micro-batches whose padded attention area stays within
@@ -187,20 +189,27 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None):
     """The frame every training stage shares: copy `init` under mask
     `spec`, build the stage's targets, run the update loop, and log.
 
-    `prepare(work, data)` runs on the copy inside the timed span and
-    returns (targets, objective, extra): `targets` maps the uid of each
-    utterance that can train to its target and is the stage's one rule
-    for which utterances train, `objective` feeds `_run_updates`, and
-    `extra()` gives the log's extras once the updates are done."""
+    `prepare(work, trainable)` runs on the copy inside the timed span,
+    `trainable` being the utterances of at least 2 frames (train-mode batch
+    norm needs two), and returns (targets, objective, extra): `targets`
+    maps the uid of each of those that can train to its target and is the
+    stage's one rule for which utterances train, `objective` feeds
+    `_run_updates`, and `extra()` gives the log's extras once the updates
+    are done. Batches are still drawn from all of `data`."""
     data = list(data)
     if not data:
         raise ValueError("training set is empty")
     if len({utt.uid for utt in data}) < len(data):
         raise ValueError("training set repeats an utterance id")
+    trainable = [utt for utt in data if utt.n_frames >= 2]
+    if not trainable:
+        raise UnsatisfiableTargetError(
+            f"all {len(data)} training samples have fewer than 2 frames"
+        )
     started = time.perf_counter()
     work = init.copy()
     work.mask_spec = spec
-    targets, objective, extra = prepare(work, data)
+    targets, objective, extra = prepare(work, trainable)
     losses, skipped = _run_updates(work, data, cfg, targets, objective)
     extras = extra()
     dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
@@ -422,7 +431,8 @@ def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
         return loss_total, {"grad_hidden": {top_layer: grad}}
 
     def prepare(work, data):
-        # contrastive pairs need a distractor frame besides the positive
-        return {u.uid: None for u in data if u.n_frames >= 2}, objective, dict
+        # `_train` passes utterances of two frames or more, so every
+        # position has a distractor besides its positive
+        return {u.uid: None for u in data}, objective, dict
 
     return _train(init, None, data, cfg, prepare)

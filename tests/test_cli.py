@@ -371,14 +371,15 @@ def test_lm_weight_without_lm_is_a_usage_error(capsys, tmp_path, command):
         lambda header: {**header, "mask_spec": [1]},
         lambda header: {**header, "mask_spec": "block"},
         lambda header: {**header, "mask_spec": {"chunk_frames": 2}},
+        lambda header: {**header, "config": {**header["config"], "frontend_norm": "gn"}},
+        lambda header: {**header, "config": {**header["config"], "frontend_conv": "symmetric"}},
     ],
     ids=["list", "no-config", "list-config", "list-mask-spec", "string-mask-spec",
-         "mask-spec-without-variant"],
+         "mask-spec-without-variant", "gn-frontend", "symmetric-frontend"],
 )
 def test_malformed_checkpoint_header_is_an_error(capsys, tmp_path, edit):
     path = tmp_path / "bad.ckpt"
-    config = EncoderConfig(n_layers=1, model_dim=4, n_heads=1, ffn_dim=4, feature_dim=2,
-                           frontend_norm="gn")
+    config = EncoderConfig(n_layers=1, model_dim=4, n_heads=1, ffn_dim=4, feature_dim=2)
     save_checkpoint(init_params(config, 0), path)
     blob = path.read_bytes()[:-8]
     start = len(CHECKPOINT_MAGIC)
@@ -395,6 +396,28 @@ def test_malformed_checkpoint_header_is_an_error(capsys, tmp_path, edit):
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(path) in errors[0]
+
+
+@pytest.mark.parametrize("buffer", ["mean", "var"])
+def test_checkpoint_without_batch_norm_buffers_is_an_error(capsys, tmp_path, buffer):
+    # a model without running statistics once loaded and then died in its
+    # first forward pass with an AttributeError
+    path = tmp_path / "bad.ckpt"
+    config = EncoderConfig(n_layers=1, model_dim=4, n_heads=1, ffn_dim=4, feature_dim=2)
+    save_checkpoint(init_params(config, 0), path)
+    name = f"buffer.frontend.bn.{buffer}".encode()
+    blob = path.read_bytes()
+    assert blob.count(name) == 1
+    # a renamed array of the same length leaves every offset in place
+    path.write_bytes(blob.replace(name, name[:-1] + b"X"))
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*" + name.decode()):
+        load_checkpoint(path)
+    code, out, err = run(
+        capsys, "posteriors", "--model", str(path), "--data", str(tmp_path / "nope.bin")
+    )
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0] and "Traceback" not in err
 
 
 def test_decode_out_tsv_scores(capsys, trained, tmp_path):
@@ -560,6 +583,7 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("text_len", [3, 1], "text_len"),
         ("frames_per_token", [0, 2], "frames_per_token"),
         ("beam_size", 0, "beam_size"),
+        # template_scale and use_delimiter are no longer config keys
         ("template_scale", 0, "template_scale"),
         ("seed", -1, "seed"),
         ("alpha", math.nan, "alpha"),
@@ -606,7 +630,7 @@ def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     assert out == ""
 
 
-FLOAT_FIELDS = ("noise_std", "template_scale", "alpha", "lm_smoothing", "lm_weight",
+FLOAT_FIELDS = ("noise_std", "alpha", "lm_smoothing", "lm_weight",
                 "word_insertion_penalty", "peak_lr")
 
 

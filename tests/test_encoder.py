@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from streamctc.encoder import (
     CHECKPOINT_MAGIC,
+    HEADER_CONSTANTS,
     CheckpointError,
     EncoderConfig,
     backward,
     checkpoint_digest,
     forward,
     forward_with_cache,
-    frontend_lookahead,
     init_params,
     load_checkpoint,
     param_layout,
@@ -34,8 +34,6 @@ TINY = EncoderConfig(
     ffn_dim=24,
     vocab_size=5,
     feature_dim=6,
-    frontend_norm="gn",
-    frontend_conv="causal",
     frontend_kernel=3,
 )
 
@@ -52,8 +50,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(vocab_size=1)
         with pytest.raises(ValueError):
-            EncoderConfig(frontend_norm="instance")
-        with pytest.raises(ValueError):
             EncoderConfig(frontend_kernel=0)
 
     @pytest.mark.parametrize(
@@ -64,7 +60,7 @@ class TestConfig:
             EncoderConfig(**{name: 0})
 
     def test_dict_roundtrip(self):
-        cfg = EncoderConfig(n_layers=3, frontend_conv="symmetric")
+        cfg = EncoderConfig(n_layers=3)
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_rejects_nonzero_dropout(self):
@@ -73,20 +69,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="dropout"):
             EncoderConfig.from_dict({**TINY.to_dict(), "dropout": 0.5})
 
-    def test_frontend_lookahead(self):
-        assert frontend_lookahead(EncoderConfig(frontend_conv="causal")) == 0
-        assert (
-            frontend_lookahead(
-                EncoderConfig(frontend_conv="symmetric", frontend_kernel=5)
-            )
-            == 2
-        )
-        assert (
-            frontend_lookahead(
-                EncoderConfig(frontend_conv="symmetric", frontend_kernel=4)
-            )
-            == 1
-        )
+    @pytest.mark.parametrize(
+        "key, value", [("frontend_norm", "gn"), ("frontend_conv", "symmetric")]
+    )
+    def test_from_dict_takes_only_the_one_frontend(self, key, value):
+        # checkpoint headers name the frontend: batch norm, then a causal conv
+        assert EncoderConfig.from_dict({**TINY.to_dict(), key: HEADER_CONSTANTS[key]}) == TINY
+        assert key not in TINY.to_dict()
+        with pytest.raises(ValueError, match=key):
+            EncoderConfig.from_dict({**TINY.to_dict(), key: value})
 
 
 class TestInitParams:
@@ -105,8 +96,7 @@ class TestInitParams:
         )
 
     def test_bn_stats_ready_for_infer(self):
-        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": "bn"})
-        params = init_params(cfg, 0)
+        params = init_params(TINY, 0)
         trace = forward(params, make_features(5, 6), MaskSpec("bidirectional"))
         assert trace.posteriorgram.shape == (5, 5)
 
@@ -191,7 +181,6 @@ class TestAttentionLayer:
             ffn_dim=12,
             vocab_size=4,
             feature_dim=4,
-            frontend_norm="gn",
         )
         params = init_params(cfg, 5)
         spec = MaskSpec("time_restricted", right_frames=1)
@@ -220,7 +209,6 @@ class TestAttentionLayer:
             ffn_dim=12,
             vocab_size=4,
             feature_dim=4,
-            frontend_norm="gn",
         )
         params = init_params(cfg, 6)
         trace = forward(params, make_features(8, 4, seed=10), spec)
@@ -329,9 +317,7 @@ class TestForward:
         assert not np.array_equal(out[t], base[t])
 
     def test_causality_all_variants_infer_mode(self):
-        cfg = EncoderConfig.from_dict(
-            {**TINY.to_dict(), "n_layers": 3, "frontend_conv": "causal"}
-        )
+        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "n_layers": 3})
         t_len = 10
         feats = make_features(t_len, 6, seed=6)
         for spec in (
@@ -350,45 +336,33 @@ class TestForward:
                 out = forward(params, x, spec).posteriorgram
                 np.testing.assert_array_equal(out[t], base[t], err_msg=str((spec, t)))
 
-    def test_symmetric_frontend_adds_lookahead(self):
-        cfg = EncoderConfig.from_dict(
-            {
-                **TINY.to_dict(),
-                "frontend_conv": "symmetric",
-                "frontend_kernel": 5,
-            }
-        )
+    def test_a_wide_frontend_kernel_adds_no_lookahead(self):
+        # the causal conv reads only past frames, so in infer mode the mask
+        # alone bounds what a frame sees, whatever the kernel width
+        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_kernel": 5})
         params = init_params(cfg, 12)
         spec = MaskSpec("chunk", chunk_frames=2)
         feats = make_features(10, 6, seed=7)
         base = forward(params, feats, spec).posteriorgram
         rf = reception_field(spec, cfg.n_layers, 10)
-        extra = frontend_lookahead(cfg)
-        assert extra == 2
-        t = 0
-        # beyond attention horizon + conv halo: unchanged
-        x = feats.copy()
-        x[rf.latest[t] + extra + 1 :] += 5.0
-        out = forward(params, x, spec).posteriorgram
-        np.testing.assert_array_equal(out[t], base[t])
-        # inside the conv halo: changed
-        x = feats.copy()
-        x[rf.latest[t] + extra] += 5.0
-        out = forward(params, x, spec).posteriorgram
-        assert not np.array_equal(out[t], base[t])
+        for t in (0, 3):
+            x = feats.copy()
+            x[rf.latest[t] + 1 :] += 5.0
+            out = forward(params, x, spec).posteriorgram
+            np.testing.assert_array_equal(out[t], base[t])
+            x = feats.copy()
+            x[rf.latest[t]] += 5.0
+            assert not np.array_equal(forward(params, x, spec).posteriorgram[t], base[t])
 
-
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
-    @pytest.mark.parametrize("norm", ["gn", "bn"])
-    def test_non_finite_features_raise_at_posteriorgram(self, norm, train):
+    @pytest.mark.parametrize("train", [True, False], ids=["bn-train", "bn-infer"])
+    def test_non_finite_features_raise_at_posteriorgram(self, train):
         # the kernels do not check; the one check on the posteriorgram
         # catches a NaN anywhere upstream
-        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": norm})
         x = make_features(7, 6)
         x[3, 2] = np.nan
         spec = MaskSpec("block", chunk_frames=3, future_frames=1)
         with pytest.raises(NonFiniteError, match="posteriorgram"):
-            forward(init_params(cfg, 1), x, spec, train=train)
+            forward(init_params(TINY, 1), x, spec, train=train)
 
 
 class TestBackward:
@@ -400,8 +374,7 @@ class TestBackward:
             MaskSpec("block", chunk_frames=3, future_frames=2),
         ],
     )
-    @pytest.mark.parametrize("norm", ["gn", "bn"])
-    def test_full_gradient_small_model(self, spec, norm):
+    def test_full_gradient_small_model(self, spec):
         cfg = EncoderConfig(
             n_layers=2,
             model_dim=16,
@@ -409,8 +382,6 @@ class TestBackward:
             ffn_dim=8,
             vocab_size=3,
             feature_dim=4,
-            frontend_norm=norm,
-            frontend_conv="causal",
             frontend_kernel=2,
         )
         base = init_params(cfg, 21)
@@ -423,7 +394,7 @@ class TestBackward:
             params = base.copy()
             for key, val in zip(keys, weight_values):
                 params.arrays[key][...] = val
-            [trace], cache = forward_with_cache(params, [feats], spec, train=(norm == "bn"))
+            [trace], cache = forward_with_cache(params, [feats], spec, train=True)
             loss = float((trace.posteriorgram * w_post).sum())
             grad, _ = backward(params, cache, grad_logpost=[w_post])
             grads = param_views(cfg, grad)
@@ -488,17 +459,16 @@ ORACLE_SPECS = (
 )
 
 
-def _oracle_params(norm, conv, seed):
-    """A small model whose gains and biases are not 1 and 0, so a pad row
-    that leaked through a norm would show."""
+def _oracle_params(seed):
+    """A small model whose gains, biases and running statistics are not
+    the fresh ones, so a pad row that leaked through a norm would show."""
     cfg = EncoderConfig(
         n_layers=3, model_dim=8, n_heads=2, ffn_dim=12, vocab_size=5,
-        feature_dim=4, frontend_norm=norm, frontend_conv=conv, frontend_kernel=3,
+        feature_dim=4, frontend_kernel=3,
     )
     params = init_params(cfg, seed)
     params.flat += np.random.default_rng(seed).normal(scale=0.3, size=params.flat.shape)
-    if params.bn_stats is not None:
-        params.bn_stats.mean += 0.3
+    params.bn_stats.mean += 0.3
     return params
 
 
@@ -514,16 +484,14 @@ class TestBatchedPass:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_batch_matches_its_batch_of_one_calls(self, data):
-        norm = data.draw(st.sampled_from(["gn", "bn"]), label="norm")
-        conv = data.draw(st.sampled_from(["causal", "symmetric"]), label="conv")
         spec = data.draw(st.sampled_from(ORACLE_SPECS), label="spec")
         train = data.draw(st.booleans(), label="train")
         inject = data.draw(st.sampled_from(["posteriorgram", "hidden", "both"]), label="inject")
-        # bn train mode needs two frames per utterance; gn takes one
-        shortest = 2 if norm == "bn" else 1
+        # train-mode batch norm needs two frames per utterance
+        shortest = 2 if train else 1
         lengths = data.draw(st.lists(st.integers(shortest, 9), min_size=1, max_size=5), label="lengths")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        base = _oracle_params(norm, conv, seed % 1000)
+        base = _oracle_params(seed % 1000)
         cfg = base.config
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=(n, cfg.feature_dim)) for n in lengths]
@@ -557,27 +525,25 @@ class TestBatchedPass:
                 assert_relatively_close(got_h, want_h)
             assert_relatively_close(d_x, want_d_x)
         assert_relatively_close(grad, summed)
-        if norm == "bn":
-            # running statistics fold once per member, in batch order
-            np.testing.assert_array_equal(batched.bn_stats.mean, single.bn_stats.mean)
-            np.testing.assert_array_equal(batched.bn_stats.var, single.bn_stats.var)
+        # running statistics fold once per member, in batch order
+        np.testing.assert_array_equal(batched.bn_stats.mean, single.bn_stats.mean)
+        np.testing.assert_array_equal(batched.bn_stats.var, single.bn_stats.var)
 
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
-    @pytest.mark.parametrize("norm", ["gn", "bn"])
+    @pytest.mark.parametrize("train", [True, False], ids=["bn-train", "bn-infer"])
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.variant)
-    def test_a_longer_member_leaves_the_others_unchanged(self, spec, norm, train):
-        dim = _oracle_params(norm, "symmetric", 2).config.feature_dim
+    def test_a_longer_member_leaves_the_others_unchanged(self, spec, train):
+        dim = _oracle_params(2).config.feature_dim
         xs = [make_features(n, dim, seed=n) for n in (4, 7, 2)]
         longer = make_features(13, dim, seed=13)
-        before, _ = forward_with_cache(_oracle_params(norm, "symmetric", 2), xs, spec, train=train)
+        before, _ = forward_with_cache(_oracle_params(2), xs, spec, train=train)
         after, _ = forward_with_cache(
-            _oracle_params(norm, "symmetric", 2), [*xs[:2], longer, xs[2]], spec, train=train
+            _oracle_params(2), [*xs[:2], longer, xs[2]], spec, train=train
         )
         for want, got in zip(before, [*after[:2], after[3]]):
             assert_relatively_close(got.posteriorgram, want.posteriorgram)
 
     def test_one_frame_bn_member_raises_as_it_does_alone(self):
-        params = _oracle_params("bn", "causal", 0)
+        params = _oracle_params(0)
         cfg = params.config
         spec = MaskSpec("chunk", chunk_frames=3)
         stats = params.bn_stats.copy()
@@ -611,8 +577,7 @@ class TestCheckpoints:
         assert checkpoint_digest(loaded) == digest
 
     def test_bn_stats_roundtrip(self, tmp_path):
-        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": "bn"})
-        params = init_params(cfg, 2)
+        params = init_params(TINY, 2)
         params.bn_stats.mean += 0.25
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, path)
@@ -653,14 +618,17 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("change", ["missing", "extra", "shape"])
     def test_arrays_must_match_the_layout(self, tmp_path, change):
-        arrays = dict(init_params(TINY, 13).arrays)
+        params = init_params(TINY, 13)
+        arrays = dict(params.arrays)
         if change == "missing":
             del arrays["head.b"]
         elif change == "extra":
             arrays["head.c"] = np.zeros(5)
         else:
             arrays["head.b"] = np.zeros(6)
-        fake = types.SimpleNamespace(config=TINY, arrays=arrays, bn_stats=None, mask_spec=None)
+        fake = types.SimpleNamespace(
+            config=TINY, arrays=arrays, bn_stats=params.bn_stats, mask_spec=None
+        )
         path = tmp_path / "m.ckpt"
         save_checkpoint(fake, path)
         with pytest.raises(CheckpointError, match="head"):
@@ -668,9 +636,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("value", [False, None, "absent"])
     def test_bn_buffers_need_a_header_that_says_initialized(self, tmp_path, value):
-        cfg = EncoderConfig.from_dict({**TINY.to_dict(), "frontend_norm": "bn"})
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(cfg, 2), path)
+        save_checkpoint(init_params(TINY, 2), path)
         blob = path.read_bytes()[:-8]
         start = len(CHECKPOINT_MAGIC)
         (hlen,) = struct.unpack("<I", blob[start : start + 4])
@@ -691,6 +658,18 @@ class TestCheckpoints:
         assert (a == b) is False
         assert a == a
         assert checkpoint_digest(a) == checkpoint_digest(b)
+
+    def test_digests_are_pinned(self):
+        # the bytes of a stored model must not drift: a new digest here
+        # means existing checkpoints no longer reproduce
+        params = init_params(EncoderConfig(), 0)
+        assert checkpoint_digest(params) == (
+            "b7e33605a79fdbf69f8dded42f7ad7a2ba4bff419aa4be733da1eb45cca1ba58"
+        )
+        params.mask_spec = MaskSpec("block", chunk_frames=12, future_frames=18)
+        assert checkpoint_digest(params) == (
+            "3d21b698cd53483a2785b550427f80a0c6fa345c085f52b830931b76fea10325"
+        )
 
     def test_digest_depends_on_values(self):
         a = init_params(TINY, 13)

@@ -1,6 +1,7 @@
 """Character n-gram training, scoring, backoff, and text round trips."""
 
 import math
+import re
 import string
 
 import numpy as np
@@ -240,3 +241,30 @@ def test_load_rejects_non_numeric_logprob(tmp_path):
 def test_model_requires_empty_context():
     with pytest.raises(ValueError):
         NgramModel(order=1, vocab=("a",), smoothing=1.0, tokens={}, ends={})
+
+
+@pytest.mark.parametrize(
+    "index, line, message",
+    [
+        (1, "order 0", "order must be >= 1"),
+        (1, "order two", "bad order"),
+        (2, "smoothing nan", "smoothing must be > 0"),
+        (2, "smoothing -1", "smoothing must be > 0"),
+        (3, "vocab a a b |", "duplicate vocabulary token 'a'"),
+        (3, "vocab a <s> |", "'<s>' is reserved"),
+        (3, "vocab ", "vocabulary is empty"),
+    ],
+    ids=["order-0", "order-word", "smoothing-nan", "smoothing-negative",
+         "vocab-repeat", "vocab-reserved", "vocab-empty"],
+)
+def test_load_checks_each_header_line(tmp_path, index, line, message):
+    # header lines are checked as train_ngram checks its arguments, and the
+    # error names the header line, not the end of the file
+    model = train_ngram(["ab|ba", "aab"], order=3, smoothing=0.5)
+    path = tmp_path / "model.lm"
+    save_lm(model, path)
+    lines = path.read_text().splitlines()
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LmFormatError, match=f"^line {index + 1}: .*{re.escape(message)}"):
+        load_lm(path)

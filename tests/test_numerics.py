@@ -245,51 +245,41 @@ class TestConv1d:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(5, 3))
         kernel = np.eye(3)[None]  # K=1
-        for mode in ("causal", "symmetric"):
-            np.testing.assert_allclose(conv1d(x, kernel, mode), x, atol=0)
+        np.testing.assert_allclose(conv1d(x, kernel), x, atol=0)
 
     def test_causal_never_sees_future(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(8, 2))
         kernel = rng.normal(size=(4, 2, 2))
-        y = conv1d(x, kernel, "causal")
+        y = conv1d(x, kernel)
         x2 = x.copy()
         x2[5] += 10.0  # perturb frame 5; outputs before 5 must not move
-        y2 = conv1d(x2, kernel, "causal")
+        y2 = conv1d(x2, kernel)
         np.testing.assert_array_equal(y[:5], y2[:5])
         assert not np.allclose(y[5:], y2[5:])
 
-    def test_symmetric_centering_odd(self):
-        # K=3 moving-average: frame t sees t-1, t, t+1
-        x = np.arange(5, dtype=np.float64)[:, None]
-        kernel = np.ones((3, 1, 1)) / 3.0
-        y = conv1d(x, kernel, "symmetric")[:, 0]
-        np.testing.assert_allclose(y[1:4], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(y[0], (0 + 0 + 1) / 3.0)
-
-    def test_symmetric_even_extra_left(self):
-        # K=2 with left pad 1, right pad 0: y[t] = k0*x[t-1] + k1*x[t]
+    def test_output_frame_reads_the_last_k_frames(self):
+        # K=2, left pad 1: y[t] = k0*x[t-1] + k1*x[t]
         x = np.array([[1.0], [2.0], [3.0]])
         kernel = np.array([[[10.0]], [[1.0]]])
-        y = conv1d(x, kernel, "symmetric")[:, 0]
+        y = conv1d(x, kernel)[:, 0]
         np.testing.assert_allclose(y, [1.0, 12.0, 23.0])
 
     def test_kernel_longer_than_input(self):
         x = np.array([[1.0], [1.0]])
         kernel = np.ones((5, 1, 1))
-        y = conv1d(x, kernel, "causal")
+        y = conv1d(x, kernel)
         assert y.shape == (2, 1)
         np.testing.assert_allclose(y[:, 0], [1.0, 2.0])
 
     def test_bias(self):
         x = np.zeros((3, 2))
         kernel = np.zeros((1, 2, 4))
-        y = conv1d(x, kernel, "causal", bias=np.arange(4.0))
+        y = conv1d(x, kernel, bias=np.arange(4.0))
         np.testing.assert_allclose(y, np.tile(np.arange(4.0), (3, 1)))
 
-    @pytest.mark.parametrize("mode", ["causal", "symmetric"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_gradient(self, mode, k):
+    @pytest.mark.parametrize("k", [1, 2, 3, 5], ids=lambda k: f"{k}-causal")
+    def test_gradient(self, k):
         rng = np.random.default_rng(k)
         x = rng.normal(size=(6, 3))
         kernel = rng.normal(size=(k, 3, 2))
@@ -297,7 +287,7 @@ class TestConv1d:
         w = rng.normal(size=(6, 2))
 
         def op(xv, kv, bv):
-            y, cache = conv1d_forward(xv, kv, mode, bv)
+            y, cache = conv1d_forward(xv, kv, bv)
             dx, dk, db = conv1d_backward(w, cache)
             return (y * w).sum(), [dx, dk, db]
 

@@ -59,8 +59,6 @@ TINY_ENC = EncoderConfig(
     ffn_dim=24,
     vocab_size=29,
     feature_dim=6,
-    frontend_norm="bn",
-    frontend_conv="causal",
     frontend_kernel=3,
 )
 STREAM = MaskSpec(variant="block", chunk_frames=3, future_frames=1)
@@ -417,19 +415,18 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
 @pytest.mark.parametrize(
     "stage", ["finetune_ctc", "train_guided_teacher", "pretrain_contrastive"]
 )
-@pytest.mark.parametrize("norm", ["gn", "bn"])
-def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, norm, stage):
+def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, stage):
     from streamctc.pipeline import stages
 
-    enc = dataclasses.replace(TINY_ENC, frontend_norm=norm)
     usable = list(data_fixture().labeled)
     rng = np.random.default_rng(5)
-    # uids that sort between the usable ones; contrastive pairs need two
-    # frames, the CTC stages a label that fits its frames
+    # uids that sort between the usable ones; every stage needs two frames
+    # (train-mode batch norm), the CTC stages a label that fits its frames
     if stage == "pretrain_contrastive":
         shapes = {"L0001a": ((1, 6), "a"), "L0004a": ((1, 6), "ab")}
     else:
-        shapes = {"L0001a": ((2, 6), "abcabc"), "L0004a": ((2, 6), "aa")}
+        shapes = {"L0001a": ((2, 6), "abcabc"), "L0002a": ((1, 6), "a"),
+                  "L0004a": ((2, 6), "aa")}
     unusable = [
         Utterance(uid=uid, features=rng.normal(size=shape), text=text)
         for uid, (shape, text) in shapes.items()
@@ -437,12 +434,12 @@ def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, norm, sta
     updates = 3
 
     def train(data):
-        init = init_params(enc, 0)
+        init = init_params(TINY_ENC, 0)
         cfg = quick_cfg(updates, batch=len(usable) + len(unusable), lr=1e-2)
         if stage == "finetune_ctc":
             return stages.finetune_ctc(init, STREAM, data, cfg)
         if stage == "train_guided_teacher":
-            streaming = init_params(enc, 1)
+            streaming = init_params(TINY_ENC, 1)
             streaming.mask_spec = STREAM
             return stages.train_guided_teacher(init, streaming, data, 0.5, cfg)
         return stages.pretrain_contrastive(init, data, cfg)
@@ -464,11 +461,17 @@ def test_unusable_utterances_train_like_the_usable_subset(monkeypatch, norm, sta
     assert log.skipped == updates * len(unusable) and ref_log.skipped == 0
     assert log.losses == ref_log.losses
     assert model.flat.tobytes() == reference.flat.tobytes()
-    if norm == "bn":
-        assert model.bn_stats.mean.tobytes() == reference.bn_stats.mean.tobytes()
-        assert model.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
-    else:
-        assert model.bn_stats is None and reference.bn_stats is None
+    assert model.bn_stats.mean.tobytes() == reference.bn_stats.mean.tobytes()
+    assert model.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
+
+
+def test_pipeline_with_one_frame_utterances_completes(tmp_path):
+    config = resume_config(
+        tmp_path, frames_per_token=(1, 2), text_len=(1, 2), sizes=(8, 4, 4)
+    )
+    reports = run_two_stage(config)
+    assert [r.stage for r in reports] == ["S", "T", "KD", "N", "U'", "ST"]
+    assert sum(r.skipped for r in reports) > 0
 
 
 def test_run_two_stage_rejects_jobs_below_one_before_writing(tmp_path):
@@ -479,10 +482,17 @@ def test_run_two_stage_rejects_jobs_below_one_before_writing(tmp_path):
 
 
 def test_finetune_all_unsatisfiable_is_an_error():
-    bad = [Utterance(uid=f"B{i}", features=np.zeros((1, 6)), text="abc") for i in range(3)]
+    bad = [Utterance(uid=f"B{i}", features=np.zeros((2, 6)), text="abc") for i in range(3)]
     init = init_params(TINY_ENC, 0)
-    with pytest.raises(UnsatisfiableTargetError):
+    with pytest.raises(UnsatisfiableTargetError, match="longer than their frames"):
         finetune_ctc(init, STREAM, bad, quick_cfg(5))
+    # one frame fits a one-token label, but train-mode batch norm needs two;
+    # with no utterance of two frames every stage fails before its first update
+    ones = [Utterance(uid=f"B{i}", features=np.ones((1, 6)), text="a") for i in range(3)]
+    with pytest.raises(UnsatisfiableTargetError, match="fewer than 2 frames"):
+        finetune_ctc(init, STREAM, ones, quick_cfg(5))
+    with pytest.raises(UnsatisfiableTargetError, match="fewer than 2 frames"):
+        pretrain_contrastive(init, ones, quick_cfg(5))
     with pytest.raises(ValueError):
         finetune_ctc(init, STREAM, [], quick_cfg(5))
     # targets are keyed by utterance id, so ids must be unique
