@@ -43,25 +43,27 @@ def _extend_with_blanks(tokens) -> np.ndarray:
 def _sweep(emit: np.ndarray, ext: np.ndarray):
     """One log-space pass over the CTC lattice, frame by frame.
 
-    `emit[t, s]` is the log-prob of emitting state `s` of the blank-extended
-    label `ext` at frame t. Returns (pre, cur): `pre[t, s]` is the log mass
-    entering state s at frame t before that frame's emission (0 at the two
-    start states of frame 0), and `cur = pre + emit`. Run on the reversed
-    label and time axes, `pre` is beta (Graves et al. 2006).
+    `emit[..., t, s]` is the log-prob of emitting state `s` of the
+    blank-extended label `ext[..., s]` at frame t; leading axes are rows
+    swept side by side in one time loop, each with its own label. Returns
+    (pre, cur): `pre[..., t, s]` is the log mass entering state s at frame t
+    before that frame's emission (0 at the two start states of frame 0),
+    and `cur = pre + emit`. Run on the reversed label and time axes, `pre`
+    is beta (Graves et al. 2006).
     """
     # state s may be entered from s - 2 when it is a label unlike s - 2's
-    skip = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    skip = (ext[..., 2:] != BLANK) & (ext[..., 2:] != ext[..., :-2])
     pre = np.full(emit.shape, NEG_INF)
-    pre[0, :2] = 0.0
+    pre[..., 0, :2] = 0.0
     cur = np.empty_like(pre)
-    np.add(pre[0], emit[0], out=cur[0])
-    for t in range(1, emit.shape[0]):
-        prev, nxt = cur[t - 1], pre[t]
+    np.add(pre[..., 0, :], emit[..., 0, :], out=cur[..., 0, :])
+    for t in range(1, emit.shape[-2]):
+        prev, nxt = cur[..., t - 1, :], pre[..., t, :]
         # stay, then advance one state, then skip a blank between labels
-        nxt[0] = prev[0]
-        np.logaddexp(prev[1:], prev[:-1], out=nxt[1:])
-        np.logaddexp(nxt[2:], prev[:-2], out=nxt[2:], where=skip)
-        np.add(nxt, emit[t], out=cur[t])
+        nxt[..., 0] = prev[..., 0]
+        np.logaddexp(prev[..., 1:], prev[..., :-1], out=nxt[..., 1:])
+        np.logaddexp(nxt[..., 2:], prev[..., :-2], out=nxt[..., 2:], where=skip)
+        np.add(nxt, emit[..., t, :], out=cur[..., t, :])
     return pre, cur
 
 
@@ -86,9 +88,11 @@ def ctc_loss(log_posteriors: np.ndarray, target: LabelSequence):
     emit = lp[:, ext]
     # alpha[t, s]: log-prob of the prefix ending in state s, including the
     # emission at t; beta[t, s]: log-prob of completing the label from state
-    # s after t, excluding the emission at t
-    alpha = _sweep(emit, ext)[1]
-    beta = _sweep(emit[::-1, ::-1], ext[::-1])[0][::-1, ::-1]
+    # s after t, excluding the emission at t. Both are rows of one sweep,
+    # beta's on the reversed label and time axes.
+    pre, cur = _sweep(np.stack([emit, emit[::-1, ::-1]]), np.stack([ext, ext[::-1]]))
+    alpha = cur[0]
+    beta = pre[1, ::-1, ::-1]
 
     total = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if ext.shape[0] > 1 else NEG_INF)
     if not np.isfinite(total):

@@ -66,8 +66,8 @@ from .numerics import (
     conv1d_backward,
     check_int,
     ensure_finite,
-    gelu,
-    gelu_grad,
+    gelu_backward,
+    gelu_forward,
     layer_norm_forward,
     layer_norm_backward,
     log_softmax,
@@ -167,16 +167,24 @@ def param_layout(config: EncoderConfig) -> tuple:
     return tuple(rows)
 
 
-def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
-    """Named views into a vector laid out by `param_layout(config)`."""
-    views = {}
+@functools.lru_cache(maxsize=None)
+def _param_slices(config: EncoderConfig) -> tuple:
+    """((name, slice into the vector, shape) per layout row, vector size)."""
+    rows = []
     offset = 0
     for name, shape in param_layout(config):
-        views[name] = vector[offset : offset + math.prod(shape)].reshape(shape)
-        offset += math.prod(shape)
-    if vector.shape != (offset,):
-        raise ValueError(f"parameter vector has shape {vector.shape}, layout ({offset},)")
-    return views
+        size = math.prod(shape)
+        rows.append((name, slice(offset, offset + size), shape))
+        offset += size
+    return tuple(rows), offset
+
+
+def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
+    """Named views into a vector laid out by `param_layout(config)`."""
+    rows, size = _param_slices(config)
+    if vector.shape != (size,):
+        raise ValueError(f"parameter vector has shape {vector.shape}, layout ({size},)")
+    return {name: vector[part].reshape(shape) for name, part, shape in rows}
 
 
 @dataclass(eq=False)
@@ -343,8 +351,7 @@ def _layer_forward(h, arrays, prefix, config, allowed):
     z = _merge_heads(probs @ v)
     a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
-    f1 = w @ g("ffn.w1") + g("ffn.b1")
-    f2 = gelu(f1)
+    f2, gelu_cache = gelu_forward(w @ g("ffn.w1") + g("ffn.b1"))
     out = a + (f2 @ g("ffn.w2") + g("ffn.b2"))
     cache = {
         "u": u,
@@ -358,7 +365,7 @@ def _layer_forward(h, arrays, prefix, config, allowed):
         "a": a,
         "w": w,
         "ln2": ln2_cache,
-        "f1": f1,
+        "gelu": gelu_cache,
         "f2": f2,
     }
     return out, cache
@@ -370,20 +377,17 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     def acc(name, value):
         grads[prefix + name] += value
 
-    d_a = d_out.copy()
     acc("ffn.w2", cache["f2"].T @ d_out)
     acc("ffn.b2", d_out.sum(axis=0))
-    d_f2 = d_out @ g("ffn.w2").T
-    d_f1 = d_f2 * gelu_grad(cache["f1"])
+    d_f1 = gelu_backward(d_out @ g("ffn.w2").T, cache["gelu"])
     acc("ffn.w1", cache["w"].T @ d_f1)
     acc("ffn.b1", d_f1.sum(axis=0))
     d_w = d_f1 @ g("ffn.w1").T
     d_a2, dg2, db2 = layer_norm_backward(d_w, cache["ln2"])
     acc("ln2.gain", dg2)
     acc("ln2.bias", db2)
-    d_a += d_a2
+    d_a = d_out + d_a2
 
-    d_h = d_a.copy()
     acc("attn.wo", cache["z"].T @ d_a)
     acc("attn.bo", d_a.sum(axis=0))
     d_z = _split_heads(d_a @ g("attn.wo").T, cache["probs"].shape[0], config.n_heads)
@@ -402,8 +406,7 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     d_h2, dg1, db1 = layer_norm_backward(d_u, cache["ln1"])
     acc("ln1.gain", dg1)
     acc("ln1.bias", db1)
-    d_h += d_h2
-    return d_h
+    return d_a + d_h2
 
 
 def forward_with_cache(
@@ -444,8 +447,7 @@ def forward_with_cache(
     xc, cache["conv"] = conv1d_forward(
         xn, arrays["frontend.conv.kernel"], arrays["frontend.conv.bias"]
     )
-    cache["conv_pre"] = xc
-    h0 = gelu(xc)
+    h0, cache["gelu"] = gelu_forward(xc)
     h = pad.augment(h0)
 
     hidden = []
@@ -539,7 +541,7 @@ def backward(
             d_h[pad.outputs] += hidden_grad(i)
 
     d_h0 = pad.reduce_grad(d_h)
-    d_conv = d_h0 * gelu_grad(cache["conv_pre"])
+    d_conv = gelu_backward(d_h0, cache["gelu"])
     d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
         conv1d_backward(d_conv, cache["conv"])
     )

@@ -3,7 +3,9 @@
 Every tensor operation the encoder and the losses need lives here as a
 forward function plus a hand-derived backward companion. There is no
 autodiff graph: callers hold on to the forward caches and invoke the
-backward functions in reverse order themselves.
+backward functions in reverse order themselves. To save temporaries the
+kernels write in place, but only into arrays they allocated themselves:
+no kernel writes into an array it was given, as an argument or in a cache.
 
 All arrays are 64-bit floats in row-major order. The kernels do not check
 finiteness, so a NaN or Inf propagates to their outputs; ``ensure_finite``
@@ -84,16 +86,20 @@ def masked_softmax(logits, allowed) -> np.ndarray:
         )
     if not allowed.any(axis=-1).all():
         raise EmptyReceptionFieldError("empty reception field")
-    shifted = np.where(allowed, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)  # exp(-inf) == 0.0 exactly for masked entries
-    return expd / expd.sum(axis=-1, keepdims=True)
+    out = np.where(allowed, logits, -np.inf)
+    np.subtract(out, out.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)  # exp(-inf) == 0.0 exactly for masked entries
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def masked_softmax_backward(grad_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """VJP of masked_softmax; masked entries have probs==0 so their grad is 0."""
-    inner = (probs * grad_out).sum(axis=-1, keepdims=True)
-    return probs * (grad_out - inner)
+    out = probs * grad_out
+    inner = out.sum(axis=-1, keepdims=True)
+    np.subtract(grad_out, inner, out=out)
+    out *= probs
+    return out
 
 
 def log_softmax(x) -> np.ndarray:
@@ -118,13 +124,17 @@ def layer_norm_forward(x, gain, bias, eps: float = 1e-5):
     x = as_f64(x)
     gain = as_f64(gain)
     bias = as_f64(bias)
-    if x.shape[-1] < 1:
+    d = x.shape[-1]
+    if d < 1:
         raise ValueError("layer_norm needs a non-empty feature axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # the sums and divisions of np.mean and np.var, without their wrappers
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return gain * xhat + bias, (xhat, inv_std, gain)
+    xhat *= inv_std
+    y = gain * xhat
+    y += bias
+    return y, (xhat, inv_std, gain)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
@@ -134,12 +144,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
 def layer_norm_backward(grad_out: np.ndarray, cache):
     xhat, inv_std, gain = cache
     d = xhat.shape[-1]
-    dxhat = grad_out * gain
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-    )
+    dx = grad_out * gain
+    # inv_std * (dxhat - mean(dxhat) - xhat * sum(dxhat * xhat) / d)
+    proj = dx * xhat
+    inner = np.add.reduce(proj, axis=-1, keepdims=True)
+    np.multiply(xhat, inner, out=proj)
+    proj /= d
+    dx -= np.add.reduce(dx, axis=-1, keepdims=True) / d
+    dx -= proj
+    dx *= inv_std
     reduce_axes = tuple(range(grad_out.ndim - 1))
     dgain = (grad_out * xhat).sum(axis=reduce_axes)
     dbias = grad_out.sum(axis=reduce_axes)
@@ -282,17 +295,32 @@ def conv1d_backward(grad_out: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
+def gelu_forward(x):
+    """Exact (erf-based) GELU, 0.5 * x * (1 + erf(x / sqrt 2)). The cache
+    keeps the erf term, so the backward computes no second erf."""
+    x = as_f64(x)
+    one_plus_erf = erf(x / _SQRT2)
+    one_plus_erf += 1.0
+    y = 0.5 * x
+    y *= one_plus_erf
+    return y, (x, one_plus_erf)
+
+
 def gelu(x) -> np.ndarray:
-    """Exact (erf-based) GELU."""
-    x = as_f64(x)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return gelu_forward(x)[0]
 
 
-def gelu_grad(x) -> np.ndarray:
-    x = as_f64(x)
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+def gelu_backward(grad_out: np.ndarray, cache) -> np.ndarray:
+    """grad_out * (cdf(x) + x * pdf(x)), the cdf read from the cache."""
+    x, one_plus_erf = cache
+    dx = np.asarray(-0.5 * x)  # an array even for a 0-d x, to work in place
+    dx *= x
+    np.exp(dx, out=dx)
+    dx *= _INV_SQRT_2PI
+    dx *= x
+    dx += 0.5 * one_plus_erf
+    dx *= grad_out
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown pipeline config key(s): {', '.join(unknown)}")
         if "encoder" in d:
             d["encoder"] = EncoderConfig.from_dict(d["encoder"])
         if "stream" in d:

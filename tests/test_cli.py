@@ -537,25 +537,28 @@ def test_pipeline_needs_workdir(capsys):
 
 
 @pytest.mark.parametrize(
-    "section, value, key",
+    "patch, message",
     [
-        ("encoder", {**ENC, "n_layer": 7}, "n_layer"),
-        ("stream", {"variant": "chunk", "chunk_frame": 3}, "chunk_frame"),
-        ("updates", {"S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12, "STT": 50}, "STT"),
+        ({"encoder": {**ENC, "n_layer": 7}}, "n_layer"),
+        ({"stream": {"variant": "chunk", "chunk_frame": 3}}, "chunk_frame"),
+        ({"updates": {"S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12, "STT": 50}}, "STT"),
+        # every unknown top-level key is named, sorted, in one message
+        ({"zeta": 1, "template_scale": 2.0},
+         "unknown pipeline config key(s): template_scale, zeta"),
     ],
-    ids=["encoder", "stream", "updates"],
+    ids=["encoder", "stream", "updates", "top"],
 )
-def test_unknown_nested_config_key_is_usage_error(capsys, workdir, section, value, key):
+def test_unknown_nested_config_key_is_usage_error(capsys, workdir, patch, message):
     tmp, cfg = workdir
     payload = json.loads(open(cfg).read())
-    payload[section] = value
+    payload.update(patch)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(payload))
     code, _, err = run(
         capsys, "gen-data", "--config", str(bad), "--out-dir", str(tmp / "x")
     )
     assert code == 1
-    assert key in err
+    assert message in err
 
 
 UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}

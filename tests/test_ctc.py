@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamctc.ctc import (
+    NEG_INF,
     DecodeConfig,
     UnsatisfiableTargetError,
     collapse,
@@ -18,6 +19,8 @@ from streamctc.ctc import (
     posteriorgram_to_csv,
     prefix_beam_search,
     word_count,
+    _extend_with_blanks,
+    _sweep,
 )
 from streamctc.lm import FusionLm, train_ngram
 from streamctc.numerics import check_gradient, log_softmax
@@ -169,6 +172,100 @@ def test_loss_is_invariant_under_time_reversal(instance):
     loss_r, grad_r = ctc_loss(lp[::-1], LabelSequence(target.tokens[::-1]))
     assert abs(loss - loss_r) <= 1e-12
     np.testing.assert_allclose(grad_r[::-1], grad, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exactness: alpha and beta as two rows of one sweep
+# ---------------------------------------------------------------------------
+
+
+def ref_sweep(emit, ext):
+    """The lattice pass over one (T, S) row, as a loop of its own."""
+    skip = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    pre = np.full(emit.shape, NEG_INF)
+    pre[0, :2] = 0.0
+    cur = np.empty_like(pre)
+    np.add(pre[0], emit[0], out=cur[0])
+    for t in range(1, emit.shape[0]):
+        prev, nxt = cur[t - 1], pre[t]
+        nxt[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=nxt[1:])
+        np.logaddexp(nxt[2:], prev[:-2], out=nxt[2:], where=skip)
+        np.add(nxt, emit[t], out=cur[t])
+    return pre, cur
+
+
+def ref_ctc_loss(lp, target):
+    """The two-sweep formula: alpha from one pass, beta from a second pass
+    over the reversed label and time axes."""
+    if lp.shape[0] < min_frames(target):
+        raise UnsatisfiableTargetError(
+            f"target needs {min_frames(target)} frames, got {lp.shape[0]}"
+        )
+    ext = _extend_with_blanks(target.tokens)
+    emit = lp[:, ext]
+    alpha = ref_sweep(emit, ext)[1]
+    beta = ref_sweep(emit[::-1, ::-1], ext[::-1])[0][::-1, ::-1]
+    total = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if ext.shape[0] > 1 else NEG_INF)
+    if not np.isfinite(total):
+        raise UnsatisfiableTargetError("no valid alignment has finite probability")
+    occ = np.exp(alpha + beta - total)
+    grad = np.zeros_like(lp)
+    np.subtract.at(grad.T, ext, occ.T)
+    return -float(total), grad
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_sweep_equals_each_row_alone(n_rows, t, n_labels, seed):
+    rng = np.random.default_rng(seed)
+    # each row its own label of one length, repeats likely with 2 symbols
+    exts = np.stack([
+        _extend_with_blanks(rng.integers(1, 3, size=n_labels)) for _ in range(n_rows)
+    ])
+    emit = rng.normal(size=(n_rows, t, exts.shape[1])) * 3.0
+    emit[rng.random(emit.shape) < 0.1] = NEG_INF
+    pre, cur = _sweep(emit, exts)
+    for r in range(n_rows):
+        alone = _sweep(emit[r], exts[r])
+        assert same_bits(pre[r], alone[0]) and same_bits(cur[r], alone[1])
+        ref = ref_sweep(emit[r], exts[r])
+        assert same_bits(pre[r], ref[0]) and same_bits(cur[r], ref[1])
+
+
+def test_loss_and_gradient_equal_the_two_sweep_formula_bit_for_bit():
+    # ragged T, empty targets, repeated labels, peaked and flat posteriors,
+    # impossible emissions, and both kinds of unsatisfiable target
+    rng = np.random.default_rng(2027)
+    seen = dict.fromkeys(("ok", "empty", "repeat", "few_frames", "no_path"), 0)
+    for _ in range(3000):
+        v = int(rng.integers(2, 7))
+        n = int(rng.integers(0, 9))
+        tokens = tuple(int(x) for x in rng.integers(1, min(v, 3 + n % 2), size=n))
+        target = LabelSequence(tokens)
+        t = max(1, min_frames(target) + int(rng.integers(-2, 12)))
+        lp = log_softmax(rng.normal(size=(t, v)) * rng.choice([0.5, 3.0, 30.0]))
+        if rng.random() < 0.2:
+            lp[rng.random(lp.shape) < 0.3] = NEG_INF
+        try:
+            want = ref_ctc_loss(lp, target)
+        except UnsatisfiableTargetError as exc:
+            with pytest.raises(UnsatisfiableTargetError) as got:
+                ctc_loss(lp, target)
+            assert str(got.value) == str(exc)
+            seen["few_frames" if t < min_frames(target) else "no_path"] += 1
+            continue
+        loss, grad = ctc_loss(lp, target)
+        assert same_bits(loss, want[0]) and same_bits(grad, want[1]), (t, v, tokens)
+        seen["ok"] += 1
+        seen["empty"] += not tokens
+        seen["repeat"] += any(a == b for a, b in zip(tokens, tokens[1:]))
+    assert min(seen.values()) >= 50, seen
 
 
 class TestGreedyDecode:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from streamctc.numerics import (
     BatchNormStats,
@@ -16,7 +17,8 @@ from streamctc.numerics import (
     conv1d_forward,
     ensure_finite,
     gelu,
-    gelu_grad,
+    gelu_backward,
+    gelu_forward,
     layer_norm,
     layer_norm_backward,
     layer_norm_forward,
@@ -308,9 +310,180 @@ class TestGelu:
         w = rng.normal(size=17)
 
         def op(v):
-            return (gelu(v) * w).sum(), [gelu_grad(v) * w]
+            y, cache = gelu_forward(v)
+            return (y * w).sum(), [gelu_backward(w, cache)]
 
         assert check_gradient(op, [x]) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# exactness: each kernel against plain NumPy expressions of its formula
+# ---------------------------------------------------------------------------
+#
+# The kernels write into arrays they allocate, and GELU keeps its erf term
+# from forward for backward. Each still applies the same IEEE operations to
+# each element as the plain expressions below, so the results agree bit for
+# bit; and no kernel writes into an array it was given.
+
+
+def ref_masked_softmax(logits, allowed):
+    shifted = np.where(allowed, logits, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def ref_masked_softmax_backward(grad_out, probs):
+    inner = (probs * grad_out).sum(axis=-1, keepdims=True)
+    return probs * (grad_out - inner)
+
+
+def ref_layer_norm_forward(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return gain * xhat + bias, (xhat, inv_std, gain)
+
+
+def ref_layer_norm_backward(grad_out, cache):
+    xhat, inv_std, gain = cache
+    d = xhat.shape[-1]
+    dxhat = grad_out * gain
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
+    )
+    reduce_axes = tuple(range(grad_out.ndim - 1))
+    return dx, (grad_out * xhat).sum(axis=reduce_axes), grad_out.sum(axis=reduce_axes)
+
+
+def ref_gelu(x):
+    return 0.5 * x * (1.0 + erf(x / float(np.sqrt(2.0))))
+
+
+def ref_gelu_grad(x):
+    cdf = 0.5 * (1.0 + erf(x / float(np.sqrt(2.0))))
+    pdf = float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return cdf + x * pdf
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+def unchanged(*arrays):
+    """Copies to compare with after a call: the kernel must not write into
+    what it was given."""
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def assert_unchanged(arrays, copies):
+    for a, c in zip(arrays, copies):
+        assert_same_bits(a, c)
+
+
+LOGIT_SCALES = st.sampled_from(["normal", "wide", "huge"])
+
+
+def draw_logits(rng, shape, scale):
+    if scale == "huge":
+        # +-1e300 and 0: the shifted logits stay finite, their exp is 0 or 1
+        return rng.choice([-1e300, 0.0, 1e300], size=shape)
+    return rng.normal(size=shape) * (30.0 if scale == "wide" else 1.0)
+
+
+def draw_mask(rng, shape, one_key):
+    """A mask with at least one allowed key per row; with `one_key`
+    exactly one."""
+    if one_key:
+        mask = np.zeros(shape, dtype=bool)
+        keys = rng.integers(shape[-1], size=shape[:-1])
+        np.put_along_axis(mask, keys[..., None], True, axis=-1)
+        return mask
+    mask = rng.random(shape) < 0.5
+    mask[..., rng.integers(shape[-1])] = True
+    return mask
+
+
+class TestKernelsAreExact:
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+        st.booleans(), st.booleans(), LOGIT_SCALES, st.integers(0, 2**32 - 1),
+    )
+    @example(2, 2, 5, 5, True, True, "huge", 0)
+    @example(1, 2, 4, 1, False, False, "huge", 1)
+    @settings(max_examples=80, deadline=None)
+    def test_masked_softmax(self, b, h, tq, tk, per_member, one_key, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = draw_logits(rng, (b, h, tq, tk), scale)
+        mask = draw_mask(rng, (b, 1, tq, tk) if per_member else (tq, tk), one_key)
+        grad_out = rng.normal(size=logits.shape)
+        copies = unchanged(logits, mask, grad_out)
+        probs = masked_softmax(logits, mask)
+        assert_same_bits(probs, ref_masked_softmax(logits, mask))
+        copies_p = unchanged(probs)
+        assert_same_bits(
+            masked_softmax_backward(grad_out, probs),
+            ref_masked_softmax_backward(grad_out, probs),
+        )
+        assert_unchanged([logits, mask, grad_out, probs], copies + copies_p)
+        if one_key:
+            # one allowed key per row: that key gets probability 1 exactly
+            assert_same_bits(probs, np.broadcast_to(mask, probs.shape).astype(float))
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=0, max_size=2), st.integers(1, 9),
+        st.sampled_from([1.0, 1e-3, 1e3]), st.integers(0, 2**32 - 1),
+    )
+    @example([3], 1, 1.0, 0)
+    @example([], 1, 1e3, 1)
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm(self, lead, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, d)
+        x = rng.normal(size=shape) * scale + rng.normal()
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        grad_out = rng.normal(size=shape)
+        copies = unchanged(x, gain, bias, grad_out)
+        y, cache = layer_norm_forward(x, gain, bias)
+        want_y, want_cache = ref_layer_norm_forward(x, gain, bias)
+        assert_same_bits(y, want_y)
+        for got, want in zip(cache, want_cache):
+            assert_same_bits(got, want)
+        cache_copies = unchanged(*cache)
+        for got, want in zip(layer_norm_backward(grad_out, cache),
+                             ref_layer_norm_backward(grad_out, want_cache)):
+            assert_same_bits(got, want)
+        assert_unchanged([x, gain, bias, grad_out, *cache], copies + cache_copies)
+
+    @given(
+        st.lists(st.integers(1, 5), min_size=0, max_size=3),
+        st.sampled_from([1.0, 5.0, 40.0]), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gelu(self, shape, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape) * scale
+        grad_out = rng.normal(size=shape)
+        copies = unchanged(x, grad_out)
+        y, cache = gelu_forward(x)
+        assert_same_bits(y, ref_gelu(x))
+        assert_same_bits(gelu(x), y)
+        cache_copies = unchanged(*cache)
+        assert_same_bits(gelu_backward(grad_out, cache), grad_out * ref_gelu_grad(x))
+        assert_unchanged([x, grad_out, *cache], copies + cache_copies)
+
+    def test_gelu_special_values(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150, 37.5, -37.5])
+        grad_out = np.ones_like(x)
+        y, cache = gelu_forward(x)
+        assert_same_bits(y, ref_gelu(x))
+        assert_same_bits(gelu_backward(grad_out, cache), grad_out * ref_gelu_grad(x))
 
 
 class TestCheckGradient:
