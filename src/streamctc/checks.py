@@ -108,7 +108,7 @@ def ctc_brute_force_error(rng, repeats: int) -> float:
         if min_frames(target) > t_len:
             continue
         lp = log_softmax(rng.normal(size=(t_len, v)))
-        loss, _ = ctc_loss(lp, target)
+        [loss], _ = ctc_loss(lp, [target], [t_len])
         worst = max(worst, abs(loss - ctc_brute_force(lp, target)))
         done += 1
     return worst
@@ -127,10 +127,10 @@ def guided_identity_residual(rng, repeats: int) -> float:
         teacher_lp = log_softmax(rng.normal(size=(6, 5)))
         target = LabelSequence((1, 3))
         mask = guide_mask(stream_lp)
-        base, _ = ctc_loss(teacher_lp, target)
+        [base], _ = ctc_loss(teacher_lp, [target], [len(teacher_lp)])
         penalty, _ = guide_penalty(mask, np.exp(teacher_lp))
         for alpha in GUIDE_ALPHAS:
-            loss, _ = guided_ctc_loss(teacher_lp, target, mask, alpha)
+            [loss], _ = guided_ctc_loss(teacher_lp, [target], [len(teacher_lp)], [mask], alpha)
             worst = max(worst, abs((loss - base) - alpha * penalty))
     return worst
 
@@ -207,7 +207,7 @@ def ctc_gradient_error(rng) -> float:
 
     def op(x):
         lp = log_softmax(x)
-        loss, g = ctc_loss(lp, target)
+        [loss], g = ctc_loss(lp, [target], [len(lp)])
         return loss, [log_softmax_backward(g, lp)]
 
     return check_gradient(op, [rng.normal(size=(5, 4))])
@@ -221,7 +221,7 @@ def guided_ctc_gradient_error(rng) -> float:
 
     def op(x):
         lp = log_softmax(x)
-        loss, g = guided_ctc_loss(lp, target, mask, 0.1)
+        [loss], g = guided_ctc_loss(lp, [target], [len(lp)], [mask], 0.1)
         return loss, [log_softmax_backward(g, lp)]
 
     return check_gradient(op, [rng.normal(size=(6, 5))])
@@ -283,7 +283,7 @@ def encoder_gradient_error(seed: int, repeats: int) -> float:
 
         def op(x):
             [trace], cache = forward_with_cache(params, [x], spec)
-            _, [d_x] = backward(params, cache, grad_logpost=[w])
+            _, [d_x] = backward(params, cache, grad_logpost=w)
             return float(np.sum(w * trace.posteriorgram)), [d_x]
 
         worst = max(worst, check_gradient(op, [rng.normal(size=(4, 3))], step=1e-6))
@@ -313,7 +313,7 @@ def _exhaustive_best(lp, n_vocab):
             target = LabelSequence(seq)
             if min_frames(target) > t_len:
                 continue
-            score = -ctc_loss(lp, target)[0]
+            score = -ctc_loss(lp, [target], [t_len])[0][0]
             if score > best_score:
                 best_seq, best_score = seq, score
     return best_seq, best_score

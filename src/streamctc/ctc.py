@@ -2,11 +2,11 @@
 
 The loss runs a log-space forward-backward pass over the blank-augmented
 label and returns the analytic gradient with respect to the input
-log-posteriorgram. A brute-force path enumerator serves as its oracle on
-tiny instances. Decoding offers best-path (greedy) and prefix beam search
-with optional character-level n-gram shallow fusion and a word insertion
-penalty. Rates are plain Levenshtein distances normalized by reference
-length.
+log-posteriorgram; a batch of utterances runs as rows of one pass. A
+brute-force path enumerator serves as its oracle on tiny instances.
+Decoding offers best-path (greedy) and prefix beam search with optional
+character-level n-gram shallow fusion and a word insertion penalty.
+Rates are plain Levenshtein distances normalized by reference length.
 """
 
 from __future__ import annotations
@@ -43,67 +43,121 @@ def _extend_with_blanks(tokens) -> np.ndarray:
 def _sweep(emit: np.ndarray, ext: np.ndarray):
     """One log-space pass over the CTC lattice, frame by frame.
 
-    `emit[..., t, s]` is the log-prob of emitting state `s` of the
-    blank-extended label `ext[..., s]` at frame t; leading axes are rows
-    swept side by side in one time loop, each with its own label. Returns
-    (pre, cur): `pre[..., t, s]` is the log mass entering state s at frame t
-    before that frame's emission (0 at the two start states of frame 0),
+    `emit[t, ..., s]` is the log-prob of emitting state `s` of the
+    blank-extended label `ext[..., s]` at frame t; the axes between are
+    rows swept side by side in one time loop, each with its own label.
+    Time leads, so each frame's rows are one contiguous block. Returns
+    (pre, cur): `pre[t, ..., s]` is the log mass entering state s at frame
+    t before that frame's emission (0 at the two start states of frame 0),
     and `cur = pre + emit`. Run on the reversed label and time axes, `pre`
     is beta (Graves et al. 2006).
     """
-    # state s may be entered from s - 2 when it is a label unlike s - 2's
-    skip = (ext[..., 2:] != BLANK) & (ext[..., 2:] != ext[..., :-2])
-    pre = np.full(emit.shape, NEG_INF)
-    pre[..., 0, :2] = 0.0
-    cur = np.empty_like(pre)
-    np.add(pre[..., 0, :], emit[..., 0, :], out=cur[..., 0, :])
-    for t in range(1, emit.shape[-2]):
-        prev, nxt = cur[..., t - 1, :], pre[..., t, :]
-        # stay, then advance one state, then skip a blank between labels
-        nxt[..., 0] = prev[..., 0]
+    # only a label state (odd s) may be entered from s - 2, and only when
+    # its label differs from that of s - 2
+    skip = ext[..., 3::2] != ext[..., 1:-2:2]
+    # state column 0 holds -inf for good, so that advancing one state
+    # gives state 0 its own mass: logaddexp(x, -inf) is x
+    pre = np.full(emit.shape[:-1] + (emit.shape[-1] + 1,), NEG_INF)
+    pre[0, ..., 1:3] = 0.0
+    cur = np.full(pre.shape, NEG_INF)
+    np.add(pre[0, ..., 1:], emit[0], out=cur[0, ..., 1:])
+    for t in range(1, emit.shape[0]):
+        prev, nxt = cur[t - 1], pre[t]
+        # stay or advance one state, then skip a blank between labels
         np.logaddexp(prev[..., 1:], prev[..., :-1], out=nxt[..., 1:])
-        np.logaddexp(nxt[..., 2:], prev[..., :-2], out=nxt[..., 2:], where=skip)
-        np.add(nxt, emit[..., t, :], out=cur[..., t, :])
-    return pre, cur
+        np.logaddexp(nxt[..., 4::2], prev[..., 2:-2:2], out=nxt[..., 4::2], where=skip)
+        np.add(nxt[..., 1:], emit[t], out=cur[t, ..., 1:])
+    return pre[..., 1:], cur[..., 1:]
 
 
-def ctc_loss(log_posteriors: np.ndarray, target: LabelSequence):
-    """Negative log-probability of `target` plus its gradient.
+def ctc_loss(log_posteriors: np.ndarray, targets, lengths):
+    """Negative log-probability of each member's target plus the gradient.
 
-    `log_posteriors` is T x V with rows log-normalized (not revalidated, so
-    gradient checks may probe it freely). Returns (loss, grad) where grad
-    is the derivative of the loss w.r.t. each log-posterior entry.
+    `log_posteriors` holds the members' T_b x V log-posteriorgrams back to
+    back, (sum of `lengths`) x V, with rows log-normalized (not
+    revalidated, so gradient checks may probe it freely); member b reads
+    `lengths[b]` rows and aims at `targets[b]`. A single utterance is a
+    batch of one. Returns (one loss per member, grad), grad being the
+    derivative of the summed loss w.r.t. each log-posterior entry, in the
+    input's layout.
+
+    All members run as rows of one `_sweep`: alpha on each member's
+    blank-extended label padded with blanks to the longest, beta on its
+    own reversed frames and label, emissions past a member's end -inf.
+    A padded state never feeds a real one and a member's real frames come
+    first, so each member gets the same bits as a batch of one. An
+    unsatisfiable target raises `UnsatisfiableTargetError` naming its
+    member: frame counts are checked for every member before the sweep.
     """
     lp = np.asarray(log_posteriors, dtype=np.float64)
     if lp.ndim != 2:
-        raise ValueError("log_posteriors must be T x V")
-    t_len, v = lp.shape
-    if any(tok >= v for tok in target.tokens):
-        raise ValueError("target token outside vocabulary")
-    if t_len < min_frames(target):
-        raise UnsatisfiableTargetError(
-            f"target needs {min_frames(target)} frames, got {t_len}"
+        raise ValueError("log_posteriors must be (total frames) x V")
+    v = lp.shape[1]
+    lengths = [check_int("frame count", n, 1) for n in lengths]
+    if not targets or len(targets) != len(lengths):
+        raise ValueError(f"{len(targets)} target(s) for {len(lengths)} frame count(s)")
+    if sum(lengths) != lp.shape[0]:
+        raise ValueError(
+            f"frame counts sum to {sum(lengths)}, log_posteriors has {lp.shape[0]} rows"
         )
-    ext = _extend_with_blanks(target.tokens)
-    emit = lp[:, ext]
-    # alpha[t, s]: log-prob of the prefix ending in state s, including the
-    # emission at t; beta[t, s]: log-prob of completing the label from state
-    # s after t, excluding the emission at t. Both are rows of one sweep,
-    # beta's on the reversed label and time axes.
-    pre, cur = _sweep(np.stack([emit, emit[::-1, ::-1]]), np.stack([ext, ext[::-1]]))
-    alpha = cur[0]
-    beta = pre[1, ::-1, ::-1]
+    for b, (target, t_len) in enumerate(zip(targets, lengths)):
+        if any(tok >= v for tok in target.tokens):
+            raise ValueError(f"member {b}: target token outside vocabulary")
+        if t_len < min_frames(target):
+            raise UnsatisfiableTargetError(
+                f"member {b}: target needs {min_frames(target)} frames, got {t_len}"
+            )
+    n_batch = len(lengths)
+    frames = np.asarray(lengths)
+    states = 2 * np.array([len(target.tokens) for target in targets]) + 1
+    # labels[0, b]: member b's blank-extended label, padded with blanks;
+    # labels[1, b]: the same label reversed, then padded
+    labels = np.full((2, n_batch, states.max()), BLANK, dtype=np.int64)
+    for b, target in enumerate(targets):
+        label = _extend_with_blanks(target.tokens)
+        labels[0, b, : label.shape[0]] = label
+        labels[1, b, : label.shape[0]] = label[::-1]
+    # rows[t, 0, b] and rows[t, 1, b]: the row of lp that frame t of
+    # member b reads, forward and reversed; a frame past the member's end
+    # reads the appended -inf row
+    first = np.cumsum(frames) - frames
+    t = np.arange(frames.max())[:, None]
+    real = t < frames
+    rows = np.stack([first + t, first + frames - 1 - t], axis=1)
+    rows = np.where(real[:, None], rows, lp.shape[0])
+    padded = np.concatenate([lp, np.full((1, v), NEG_INF)])
+    # alpha[t, b, s]: log-prob of the prefix ending in state s, including
+    # the emission at t; beta[t, b, s]: log-prob of completing the label
+    # from state s after t, excluding the emission at t
+    pre, cur = _sweep(padded[rows[..., None], labels], labels)
+    members = np.arange(n_batch)
+    last = cur[frames - 1, 0, members]
+    ends = np.where(states > 1, last[members, states - 2], NEG_INF)
+    totals = np.logaddexp(last[members, states - 1], ends)
+    lost = np.flatnonzero(~np.isfinite(totals))
+    if lost.size:
+        raise UnsatisfiableTargetError(
+            f"member {lost[0]}: no valid alignment has finite probability"
+        )
 
-    total = np.logaddexp(alpha[-1, -1], alpha[-1, -2] if ext.shape[0] > 1 else NEG_INF)
-    if not np.isfinite(total):
-        raise UnsatisfiableTargetError("no valid alignment has finite probability")
-    loss = -float(total)
-
-    # occupancy of state s at t: alpha + beta - total; fold states onto tokens
-    occ = np.exp(alpha + beta - total)
-    grad = np.zeros_like(lp)
-    np.subtract.at(grad.T, ext, occ.T)
-    return loss, grad
+    # occupancy of state s at frame t, alpha + beta - total, 0 outside a
+    # member's frames and states; beta is read from the member's own
+    # reversed rows
+    n_states = labels.shape[2]
+    cells = real[:, :, None] & (np.arange(n_states) < states[:, None])
+    beta = pre[
+        np.where(real, frames - 1 - t, 0)[:, :, None],
+        1,
+        members[:, None],
+        np.maximum(states[:, None] - 1 - np.arange(n_states), 0),
+    ]
+    occ = np.where(cells, np.exp(cur[:, 0] + beta - totals[:, None]), 0.0)
+    # fold states onto tokens, member by member, each entry subtracting its
+    # states in order; then keep each member's frames, member after member
+    folded = np.zeros((v, n_batch, t.shape[0]))
+    np.subtract.at(folded, (labels[0], members[:, None]), occ.transpose(1, 2, 0))
+    grad = folded.transpose(1, 2, 0)[real.T]
+    return [-float(total) for total in totals], grad
 
 
 def collapse(path, blank: int = BLANK) -> tuple:

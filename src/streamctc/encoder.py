@@ -11,16 +11,21 @@ Architecture, per utterance (T x feature_dim input):
 T' exceeds T only for block masks with lookahead; on every other layout
 both steps return their input.
 
-``forward_with_cache`` runs a batch of B utterances as one padded pass:
-frames sit in (B, T_max, ...) arrays and layout positions in B x T'_max
-rows, each member's real rows first. The frontend norm and conv see a
-member's pad frames as the zeros past the end of a lone utterance, and
-the attention mask of the batch is each member's own mask over its
+``forward_with_cache`` runs a batch of B utterances as one pass. The
+frontend works on padded (B, T_max, ...) frame arrays, and sees a
+member's pad frames as the zeros past the end of a lone utterance. Every
+real layout position of the batch is then one packed row of an (N, d)
+array, member after member, and the position-wise math of each layer
+(layer norms, projections, FFN, GELU, residuals) runs on those N rows
+only, never on padding. Attention alone scatters the packed rows into a
+padded (B, heads, T'_max, ...) layout and gathers them back: the
+attention mask of the batch is each member's own mask over its
 positions, with every pad position attending only to itself, so no real
-query sees a pad key. A pass over one utterance is the reference: a
-batch's outputs and input gradients equal its members' batch-of-one
-calls, and its parameter gradient their sum, up to float rounding.
-``forward`` is a batch of one.
+query sees a pad key. When the packed rows are the frame rows (equal
+lengths and no copies) the pass moves no rows at all. A pass over one
+utterance is the reference: a batch's outputs and input gradients equal
+its members' batch-of-one calls, and its parameter gradient their sum,
+up to float rounding. ``forward`` is a batch of one.
 
 The frontend norm is per-channel batch normalization over time with
 running stats (in train mode each member is normalized by its own
@@ -33,8 +38,9 @@ and backward, as batched matmul (``@``) over the batch and head axes.
 
 ``forward_with_cache`` returns one ForwardTrace per member (per-layer
 hidden states at real frame positions, the posteriorgram and the frontend
-output) plus everything ``backward`` needs. ``backward`` accepts, per
-member, a gradient on the log-posteriorgram and/or gradients injected
+output) plus everything ``backward`` needs; the members' posteriorgrams
+and hidden states are row ranges of (sum of T_b)-row arrays. ``backward``
+takes gradients in that layout, on the log-posteriorgram and/or injected
 directly on traced hidden states, and produces the parameter gradient
 summed over the batch plus each member's input-feature gradient.
 
@@ -259,71 +265,103 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class _Padding:
-    """Where the members of one batch sit in the padded arrays of a pass.
+    """Where the members of one batch sit in the arrays of a pass.
 
-    Member b fills row b: its `lengths[b]` frames of the (B, T, ...) frame
-    arrays, then its layout positions of the (B x P, ...) position rows,
-    real rows first and pad rows after. `allowed` is the (B, 1, P, P)
-    attention mask: the member's own mask over its positions, and each pad
-    position attending only to itself, so no real query sees a pad key.
+    Frames: member b fills row b of the (B, T, ...) frame arrays of the
+    frontend, its `lengths[b]` frames first and zeros after. Positions:
+    each real layout position of the batch is one packed row of an (N, d)
+    array, member after member and each member's in layout order, and
+    every position-wise op (layer norms, projections, FFN, residuals) runs
+    on these N rows only. Attention alone sees a padded layout: `scatter`
+    spreads the packed rows over B x P rows, member b's positions first in
+    its block of P, which split into (B, heads, P, head_dim) stacks, and
+    `gather` takes them back. `allowed` is the (B, 1, P, P) mask: each
+    member's own mask over its positions, and each pad position attending
+    only to itself, so no real query sees a pad key.
     """
 
     lengths: tuple
     allowed: np.ndarray
-    # flat frame row and flat position row of each real position; None
-    # when no member has copies, so that positions are the padded frames
+    # N, the number of packed rows
+    n_rows: int
+    # flat frame row (b x T + frame) each packed row reads; None when the
+    # packed rows are the frame rows (no copies, no pad frames)
     frames: np.ndarray | None
-    positions: np.ndarray | None
-    # flat position row of each member's output positions (its frames in
-    # order, copies dropped), member after member
-    outputs: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        """B x P, the number of position rows."""
-        return self.allowed.shape[0] * self.allowed.shape[-1]
+    # flat row (b x P + position) of each packed row in the padded
+    # attention layout; None when no member has pad positions
+    slots: np.ndarray | None
+    # packed row of each member's output positions (its frames in order,
+    # copies dropped), member after member; None when no member has copies
+    outputs: np.ndarray | None
 
     def augment(self, h0: np.ndarray) -> np.ndarray:
-        """(B, T, d) frames -> (B x P, d) position rows, pad rows 0."""
+        """(B, T, d) frames -> (N, d) packed position rows."""
         rows = h0.reshape(-1, h0.shape[-1])
-        if self.frames is None:
-            return rows
-        out = np.zeros((self.n_rows, rows.shape[1]))
-        out[self.positions] = rows[self.frames]
-        return out
+        return rows if self.frames is None else rows[self.frames]
 
     def reduce_grad(self, d_h: np.ndarray) -> np.ndarray:
-        """(B x P, d) position gradient -> (B, T, d), copies scatter-added
-        onto their source frames."""
+        """(N, d) packed-row gradient -> (B, T, d), copies scatter-added
+        onto their source frames and pad frames 0."""
         shape = (len(self.lengths), max(self.lengths), d_h.shape[1])
         if self.frames is None:
             return d_h.reshape(shape)
         out = np.zeros((shape[0] * shape[1], shape[2]))
-        np.add.at(out, self.frames, d_h[self.positions])
+        if self.outputs is None:
+            out[self.frames] = d_h
+        else:
+            np.add.at(out, self.frames, d_h)
         return out.reshape(shape)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """(N, d) packed rows -> (B x P, d) attention rows, pad rows 0."""
+        if self.slots is None:
+            return x
+        out = np.zeros((self.allowed.shape[0] * self.allowed.shape[-1], x.shape[1]))
+        out[self.slots] = x
+        return out
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """(B x P, d) attention rows -> (N, d) packed rows."""
+        return x if self.slots is None else x[self.slots]
+
+    def output_rows(self, h: np.ndarray) -> np.ndarray:
+        """(N, d) packed rows -> the (sum of lengths, d) output rows."""
+        return h if self.outputs is None else h[self.outputs]
+
+    def position_grad(self, d_out: np.ndarray) -> np.ndarray:
+        """Gradient on the output rows -> (N, d), 0 on copy rows."""
+        if self.outputs is None:
+            return d_out
+        d_h = np.zeros((self.n_rows, d_out.shape[1]))
+        d_h[self.outputs] = d_out
+        return d_h
 
 
 def _pad(spec: MaskSpec, lengths: list) -> _Padding:
     masks = [build_mask(spec, n) for n in lengths]
     t_max = max(lengths)
-    p_max = max(mask.n_positions for mask in masks)
+    widths = [mask.n_positions for mask in masks]
+    p_max = max(widths)
     allowed = np.zeros((len(masks), p_max, p_max), dtype=bool)
-    frames, positions, outputs = [], [], []
+    frames, slots, outputs = [], [], []
+    first = 0
     for b, mask in enumerate(masks):
         n_pos = mask.n_positions
         allowed[b, :n_pos, :n_pos] = mask.allowed
         pads = np.arange(n_pos, p_max)
         allowed[b, pads, pads] = True
         frames.append(b * t_max + mask.index_map)
-        positions.append(b * p_max + np.arange(n_pos))
-        outputs.append(b * p_max + np.flatnonzero(~mask.is_copy))
-    copies = any(mask.is_copy.any() for mask in masks)
+        slots.append(b * p_max + np.arange(n_pos))
+        outputs.append(first + np.flatnonzero(~mask.is_copy))
+        first += n_pos
+    copies = first > sum(lengths)
     return _Padding(
         lengths=tuple(lengths),
         allowed=allowed[:, None],
-        frames=np.concatenate(frames) if copies else None,
-        positions=np.concatenate(positions) if copies else None,
-        outputs=np.concatenate(outputs),
+        n_rows=first,
+        frames=np.concatenate(frames) if copies or min(lengths) < t_max else None,
+        slots=np.concatenate(slots) if min(widths) < p_max else None,
+        outputs=np.concatenate(outputs) if copies else None,
     )
 
 
@@ -338,17 +376,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
 
 
-def _layer_forward(h, arrays, prefix, config, allowed):
+def _layer_forward(h, arrays, prefix, config, pad):
     g = lambda name: arrays[prefix + name]
-    n_batch = allowed.shape[0]
+    n_batch = pad.allowed.shape[0]
     u, ln1_cache = layer_norm_forward(h, g("ln1.gain"), g("ln1.bias"))
-    q = _split_heads(u @ g("attn.wq"), n_batch, config.n_heads)
-    k = _split_heads(u @ g("attn.wk"), n_batch, config.n_heads)
-    v = _split_heads(u @ g("attn.wv"), n_batch, config.n_heads)
+    q = _split_heads(pad.scatter(u @ g("attn.wq")), n_batch, config.n_heads)
+    k = _split_heads(pad.scatter(u @ g("attn.wk")), n_batch, config.n_heads)
+    v = _split_heads(pad.scatter(u @ g("attn.wv")), n_batch, config.n_heads)
     beta = 1.0 / np.sqrt(config.head_dim)
     logits = beta * (q @ k.swapaxes(-1, -2))
-    probs = masked_softmax(logits, allowed)
-    z = _merge_heads(probs @ v)
+    probs = masked_softmax(logits, pad.allowed)
+    z = pad.gather(_merge_heads(probs @ v))
     a = h + (z @ g("attn.wo") + g("attn.bo"))
     w, ln2_cache = layer_norm_forward(a, g("ln2.gain"), g("ln2.bias"))
     f2, gelu_cache = gelu_forward(w @ g("ffn.w1") + g("ffn.b1"))
@@ -371,7 +409,7 @@ def _layer_forward(h, arrays, prefix, config, allowed):
     return out, cache
 
 
-def _layer_backward(d_out, arrays, grads, prefix, config, cache):
+def _layer_backward(d_out, arrays, grads, prefix, config, cache, pad):
     g = lambda name: arrays[prefix + name]
 
     def acc(name, value):
@@ -390,7 +428,9 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
 
     acc("attn.wo", cache["z"].T @ d_a)
     acc("attn.bo", d_a.sum(axis=0))
-    d_z = _split_heads(d_a @ g("attn.wo").T, cache["probs"].shape[0], config.n_heads)
+    d_z = _split_heads(
+        pad.scatter(d_a @ g("attn.wo").T), pad.allowed.shape[0], config.n_heads
+    )
     d_probs = d_z @ cache["v"].swapaxes(-1, -2)
     d_v = cache["probs"].swapaxes(-1, -2) @ d_z
     d_logits = masked_softmax_backward(d_probs, cache["probs"])
@@ -400,7 +440,7 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache):
     u = cache["u"]
     d_u = np.zeros_like(u)
     for name, d_proj in (("attn.wq", d_q), ("attn.wk", d_k), ("attn.wv", d_v)):
-        flat = _merge_heads(d_proj)
+        flat = pad.gather(_merge_heads(d_proj))
         acc(name, u.T @ flat)
         d_u += flat @ g(name).T
     d_h2, dg1, db1 = layer_norm_backward(d_u, cache["ln1"])
@@ -416,8 +456,10 @@ def forward_with_cache(
     train: bool = False,
 ):
     """Run the encoder on a batch, `features` being a list of
-    T_b x feature_dim matrices, as one padded pass. Returns (one
-    ForwardTrace per member in batch order, cache for backward)."""
+    T_b x feature_dim matrices, as one pass over packed position rows.
+    Returns (one ForwardTrace per member in batch order, cache for
+    backward); the members' posteriorgrams and traced hidden states are
+    row ranges of one (sum of T_b) x ... array, member after member."""
     config = params.config
     xs = [np.asarray(f, dtype=np.float64) for f in features]
     if not xs:
@@ -453,9 +495,9 @@ def forward_with_cache(
     hidden = []
     layer_caches = []
     for i in range(config.n_layers):
-        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, pad.allowed)
+        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, pad)
         layer_caches.append(lc)
-        hidden.append(h[pad.outputs])
+        hidden.append(pad.output_rows(h))
     cache["layers"] = layer_caches
 
     hn, cache["final_norm"] = layer_norm_forward(
@@ -495,23 +537,25 @@ def backward(
     grad_logpost=None,
     grad_hidden=None,
 ):
-    """Reverse pass over the batch of `forward_with_cache`. `grad_logpost`
-    holds one gradient per member on its log-posteriorgram (T_b x V);
-    `grad_hidden` holds one dict per member mapping a 1-based layer index
-    to the gradient on that layer's traced hidden state (T_b x model_dim).
-    Returns (gradient vector laid out like `params.flat`, summed over the
-    members; one input-feature gradient per member)."""
+    """Reverse pass over the batch of `forward_with_cache`, in its layout:
+    `grad_logpost` is the gradient on the members' log-posteriorgrams
+    back to back, (sum of T_b) x V; `grad_hidden` maps a 1-based layer
+    index to the gradient on that layer's traced hidden states, likewise
+    (sum of T_b) x model_dim. Returns (gradient vector laid out like
+    `params.flat`, summed over the members; one input-feature gradient per
+    member)."""
     config = cache["config"]
     arrays = params.arrays
     pad = cache["pad"]
     grad = np.zeros_like(params.flat)
     grads = param_views(config, grad)
+    grad_hidden = grad_hidden or {}
 
     hn = cache["hn"]
     d_hn = np.zeros_like(hn)
     if grad_logpost is not None:
         d_logits = log_softmax_backward(
-            np.concatenate(grad_logpost, dtype=np.float64), cache["logpost"]
+            np.asarray(grad_logpost, dtype=np.float64), cache["logpost"]
         )
         grads["head.w"][...] = hn.T @ d_logits
         grads["head.b"][...] = d_logits.sum(axis=0)
@@ -520,25 +564,17 @@ def backward(
         layer_norm_backward(d_hn, cache["final_norm"])
     )
 
-    grad_hidden = grad_hidden or [{}] * len(pad.lengths)
-    injected = set().union(*grad_hidden)
-
-    def hidden_grad(layer):
-        return np.concatenate([
-            g[layer] if layer in g else np.zeros((n, config.model_dim))
-            for g, n in zip(grad_hidden, pad.lengths)
-        ])
-
     n = config.n_layers
-    d_h = np.zeros((pad.n_rows, config.model_dim))
-    d_h[pad.outputs] = d_hr + hidden_grad(n) if n in injected else d_hr
-
+    d_h = pad.position_grad(d_hr + grad_hidden[n] if n in grad_hidden else d_hr)
     for i in range(n - 1, -1, -1):
         d_h = _layer_backward(
-            d_h, arrays, grads, f"layer{i}.", config, cache["layers"][i]
+            d_h, arrays, grads, f"layer{i}.", config, cache["layers"][i], pad
         )
-        if i in injected and i >= 1:
-            d_h[pad.outputs] += hidden_grad(i)
+        if i in grad_hidden and i >= 1:
+            if pad.outputs is None:
+                d_h += grad_hidden[i]
+            else:
+                d_h[pad.outputs] += grad_hidden[i]
 
     d_h0 = pad.reduce_grad(d_h)
     d_conv = gelu_backward(d_h0, cache["gelu"])

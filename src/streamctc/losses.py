@@ -23,8 +23,8 @@ import numpy as np
 
 from .ctc import ctc_loss
 from .encoder import ForwardTrace
-from .numerics import check_int
-from .vocab import BLANK, LabelSequence
+from .numerics import check_float, check_int
+from .vocab import BLANK
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,21 +78,30 @@ def guide_penalty(mask: GuideMask, teacher_posteriors: np.ndarray):
 
 def guided_ctc_loss(
     teacher_log_posteriors: np.ndarray,
-    target: LabelSequence,
-    mask: GuideMask,
+    targets,
+    lengths,
+    masks,
     alpha: float,
 ):
-    """CTC loss plus alpha times the guide penalty, with the gradient taken
-    w.r.t. the log-posteriors. alpha = 0 reproduces ctc_loss bit for bit
+    """Per member, CTC loss plus alpha times the guide penalty, with the
+    gradient taken w.r.t. the log-posteriors. The layout is `ctc_loss`'s
+    (the members' T_b x V rows back to back, `lengths[b]` rows aiming at
+    `targets[b]`), and `masks[b]` is member b's guide mask. Returns (one
+    loss per member, grad). alpha = 0 reproduces ctc_loss bit for bit
     (the penalty path is skipped entirely)."""
-    loss, grad = ctc_loss(teacher_log_posteriors, target)
+    alpha = check_float("alpha", alpha)
+    losses, grad = ctc_loss(teacher_log_posteriors, targets, lengths)
     if alpha == 0.0:
-        return loss, grad
+        return losses, grad
     probs = np.exp(np.asarray(teacher_log_posteriors, dtype=np.float64))
-    penalty, d_probs = guide_penalty(mask, probs)
-    loss = loss + alpha * penalty
-    grad = grad + alpha * d_probs * probs
-    return loss, grad
+    d_probs = np.empty_like(probs)
+    start = 0
+    for b, (mask, n) in enumerate(zip(masks, lengths, strict=True)):
+        rows = slice(start, start + n)
+        penalty, d_probs[rows] = guide_penalty(mask, probs[rows])
+        losses[b] += alpha * penalty
+        start = rows.stop
+    return losses, grad + alpha * d_probs * probs
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,7 @@ def contrastive_loss(c, q, distractors, temperature: float = 1.0):
     is the negative log-softmax mass on the positive. Gradient is returned
     for the context vector `c` only (targets act as constants).
     """
-    if temperature <= 0:
+    if check_float("temperature", temperature) <= 0:
         raise ValueError("temperature must be > 0")
     c = np.asarray(c, dtype=np.float64)
     cands = [np.asarray(q, dtype=np.float64)] + [

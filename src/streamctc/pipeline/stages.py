@@ -11,11 +11,13 @@ statistics. Batches are drawn from a seeded generator over the
 whole training set; an utterance without a target is skipped and counted
 before its forward pass. The others, in utterance-id order, run as
 consecutive micro-batches whose padded attention area stays within
-`MICRO_BATCH_AREA`: one encoder forward pass per micro-batch, the stage's
-objective per utterance on its own rows of the batch, and one backward
-pass, with gradients summed over the micro-batches. Stage outputs are a
-trained model plus a log (loss curve, skip count, dev token error, wall
-time).
+`MICRO_BATCH_AREA`: one encoder forward pass per micro-batch, one call
+of the stage's objective, `objective(targets, traces)`, on the whole
+micro-batch, and one backward pass, with gradients summed over the
+micro-batches. CTC and guided CTC make one batched `ctc_loss` call per
+micro-batch; distillation and contrastive loop over the members inside
+their objective. Stage outputs are a trained model plus a log (loss
+curve, skip count, dev token error, wall time).
 """
 
 from __future__ import annotations
@@ -114,6 +116,15 @@ def _ctc_targets(data, vocabulary: Vocabulary) -> dict:
     return targets
 
 
+def _posteriorgrams(traces):
+    """(the members' posteriorgrams back to back, (sum of T_b) x V; their
+    frame counts): the layout `ctc_loss` reads and `backward` takes."""
+    return (
+        np.concatenate([trace.posteriorgram for trace in traces]),
+        [trace.posteriorgram.shape[0] for trace in traces],
+    )
+
+
 def _micro_batches(utts, spec: MaskSpec) -> list:
     """Split `utts` into consecutive runs whose padded attention area,
     members x (longest layout)^2 positions, stays within
@@ -136,11 +147,12 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
     counts an utterance with no entry in `targets` as skipped, before its
     forward pass. The others, in uid order, are split into micro-batches
     (`_micro_batches`), and each micro-batch gets one training-mode
-    forward pass under `params.mask_spec` (full context when None),
-    `objective(target, trace)` -> (loss, keyword arguments of `backward`)
-    per member in uid order, and one backward pass. Writes each update
-    into `params.flat` in place and returns (losses per update, skipped
-    count)."""
+    forward pass under `params.mask_spec` (full context when None), one
+    call `objective(targets, traces)` with the members' targets and
+    ForwardTraces in uid order, which returns (one loss per member,
+    keyword arguments of `backward` in the batch's layout), and one
+    backward pass. Writes each update into `params.flat` in place and
+    returns (losses per update, skipped count)."""
     spec = params.mask_spec or BIDIRECTIONAL
 
     def one_pass(group):
@@ -149,13 +161,8 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
         traces, cache = forward_with_cache(
             params, [utt.features for utt in group], spec, train=True
         )
-        losses, member_args = [], []
-        for utt, trace in zip(group, traces):
-            loss, backward_args = objective(targets[utt.uid], trace)
-            losses.append(loss)
-            member_args.append(backward_args)
-        batch_args = {key: [args[key] for args in member_args] for key in member_args[0]}
-        return losses, backward(params, cache, **batch_args)[0]
+        losses, backward_args = objective([targets[utt.uid] for utt in group], traces)
+        return losses, backward(params, cache, **backward_args)[0]
 
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
@@ -234,9 +241,10 @@ def finetune_ctc(
     with 0 updates the returned model equals `init` (mask spec aside)."""
     vocabulary = vocabulary or Vocabulary.default()
 
-    def objective(label, trace):
-        loss, d_logpost = ctc_loss(trace.posteriorgram, label)
-        return loss, {"grad_logpost": d_logpost}
+    def objective(labels, traces):
+        logpost, lengths = _posteriorgrams(traces)
+        losses, d_logpost = ctc_loss(logpost, labels, lengths)
+        return losses, {"grad_logpost": d_logpost}
 
     def prepare(work, data):
         return _ctc_targets(data, vocabulary), objective, dict
@@ -260,10 +268,11 @@ def train_guided_teacher(
     if streaming.mask_spec is None:
         raise ValueError("guide model does not record a streaming mask spec")
 
-    def objective(target, trace):
-        label, mask = target
-        loss, d_logpost = guided_ctc_loss(trace.posteriorgram, label, mask, alpha)
-        return loss, {"grad_logpost": d_logpost}
+    def objective(targets, traces):
+        labels, masks = zip(*targets)
+        logpost, lengths = _posteriorgrams(traces)
+        losses, d_logpost = guided_ctc_loss(logpost, labels, lengths, masks, alpha)
+        return losses, {"grad_logpost": d_logpost}
 
     def prepare(work, data):
         labels = _ctc_targets(data, vocabulary)
@@ -297,9 +306,16 @@ def distill(
     vocabulary = vocabulary or Vocabulary.default()
     teacher_spec = teacher.mask_spec or BIDIRECTIONAL
 
-    def objective(teacher_trace, trace):
-        loss, grad_hidden = distillation_loss(trace, teacher_trace, distill_spec)
-        return loss, {"grad_hidden": grad_hidden}
+    def objective(teacher_traces, traces):
+        losses, grads = [], []
+        for teacher_trace, trace in zip(teacher_traces, traces):
+            loss, grad_hidden = distillation_loss(trace, teacher_trace, distill_spec)
+            losses.append(loss)
+            grads.append(grad_hidden)
+        return losses, {"grad_hidden": {
+            layer: np.concatenate([g[layer] for g in grads])
+            for layer in distill_spec.layer_indices
+        }}
 
     def prepare(work, data):
         if head_source is not None:
@@ -408,27 +424,31 @@ def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
-    def objective(_, trace):
-        context = trace.hidden[-1]
-        targets = trace.frontend
-        t_len = context.shape[0]
-        n_pos = min(CONTRASTIVE_POSITIONS, t_len)
-        k = min(CONTRASTIVE_DISTRACTORS, t_len - 1)
-        positions = position_rng.choice(t_len, size=n_pos, replace=False)
-        grad = np.zeros_like(context)
-        loss_total = 0.0
-        for pos in sorted(int(p) for p in positions):
-            others = np.delete(np.arange(t_len), pos)
-            picked = position_rng.choice(others, size=k, replace=False)
-            loss, g_context = contrastive_loss(
-                context[pos],
-                targets[pos],
-                [targets[int(j)] for j in picked],
-                CONTRASTIVE_TEMPERATURE,
-            )
-            loss_total += loss / n_pos
-            grad[pos] += g_context / n_pos
-        return loss_total, {"grad_hidden": {top_layer: grad}}
+    def objective(_, traces):
+        losses, grads = [], []
+        for trace in traces:
+            context = trace.hidden[-1]
+            targets = trace.frontend
+            t_len = context.shape[0]
+            n_pos = min(CONTRASTIVE_POSITIONS, t_len)
+            k = min(CONTRASTIVE_DISTRACTORS, t_len - 1)
+            positions = position_rng.choice(t_len, size=n_pos, replace=False)
+            grad = np.zeros_like(context)
+            loss_total = 0.0
+            for pos in sorted(int(p) for p in positions):
+                others = np.delete(np.arange(t_len), pos)
+                picked = position_rng.choice(others, size=k, replace=False)
+                loss, g_context = contrastive_loss(
+                    context[pos],
+                    targets[pos],
+                    [targets[int(j)] for j in picked],
+                    CONTRASTIVE_TEMPERATURE,
+                )
+                loss_total += loss / n_pos
+                grad[pos] += g_context / n_pos
+            losses.append(loss_total)
+            grads.append(grad)
+        return losses, {"grad_hidden": {top_layer: np.concatenate(grads)}}
 
     def prepare(work, data):
         # `_train` passes utterances of two frames or more, so every

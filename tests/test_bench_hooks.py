@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -58,3 +59,32 @@ def test_untraced_train_long_times_optimizer_steps(tmp_path, bench):
     harness, _ = bench
     _, metrics = _execute(harness, "train_long", False, tmp_path)
     assert math.isfinite(metrics["latency_p90_ms"][0])
+
+
+def test_tracer_counts_one_batched_ctc_call_per_micro_batch(bench):
+    # the tracer counts CTC frames as the rows of `ctc_loss`'s first
+    # argument; a micro-batch of three utterances is one call over all
+    # their frames
+    from streamctc.encoder import EncoderConfig, init_params
+    from streamctc.masking import MaskSpec
+    from streamctc.pipeline import stages
+    from streamctc.pipeline.data import Utterance
+    from streamctc.pipeline.optim import TrainConfig
+
+    _, tracing = bench
+    rng = np.random.default_rng(5)
+    data = [
+        Utterance(uid=f"U{i}", features=rng.normal(size=(n, 6)), text="ab")
+        for i, n in enumerate((7, 4, 9))
+    ]
+    config = EncoderConfig(n_layers=2, model_dim=8, n_heads=2, ffn_dim=12, feature_dim=6)
+    tracer = tracing.Tracer()
+    replacements, missing = tracing.layer_hooks(tracer)
+    assert missing == []
+    with tracing.patched(replacements):
+        stages.finetune_ctc(
+            init_params(config, 0), MaskSpec("chunk", chunk_frames=3), data,
+            TrainConfig(peak_lr=1e-3, total_updates=1, batch_size=3),
+        )
+    assert tracer.calls["ctc.ctc_loss"] == 1
+    assert tracer.counts["ctc.ctc_loss.frames"] == sum(u.n_frames for u in data)

@@ -29,6 +29,12 @@ from streamctc.vocab import BLANK, DELIMITER, LabelSequence, Vocabulary
 A, B = 3, 4  # letter token ids in the default vocabulary ('a' and 'b')
 
 
+def ctc_one(lp, target):
+    """`ctc_loss` on one utterance, as a batch of one."""
+    [loss], grad = ctc_loss(lp, [target], [lp.shape[0]])
+    return loss, grad
+
+
 def random_logpost(t, v, seed):
     rng = np.random.default_rng(seed)
     return log_softmax(rng.normal(size=(t, v)) * 2.0)
@@ -66,13 +72,13 @@ class TestLabelSequence:
 class TestCtcLoss:
     def test_single_frame_uniform(self):
         lp = np.log(np.full((1, 2), 0.5))
-        loss, grad = ctc_loss(lp, LabelSequence((1,)))
+        loss, grad = ctc_one(lp, LabelSequence((1,)))
         assert math.isclose(loss, -math.log(0.5), rel_tol=1e-12)
         np.testing.assert_allclose(grad, [[0.0, -1.0]], atol=1e-12)
 
     def test_empty_target_all_blank(self):
         lp = random_logpost(5, 3, 0)
-        loss, grad = ctc_loss(lp, LabelSequence(()))
+        loss, grad = ctc_one(lp, LabelSequence(()))
         assert math.isclose(loss, -float(lp[:, BLANK].sum()), rel_tol=1e-12)
         expect = np.zeros_like(lp)
         expect[:, BLANK] = -1.0
@@ -81,18 +87,18 @@ class TestCtcLoss:
     def test_repeat_needs_separating_blank(self):
         # 3 frames, target aa: only the alignment a-blank-a survives
         lp = random_logpost(3, 4, 1)
-        loss, _ = ctc_loss(lp, LabelSequence((A, A)))
+        loss, _ = ctc_one(lp, LabelSequence((A, A)))
         expect = -(lp[0, A] + lp[1, BLANK] + lp[2, A])
         assert math.isclose(loss, float(expect), rel_tol=1e-12)
 
     def test_two_frames_two_labels_single_alignment(self):
         lp = random_logpost(2, 4, 2)
-        loss, _ = ctc_loss(lp, LabelSequence((1, 2)))
+        loss, _ = ctc_one(lp, LabelSequence((1, 2)))
         assert math.isclose(loss, -float(lp[0, 1] + lp[1, 2]), rel_tol=1e-12)
 
     def test_matches_brute_force_small(self):
         lp = random_logpost(4, 3, 3)
-        loss, _ = ctc_loss(lp, LabelSequence((1, 2)))
+        loss, _ = ctc_one(lp, LabelSequence((1, 2)))
         assert abs(loss - ctc_brute_force(lp, LabelSequence((1, 2)))) < 1e-10
 
     def test_matches_brute_force_randomized(self):
@@ -105,16 +111,16 @@ class TestCtcLoss:
             if t < min_frames(target):
                 continue
             lp = random_logpost(t, v, 1000 + trial)
-            loss, _ = ctc_loss(lp, target)
+            loss, _ = ctc_one(lp, target)
             oracle = ctc_brute_force(lp, target)
             assert abs(loss - oracle) < 1e-10, (t, v, target.tokens)
 
     def test_unsatisfiable_raises(self):
         lp = random_logpost(2, 3, 4)
         with pytest.raises(UnsatisfiableTargetError):
-            ctc_loss(lp, LabelSequence((1, 1)))  # needs 3 frames
+            ctc_one(lp, LabelSequence((1, 1)))  # needs 3 frames
         with pytest.raises(UnsatisfiableTargetError):
-            ctc_loss(random_logpost(1, 3, 5), LabelSequence((1, 2)))
+            ctc_one(random_logpost(1, 3, 5), LabelSequence((1, 2)))
 
     def test_min_frames(self):
         assert min_frames(LabelSequence(())) == 0
@@ -127,7 +133,7 @@ class TestCtcLoss:
         lp0 = random_logpost(6, 4, 6)
 
         def op(lp):
-            loss, grad = ctc_loss(lp, target)
+            loss, grad = ctc_one(lp, target)
             return loss, [grad]
 
         assert check_gradient(op, [lp0]) <= 1e-5
@@ -135,17 +141,17 @@ class TestCtcLoss:
     def test_permutation_covariance(self):
         lp = random_logpost(5, 4, 7)
         target = LabelSequence((1, 3, 2))
-        loss, _ = ctc_loss(lp, target)
+        loss, _ = ctc_one(lp, target)
         # swap non-blank symbols 1 <-> 2 consistently
         perm = [0, 2, 1, 3]
         lp_p = lp[:, perm]
         target_p = LabelSequence((2, 3, 1))
-        loss_p, _ = ctc_loss(lp_p, target_p)
+        loss_p, _ = ctc_one(lp_p, target_p)
         assert loss == loss_p
 
     def test_token_out_of_vocab(self):
         with pytest.raises(ValueError):
-            ctc_loss(random_logpost(3, 3, 8), LabelSequence((5,)))
+            ctc_one(random_logpost(3, 3, 8), LabelSequence((5,)))
 
 
 @st.composite
@@ -168,8 +174,8 @@ def test_loss_is_invariant_under_time_reversal(instance):
     # beta is the alpha sweep over the reversed label and time axes, so
     # reversing both must give the same loss and the time-flipped gradient
     lp, target = instance
-    loss, grad = ctc_loss(lp, target)
-    loss_r, grad_r = ctc_loss(lp[::-1], LabelSequence(target.tokens[::-1]))
+    loss, grad = ctc_one(lp, target)
+    loss_r, grad_r = ctc_one(lp[::-1], LabelSequence(target.tokens[::-1]))
     assert abs(loss - loss_r) <= 1e-12
     np.testing.assert_allclose(grad_r[::-1], grad, rtol=0, atol=1e-12)
 
@@ -228,14 +234,14 @@ def test_stacked_sweep_equals_each_row_alone(n_rows, t, n_labels, seed):
     exts = np.stack([
         _extend_with_blanks(rng.integers(1, 3, size=n_labels)) for _ in range(n_rows)
     ])
-    emit = rng.normal(size=(n_rows, t, exts.shape[1])) * 3.0
+    emit = rng.normal(size=(t, n_rows, exts.shape[1])) * 3.0
     emit[rng.random(emit.shape) < 0.1] = NEG_INF
     pre, cur = _sweep(emit, exts)
     for r in range(n_rows):
-        alone = _sweep(emit[r], exts[r])
-        assert same_bits(pre[r], alone[0]) and same_bits(cur[r], alone[1])
-        ref = ref_sweep(emit[r], exts[r])
-        assert same_bits(pre[r], ref[0]) and same_bits(cur[r], ref[1])
+        alone = _sweep(emit[:, r], exts[r])
+        assert same_bits(pre[:, r], alone[0]) and same_bits(cur[:, r], alone[1])
+        ref = ref_sweep(emit[:, r], exts[r])
+        assert same_bits(pre[:, r], ref[0]) and same_bits(cur[:, r], ref[1])
 
 
 def test_loss_and_gradient_equal_the_two_sweep_formula_bit_for_bit():
@@ -256,16 +262,88 @@ def test_loss_and_gradient_equal_the_two_sweep_formula_bit_for_bit():
             want = ref_ctc_loss(lp, target)
         except UnsatisfiableTargetError as exc:
             with pytest.raises(UnsatisfiableTargetError) as got:
-                ctc_loss(lp, target)
-            assert str(got.value) == str(exc)
+                ctc_one(lp, target)
+            assert str(got.value) == f"member 0: {exc}"
             seen["few_frames" if t < min_frames(target) else "no_path"] += 1
             continue
-        loss, grad = ctc_loss(lp, target)
+        loss, grad = ctc_one(lp, target)
         assert same_bits(loss, want[0]) and same_bits(grad, want[1]), (t, v, tokens)
         seen["ok"] += 1
         seen["empty"] += not tokens
         seen["repeat"] += any(a == b for a, b in zip(tokens, tokens[1:]))
     assert min(seen.values()) >= 50, seen
+
+
+def random_member(rng):
+    """One member of a batched oracle case: (log-posteriorgram, target)
+    with ragged T, empty targets, repeated labels, peaked and flat
+    posteriors, impossible emissions, and both kinds of unsatisfiable
+    target (rarely, so that most batches are satisfiable)."""
+    n = int(rng.integers(0, 7))
+    tokens = tuple(int(x) for x in rng.integers(1, 3 + n % 2, size=n))
+    target = LabelSequence(tokens)
+    short = rng.random() < 0.04
+    spare = int(rng.integers(-2, 0)) if short else int(rng.integers(0, 12))
+    t = max(1, min_frames(target) + spare)
+    lp = log_softmax(rng.normal(size=(t, V_BATCH)) * rng.choice([0.5, 3.0, 30.0]))
+    if rng.random() < 0.15:
+        lp[rng.random(lp.shape) < 0.3] = NEG_INF
+    return lp, target
+
+
+V_BATCH = 5
+
+
+def test_batched_loss_equals_each_member_alone_bit_for_bit():
+    # one call over B = 1..5 members against the two-sweep formula per
+    # member: every loss and gradient row bit for bit, and an
+    # unsatisfiable member named in the error (frame counts are checked
+    # for every member before any alignment)
+    rng = np.random.default_rng(14)
+    kinds = ("ok", "ragged", "empty", "repeat", "neg_inf", "few_frames", "no_path")
+    seen = dict.fromkeys(kinds, 0)
+    for _ in range(3000):
+        members = [random_member(rng) for _ in range(int(rng.integers(1, 6)))]
+        lps, targets = zip(*members)
+        lengths = [lp.shape[0] for lp in lps]
+        wants, errors = [], {}
+        for b, (lp, target) in enumerate(members):
+            try:
+                wants.append(ref_ctc_loss(lp, target))
+            except UnsatisfiableTargetError as exc:
+                kind = "few_frames" if lp.shape[0] < min_frames(target) else "no_path"
+                errors.setdefault(kind, (b, str(exc)))
+        if errors:
+            b, message = errors.get("few_frames") or errors["no_path"]
+            with pytest.raises(UnsatisfiableTargetError) as got:
+                ctc_loss(np.concatenate(lps), list(targets), lengths)
+            assert str(got.value) == f"member {b}: {message}"
+            seen["few_frames" if "few_frames" in errors else "no_path"] += 1
+            continue
+        losses, grad = ctc_loss(np.concatenate(lps), list(targets), lengths)
+        assert len(losses) == len(members)
+        rows = np.split(grad, np.cumsum(lengths)[:-1])
+        for (want_loss, want_grad), loss, got in zip(wants, losses, rows, strict=True):
+            assert same_bits(loss, want_loss) and same_bits(got, want_grad)
+        seen["ok"] += 1
+        seen["ragged"] += len(set(lengths)) > 1
+        seen["empty"] += any(not target.tokens for target in targets)
+        seen["repeat"] += any(
+            any(a == b for a, b in zip(t.tokens, t.tokens[1:])) for t in targets
+        )
+        seen["neg_inf"] += any(np.isneginf(lp).any() for lp in lps)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_batched_loss_rejects_a_layout_that_does_not_fit():
+    lp = random_logpost(5, 3, 0)
+    one = LabelSequence((1,))
+    with pytest.raises(ValueError, match="1 target"):
+        ctc_loss(lp, [one], [3, 2])
+    with pytest.raises(ValueError, match="frame counts sum to 4"):
+        ctc_loss(lp, [one, one], [2, 2])
+    with pytest.raises(ValueError, match="frame count must be >= 1"):
+        ctc_loss(lp, [one, one], [5, 0])
 
 
 class TestGreedyDecode:

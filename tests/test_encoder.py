@@ -396,7 +396,7 @@ class TestBackward:
                 params.arrays[key][...] = val
             [trace], cache = forward_with_cache(params, [feats], spec, train=True)
             loss = float((trace.posteriorgram * w_post).sum())
-            grad, _ = backward(params, cache, grad_logpost=[w_post])
+            grad, _ = backward(params, cache, grad_logpost=w_post)
             grads = param_views(cfg, grad)
             return loss, [grads[k] for k in keys]
 
@@ -418,7 +418,7 @@ class TestBackward:
         def op(x):
             [trace], cache = forward_with_cache(params, [x], spec)
             loss = float((trace.posteriorgram * w_post).sum())
-            _, [d_x] = backward(params, cache, grad_logpost=[w_post])
+            _, [d_x] = backward(params, cache, grad_logpost=w_post)
             return loss, [d_x]
 
         assert check_gradient(op, [x0]) <= 1e-5
@@ -438,7 +438,7 @@ class TestBackward:
                 p.arrays[key][...] = val
             [trace], cache = forward_with_cache(p, [feats], spec)
             loss = float((trace.hidden[0] * w1).sum() + (trace.hidden[1] * w2).sum())
-            grad, _ = backward(p, cache, grad_hidden=[{1: w1, 2: w2}])
+            grad, _ = backward(p, cache, grad_hidden={1: w1, 2: w2})
             grads = param_views(TINY, grad)
             return loss, [grads[k] for k in keys]
 
@@ -478,51 +478,82 @@ def assert_relatively_close(got, want, bound=1e-12):
     assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBatchedPass:
-    """A padded batch against its members' batch-of-one calls."""
+    """A packed batch against its members' batch-of-one calls.
+
+    Position-wise math on the packed rows gives each row the bits it gets
+    alone (BLAS matmul of two or more rows is row by row). Attention runs
+    at the batch's widest layout: a member narrower than it sums its
+    softmax and `probs @ v` over a key axis widened by pad keys of weight
+    0, which BLAS and NumPy's pairwise sums group differently. A member
+    with one position runs its batch of one through matrix-vector BLAS.
+    So hidden states and posteriorgrams are bit for bit those of the
+    batch-of-one calls when every member has one layout width of at least
+    2, and within 1e-12 relative otherwise; gradients, whose parameter
+    sums run over different row counts, within 1e-12 relative."""
 
     @given(data=st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_batch_matches_its_batch_of_one_calls(self, data):
         spec = data.draw(st.sampled_from(ORACLE_SPECS), label="spec")
         train = data.draw(st.booleans(), label="train")
         inject = data.draw(st.sampled_from(["posteriorgram", "hidden", "both"]), label="inject")
+        layout = data.draw(st.sampled_from(["ragged", "equal", "one_frame"]), label="layout")
         # train-mode batch norm needs two frames per utterance
         shortest = 2 if train else 1
-        lengths = data.draw(st.lists(st.integers(shortest, 9), min_size=1, max_size=5), label="lengths")
+        if layout == "equal":
+            n = data.draw(st.integers(shortest, 9), label="length")
+            lengths = [n] * data.draw(st.integers(1, 5), label="members")
+        else:
+            lengths = data.draw(
+                st.lists(st.integers(shortest, 9), min_size=1, max_size=5), label="lengths"
+            )
+            if layout == "one_frame" and not train:
+                lengths.insert(data.draw(st.integers(0, len(lengths)), label="at"), 1)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         base = _oracle_params(seed % 1000)
         cfg = base.config
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=(n, cfg.feature_dim)) for n in lengths]
-        kwargs = [{} for _ in lengths]
-        for n, member in zip(lengths, kwargs):
-            if inject != "hidden":
-                member["grad_logpost"] = rng.normal(size=(n, cfg.vocab_size))
-            if inject != "posteriorgram":
-                layers = rng.permutation(np.arange(1, cfg.n_layers + 1))[: rng.integers(1, 4)]
-                member["grad_hidden"] = {
-                    int(k): rng.normal(size=(n, cfg.model_dim)) for k in layers
-                }
+        kwargs = {}
+        if inject != "hidden":
+            kwargs["grad_logpost"] = rng.normal(size=(sum(lengths), cfg.vocab_size))
+        if inject != "posteriorgram":
+            layers = rng.permutation(np.arange(1, cfg.n_layers + 1))[: rng.integers(1, 4)]
+            kwargs["grad_hidden"] = {
+                int(k): rng.normal(size=(sum(lengths), cfg.model_dim)) for k in layers
+            }
 
         batched = base.copy()
         traces, cache = forward_with_cache(batched, xs, spec, train=train)
-        batch_kwargs = {key: [m[key] for m in kwargs] for key in kwargs[0]}
-        grad, d_xs = backward(batched, cache, **batch_kwargs)
+        grad, d_xs = backward(batched, cache, **kwargs)
 
+        widths = {build_mask(spec, n).n_positions for n in lengths}
+        same = len(widths) == 1 and min(widths) >= 2
+        check_forward = _same_bits if same else assert_relatively_close
         single = base.copy()
         summed = np.zeros_like(grad)
         assert len(traces) == len(d_xs) == len(xs)
-        for x, member, trace, d_x in zip(xs, kwargs, traces, d_xs):
+        starts = np.cumsum([0, *lengths])
+        for x, first, last, trace, d_x in zip(xs, starts, starts[1:], traces, d_xs):
             [want], one_cache = forward_with_cache(single, [x], spec, train=train)
-            want_grad, [want_d_x] = backward(
-                single, one_cache, **{key: [value] for key, value in member.items()}
-            )
+            member = {}
+            if "grad_logpost" in kwargs:
+                member["grad_logpost"] = kwargs["grad_logpost"][first:last]
+            if "grad_hidden" in kwargs:
+                member["grad_hidden"] = {
+                    k: g[first:last] for k, g in kwargs["grad_hidden"].items()
+                }
+            want_grad, [want_d_x] = backward(single, one_cache, **member)
             summed += want_grad
-            assert_relatively_close(trace.posteriorgram, want.posteriorgram)
-            assert_relatively_close(trace.frontend, want.frontend)
+            check_forward(trace.posteriorgram, want.posteriorgram)
+            check_forward(trace.frontend, want.frontend)
             for got_h, want_h in zip(trace.hidden, want.hidden, strict=True):
-                assert_relatively_close(got_h, want_h)
+                check_forward(got_h, want_h)
             assert_relatively_close(d_x, want_d_x)
         assert_relatively_close(grad, summed)
         # running statistics fold once per member, in batch order

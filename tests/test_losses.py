@@ -23,6 +23,18 @@ from streamctc.numerics import check_gradient, log_softmax
 from streamctc.vocab import LabelSequence
 
 
+def ctc_one(lp, target):
+    """`ctc_loss` on one utterance, as a batch of one."""
+    [loss], grad = ctc_loss(lp, [target], [len(lp)])
+    return loss, grad
+
+
+def guided_one(lp, target, mask, alpha):
+    """`guided_ctc_loss` on one utterance, as a batch of one."""
+    [loss], grad = guided_ctc_loss(lp, [target], [len(lp)], [mask], alpha)
+    return loss, grad
+
+
 def random_log_posteriors(rng, t_len, v):
     logits = rng.normal(size=(t_len, v))
     return log_softmax(logits)
@@ -137,8 +149,8 @@ def test_guided_alpha_zero_identical_to_ctc():
     lp = random_log_posteriors(rng, 6, 4)
     target = LabelSequence((1, 2))
     mask = guide_mask(random_log_posteriors(rng, 6, 4))
-    plain_loss, plain_grad = ctc_loss(lp, target)
-    loss, grad = guided_ctc_loss(lp, target, mask, alpha=0.0)
+    plain_loss, plain_grad = ctc_one(lp, target)
+    loss, grad = guided_one(lp, target, mask, alpha=0.0)
     assert loss == plain_loss
     assert np.array_equal(grad, plain_grad)
 
@@ -148,8 +160,8 @@ def test_guided_zero_mask_equals_ctc():
     lp = random_log_posteriors(rng, 6, 4)
     target = LabelSequence((1, 3))
     mask = GuideMask(np.zeros((6, 4)))
-    plain_loss, plain_grad = ctc_loss(lp, target)
-    loss, grad = guided_ctc_loss(lp, target, mask, alpha=1.0)
+    plain_loss, plain_grad = ctc_one(lp, target)
+    loss, grad = guided_one(lp, target, mask, alpha=1.0)
     assert loss == plain_loss
     assert np.allclose(grad, plain_grad, atol=1e-15)
 
@@ -162,7 +174,7 @@ def test_guided_alpha_identity():
         mask = guide_mask(random_log_posteriors(rng, 7, 4))
         penalty, _ = guide_penalty(mask, np.exp(lp))
         losses = {
-            a: guided_ctc_loss(lp, target, mask, alpha=a)[0]
+            a: guided_one(lp, target, mask, alpha=a)[0]
             for a in (1.0, 0.1, 0.01)
         }
         for a2 in (1.0, 0.1, 0.01):
@@ -178,11 +190,36 @@ def test_guided_gradient_finite_differences():
     mask = guide_mask(random_log_posteriors(rng, 6, 4))
 
     def op(lp):
-        loss, grad = guided_ctc_loss(lp, target, mask, alpha=0.3)
+        loss, grad = guided_one(lp, target, mask, alpha=0.3)
         return loss, [grad]
 
     lp = random_log_posteriors(rng, 6, 4)
     assert check_gradient(op, [lp]) < 1e-5
+
+
+def test_guided_batch_equals_each_member_alone_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        lengths = [int(n) for n in rng.integers(3, 9, size=rng.integers(1, 5))]
+        lps = [random_log_posteriors(rng, n, 4) for n in lengths]
+        targets = [
+            LabelSequence(tuple(int(x) for x in rng.integers(1, 4, size=n // 3)))
+            for n in lengths
+        ]
+        masks = [guide_mask(random_log_posteriors(rng, n, 4)) for n in lengths]
+        losses, grad = guided_ctc_loss(np.concatenate(lps), targets, lengths, masks, 0.3)
+        rows = np.split(grad, np.cumsum(lengths)[:-1])
+        for lp, target, mask, loss, got in zip(lps, targets, masks, losses, rows, strict=True):
+            want_loss, want_grad = guided_one(lp, target, mask, alpha=0.3)
+            assert loss == want_loss and got.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, "0.1", None])
+def test_guided_rejects_an_alpha_that_is_not_a_finite_number(alpha):
+    rng = np.random.default_rng(8)
+    lp = random_log_posteriors(rng, 4, 3)
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        guided_one(lp, LabelSequence((1,)), guide_mask(lp), alpha)
 
 
 # -------------------------------------------------------------- distillation
@@ -344,6 +381,13 @@ def test_contrastive_errors():
 
 
 # ----------------------------------------------------------- frame agreement
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, "1.0", True])
+def test_contrastive_rejects_a_temperature_that_is_not_a_finite_number(temperature):
+    v = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="temperature must be a finite number"):
+        contrastive_loss(v, v, [-v], temperature=temperature)
 
 
 def test_frame_agreement_identical_is_one():

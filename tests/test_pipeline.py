@@ -347,10 +347,13 @@ def test_run_updates_skips_what_the_objective_rejects():
     targets = {u.uid: VOCAB.encode(u.text) for u in data if u.uid not in rejected}
     seen = []
 
-    def objective(label, trace):
-        seen.append(label)
-        loss, d = ctc_loss(trace.posteriorgram, label)
-        return loss, {"grad_logpost": d}
+    def objective(labels, traces):
+        seen.extend(labels)
+        losses, d = ctc_loss(
+            np.concatenate([t.posteriorgram for t in traces]), labels,
+            [len(t.posteriorgram) for t in traces],
+        )
+        return losses, {"grad_logpost": d}
 
     cfg = quick_cfg(4, batch=len(data), lr=1e-2)
     runs = []
@@ -393,9 +396,12 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
         passes.append([uid_of[id(f)] for f in features])
         return original(params, features, *args, **kwargs)
 
-    def objective(label, trace):
-        loss, d = ctc_loss(trace.posteriorgram, label)
-        return loss, {"grad_logpost": d}
+    def objective(labels, traces):
+        losses, d = ctc_loss(
+            np.concatenate([t.posteriorgram for t in traces]), labels,
+            [len(t.posteriorgram) for t in traces],
+        )
+        return losses, {"grad_logpost": d}
 
     monkeypatch.setattr(stages, "forward_with_cache", spy)
     cfg = quick_cfg(1, batch=len(data), lr=1e-2)
