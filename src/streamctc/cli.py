@@ -20,12 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import checks
-from .ctc import (
-    DecodeConfig,
-    edit_distance,
-    greedy_decode,
-    posteriorgram_to_csv,
-)
+from .ctc import error_counts, greedy_decode, posteriorgram_to_csv
 from .encoder import init_params, load_checkpoint, save_checkpoint
 from .lm import FusionLm, load_lm, save_lm, train_ngram
 from .masking import VARIANTS, MaskSpec, build_mask, latency_report
@@ -535,26 +530,15 @@ def cmd_decode(args) -> int:
         raise UsageError("--greedy and --beam are mutually exclusive")
     if args.greedy and (args.lm or args.lm_weight or args.penalty):
         raise UsageError("--greedy does not take language-model flags")
-    beam = 8 if args.beam is None else args.beam
-    if not args.greedy:
-        try:
-            cfg = DecodeConfig(
-                beam_size=beam,
-                lm_weight=args.lm_weight or 0.0,
-                word_insertion_penalty=args.penalty or 0.0,
-            )
-        except ValueError as exc:
-            raise UsageError(f"bad decode flags: {exc}")
+    cfg = None if args.greedy else _merged_config(args).decode_config()
     _check_lm_weight(args)
     resolved = {
         "cmd": "decode",
         "model": args.model,
         "data": args.data,
         "mode": "greedy" if args.greedy else "beam",
-        "beam": None if args.greedy else beam,
         "lm": args.lm,
-        "lm_weight": args.lm_weight or 0.0,
-        "penalty": args.penalty or 0.0,
+        "decode": None if args.greedy else cfg.to_dict(),
     }
     _announce(resolved)
     model = load_checkpoint(args.model)
@@ -589,7 +573,7 @@ def _words(text: str) -> list:
 def cmd_score(args) -> int:
     resolved = {"cmd": "score", "data": args.data, "hyp": args.hyp}
     _announce(resolved)
-    refs = _load_labeled(args.data)
+    data = _load_labeled(args.data)
     hyps = {}
     with open(args.hyp) as fh:
         for line in fh:
@@ -599,21 +583,17 @@ def cmd_score(args) -> int:
             parts = line.split("\t")
             if len(parts) < 2:
                 raise ValueError(f"bad hypothesis line: {line!r}")
+            if parts[0] in hyps:
+                raise ValueError(f"repeated hypothesis for utterance {parts[0]}")
             hyps[parts[0]] = parts[1]
-    known = {u.uid for u in refs}
-    unknown = sorted(set(hyps) - known)
+    unknown = sorted(set(hyps) - {u.uid for u in data})
     if unknown:
         raise ValueError(f"hypotheses for unknown utterances: {unknown[:5]}")
-    char_err = char_total = word_err = word_total = missing = 0
-    for utt in refs:
-        hyp = hyps.get(utt.uid)
-        if hyp is None:
-            missing += 1
-            hyp = ""
-        char_err += edit_distance(utt.text, hyp)
-        char_total += len(utt.text)
-        word_err += edit_distance(_words(utt.text), _words(hyp))
-        word_total += len(_words(utt.text))
+    missing = sum(u.uid not in hyps for u in data)
+    refs = [u.text for u in data]
+    texts = [hyps.get(u.uid, "") for u in data]
+    char_err, char_total = error_counts(refs, texts)
+    word_err, word_total = error_counts(map(_words, refs), map(_words, texts))
     cer = char_err / char_total if char_total else 0.0
     wer = word_err / word_total if word_total else 0.0
     print(f"{'metric':<6} {'errors':>7} {'total':>7} {'rate':>8}")

@@ -6,7 +6,8 @@ log-posteriorgram; a batch of utterances runs as rows of one pass. A
 brute-force path enumerator serves as its oracle on tiny instances.
 Decoding offers best-path (greedy) and prefix beam search with optional
 character-level n-gram shallow fusion and a word insertion penalty.
-Rates are plain Levenshtein distances normalized by reference length.
+Error rates are summed Levenshtein distances over summed reference
+lengths.
 """
 
 from __future__ import annotations
@@ -366,15 +367,11 @@ def edit_distance(ref, hyp) -> int:
     return prev[-1]
 
 
-def edit_distance_rate(ref: LabelSequence, hyp: LabelSequence, mode: str = "char") -> float:
-    """Levenshtein distance / reference length. `mode="word"` groups tokens
-    on the word delimiter first."""
-    if mode == "char":
-        r, h = list(ref.tokens), list(hyp.tokens)
-    elif mode == "word":
-        r, h = ref.words(), hyp.words()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not r:
-        raise ValueError("empty reference")
-    return edit_distance(r, h) / len(r)
+def error_counts(refs, hyps) -> tuple:
+    """(summed edit distance, summed reference length) over paired
+    sequences: the numerator and denominator of a corpus error rate."""
+    refs, hyps = list(refs), list(hyps)
+    if len(refs) != len(hyps):
+        raise ValueError(f"{len(refs)} references but {len(hyps)} hypotheses")
+    errors = sum(edit_distance(r, h) for r, h in zip(refs, hyps))
+    return errors, sum(len(r) for r in refs)

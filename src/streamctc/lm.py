@@ -57,8 +57,8 @@ def _check_order(order: int) -> int:
 
 
 def _check_smoothing(smoothing: float) -> float:
-    if not smoothing > 0:
-        raise ValueError("smoothing must be > 0")
+    if not (math.isfinite(smoothing) and smoothing > 0):
+        raise ValueError("smoothing must be > 0 and finite")
     return smoothing
 
 
@@ -242,6 +242,18 @@ def _int_field(value: str, i: int, key: str) -> int:
         raise LmFormatError(f"line {i + 1}: bad {key} count {value!r}") from None
 
 
+def _logprob_field(value: str, i: int) -> float:
+    """A table line's log-prob; a non-number or a non-finite value is an
+    error naming the line."""
+    try:
+        logprob = float(value)
+    except ValueError:
+        logprob = math.nan
+    if not math.isfinite(logprob):
+        raise LmFormatError(f"line {i + 1}: bad log-prob {value!r}")
+    return logprob
+
+
 def _header_field(lines, i: int, key: str, parse, check):
     """Header line `i`'s value, parsed and checked as `train_ngram` checks
     it; an error names the line."""
@@ -276,12 +288,7 @@ def load_lm(path) -> NgramModel:
         parts = lines[i].split("\t")
         if len(parts) != 3:
             raise LmFormatError(f"line {i + 1}: expected context\\ttoken\\tlogprob")
-        ctx = _parse_ctx(parts[0])
-        try:
-            value = float(parts[2])
-        except ValueError:
-            raise LmFormatError(f"line {i + 1}: bad log-prob {parts[2]!r}") from None
-        tokens.setdefault(ctx, {})[parts[1]] = value
+        tokens.setdefault(_parse_ctx(parts[0]), {})[parts[1]] = _logprob_field(parts[2], i)
     pos += n_tokens
 
     n_ends = _int_field(_expect(lines, pos, "ends"), pos, "end")
@@ -294,10 +301,7 @@ def load_lm(path) -> NgramModel:
         parts = lines[i].split("\t")
         if len(parts) != 2:
             raise LmFormatError(f"line {i + 1}: expected context\\tlogprob")
-        try:
-            ends[_parse_ctx(parts[0])] = float(parts[1])
-        except ValueError:
-            raise LmFormatError(f"line {i + 1}: bad log-prob {parts[1]!r}") from None
+        ends[_parse_ctx(parts[0])] = _logprob_field(parts[1], i)
     pos += n_ends
 
     footer = _int_field(_expect(lines, pos, "end"), pos, "footer")

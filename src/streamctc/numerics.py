@@ -137,10 +137,6 @@ def layer_norm_forward(x, gain, bias, eps: float = 1e-5):
     return y, (xhat, inv_std, gain)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> np.ndarray:
-    return layer_norm_forward(x, gain, bias, eps)[0]
-
-
 def layer_norm_backward(grad_out: np.ndarray, cache):
     xhat, inv_std, gain = cache
     d = xhat.shape[-1]
@@ -219,10 +215,6 @@ def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: flo
     return y.reshape(x.shape), (xhat, inv_std, gain, mode, real)
 
 
-def batch_norm(x, gain, bias, stats: BatchNormStats, mode: str, eps: float = 1e-5) -> np.ndarray:
-    return batch_norm_forward(x, gain, bias, stats, mode, eps)[0]
-
-
 def batch_norm_backward(grad_out: np.ndarray, cache):
     xhat, inv_std, gain, mode, real = cache
     grad = np.where(real, grad_out.reshape(xhat.shape), 0.0)
@@ -272,10 +264,6 @@ def conv1d_forward(x, kernel, bias=None):
     return y, (xp, kernel, t)
 
 
-def conv1d(x, kernel, bias=None) -> np.ndarray:
-    return conv1d_forward(x, kernel, bias)[0]
-
-
 def conv1d_backward(grad_out: np.ndarray, cache):
     xp, kernel, t = cache
     k, d_in, d_out = kernel.shape
@@ -304,10 +292,6 @@ def gelu_forward(x):
     y = 0.5 * x
     y *= one_plus_erf
     return y, (x, one_plus_erf)
-
-
-def gelu(x) -> np.ndarray:
-    return gelu_forward(x)[0]
 
 
 def gelu_backward(grad_out: np.ndarray, cache) -> np.ndarray:

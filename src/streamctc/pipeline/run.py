@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
-from ..ctc import DecodeConfig, edit_distance
+from ..ctc import DecodeConfig, error_counts
 from ..encoder import (
     EncoderConfig,
     checkpoint_digest,
@@ -426,12 +426,10 @@ def _produce_pseudo(run, paths):
         run.got["N"], run.got["lm"], unlabeled, decode_cfg, run.vocabulary, jobs=run.jobs
     )
     hidden_refs = {u.uid: u.text for u in unlabeled}
-    edits = 0
-    total = 0
-    for u in pseudo:
-        ref = run.vocabulary.encode(hidden_refs[u.uid]).tokens
-        edits += edit_distance(ref, run.vocabulary.encode(u.text).tokens)
-        total += len(ref)
+    edits, total = error_counts(
+        [run.vocabulary.encode(hidden_refs[u.uid]).tokens for u in pseudo],
+        [run.vocabulary.encode(u.text).tokens for u in pseudo],
+    )
     save_dataset(pseudo, paths[0])
     report = StageReport(
         stage="U'",

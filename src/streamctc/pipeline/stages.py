@@ -33,7 +33,7 @@ from ..ctc import (
     DecodeConfig,
     UnsatisfiableTargetError,
     ctc_loss,
-    edit_distance,
+    error_counts,
     greedy_decode,
     min_frames,
     prefix_beam_search,
@@ -78,27 +78,21 @@ class TrainLog:
     extra: dict = field(default_factory=dict)
 
 
-def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float:
-    """Corpus-level token error of greedy decoding under the model's own
-    mask: total edit distance over total reference length."""
-    spec = params.mask_spec or BIDIRECTIONAL
-    edits = 0
-    total = 0
-    for utt in utts:
-        ref = vocabulary.encode(utt.text).tokens
-        post = forward(params, utt.features, spec).posteriorgram
-        hyp = greedy_decode(post).tokens
-        edits += edit_distance(ref, hyp)
-        total += len(ref)
-    if total == 0:
-        raise ValueError("empty references")
-    return edits / total
-
-
 def dev_posteriors(params: ModelParams, utts) -> list:
     """Posteriorgrams under the model's own mask, in corpus order."""
     spec = params.mask_spec or BIDIRECTIONAL
     return [forward(params, u.features, spec).posteriorgram for u in utts]
+
+
+def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float:
+    """Corpus-level token error of greedy decoding under the model's own
+    mask: total edit distance over total reference length."""
+    refs = [vocabulary.encode(u.text).tokens for u in utts]
+    hyps = [greedy_decode(post).tokens for post in dev_posteriors(params, utts)]
+    errors, total = error_counts(refs, hyps)
+    if total == 0:
+        raise ValueError("empty references")
+    return errors / total
 
 
 def _ctc_targets(data, vocabulary: Vocabulary) -> dict:

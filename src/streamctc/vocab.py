@@ -77,18 +77,3 @@ class LabelSequence:
 
     def text(self, vocab: Vocabulary) -> str:
         return vocab.decode(self)
-
-    def words(self) -> list:
-        """Split on the delimiter token into word token-tuples (empty words
-        from leading/trailing/double delimiters are dropped)."""
-        out, cur = [], []
-        for t in self.tokens:
-            if t == DELIMITER:
-                if cur:
-                    out.append(tuple(cur))
-                cur = []
-            else:
-                cur.append(t)
-        if cur:
-            out.append(tuple(cur))
-        return out

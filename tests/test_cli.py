@@ -19,7 +19,7 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask
-from streamctc.pipeline import load_dataset
+from streamctc.pipeline import PipelineConfig, load_dataset
 
 ENC = {
     "n_layers": 2,
@@ -315,6 +315,27 @@ def test_decode_beam_one_equals_greedy(capsys, trained):
     assert greedy_out.startswith("uid\ttext\n")
 
 
+def test_unflagged_decode_scores_like_the_recipe(capsys, trained):
+    # with no scoring flags, decode takes PipelineConfig's beam, LM weight
+    # and word insertion penalty, as pseudo-label and the pipeline's U' do
+    tmp, cfg, labeled = trained
+    lm = str(tmp / "lm.txt")
+    assert run(capsys, "train-lm", "--config", cfg, "--data", labeled, "--out", lm)[0] == 0
+    argv = ["decode", "--model", str(tmp / "S.ckpt"),
+            "--data", str(tmp / "data" / "dev.bin"), "--lm", lm]
+    code, unflagged, _ = run(capsys, *argv)
+    assert code == 0
+    recipe = PipelineConfig(out_dir=".")
+    code, flagged, _ = run(
+        capsys, *argv, "--beam", str(recipe.beam_size),
+        "--lm-weight", repr(recipe.lm_weight),
+        "--penalty", repr(recipe.word_insertion_penalty),
+    )
+    assert code == 0
+    assert unflagged == flagged
+    assert len(unflagged.splitlines()) == 1 + len(load_dataset(tmp / "data" / "dev.bin"))
+
+
 def test_decode_usage_and_runtime_errors(capsys, trained):
     tmp, cfg, labeled = trained
     s = str(tmp / "S.ckpt")
@@ -471,6 +492,18 @@ def test_score_rejects_unknown_uid(capsys, trained, tmp_path):
     assert run(capsys, "score", "--data", labeled, "--hyp", str(hyp))[0] == 2
 
 
+def test_score_rejects_a_repeated_uid(capsys, trained, tmp_path):
+    # the last of two lines for one utterance used to win in silence
+    tmp, cfg, labeled = trained
+    data = load_dataset(labeled)
+    hyp = tmp_path / "hyp.tsv"
+    lines = [f"{u.uid}\t{u.text}" for u in data] + [f"{data[0].uid}\tzzz"]
+    hyp.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "score", "--data", labeled, "--hyp", str(hyp))
+    assert code == 2 and out == ""
+    assert f"repeated hypothesis for utterance {data[0].uid}" in err
+
+
 # -------------------------------------------------------------- posteriors
 
 
@@ -530,6 +563,24 @@ def test_pipeline_full_run_and_resume(capsys, workdir):
     assert code == 0
     assert first == second
     assert "S4" in first and "S7" in first
+
+
+def test_decode_with_the_lm_reproduces_the_pseudo_labels(capsys, workdir):
+    # decoding the unlabeled set with N and the run's LM, without scoring
+    # flags, is what U' does: the non-empty texts are data/pseudo.bin
+    tmp, cfg = workdir
+    out = tmp / "run"
+    assert run(capsys, "pipeline", "--config", cfg, "--workdir", str(out))[0] == 0
+    code, stdout, _ = run(
+        capsys, "decode", "--model", str(out / "checkpoints" / "N.ckpt"),
+        "--data", str(out / "data" / "unlabeled.bin"), "--lm", str(out / "lm.txt"),
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in stdout.splitlines()[1:]]
+    assert len(rows) == len(load_dataset(out / "data" / "unlabeled.bin"))
+    decoded = {uid: text for uid, text in rows if text}
+    pseudo = {u.uid: u.text for u in load_dataset(out / "data" / "pseudo.bin")}
+    assert pseudo and decoded == pseudo
 
 
 def test_pipeline_needs_workdir(capsys):

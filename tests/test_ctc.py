@@ -13,7 +13,7 @@ from streamctc.ctc import (
     ctc_brute_force,
     ctc_loss,
     edit_distance,
-    edit_distance_rate,
+    error_counts,
     greedy_decode,
     min_frames,
     posteriorgram_to_csv,
@@ -63,10 +63,6 @@ class TestLabelSequence:
         seq = vocab.encode("cat dog")
         assert seq.text(vocab) == "cat|dog"
         assert vocab.encode("cat|dog") == seq
-
-    def test_words(self):
-        seq = LabelSequence((A, B, DELIMITER, A, DELIMITER))
-        assert seq.words() == [(A, B), (A,)]
 
 
 class TestCtcLoss:
@@ -507,23 +503,26 @@ class TestBruteForce:
 
 class TestEditDistance:
     def test_identical_zero(self):
-        seq = LabelSequence((A, B, DELIMITER, A))
-        assert edit_distance_rate(seq, seq, "char") == 0.0
-        assert edit_distance_rate(seq, seq, "word") == 0.0
+        seq = (A, B, DELIMITER, A)
+        assert error_counts([seq], [seq]) == (0, 4)
 
     def test_one_word_deletion(self):
-        vocab = Vocabulary.default()
-        ref = vocab.encode("a b c")
-        hyp = vocab.encode("a c")
-        assert edit_distance_rate(ref, hyp, "word") == pytest.approx(1 / 3)
+        assert error_counts([["a", "b", "c"]], [["a", "c"]]) == (1, 3)
 
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
-            edit_distance_rate(LabelSequence(()), LabelSequence((A,)), "char")
+    def test_error_counts_sum_over_pairs(self):
+        # (kitten, sitting) is 3 edits, (ab, "") 2, ("", xy) 2; the total
+        # counts reference symbols only
+        refs = ["kitten", "ab", ""]
+        hyps = ["sitting", "", "xy"]
+        assert error_counts(refs, hyps) == (7, 8)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            edit_distance_rate(LabelSequence((A,)), LabelSequence((A,)), "phone")
+    def test_error_counts_empty_input(self):
+        assert error_counts([], []) == (0, 0)
+        assert error_counts(iter(()), iter(())) == (0, 0)
+
+    def test_error_counts_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="2 references but 1 hypotheses"):
+            error_counts(["ab", "c"], ["ab"])
 
     def test_matches_full_matrix_oracle(self):
         def dp_oracle(a, b):

@@ -25,7 +25,7 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask, reception_field
-from streamctc.numerics import NonFiniteError, check_gradient, gelu, layer_norm
+from streamctc.numerics import NonFiniteError, check_gradient, gelu_forward, layer_norm_forward
 
 TINY = EncoderConfig(
     n_layers=2,
@@ -164,11 +164,11 @@ class TestAttentionLayer:
         # independent single-frame evaluation: attention output reduces to
         # wo @ wv of the pre-normed input, since the lone weight is 1
         a = params.arrays
-        u = layer_norm(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])
+        u = layer_norm_forward(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])[0]
         z = u @ a["layer0.attn.wv"] @ a["layer0.attn.wo"] + a["layer0.attn.bo"]
         att = x + z
-        w = layer_norm(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])
-        expect = att + gelu(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"]) @ a[
+        w = layer_norm_forward(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])[0]
+        expect = att + gelu_forward(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"])[0] @ a[
             "layer0.ffn.w2"
         ] + a["layer0.ffn.b2"]
         np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -222,7 +222,7 @@ class TestAttentionLayer:
 
 def _direct_loop_layer(a, x, allowed, n_heads):
     """Layer 0 re-derived with explicit loops over heads and positions."""
-    u = layer_norm(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])
+    u = layer_norm_forward(x, a["layer0.ln1.gain"], a["layer0.ln1.bias"])[0]
     q, k, v = u @ a["layer0.attn.wq"], u @ a["layer0.attn.wk"], u @ a["layer0.attn.wv"]
     n, d = u.shape
     dh = d // n_heads
@@ -239,8 +239,8 @@ def _direct_loop_layer(a, x, allowed, n_heads):
             for tau, wgt in weights.items():
                 z[t, cols] += (wgt / total) * v[tau, cols]
     att = x + (z @ a["layer0.attn.wo"] + a["layer0.attn.bo"])
-    w = layer_norm(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])
-    return att + gelu(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"]) @ a[
+    w = layer_norm_forward(att, a["layer0.ln2.gain"], a["layer0.ln2.bias"])[0]
+    return att + gelu_forward(w @ a["layer0.ffn.w1"] + a["layer0.ffn.b1"])[0] @ a[
         "layer0.ffn.w2"
     ] + a["layer0.ffn.b2"]
 

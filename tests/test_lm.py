@@ -85,6 +85,12 @@ def test_training_rejects_bad_inputs():
         train_ngram(["a"], order=1, smoothing=1.0, vocab=("a", "b c"))
 
 
+def test_training_rejects_infinite_smoothing():
+    # `not inf > 0` is False, so a bare positivity check let it through
+    with pytest.raises(ValueError, match="smoothing must be > 0 and finite"):
+        train_ngram(["a"], order=1, smoothing=math.inf)
+
+
 def test_vocab_defaults_to_sorted_corpus_tokens():
     model = train_ngram(["ba", "cab"], order=1, smoothing=1.0)
     assert model.vocab == ("a", "b", "c")
@@ -238,6 +244,24 @@ def test_load_rejects_non_numeric_logprob(tmp_path):
         load_lm(path)
 
 
+@pytest.mark.parametrize("section", ["tokens", "ends"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_logprob(tmp_path, section, value):
+    # one nan log-prob once loaded, and fused decoding then ranked nan
+    # scores and returned empty hypotheses
+    model = train_ngram(["ab|ba", "aab"], order=2, smoothing=0.5)
+    path = tmp_path / "model.lm"
+    save_lm(model, path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(section + " ")) + 2
+    parts = lines[index].split("\t")
+    parts[-1] = value
+    lines[index] = "\t".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LmFormatError, match=f"^line {index + 1}: bad log-prob '{value}'"):
+        load_lm(path)
+
+
 def test_model_requires_empty_context():
     with pytest.raises(ValueError):
         NgramModel(order=1, vocab=("a",), smoothing=1.0, tokens={}, ends={})
@@ -250,11 +274,12 @@ def test_model_requires_empty_context():
         (1, "order two", "bad order"),
         (2, "smoothing nan", "smoothing must be > 0"),
         (2, "smoothing -1", "smoothing must be > 0"),
+        (2, "smoothing inf", "smoothing must be > 0 and finite"),
         (3, "vocab a a b |", "duplicate vocabulary token 'a'"),
         (3, "vocab a <s> |", "'<s>' is reserved"),
         (3, "vocab ", "vocabulary is empty"),
     ],
-    ids=["order-0", "order-word", "smoothing-nan", "smoothing-negative",
+    ids=["order-0", "order-word", "smoothing-nan", "smoothing-negative", "smoothing-inf",
          "vocab-repeat", "vocab-reserved", "vocab-empty"],
 )
 def test_load_checks_each_header_line(tmp_path, index, line, message):

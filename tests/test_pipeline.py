@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from streamctc.ctc import DecodeConfig, UnsatisfiableTargetError
+from streamctc.ctc import DecodeConfig, UnsatisfiableTargetError, edit_distance, greedy_decode
 from streamctc.encoder import (
     EncoderConfig,
     checkpoint_digest,
@@ -306,6 +306,18 @@ def test_finetune_zero_updates_is_identity():
     model, log = finetune_ctc(init, STREAM, split.labeled, quick_cfg(0))
     assert checkpoint_digest(model) == checkpoint_digest(init)
     assert log.losses == [] and log.skipped == 0
+
+
+def test_token_error_rate_counts_greedy_errors_over_the_corpus():
+    split = data_fixture()
+    model = init_params(TINY_ENC, 0)
+    model.mask_spec = STREAM
+    refs = [VOCAB.encode(u.text).tokens for u in split.dev]
+    hyps = [greedy_decode(post).tokens for post in dev_posteriors(model, split.dev)]
+    edits = sum(edit_distance(r, h) for r, h in zip(refs, hyps))
+    assert token_error_rate(model, split.dev, VOCAB) == edits / sum(map(len, refs))
+    with pytest.raises(ValueError, match="empty references"):
+        token_error_rate(model, (), VOCAB)
 
 
 def test_finetune_loss_decreases_on_toy_set():
