@@ -42,7 +42,9 @@ output) plus everything ``backward`` needs; the members' posteriorgrams
 and hidden states are row ranges of (sum of T_b)-row arrays. ``backward``
 takes gradients in that layout, on the log-posteriorgram and/or injected
 directly on traced hidden states, and produces the parameter gradient
-summed over the batch plus each member's input-feature gradient.
+summed over the batch plus each member's input-feature gradient. It
+writes every entry of the parameter gradient, into a new vector or into
+the caller's ``GradientBuffer`` given as ``out``.
 
 The kernels do not check finiteness; the forward pass checks only its
 posteriorgram, which every hidden state reaches through the residual path,
@@ -193,6 +195,35 @@ def param_views(config: EncoderConfig, vector: np.ndarray) -> dict:
     return {name: vector[part].reshape(shape) for name, part, shape in rows}
 
 
+@functools.lru_cache(maxsize=None)
+def _qkv_blocks(config: EncoderConfig) -> tuple:
+    """Per layer, the slice of the parameter vector that holds its
+    `attn.wq`, `attn.wk` and `attn.wv` back to back, read as one
+    (3, d, d) stack by the forward pass."""
+    where = {name: part for name, part, _ in _param_slices(config)[0]}
+    blocks = []
+    for i in range(config.n_layers):
+        q, k, v = (where[f"layer{i}.attn.w{x}"] for x in "qkv")
+        assert q.stop == k.start and k.stop == v.start, "wq, wk, wv must be adjacent"
+        blocks.append(slice(q.start, v.stop))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class GradientBuffer:
+    """A gradient vector `flat` laid out like `ModelParams.flat`, with its
+    named views `arrays` built once, for `backward(..., out=)` to write
+    into. The caller owns it and may reuse it for every pass."""
+
+    flat: np.ndarray
+    arrays: MappingProxyType
+
+    @classmethod
+    def zeros(cls, config: EncoderConfig) -> "GradientBuffer":
+        flat = np.zeros(_param_slices(config)[1])
+        return cls(flat, MappingProxyType(param_views(config, flat)))
+
+
 @dataclass(eq=False)
 class ModelParams:
     """Every trainable value in one float64 vector `flat`, laid out by
@@ -313,11 +344,13 @@ class _Padding:
         return out.reshape(shape)
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
-        """(N, d) packed rows -> (B x P, d) attention rows, pad rows 0."""
+        """(..., N, d) packed rows -> (..., B x P, d) attention rows, pad
+        rows 0."""
         if self.slots is None:
             return x
-        out = np.zeros((self.allowed.shape[0] * self.allowed.shape[-1], x.shape[1]))
-        out[self.slots] = x
+        rows = self.allowed.shape[0] * self.allowed.shape[-1]
+        out = np.zeros(x.shape[:-2] + (rows, x.shape[-1]))
+        out[..., self.slots, :] = x
         return out
 
     def gather(self, x: np.ndarray) -> np.ndarray:
@@ -366,9 +399,10 @@ def _pad(spec: MaskSpec, lengths: list) -> _Padding:
 
 
 def _split_heads(x: np.ndarray, n_batch: int, n_heads: int) -> np.ndarray:
-    """(B x P, d) rows -> (B, heads, P, head_dim) stacks."""
-    rows, d = x.shape
-    return x.reshape(n_batch, rows // n_batch, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    """(..., B x P, d) rows -> (..., B, heads, P, head_dim) stacks."""
+    *lead, rows, d = x.shape
+    split = x.reshape(*lead, n_batch, rows // n_batch, n_heads, d // n_heads)
+    return split.swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -376,15 +410,15 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b * t, h * dh)
 
 
-def _layer_forward(h, arrays, prefix, config, pad):
+def _layer_forward(h, arrays, w_qkv, prefix, config, pad):
     g = lambda name: arrays[prefix + name]
     n_batch = pad.allowed.shape[0]
     u, ln1_cache = layer_norm_forward(h, g("ln1.gain"), g("ln1.bias"))
-    q = _split_heads(pad.scatter(u @ g("attn.wq")), n_batch, config.n_heads)
-    k = _split_heads(pad.scatter(u @ g("attn.wk")), n_batch, config.n_heads)
-    v = _split_heads(pad.scatter(u @ g("attn.wv")), n_batch, config.n_heads)
+    # one (3, N, d) product for the (3, d, d) stack wq | wk | wv
+    q, k, v = _split_heads(pad.scatter(np.matmul(u, w_qkv)), n_batch, config.n_heads)
     beta = 1.0 / np.sqrt(config.head_dim)
-    logits = beta * (q @ k.swapaxes(-1, -2))
+    logits = q @ k.swapaxes(-1, -2)
+    logits *= beta
     probs = masked_softmax(logits, pad.allowed)
     z = pad.gather(_merge_heads(probs @ v))
     a = h + (z @ g("attn.wo") + g("attn.bo"))
@@ -410,24 +444,22 @@ def _layer_forward(h, arrays, prefix, config, pad):
 
 
 def _layer_backward(d_out, arrays, grads, prefix, config, cache, pad):
+    """Writes every gradient of the layer's parameters into its view in
+    `grads` and returns the gradient on the layer's input rows."""
     g = lambda name: arrays[prefix + name]
+    out = lambda name: grads[prefix + name]
 
-    def acc(name, value):
-        grads[prefix + name] += value
-
-    acc("ffn.w2", cache["f2"].T @ d_out)
-    acc("ffn.b2", d_out.sum(axis=0))
+    np.matmul(cache["f2"].T, d_out, out=out("ffn.w2"))
+    np.add.reduce(d_out, axis=0, out=out("ffn.b2"))
     d_f1 = gelu_backward(d_out @ g("ffn.w2").T, cache["gelu"])
-    acc("ffn.w1", cache["w"].T @ d_f1)
-    acc("ffn.b1", d_f1.sum(axis=0))
+    np.matmul(cache["w"].T, d_f1, out=out("ffn.w1"))
+    np.add.reduce(d_f1, axis=0, out=out("ffn.b1"))
     d_w = d_f1 @ g("ffn.w1").T
-    d_a2, dg2, db2 = layer_norm_backward(d_w, cache["ln2"])
-    acc("ln2.gain", dg2)
-    acc("ln2.bias", db2)
+    d_a2, out("ln2.gain")[...], out("ln2.bias")[...] = layer_norm_backward(d_w, cache["ln2"])
     d_a = d_out + d_a2
 
-    acc("attn.wo", cache["z"].T @ d_a)
-    acc("attn.bo", d_a.sum(axis=0))
+    np.matmul(cache["z"].T, d_a, out=out("attn.wo"))
+    np.add.reduce(d_a, axis=0, out=out("attn.bo"))
     d_z = _split_heads(
         pad.scatter(d_a @ g("attn.wo").T), pad.allowed.shape[0], config.n_heads
     )
@@ -435,17 +467,17 @@ def _layer_backward(d_out, arrays, grads, prefix, config, cache, pad):
     d_v = cache["probs"].swapaxes(-1, -2) @ d_z
     d_logits = masked_softmax_backward(d_probs, cache["probs"])
     beta = cache["beta"]
-    d_q = beta * (d_logits @ cache["k"])
-    d_k = beta * (d_logits.swapaxes(-1, -2) @ cache["q"])
+    d_q = d_logits @ cache["k"]
+    d_q *= beta
+    d_k = d_logits.swapaxes(-1, -2) @ cache["q"]
+    d_k *= beta
     u = cache["u"]
     d_u = np.zeros_like(u)
     for name, d_proj in (("attn.wq", d_q), ("attn.wk", d_k), ("attn.wv", d_v)):
         flat = pad.gather(_merge_heads(d_proj))
-        acc(name, u.T @ flat)
+        np.matmul(u.T, flat, out=out(name))
         d_u += flat @ g(name).T
-    d_h2, dg1, db1 = layer_norm_backward(d_u, cache["ln1"])
-    acc("ln1.gain", dg1)
-    acc("ln1.bias", db1)
+    d_h2, out("ln1.gain")[...], out("ln1.bias")[...] = layer_norm_backward(d_u, cache["ln1"])
     return d_a + d_h2
 
 
@@ -479,6 +511,7 @@ def forward_with_cache(
     for b, member in enumerate(xs):
         x[b, : lengths[b]] = member
     arrays = params.arrays
+    d = config.model_dim
     cache = {"config": config, "pad": pad}
 
     # pad rows leave the norm as zeros, the conv's padding past a lone utterance
@@ -494,8 +527,9 @@ def forward_with_cache(
 
     hidden = []
     layer_caches = []
-    for i in range(config.n_layers):
-        h, lc = _layer_forward(h, arrays, f"layer{i}.", config, pad)
+    for i, block in enumerate(_qkv_blocks(config)):
+        w_qkv = params.flat[block].reshape(3, d, d)
+        h, lc = _layer_forward(h, arrays, w_qkv, f"layer{i}.", config, pad)
         layer_caches.append(lc)
         hidden.append(pad.output_rows(h))
     cache["layers"] = layer_caches
@@ -536,6 +570,7 @@ def backward(
     cache: dict,
     grad_logpost=None,
     grad_hidden=None,
+    out: GradientBuffer | None = None,
 ):
     """Reverse pass over the batch of `forward_with_cache`, in its layout:
     `grad_logpost` is the gradient on the members' log-posteriorgrams
@@ -543,22 +578,34 @@ def backward(
     index to the gradient on that layer's traced hidden states, likewise
     (sum of T_b) x model_dim. Returns (gradient vector laid out like
     `params.flat`, summed over the members; one input-feature gradient per
-    member)."""
+    member).
+
+    Every entry of the gradient vector is written, none accumulated: into
+    `out.flat` when a `GradientBuffer` is given (its old contents are
+    overwritten and `out.flat` is returned), else into a new vector."""
     config = cache["config"]
     arrays = params.arrays
     pad = cache["pad"]
-    grad = np.zeros_like(params.flat)
-    grads = param_views(config, grad)
+    if out is None:
+        out = GradientBuffer.zeros(config)
+    elif out.flat.shape != params.flat.shape:
+        raise ValueError(
+            f"gradient buffer has shape {out.flat.shape}, parameters {params.flat.shape}"
+        )
+    grads = out.arrays
     grad_hidden = grad_hidden or {}
 
     hn = cache["hn"]
     d_hn = np.zeros_like(hn)
-    if grad_logpost is not None:
+    if grad_logpost is None:
+        grads["head.w"][...] = 0.0
+        grads["head.b"][...] = 0.0
+    else:
         d_logits = log_softmax_backward(
             np.asarray(grad_logpost, dtype=np.float64), cache["logpost"]
         )
-        grads["head.w"][...] = hn.T @ d_logits
-        grads["head.b"][...] = d_logits.sum(axis=0)
+        np.matmul(hn.T, d_logits, out=grads["head.w"])
+        np.add.reduce(d_logits, axis=0, out=grads["head.b"])
         d_hn = d_logits @ arrays["head.w"].T
     d_hr, grads["final_norm.gain"][...], grads["final_norm.bias"][...] = (
         layer_norm_backward(d_hn, cache["final_norm"])
@@ -584,7 +631,7 @@ def backward(
     d_x, grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
         batch_norm_backward(d_xn, cache["norm"])
     )
-    return grad, [d_x[b, :length] for b, length in enumerate(pad.lengths)]
+    return out.flat, [d_x[b, :length] for b, length in enumerate(pad.lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ class LmFormatError(ValueError):
 @dataclass(frozen=True)
 class NgramModel:
     """Immutable n-gram tables: context tuple -> token -> log-prob, plus a
-    per-context log-probability of the sequence ending there."""
+    per-context log-probability of the sequence ending there. Every stored
+    context holds a log-prob for each vocabulary token and `UNK`, and for
+    no other token."""
 
     order: int
     vocab: tuple
@@ -44,6 +46,7 @@ class NgramModel:
         _check_order(self.order)
         if () not in self.tokens or () not in self.ends:
             raise ValueError("model must store the empty context")
+        _check_tables(self.vocab, self.tokens)
 
 
 def _as_tokens(sequence) -> list:
@@ -77,6 +80,22 @@ def _check_vocab(vocab: tuple) -> tuple:
             raise ValueError(f"duplicate vocabulary token {t!r}")
         seen.add(t)
     return vocab
+
+
+def _check_tables(vocab: tuple, tokens: dict):
+    """A ValueError naming the first context (in sorted order) whose table
+    misses a token of `vocab` or `UNK`, or holds any other token."""
+    expected = {*vocab, UNK}
+    for ctx in sorted(tokens):
+        table = tokens[ctx]
+        if table.keys() == expected:
+            continue
+        where = f"context {_ctx_field(ctx)!r}" if ctx else "the empty context"
+        missing = sorted(expected - table.keys())
+        if missing:
+            raise ValueError(f"{where} has no log-prob for token {missing[0]!r}")
+        extra = sorted(table.keys() - expected)[0]
+        raise ValueError(f"{where} has a log-prob for {extra!r}, not a vocabulary token")
 
 
 def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
@@ -289,6 +308,10 @@ def load_lm(path) -> NgramModel:
         if len(parts) != 3:
             raise LmFormatError(f"line {i + 1}: expected context\\ttoken\\tlogprob")
         tokens.setdefault(_parse_ctx(parts[0]), {})[parts[1]] = _logprob_field(parts[2], i)
+    try:
+        _check_tables(vocab, tokens)
+    except ValueError as exc:
+        raise LmFormatError(f"line {pos}: token section: {exc}") from None
     pos += n_tokens
 
     n_ends = _int_field(_expect(lines, pos, "ends"), pos, "end")

@@ -28,6 +28,7 @@ drive the encoder against those bounds by perturbation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ import numpy as np
 from .numerics import check_float, check_int
 
 VARIANTS = ("bidirectional", "time_restricted", "chunk", "block")
+# masks kept by `build_mask`, least recently used dropped first: a
+# training run sees a few dozen distinct (spec, length) pairs
+MASK_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,13 @@ def n_positions(spec: MaskSpec, n_frames: int) -> int:
     return n_frames + sum(min(future, n_frames - end) for end in range(chunk, n_frames, chunk))
 
 
+@functools.lru_cache(maxsize=MASK_CACHE_SIZE, typed=True)
 def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
-    """Realize the mask shared by every encoder layer."""
+    """Realize the mask shared by every encoder layer.
+
+    Masks are built once per (spec, n_frames) and kept in a bounded cache
+    (`build_mask.cache_clear()` empties it), so every caller shares one
+    mask: its arrays are read-only."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     chunk, future = spec.chunk_frames or n_frames, spec.future_frames or 0
@@ -167,7 +176,7 @@ def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
         allowed = diff <= spec.right_frames
         if spec.left_limit is not None:
             allowed &= diff >= -spec.left_limit
-        return AttentionMask(spec, n_frames, allowed, index_map, is_copy)
+        return _frozen(AttentionMask(spec, n_frames, allowed, index_map, is_copy))
     # chunk layouts: own chunk fully visible (copies included); earlier
     # chunks contribute only their real frames, so lookahead never compounds.
     same = ck[None, :] == ck[:, None]
@@ -175,7 +184,13 @@ def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
     allowed = same | (earlier & ~is_copy[None, :])
     if spec.left_limit is not None:
         allowed &= (ck[:, None] - ck[None, :]) <= spec.left_limit
-    return AttentionMask(spec, n_frames, allowed, index_map, is_copy)
+    return _frozen(AttentionMask(spec, n_frames, allowed, index_map, is_copy))
+
+
+def _frozen(mask: AttentionMask) -> AttentionMask:
+    for array in (mask.allowed, mask.index_map, mask.is_copy):
+        array.flags.writeable = False
+    return mask
 
 
 def reachability(mask: AttentionMask, n_layers: int) -> np.ndarray:

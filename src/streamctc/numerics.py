@@ -6,6 +6,8 @@ autodiff graph: callers hold on to the forward caches and invoke the
 backward functions in reverse order themselves. To save temporaries the
 kernels write in place, but only into arrays they allocated themselves:
 no kernel writes into an array it was given, as an argument or in a cache.
+Writing into a caller's array is left to the callers that own one: the
+encoder's `backward(out=...)` and the optimizer's `adam_step`.
 
 All arrays are 64-bit floats in row-major order. The kernels do not check
 finiteness, so a NaN or Inf propagates to their outputs; ``ensure_finite``
@@ -74,21 +76,26 @@ def masked_softmax(logits, allowed) -> np.ndarray:
     `logits` is (..., T_q, T_k), say (batch, heads, T_q, T_k); `allowed`
     is a boolean (..., T_q, T_k) array that broadcasts to it, say one
     (T_q, T_k) matrix for every head or a (batch, 1, T_q, T_k) stack.
-    Disallowed entries come out exactly 0 and each row sums to 1 over its
-    allowed set. A row with no allowed position is a mask-builder bug and
-    raises.
+    Disallowed entries are never exponentiated: they come out exactly 0,
+    whatever their logit (NaN and infinities included), and each row sums
+    to 1 over its allowed set. A row with no allowed position is a
+    mask-builder bug and raises.
     """
     logits = as_f64(logits)
     allowed = np.asarray(allowed, dtype=bool)
-    if np.broadcast_shapes(logits.shape, allowed.shape) != logits.shape:
+    shifted = np.where(allowed, logits, -np.inf)
+    if shifted.shape != logits.shape:
         raise ValueError(
             f"mask shape {allowed.shape} does not match logits {logits.shape}"
         )
-    if not allowed.any(axis=-1).all():
+    peak = shifted.max(axis=-1, keepdims=True)
+    # only an all-masked row, or one whose allowed logits are all -inf,
+    # peaks at -inf: look at the mask only then
+    if (peak == -np.inf).any() and not allowed.any(axis=-1).all():
         raise EmptyReceptionFieldError("empty reception field")
-    out = np.where(allowed, logits, -np.inf)
-    np.subtract(out, out.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)  # exp(-inf) == 0.0 exactly for masked entries
+    np.subtract(shifted, peak, out=shifted)
+    out = np.zeros(shifted.shape)
+    np.exp(shifted, out=out, where=allowed)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

@@ -64,30 +64,51 @@ def tri_stage_lr(step, cfg: TrainConfig) -> float:
 @dataclass(eq=False)
 class AdamState:
     """First/second moment vectors, laid out like the parameter vector,
-    and the number of steps taken."""
+    the number of steps taken, and two parameter-sized scratch vectors
+    that `adam_step` works in, so an update allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def fresh(cls, params: np.ndarray) -> "AdamState":
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update of a parameter vector; returns (new
-    parameter vector, new state).
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1),
+    written into `params` and `state` in place:
 
-    Gradients must be finite (training fails fast on a bad batch rather
-    than silently poisoning the moments).
+        m <- BETA1 m + (1 - BETA1) g
+        v <- BETA2 v + (1 - BETA2) g^2
+        params <- params - lr (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPS)
+
+    each operation applied in this order, so the bits equal those of the
+    expression as written. Gradients must be finite (training fails fast
+    on a bad batch rather than silently poisoning the moments).
     """
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.shape:
         raise ValueError(f"gradient shape {g.shape} does not match parameters {params.shape}")
     ensure_finite(g, "gradient")
-    t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * (g * g)
-    new_params = params - lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
-    return new_params, AdamState(m=m, v=v, t=t)
+    state.t += 1
+    t = state.t
+    step, denom = state.scratch
+    state.m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=step)
+    state.m += step
+    state.v *= BETA2
+    np.multiply(g, g, out=step)
+    step *= 1.0 - BETA2
+    state.v += step
+    np.divide(state.m, 1.0 - BETA1**t, out=step)
+    step *= lr
+    np.divide(state.v, 1.0 - BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step /= denom
+    params -= step

@@ -38,7 +38,7 @@ from ..ctc import (
     min_frames,
     prefix_beam_search,
 )
-from ..encoder import ModelParams, backward, forward, forward_with_cache
+from ..encoder import GradientBuffer, ModelParams, backward, forward, forward_with_cache
 from ..lm import FusionLm, NgramModel
 from ..losses import (
     DistillSpec,
@@ -145,21 +145,28 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
     call `objective(targets, traces)` with the members' targets and
     ForwardTraces in uid order, which returns (one loss per member,
     keyword arguments of `backward` in the batch's layout), and one
-    backward pass. Writes each update into `params.flat` in place and
-    returns (losses per update, skipped count)."""
+    backward pass. The first micro-batch's backward writes the update's
+    gradient buffer, each later one a second buffer that is then added to
+    it, in micro-batch order. Writes each update into `params.flat` in
+    place and returns (losses per update, skipped count); the two buffers
+    and Adam's state are the loop's only parameter-sized arrays."""
     spec = params.mask_spec or BIDIRECTIONAL
 
-    def one_pass(group):
+    def one_pass(group, out):
         # a frame of its own, so this micro-batch's activations are freed
         # before the next forward pass allocates its own
         traces, cache = forward_with_cache(
             params, [utt.features for utt in group], spec, train=True
         )
         losses, backward_args = objective([targets[utt.uid] for utt in group], traces)
-        return losses, backward(params, cache, **backward_args)[0]
+        backward(params, cache, out=out, **backward_args)
+        return losses
 
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
+    total = GradientBuffer.zeros(params.config)
+    part = GradientBuffer.zeros(params.config)
+    grad = total.flat
     losses = []
     skipped = 0
     n = len(data)
@@ -172,16 +179,13 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
         if not usable:
             losses.append(math.nan)
             continue
-        member_losses, total = [], None
-        for group in _micro_batches(usable, spec):
-            group_losses, grad = one_pass(group)
-            member_losses += group_losses
-            if total is None:
-                total = grad
-            else:
-                total += grad
-        updated, state = adam_step(params.flat, total / len(usable), state, lr)
-        params.flat[...] = updated
+        member_losses = []
+        for i, group in enumerate(_micro_batches(usable, spec)):
+            member_losses += one_pass(group, part if i else total)
+            if i:
+                grad += part.flat
+        grad /= len(usable)
+        adam_step(params.flat, grad, state, lr)
         losses.append(sum(member_losses) / len(usable))
     return losses, skipped
 

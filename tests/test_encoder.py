@@ -14,6 +14,7 @@ from streamctc.encoder import (
     HEADER_CONSTANTS,
     CheckpointError,
     EncoderConfig,
+    GradientBuffer,
     backward,
     checkpoint_digest,
     forward,
@@ -531,6 +532,12 @@ class TestBatchedPass:
         batched = base.copy()
         traces, cache = forward_with_cache(batched, xs, spec, train=train)
         grad, d_xs = backward(batched, cache, **kwargs)
+        # a caller's buffer has every entry written, whatever it held
+        buffer = GradientBuffer.zeros(cfg)
+        buffer.flat[...] = np.nan
+        written, _ = backward(batched, cache, out=buffer, **kwargs)
+        assert written is buffer.flat
+        _same_bits(written, grad)
 
         widths = {build_mask(spec, n).n_positions for n in lengths}
         same = len(widths) == 1 and min(widths) >= 2

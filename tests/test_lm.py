@@ -293,3 +293,46 @@ def test_load_checks_each_header_line(tmp_path, index, line, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(LmFormatError, match=f"^line {index + 1}: .*{re.escape(message)}"):
         load_lm(path)
+
+
+def _drop_token_line(path, context, token):
+    """Delete one `context\\ttoken\\t...` line of a saved model and fix the
+    tokens count and the footer, so only the missing log-prob is wrong."""
+    lines = path.read_text().splitlines()
+    index = next(
+        i for i, line in enumerate(lines) if line.startswith(f"{context}\t{token}\t")
+    )
+    del lines[index]
+    n_tokens = int(lines[4].split()[1])
+    lines[4] = f"tokens {n_tokens - 1}"
+    lines[-1] = f"end {int(lines[-1].split()[1]) - 1}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "context, where",
+    [("a", "context 'a'"), ("", "the empty context")],
+    ids=["stored-context", "empty-context"],
+)
+def test_load_rejects_a_context_missing_a_token(tmp_path, context, where):
+    # without the `a\tb` line, logp(model, "b", ["a"]) raised KeyError('b');
+    # without the empty context's `b` line, "b" silently scored as <unk>
+    model = train_ngram(["ab", "ba"], order=2, smoothing=1.0)
+    assert logp(model, "b", ["a"]) == model.tokens[("a",)]["b"]
+    path = tmp_path / "model.lm"
+    save_lm(model, path)
+    _drop_token_line(path, context, "b")
+    with pytest.raises(LmFormatError, match=f"^line 5: .*{where} has no log-prob for token 'b'"):
+        load_lm(path)
+
+
+def test_model_rejects_tables_that_differ_from_the_vocabulary():
+    model = train_ngram(["ab", "ba"], order=2, smoothing=1.0)
+    tokens = {ctx: dict(table) for ctx, table in model.tokens.items()}
+    del tokens[("b",)][UNK]
+    with pytest.raises(ValueError, match="context 'b' has no log-prob for token '<unk>'"):
+        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens, ends=model.ends)
+    tokens = {ctx: dict(table) for ctx, table in model.tokens.items()}
+    tokens[()]["c"] = -1.0
+    with pytest.raises(ValueError, match="empty context has a log-prob for 'c'"):
+        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens, ends=model.ends)

@@ -411,3 +411,40 @@ class TestLatency:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             eil(MaskSpec("bidirectional"), 0)
+
+
+class TestMaskCache:
+    SPECS = [
+        MaskSpec("bidirectional"),
+        MaskSpec("time_restricted", right_frames=1, left_limit=2),
+        MaskSpec("chunk", chunk_frames=3, left_limit=1),
+        MaskSpec("block", chunk_frames=3, future_frames=2),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.variant)
+    def test_cached_mask_equals_a_fresh_build(self, spec):
+        cached = build_mask(spec, 8)
+        assert build_mask(spec, 8) is cached
+        build_mask.cache_clear()
+        fresh = build_mask(spec, 8)
+        assert fresh is not cached
+        for name in ("allowed", "index_map", "is_copy"):
+            got, want = getattr(cached, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (cached.spec, cached.n_frames) == (fresh.spec, fresh.n_frames)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.variant)
+    @pytest.mark.parametrize("name", ["allowed", "index_map", "is_copy"])
+    def test_cached_arrays_are_read_only(self, spec, name):
+        array = getattr(build_mask(spec, 8), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+
+    def test_bad_length_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n_frames"):
+                build_mask(MaskSpec("bidirectional"), 0)
+        # 4.0 == 4, but the float is not served the cached int's mask
+        build_mask(MaskSpec("bidirectional"), 4)
+        with pytest.raises(TypeError):
+            build_mask(MaskSpec("bidirectional"), 4.0)

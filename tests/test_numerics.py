@@ -433,6 +433,27 @@ class TestKernelsAreExact:
             assert_same_bits(probs, np.broadcast_to(mask, probs.shape).astype(float))
 
     @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+        st.booleans(), st.booleans(), LOGIT_SCALES, st.integers(0, 2**32 - 1),
+    )
+    @example(2, 2, 5, 5, True, False, "huge", 0)
+    @settings(max_examples=60, deadline=None)
+    def test_masked_softmax_never_reads_masked_logits(
+        self, b, h, tq, tk, per_member, one_key, scale, seed
+    ):
+        # masked logits drawn from NaN, +-inf and +-1e308: the allowed
+        # entries keep the reference's bits and the masked ones are +0.0
+        rng = np.random.default_rng(seed)
+        mask = draw_mask(rng, (b, 1, tq, tk) if per_member else (tq, tk), one_key)
+        logits = draw_logits(rng, (b, h, tq, tk), scale)
+        wild = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=logits.shape)
+        masked = ~np.broadcast_to(mask, logits.shape)
+        logits[masked] = wild[masked]
+        probs = masked_softmax(logits, mask)
+        assert_same_bits(probs, ref_masked_softmax(logits, mask))
+        assert_same_bits(probs[masked], np.zeros(int(masked.sum())))
+
+    @given(
         st.lists(st.integers(1, 4), min_size=0, max_size=2), st.integers(1, 9),
         st.sampled_from([1.0, 1e-3, 1e3]), st.integers(0, 2**32 - 1),
     )

@@ -235,27 +235,28 @@ def test_train_config_validation():
 
 def test_adam_zero_gradient_from_fresh_state_keeps_params():
     params = np.array([1.0, -2.0])
-    new, state2 = adam_step(params, np.zeros(2), AdamState.fresh(params), lr=0.1)
-    assert np.array_equal(new, params)
-    assert state2.t == 1
+    state = AdamState.fresh(params)
+    assert adam_step(params, np.zeros(2), state, lr=0.1) is None
+    assert np.array_equal(params, [1.0, -2.0])
+    assert state.t == 1
 
 
 def test_adam_moments_decay_on_zero_gradient():
     params = np.array([1.0, -2.0])
     state = AdamState(m=np.array([0.5, 0.5]), v=np.array([0.2, 0.2]), t=3)
-    _, state2 = adam_step(params, np.zeros(2), state, lr=0.1)
-    assert np.allclose(state2.m, 0.9 * 0.5)
-    assert np.allclose(state2.v, 0.999 * 0.2)
-    assert state2.t == 4
+    adam_step(params, np.zeros(2), state, lr=0.1)
+    assert np.allclose(state.m, 0.9 * 0.5)
+    assert np.allclose(state.v, 0.999 * 0.2)
+    assert state.t == 4
 
 
 def test_adam_first_step_moves_by_lr():
     rng = np.random.default_rng(0)
     g = rng.normal(size=5)
     params = np.zeros(5)
-    new, _ = adam_step(params, g, AdamState.fresh(params), lr=0.01)
+    adam_step(params, g, AdamState.fresh(params), lr=0.01)
     want = -0.01 * g / (np.abs(g) + 1e-8)
-    assert np.allclose(new, want, atol=1e-9)
+    assert np.allclose(params, want, atol=1e-9)
 
 
 def test_adam_matches_scalar_loop_implementation():
@@ -270,7 +271,7 @@ def test_adam_matches_scalar_loop_implementation():
     for t in range(1, 6):
         grads = rng.normal(size=params.shape)
         lr = 0.05 / t
-        cur, state = adam_step(cur, grads, state, lr)
+        adam_step(cur, grads, state, lr)
         for i in range(ref.size):
             m[i] = b1 * m[i] + (1 - b1) * grads[i]
             v[i] = b2 * v[i] + (1 - b2) * grads[i] * grads[i]
@@ -428,6 +429,106 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
     assert len(passes) == 5 and len(passes[-1]) == len(data)
     np.testing.assert_allclose(split_losses, whole_losses, rtol=1e-12)
     np.testing.assert_allclose(split.flat, whole.flat, rtol=0, atol=1e-12)
+
+
+def plain_run_updates(params, data, cfg, targets, objective):
+    """The update loop written plainly, as an oracle for `_run_updates`:
+    the same batch draws and micro-batches, a fresh gradient vector from
+    each `backward`, the micro-batch sum in order, and Adam's formula out
+    of place. Returns what `_run_updates` returns and counts passes."""
+    from streamctc.encoder import backward, forward_with_cache
+    from streamctc.pipeline import stages
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    spec = params.mask_spec or BIDI
+    rng = np.random.default_rng(cfg.seed)
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
+    t = 0
+    losses, skipped = [], 0
+    for step in range(cfg.total_updates):
+        lr = tri_stage_lr(step, cfg)
+        idx = rng.choice(len(data), size=min(cfg.batch_size, len(data)), replace=False)
+        batch = sorted((data[int(i)] for i in idx), key=lambda u: u.uid)
+        usable = [utt for utt in batch if utt.uid in targets]
+        skipped += len(batch) - len(usable)
+        if not usable:
+            losses.append(math.nan)
+            continue
+        member_losses, total = [], None
+        for group in stages._micro_batches(usable, spec):
+            traces, cache = forward_with_cache(
+                params, [u.features for u in group], spec, train=True
+            )
+            group_losses, kwargs = objective([targets[u.uid] for u in group], traces)
+            grad = backward(params, cache, **kwargs)[0]
+            plain_run_updates.passes += 1
+            member_losses += group_losses
+            if total is None:
+                total = grad
+            else:
+                total += grad
+        g = total / len(usable)
+        t += 1
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        params.flat[...] = params.flat - lr * (m / (1.0 - b1**t)) / (
+            np.sqrt(v / (1.0 - b2**t)) + eps
+        )
+        losses.append(sum(member_losses) / len(usable))
+    return losses, skipped
+
+
+CRITERION_9 = {
+    "out_dir": "", "seed": 9, "n_symbols": 3, "noise_std": 0.3,
+    "frames_per_token": [2, 3], "text_len": [2, 5], "sizes": [8, 6, 4],
+    "encoder": {
+        "n_layers": 2, "model_dim": 16, "n_heads": 2, "ffn_dim": 24,
+        "vocab_size": 29, "feature_dim": 6, "frontend_kernel": 3,
+    },
+    "stream": {"variant": "block", "chunk_frames": 3, "future_frames": 1},
+    "peak_lr": 0.002, "batch_size": 3,
+}
+
+
+@pytest.mark.parametrize("case", ["criterion-9", "micro-batches", "distill"])
+def test_run_updates_matches_a_plain_loop(monkeypatch, case):
+    # the loop writes Adam and the gradient into buffers it reuses; 20
+    # updates of it must leave the bits of the plain loop above
+    from streamctc.pipeline import stages
+
+    payload = dict(CRITERION_9)
+    if case == "micro-batches":
+        # long utterances: a batch of 3 is over MICRO_BATCH_AREA and splits
+        payload["text_len"] = [16, 24]
+    config = PipelineConfig.from_dict(payload)
+    split = generate_dataset(config.task(VOCAB), config.sizes, VOCAB)
+    cfg = dataclasses.replace(config.train_config("S"), total_updates=20)
+    init = init_params(config.encoder, config.seed)
+
+    def train():
+        if case == "distill":
+            teacher = init_params(config.encoder, config.seed + 1)
+            return distill(
+                init, teacher, config.stream, split.labeled + split.unlabeled,
+                config.distill_spec(), cfg, head_source=teacher,
+            )
+        return finetune_ctc(init, config.stream, split.labeled, cfg)
+
+    model, log = train()
+    plain_run_updates.passes = 0
+    monkeypatch.setattr(stages, "_run_updates", plain_run_updates)
+    want, want_log = train()
+    assert model.flat.tobytes() == want.flat.tobytes()
+    assert np.array(log.losses).tobytes() == np.array(want_log.losses).tobytes()
+    assert log.skipped == want_log.skipped
+    assert model.bn_stats.mean.tobytes() == want.bn_stats.mean.tobytes()
+    assert model.bn_stats.var.tobytes() == want.bn_stats.var.tobytes()
+    assert not np.array_equal(model.flat, init.flat)
+    if case == "micro-batches":
+        assert plain_run_updates.passes > cfg.total_updates
+    else:
+        assert plain_run_updates.passes == cfg.total_updates
 
 
 @pytest.mark.parametrize(
