@@ -8,7 +8,7 @@ linearly to 0, as in wav2vec 2.0 fine-tuning; Adam uses its standard
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,11 +65,12 @@ def tri_stage_lr(step, cfg: TrainConfig) -> float:
 class AdamState:
     """First/second moment vectors, laid out like the parameter vector,
     the number of steps taken, and two parameter-sized scratch vectors
-    that `adam_step` works in, so an update allocates nothing."""
+    that `adam_step` works in, so an update allocates no float vector."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
