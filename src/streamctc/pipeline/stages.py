@@ -149,7 +149,7 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
     gradient buffer, each later one a second buffer that is then added to
     it, in micro-batch order. Writes each update into `params.flat` in
     place and returns (losses per update, skipped count); the two buffers
-    and Adam's state are the loop's only parameter-sized arrays."""
+    and Adam's state are the loop's only parameter-sized float vectors."""
     spec = params.mask_spec or BIDIRECTIONAL
 
     def one_pass(group, out):
