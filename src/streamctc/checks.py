@@ -30,12 +30,14 @@ from .ctc import (
 from .encoder import (
     EncoderConfig,
     ForwardTrace,
+    GradientBuffer,
     backward,
     checkpoint_digest,
     forward,
     forward_with_cache,
     init_params,
     load_checkpoint,
+    param_layout,
     save_checkpoint,
 )
 from .lm import load_lm, logp, save_lm, train_ngram
@@ -179,14 +181,14 @@ def layer_norm_gradient_error(rng) -> float:
 @_repeated
 def batch_norm_gradient_error(rng) -> float:
     w = rng.normal(size=(6, 4))
+    x = rng.normal(size=(6, 4))
 
-    def op(x, gain, bias):
+    def op(gain, bias):
         # fresh stats per call: train mode mutates them
         y, cache = batch_norm_forward(x, gain, bias, BatchNormStats.fresh(4), "train")
         return float(np.sum(w * y)), list(batch_norm_backward(w, cache))
 
-    inputs = [rng.normal(size=(6, 4)), rng.normal(size=4), rng.normal(size=4)]
-    return check_gradient(op, inputs)
+    return check_gradient(op, [rng.normal(size=4), rng.normal(size=4)])
 
 
 @_repeated
@@ -267,12 +269,15 @@ GRADIENT_CHECKS = (
 
 
 def encoder_gradient_error(seed: int, repeats: int) -> float:
-    """Input-feature gradient of the whole encoder against central
-    differences, for models `seed` .. `seed + repeats - 1` (odd seeds use
-    the block mask, even seeds the chunk mask)."""
+    """Parameter gradient of the whole encoder against central
+    differences, at 6 sampled entries of every parameter array (all of a
+    smaller one), for models `seed` .. `seed + repeats - 1` in train mode
+    (odd seeds use a block mask with lookahead copies, even seeds the
+    chunk mask)."""
+    names = [name for name, _ in param_layout(TINY_ENCODER)]
     worst = 0.0
     for s in range(seed, seed + repeats):
-        params = init_params(TINY_ENCODER, s)
+        base = init_params(TINY_ENCODER, s)
         spec = (
             MaskSpec(variant="block", chunk_frames=2, future_frames=1)
             if s % 2
@@ -280,13 +285,20 @@ def encoder_gradient_error(seed: int, repeats: int) -> float:
         )
         rng = np.random.default_rng(s + 300)
         w = rng.normal(size=(4, 6))
+        x = rng.normal(size=(4, 3))
 
-        def op(x):
-            [trace], cache = forward_with_cache(params, [x], spec)
-            _, [d_x] = backward(params, cache, grad_logpost=w)
-            return float(np.sum(w * trace.posteriorgram)), [d_x]
+        def op(*values):
+            # a fresh copy per call: train mode folds into the running stats
+            params = base.copy()
+            for name, value in zip(names, values):
+                params.arrays[name][...] = value
+            [trace], cache = forward_with_cache(params, [x], spec, train=True)
+            out = GradientBuffer.zeros(TINY_ENCODER)
+            backward(params, cache, out, grad_logpost=w)
+            return float(np.sum(w * trace.posteriorgram)), [out.arrays[n] for n in names]
 
-        worst = max(worst, check_gradient(op, [rng.normal(size=(4, 3))], step=1e-6))
+        inputs = [base.arrays[name] for name in names]
+        worst = max(worst, check_gradient(op, inputs, max_checks=6, rng=rng))
     return worst
 
 

@@ -33,6 +33,7 @@ from .pipeline import (
     finetune_ctc,
     generate_dataset,
     load_dataset,
+    plan_stages,
     pseudo_label,
     run_two_stage,
     save_dataset,
@@ -122,7 +123,6 @@ _OVERRIDE_KEYS = (
     ("beam", "beam_size"),
     ("lm_weight", "lm_weight"),
     ("penalty", "word_insertion_penalty"),
-    ("pretrain", "pretrain_mode"),
     ("layers", "distill_layers"),
 )
 
@@ -500,7 +500,7 @@ def cmd_pipeline(args) -> int:
     digest = config_digest(config)
     print(f"config digest {digest[:16]}", file=sys.stderr)
     if args.dry_run:
-        plan = run_two_stage(config, dry_run=True)
+        plan = plan_stages(config)
         print(f"{'stage':<6} {'alias':<6} {'updates':>8}  depends on")
         for item in plan:
             deps = ", ".join(item["depends_on"]) if item["depends_on"] else "-"
@@ -661,7 +661,7 @@ _SELFCHECKS = (
      lambda: checks.distillation_gradient_error(3, 2), 1e-5),
     ("contrastive gradient matches finite differences",
      lambda: checks.contrastive_gradient_error(4, 2), 1e-5),
-    ("encoder input gradient matches finite differences",
+    ("encoder parameter gradient matches finite differences",
      lambda: checks.encoder_gradient_error(0, 2), 1e-5),
     ("beam 1 equals greedy decoding",
      lambda: checks.beam_greedy_mismatches(6, 20), 0),
@@ -780,7 +780,6 @@ def build_parser() -> _Parser:
     p.add_argument("--workdir")
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--pretrain", choices=("random", "contrastive"))
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("decode", help="decode a container with a checkpoint")

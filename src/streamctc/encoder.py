@@ -23,9 +23,9 @@ attention mask of the batch is each member's own mask over its
 positions, with every pad position attending only to itself, so no real
 query sees a pad key. When the packed rows are the frame rows (equal
 lengths and no copies) the pass moves no rows at all. A pass over one
-utterance is the reference: a batch's outputs and input gradients equal
-its members' batch-of-one calls, and its parameter gradient their sum,
-up to float rounding. ``forward`` is a batch of one.
+utterance is the reference: a batch's outputs equal its members'
+batch-of-one calls, and its parameter gradient their sum, up to float
+rounding. ``forward`` is a batch of one.
 
 The frontend norm is per-channel batch normalization over time with
 running stats (in train mode each member is normalized by its own
@@ -41,10 +41,10 @@ hidden states at real frame positions, the posteriorgram and the frontend
 output) plus everything ``backward`` needs; the members' posteriorgrams
 and hidden states are row ranges of (sum of T_b)-row arrays. ``backward``
 takes gradients in that layout, on the log-posteriorgram and/or injected
-directly on traced hidden states, and produces the parameter gradient
-summed over the batch plus each member's input-feature gradient. It
-writes every entry of the parameter gradient, into a new vector or into
-the caller's ``GradientBuffer`` given as ``out``.
+directly on traced hidden states, and writes every entry of the
+parameter gradient, summed over the batch, into the caller's
+``GradientBuffer``. The input features are data that no stage trains, so
+it computes no gradient on them.
 
 The kernels do not check finiteness; the forward pass checks only its
 posteriorgram, which every hidden state reaches through the residual path,
@@ -212,8 +212,8 @@ def _qkv_blocks(config: EncoderConfig) -> tuple:
 @dataclass(frozen=True, eq=False)
 class GradientBuffer:
     """A gradient vector `flat` laid out like `ModelParams.flat`, with its
-    named views `arrays` built once, for `backward(..., out=)` to write
-    into. The caller owns it and may reuse it for every pass."""
+    named views `arrays` built once, for `backward` to write into. The
+    caller owns it and may reuse it for every pass."""
 
     flat: np.ndarray
     arrays: MappingProxyType
@@ -434,7 +434,6 @@ def _layer_forward(h, arrays, w_qkv, prefix, config, pad):
         "probs": probs,
         "z": z,
         "beta": beta,
-        "a": a,
         "w": w,
         "ln2": ln2_cache,
         "gelu": gelu_cache,
@@ -568,27 +567,23 @@ def forward(
 def backward(
     params: ModelParams,
     cache: dict,
+    out: GradientBuffer,
     grad_logpost=None,
     grad_hidden=None,
-    out: GradientBuffer | None = None,
-):
+) -> None:
     """Reverse pass over the batch of `forward_with_cache`, in its layout:
     `grad_logpost` is the gradient on the members' log-posteriorgrams
     back to back, (sum of T_b) x V; `grad_hidden` maps a 1-based layer
     index to the gradient on that layer's traced hidden states, likewise
-    (sum of T_b) x model_dim. Returns (gradient vector laid out like
-    `params.flat`, summed over the members; one input-feature gradient per
-    member).
+    (sum of T_b) x model_dim.
 
-    Every entry of the gradient vector is written, none accumulated: into
-    `out.flat` when a `GradientBuffer` is given (its old contents are
-    overwritten and `out.flat` is returned), else into a new vector."""
+    Writes the parameter gradient, summed over the members, into
+    `out.flat`: every entry is written, none accumulated, so the buffer's
+    old contents do not matter."""
     config = cache["config"]
     arrays = params.arrays
     pad = cache["pad"]
-    if out is None:
-        out = GradientBuffer.zeros(config)
-    elif out.flat.shape != params.flat.shape:
+    if out.flat.shape != params.flat.shape:
         raise ValueError(
             f"gradient buffer has shape {out.flat.shape}, parameters {params.flat.shape}"
         )
@@ -628,10 +623,9 @@ def backward(
     d_xn, grads["frontend.conv.kernel"][...], grads["frontend.conv.bias"][...] = (
         conv1d_backward(d_conv, cache["conv"])
     )
-    d_x, grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
+    grads["frontend.norm.gain"][...], grads["frontend.norm.bias"][...] = (
         batch_norm_backward(d_xn, cache["norm"])
     )
-    return out.flat, [d_x[b, :length] for b, length in enumerate(pad.lengths)]
 
 
 # ---------------------------------------------------------------------------

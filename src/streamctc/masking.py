@@ -142,14 +142,6 @@ class AttentionMask:
         return int(self.allowed.shape[0])
 
 
-def n_positions(spec: MaskSpec, n_frames: int) -> int:
-    """Positions in the layout of `build_mask(spec, n_frames)`, counted
-    without building it: the frames plus, after each chunk that ends before
-    the last frame, up to `future_frames` lookahead copies."""
-    chunk, future = spec.chunk_frames or n_frames, spec.future_frames or 0
-    return n_frames + sum(min(future, n_frames - end) for end in range(chunk, n_frames, chunk))
-
-
 @functools.lru_cache(maxsize=MASK_CACHE_SIZE, typed=True)
 def build_mask(spec: MaskSpec, n_frames: int) -> AttentionMask:
     """Realize the mask shared by every encoder layer.

@@ -3,11 +3,13 @@
 Every tensor operation the encoder and the losses need lives here as a
 forward function plus a hand-derived backward companion. There is no
 autodiff graph: callers hold on to the forward caches and invoke the
-backward functions in reverse order themselves. To save temporaries the
-kernels write in place, but only into arrays they allocated themselves:
-no kernel writes into an array it was given, as an argument or in a cache.
-Writing into a caller's array is left to the callers that own one: the
-encoder's `backward(out=...)` and the optimizer's `adam_step`.
+backward functions in reverse order themselves. Batch norm, which only
+ever reads the encoder's input features, returns the gradients of its
+gain and bias and none on its input. To save temporaries the kernels
+write in place, but only into arrays they allocated themselves: no kernel
+writes into an array it was given, as an argument or in a cache. Writing
+into a caller's array is left to the callers that own one: the encoder's
+`backward` and the optimizer's `adam_step`.
 
 All arrays are 64-bit floats in row-major order. The kernels do not check
 finiteness, so a NaN or Inf propagates to their outputs; ``ensure_finite``
@@ -219,26 +221,15 @@ def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: flo
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = np.where(real, (batch - mu) * inv_std, 0.0)
     y = np.where(real, gain * xhat + bias, 0.0)
-    return y.reshape(x.shape), (xhat, inv_std, gain, mode, real)
+    return y.reshape(x.shape), (xhat, real)
 
 
 def batch_norm_backward(grad_out: np.ndarray, cache):
-    xhat, inv_std, gain, mode, real = cache
+    """(dgain, dbias) of `batch_norm_forward`, summed over the real rows;
+    no gradient on the input is computed."""
+    xhat, real = cache
     grad = np.where(real, grad_out.reshape(xhat.shape), 0.0)
-    dgain = (grad * xhat).sum(axis=(0, 1))
-    dbias = grad.sum(axis=(0, 1))
-    dxhat = grad * gain
-    if mode == "infer":
-        # running stats are constants
-        dx = dxhat * inv_std
-    else:
-        count = real.sum(axis=1, keepdims=True)
-        dx = inv_std * (
-            dxhat
-            - dxhat.sum(axis=1, keepdims=True) / count
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True) / count
-        )
-    return np.where(real, dx, 0.0).reshape(grad_out.shape), dgain, dbias
+    return (grad * xhat).sum(axis=(0, 1)), grad.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

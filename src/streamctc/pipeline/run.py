@@ -4,7 +4,8 @@
 
   data  labeled, unlabeled and dev sets of the synthetic task
   lm    n-gram LM on the labeled transcripts
-  P     pre-trained starting point (random init or contrastive warm-up)
+  P     starting point: the random init, warmed up contrastively when
+        `updates.pretrain` > 0
   S     streaming CTC model fine-tuned on labeled data
   T     full-context teacher trained with the guided loss against S
   KD    streaming student distilled from T's hidden states (head from S)
@@ -168,7 +169,6 @@ class PipelineConfig:
             "ST": 800,
         }
     )
-    pretrain_mode: str = "random"
     resume: bool = True
 
     def __post_init__(self):
@@ -178,8 +178,6 @@ class PipelineConfig:
             check_float(name, getattr(self, name))
         if not isinstance(self.resume, bool):
             raise ValueError(f"resume must be true or false, got {self.resume!r}")
-        if self.pretrain_mode not in ("random", "contrastive"):
-            raise ValueError("pretrain_mode must be 'random' or 'contrastive'")
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
         if missing:
             raise ValueError(f"updates missing stages: {missing}")
@@ -374,7 +372,7 @@ def _produce_lm(run, paths):
 def _produce_pretrained(run, paths):
     config = run.config
     params = init_params(config.encoder, config.seed)
-    if config.pretrain_mode == "contrastive" and config.updates.get("pretrain", 0) > 0:
+    if config.updates.get("pretrain", 0) > 0:
         params, _ = pretrain_contrastive(
             params, run.got["data"].unlabeled, config.train_config("pretrain")
         )
@@ -472,7 +470,7 @@ STAGES = (
     ),
     Stage(
         "P", None, ("data",),
-        ("seed", "encoder", "pretrain_mode", "updates.pretrain", "peak_lr", "batch_size"),
+        ("seed", "encoder", "updates.pretrain", "peak_lr", "batch_size"),
         ("checkpoints/P.ckpt",), _produce_pretrained, _load_model,
     ),
     _trained(
@@ -570,8 +568,8 @@ def _stale(config: PipelineConfig, keys: dict) -> list:
     return stale
 
 
-def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
-    """Execute (or, with `dry_run`, just plan) the full six-stage recipe.
+def run_two_stage(config: PipelineConfig, jobs: int = 1):
+    """Execute the full six-stage recipe (`plan_stages` lists it).
 
     Returns the ordered stage reports for S, T, KD, N, U', ST. With
     `resume` set, stages whose inputs are unchanged are loaded from disk
@@ -580,8 +578,6 @@ def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if dry_run:
-        return plan_stages(config)
     for sub in ("checkpoints", "data", "reports"):
         os.makedirs(os.path.join(config.out_dir, sub), exist_ok=True)
     keys = input_keys(config)
@@ -607,7 +603,6 @@ def run_two_stage(config: PipelineConfig, dry_run: bool = False, jobs: int = 1):
         "config": config.to_dict(),
         "config_digest": config_digest(config),
         "aliases": {s.name: s.alias for s in STAGES if s.alias},
-        "pretrain_mode": config.pretrain_mode,
         "pretrain_updates": config.updates.get("pretrain", 0),
         "stage_digests": {s: r.digest for s, r in reports.items()},
         "dev_token_error": {s: r.dev_token_error for s, r in reports.items()},

@@ -47,7 +47,7 @@ from ..losses import (
     guide_mask,
     guided_ctc_loss,
 )
-from ..masking import MaskSpec, n_positions
+from ..masking import MaskSpec, build_mask
 from ..vocab import Vocabulary
 from .optim import AdamState, TrainConfig, adam_step, tri_stage_lr
 
@@ -126,7 +126,7 @@ def _micro_batches(utts, spec: MaskSpec) -> list:
     alone."""
     batches, longest = [], 0
     for utt in utts:
-        width = n_positions(spec, utt.n_frames)
+        width = build_mask(spec, utt.n_frames).n_positions
         if batches and (len(batches[-1]) + 1) * max(longest, width) ** 2 <= MICRO_BATCH_AREA:
             batches[-1].append(utt)
             longest = max(longest, width)
@@ -159,7 +159,7 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
             params, [utt.features for utt in group], spec, train=True
         )
         losses, backward_args = objective([targets[utt.uid] for utt in group], traces)
-        backward(params, cache, out=out, **backward_args)
+        backward(params, cache, out, **backward_args)
         return losses
 
     rng = np.random.default_rng(cfg.seed)

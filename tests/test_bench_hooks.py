@@ -42,8 +42,8 @@ def test_traced_pipeline_reaches_every_call_point(tmp_path, bench):
     harness, tracing = bench
     run, _ = _execute(harness, "pipeline_short", True, tmp_path)
     assert run.missing_hooks == []
-    expected = {"pipeline.data.generate_dataset", "lm.train_ngram", "pipeline.run.io", ADAM}
-    expected |= {name for _, _, name, _ in tracing.SPANS if name.startswith("pipeline.stages.")}
+    # the whole recipe reaches every layer, so no span may read as zero work
+    expected = {name for _, _, name, _ in tracing.SPANS}
     silent = sorted(name for name in expected if run.tracer.calls.get(name, 0) == 0)
     assert silent == []
 

@@ -596,8 +596,10 @@ def test_pipeline_needs_workdir(capsys):
         # every unknown top-level key is named, sorted, in one message
         ({"zeta": 1, "template_scale": 2.0},
          "unknown pipeline config key(s): template_scale, zeta"),
+        # `updates.pretrain` alone switches the contrastive warm-up
+        ({"pretrain_mode": "contrastive"}, "unknown pipeline config key(s): pretrain_mode"),
     ],
-    ids=["encoder", "stream", "updates", "top"],
+    ids=["encoder", "stream", "updates", "top", "pretrain_mode"],
 )
 def test_unknown_nested_config_key_is_usage_error(capsys, workdir, patch, message):
     tmp, cfg = workdir

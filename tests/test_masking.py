@@ -12,7 +12,6 @@ from streamctc.masking import (
     build_mask,
     eil,
     latency_report,
-    n_positions,
     reachability,
     reception_field,
 )
@@ -233,12 +232,6 @@ class TestOneLayoutKind:
         np.testing.assert_array_equal(x[mask.index_map][~mask.is_copy], x)
         copies = spec.variant == "block" and spec.future_frames > 0 and spec.chunk_frames < t
         assert mask.is_copy.any() == copies
-
-
-    @given(_spec_strategy(), st.integers(1, 40))
-    @settings(max_examples=120, deadline=None)
-    def test_n_positions_counts_the_layout(self, spec, t):
-        assert n_positions(spec, t) == build_mask(spec, t).n_positions
 
 
 class TestHardCopyPlan:

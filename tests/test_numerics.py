@@ -177,14 +177,13 @@ class TestBatchNorm:
         bias = rng.normal(size=4)
         w = rng.normal(size=(6, 4))
 
-        def op(xv, gv, bv):
+        def op(gv, bv):
             y, cache = batch_norm_forward(
-                xv, gv, bv, BatchNormStats.fresh(4), "train"
+                x, gv, bv, BatchNormStats.fresh(4), "train"
             )
-            dx, dg, db = batch_norm_backward(w, cache)
-            return (y * w).sum(), [dx, dg, db]
+            return (y * w).sum(), list(batch_norm_backward(w, cache))
 
-        assert check_gradient(op, [x, gain, bias]) <= 1e-5
+        assert check_gradient(op, [gain, bias]) <= 1e-5
 
     def test_infer_gradient(self):
         rng = np.random.default_rng(11)
@@ -196,12 +195,11 @@ class TestBatchNorm:
         bias = rng.normal(size=4)
         w = rng.normal(size=(5, 4))
 
-        def op(xv, gv, bv):
-            y, cache = batch_norm_forward(xv, gv, bv, stats.copy(), "infer")
-            dx, dg, db = batch_norm_backward(w, cache)
-            return (y * w).sum(), [dx, dg, db]
+        def op(gv, bv):
+            y, cache = batch_norm_forward(x, gv, bv, stats.copy(), "infer")
+            return (y * w).sum(), list(batch_norm_backward(w, cache))
 
-        assert check_gradient(op, [x, gain, bias]) <= 1e-5
+        assert check_gradient(op, [gain, bias]) <= 1e-5
 
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -219,19 +217,18 @@ class TestBatchNorm:
         start = BatchNormStats(mean=rng.normal(size=3), var=rng.random(3) + 0.5)
         stats = start.copy()
         y, cache = batch_norm_forward(batch, gain, bias, stats, mode, lengths=lengths)
-        dx, dg, db = batch_norm_backward(w, cache)
+        dg, db = batch_norm_backward(w, cache)
         alone = start.copy()
         want_dg, want_db = np.zeros(3), np.zeros(3)
         for b, x in enumerate(members):
             n = len(x)
             want_y, one = batch_norm_forward(x, gain, bias, alone, mode)
-            want_dx, g, bb = batch_norm_backward(w[b, :n], one)
+            g, bb = batch_norm_backward(w[b, :n], one)
             want_dg += g
             want_db += bb
             np.testing.assert_allclose(y[b, :n], want_y, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(dx[b, :n], want_dx, rtol=1e-13, atol=1e-13)
-            # pad rows are 0 and take no gradient
-            assert not y[b, n:].any() and not dx[b, n:].any()
+            # pad rows are 0
+            assert not y[b, n:].any()
         np.testing.assert_allclose(dg, want_dg, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(db, want_db, rtol=1e-13, atol=1e-13)
         np.testing.assert_array_equal(stats.mean, alone.mean)

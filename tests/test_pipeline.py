@@ -433,10 +433,10 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
 
 def plain_run_updates(params, data, cfg, targets, objective):
     """The update loop written plainly, as an oracle for `_run_updates`:
-    the same batch draws and micro-batches, a fresh gradient vector from
+    the same batch draws and micro-batches, a fresh gradient buffer for
     each `backward`, the micro-batch sum in order, and Adam's formula out
     of place. Returns what `_run_updates` returns and counts passes."""
-    from streamctc.encoder import backward, forward_with_cache
+    from streamctc.encoder import GradientBuffer, backward, forward_with_cache
     from streamctc.pipeline import stages
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -461,13 +461,14 @@ def plain_run_updates(params, data, cfg, targets, objective):
                 params, [u.features for u in group], spec, train=True
             )
             group_losses, kwargs = objective([targets[u.uid] for u in group], traces)
-            grad = backward(params, cache, **kwargs)[0]
+            grad = GradientBuffer.zeros(params.config)
+            backward(params, cache, grad, **kwargs)
             plain_run_updates.passes += 1
             member_losses += group_losses
             if total is None:
-                total = grad
+                total = grad.flat
             else:
-                total += grad
+                total += grad.flat
         g = total / len(usable)
         t += 1
         m = b1 * m + (1.0 - b1) * g
@@ -829,7 +830,7 @@ def small_pipeline_config(out_dir, seed=3):
 
 
 def test_dry_run_lists_six_stages(tmp_path):
-    plan = run_two_stage(small_pipeline_config(tmp_path), dry_run=True)
+    plan = plan_stages(small_pipeline_config(tmp_path))
     assert [p["stage"] for p in plan] == ["S", "T", "KD", "N", "U'", "ST"]
     assert all("depends_on" in p and "updates" in p for p in plan)
     assert plan[4]["decode"]["beam_size"] == 8
@@ -949,6 +950,18 @@ def test_resume_after_st_updates_change_recomputes_only_st(tmp_path):
     reports = run_two_stage(resume_config(tmp_path, updates=updates))
     assert recomputed(tmp_path) == ["ST"]
     assert len(reports[-1].losses) == 6
+
+
+@pytest.mark.parametrize("pretrain", [0, 2])
+def test_pretrain_updates_switch_the_contrastive_warm_up(tmp_path, pretrain):
+    updates = {"pretrain": pretrain, "S": 4, "T": 4, "KD": 4, "N": 4, "ST": 4}
+    config = resume_config(tmp_path, updates=updates)
+    run_two_stage(config)
+    start = load_checkpoint(tmp_path / "checkpoints" / "P.ckpt")
+    init = init_params(config.encoder, config.seed)
+    assert (checkpoint_digest(start) == checkpoint_digest(init)) == (pretrain == 0)
+    with open(tmp_path / "reports" / "pipeline.json") as fh:
+        assert json.load(fh)["pretrain_updates"] == pretrain
 
 
 def test_resume_after_deleting_kd_checkpoint_recomputes_kd_and_st(tmp_path):
