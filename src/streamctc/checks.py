@@ -184,8 +184,7 @@ def batch_norm_gradient_error(rng) -> float:
     x = rng.normal(size=(6, 4))
 
     def op(gain, bias):
-        # fresh stats per call: train mode mutates them
-        y, cache = batch_norm_forward(x, gain, bias, BatchNormStats.fresh(4), "train")
+        y, cache, _ = batch_norm_forward(x, gain, bias, BatchNormStats.fresh(4), "train")
         return float(np.sum(w * y)), list(batch_norm_backward(w, cache))
 
     return check_gradient(op, [rng.normal(size=4), rng.normal(size=4)])
@@ -288,7 +287,7 @@ def encoder_gradient_error(seed: int, repeats: int) -> float:
         x = rng.normal(size=(4, 3))
 
         def op(*values):
-            # a fresh copy per call: train mode folds into the running stats
+            # a fresh copy per call, so `base` keeps its values
             params = base.copy()
             for name, value in zip(names, values):
                 params.arrays[name][...] = value

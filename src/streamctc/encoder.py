@@ -28,13 +28,16 @@ batch-of-one calls, and its parameter gradient their sum, up to float
 rounding. ``forward`` is a batch of one.
 
 The frontend norm is per-channel batch normalization over time with
-running stats (in train mode each member is normalized by its own
-statistics, folded into the running stats once per member in batch
-order). The conv is causal, output frame t reading frames t-K+1 .. t, so
-the mask alone sets the lookahead. Each transformer layer is pre-norm:
-``h + MHA(LN(h))`` then ``a + FFN(LN(a))``. Attention splits queries, keys
-and values into ``(B, heads, T'_max, head_dim)`` stacks and runs, forward
-and backward, as batched matmul (``@``) over the batch and head axes.
+running stats. In train mode each member is normalized by its own
+statistics, which the pass returns in its cache (``cache["bn_moments"]``)
+and never folds in itself: the training loop folds them into
+``bn_stats`` with ``numerics.batch_norm_fold``, once per member in batch
+order, so no pass writes into ``params``. The conv is causal, output
+frame t reading frames t-K+1 .. t, so the mask alone sets the lookahead.
+Each transformer layer is pre-norm: ``h + MHA(LN(h))`` then
+``a + FFN(LN(a))``. Attention splits queries, keys and values into
+``(B, heads, T'_max, head_dim)`` stacks and runs, forward and backward,
+as batched matmul (``@``) over the batch and head axes.
 
 ``forward_with_cache`` returns one ForwardTrace per member (per-layer
 hidden states at real frame positions, the posteriorgram and the frontend
@@ -220,7 +223,11 @@ class GradientBuffer:
 
     @classmethod
     def zeros(cls, config: EncoderConfig) -> "GradientBuffer":
-        flat = np.zeros(_param_slices(config)[1])
+        return cls.over(config, np.zeros(_param_slices(config)[1]))
+
+    @classmethod
+    def over(cls, config: EncoderConfig, flat: np.ndarray) -> "GradientBuffer":
+        """A buffer over the caller's parameter-sized vector `flat`."""
         return cls(flat, MappingProxyType(param_views(config, flat)))
 
 
@@ -274,8 +281,8 @@ def init_params(config: EncoderConfig, seed: int) -> ModelParams:
     being the product of all its dimensions but the last.
 
     The frontend's running stats start at (mean 0, var 1), so a fresh
-    model runs in infer mode; each train-mode forward pass folds its
-    statistics in with weight `BN_MOMENTUM`.
+    model runs in infer mode; training folds each train-mode pass's
+    member moments in with weight `BN_MOMENTUM` (`batch_norm_fold`).
     """
     rng = np.random.default_rng(seed)
     size = sum(math.prod(shape) for _, shape in param_layout(config))
@@ -490,7 +497,10 @@ def forward_with_cache(
     T_b x feature_dim matrices, as one pass over packed position rows.
     Returns (one ForwardTrace per member in batch order, cache for
     backward); the members' posteriorgrams and traced hidden states are
-    row ranges of one (sum of T_b) x ... array, member after member."""
+    row ranges of one (sum of T_b) x ... array, member after member. With
+    `train` the frontend norm uses each member's own moments and
+    `cache["bn_moments"]` holds them for `batch_norm_fold`; `params` is
+    only read."""
     config = params.config
     xs = [np.asarray(f, dtype=np.float64) for f in features]
     if not xs:
@@ -514,7 +524,7 @@ def forward_with_cache(
     cache = {"config": config, "pad": pad}
 
     # pad rows leave the norm as zeros, the conv's padding past a lone utterance
-    xn, cache["norm"] = batch_norm_forward(
+    xn, cache["norm"], cache["bn_moments"] = batch_norm_forward(
         x, arrays["frontend.norm.gain"], arrays["frontend.norm.bias"], params.bn_stats,
         "train" if train else "infer", lengths=lengths,
     )

@@ -7,9 +7,12 @@ backward functions in reverse order themselves. Batch norm, which only
 ever reads the encoder's input features, returns the gradients of its
 gain and bias and none on its input. To save temporaries the kernels
 write in place, but only into arrays they allocated themselves: no kernel
-writes into an array it was given, as an argument or in a cache. Writing
-into a caller's array is left to the callers that own one: the encoder's
-`backward` and the optimizer's `adam_step`.
+writes into an array or object it was given, as an argument or in a
+cache. Train-mode batch norm returns its members' moments instead of
+folding them into the running statistics; `batch_norm_fold`, called by
+the update loop that owns the statistics, folds them. Writing into a
+caller's array is likewise left to the callers that own one: the
+encoder's `backward` and the optimizer's `adam_step`.
 
 All arrays are 64-bit floats in row-major order. The kernels do not check
 finiteness, so a NaN or Inf propagates to their outputs; ``ensure_finite``
@@ -169,9 +172,9 @@ BN_MOMENTUM = 0.1
 
 @dataclass(eq=False)
 class BatchNormStats:
-    """Running per-channel statistics, mutated only in train mode. They
-    start at mean 0 and var 1, and each train-mode call folds its batch
-    statistics in with weight `BN_MOMENTUM`."""
+    """Running per-channel statistics. They start at mean 0 and var 1, and
+    `batch_norm_fold` folds each train-mode member's moments in with
+    weight `BN_MOMENTUM`."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -188,13 +191,14 @@ def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: flo
                        lengths=None):
     """Per-channel normalization of a (T, D) sequence, or of a padded
     (B, T, D) batch whose member b holds `lengths[b]` real frames followed
-    by pad rows (every row is real when `lengths` is None).
+    by pad rows (every row is real when `lengths` is None). Returns
+    (output, cache for `batch_norm_backward`, moments).
 
     Train mode normalizes each member with the mean and variance of its own
-    real frames and folds them into the running stats with weight
-    `BN_MOMENTUM`, one member at a time in batch order; infer mode
-    normalizes with the running stats. Pad rows come out 0 and take no
-    gradient.
+    real frames and returns them as `moments`, a (B, D) mean and a (B, D)
+    variance in batch order, for `batch_norm_fold`; `stats` is not read.
+    Infer mode normalizes with the running stats, and `moments` is None.
+    Pad rows come out 0 and take no gradient.
     """
     x = as_f64(x)
     gain = as_f64(gain)
@@ -210,18 +214,26 @@ def batch_norm_forward(x, gain, bias, stats: BatchNormStats, mode: str, eps: flo
         mu = np.where(real, batch, 0.0).sum(axis=1, keepdims=True) / count
         centered = np.where(real, batch - mu, 0.0)
         var = (centered * centered).sum(axis=1, keepdims=True) / count
-        for member_mu, member_var in zip(mu[:, 0], var[:, 0]):
-            stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * member_mu
-            stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * member_var
+        moments = (mu[:, 0], var[:, 0])
     elif mode == "infer":
         mu = stats.mean
         var = stats.var
+        moments = None
     else:
         raise ValueError(f"unknown batch_norm mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = np.where(real, (batch - mu) * inv_std, 0.0)
     y = np.where(real, gain * xhat + bias, 0.0)
-    return y.reshape(x.shape), (xhat, real)
+    return y.reshape(x.shape), (xhat, real), moments
+
+
+def batch_norm_fold(stats: BatchNormStats, moments) -> None:
+    """Fold train-mode `moments` (from `batch_norm_forward`) into the
+    running stats with weight `BN_MOMENTUM`, one member at a time in
+    batch order."""
+    for member_mu, member_var in zip(*moments):
+        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * member_mu
+        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * member_var
 
 
 def batch_norm_backward(grad_out: np.ndarray, cache):

@@ -16,13 +16,28 @@ of the stage's objective, `objective(targets, traces)`, on the whole
 micro-batch, and one backward pass, with gradients summed over the
 micro-batches. CTC and guided CTC make one batched `ctc_loss` call per
 micro-batch; distillation and contrastive loop over the members inside
-their objective. Stage outputs are a trained model plus a log (loss
+their objective, which is a pure function of its arguments: contrastive
+pre-training draws its positions in the loop's process, once per update
+and in member order, and hands them to the objective as targets.
+
+When an update has two micro-batches or more and this process may run on
+at least 2 CPUs, the odd micro-batches run in one forked worker process
+while this process runs the even ones. The worker computes forward,
+objective and backward into a gradient slot in shared memory; this
+process adds every micro-batch's gradient and folds its batch-norm
+moments in micro-batch order, and takes the Adam step, so the
+parameters, losses and running statistics have the same bits with or
+without the worker. Stage outputs are a trained model plus a log (loss
 curve, skip count, dev token error, wall time).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -48,6 +63,7 @@ from ..losses import (
     guided_ctc_loss,
 )
 from ..masking import MaskSpec, build_mask
+from ..numerics import batch_norm_fold
 from ..vocab import Vocabulary
 from .optim import AdamState, TrainConfig, adam_step, tri_stage_lr
 
@@ -136,32 +152,146 @@ def _micro_batches(utts, spec: MaskSpec) -> list:
     return batches
 
 
-def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, objective):
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_context():
+    """The "fork" start method's context when a worker process can run
+    beside this one: at least 2 CPUs, the method exists on this platform,
+    and no other thread runs here (a fork copies only the calling
+    thread). None otherwise. "fork" is asked for by name, since the
+    worker inherits the loop's targets and objective instead of
+    unpickling them, and the default start method differs by Python
+    version and platform."""
+    if _cpu_count() < 2 or threading.active_count() > 1:
+        return None
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def _one_pass(params, spec, group, group_targets, objective, out):
+    """One micro-batch: a training-mode forward pass, the objective and a
+    backward pass that writes the gradient into `out`. Returns (one loss
+    per member, the members' batch-norm moments). A function of its own,
+    so its activations are freed before the next forward pass."""
+    traces, cache = forward_with_cache(
+        params, [utt.features for utt in group], spec, train=True
+    )
+    losses, backward_args = objective(group_targets, traces)
+    backward(params, cache, out, **backward_args)
+    return losses, cache["bn_moments"]
+
+
+class _Worker:
+    """One forked process that runs micro-batches beside the update loop.
+
+    At the fork the parameter vector is copied into shared memory, and
+    `params` over it is what the loop trains from then on; the worker's
+    gradient slot `slot` is shared memory too. The worker inherits the
+    data, targets and objective, so `submit` pipes only a micro-batch's
+    uids (plus its targets when the stage draws them per update), and
+    `result` returns its (losses, batch-norm moments) once `slot` holds
+    its gradient, or raises its error. One micro-batch is in flight at a
+    time. `close` ends and joins the process."""
+
+    def __init__(self, context, params, spec, data, targets, objective):
+        def shared():
+            return np.frombuffer(context.RawArray("d", params.flat.size), dtype=np.float64)
+
+        flat = shared()
+        flat[...] = params.flat
+        self.params = ModelParams(params.config, flat, params.bn_stats, params.mask_spec)
+        self.slot = GradientBuffer.over(params.config, shared())
+        self._spec = spec
+        self._utts = {utt.uid: utt for utt in data}
+        self._targets = targets
+        self._objective = objective
+        self._conn, child = context.Pipe()
+        self._process = context.Process(target=self._serve, args=(child,))
+        self._process.start()
+        child.close()
+
+    def _serve(self, conn):
+        # in the child: with the loop's end of the pipe closed here, the
+        # child reads EOF once the loop's process closes it or dies;
+        # an interrupt is the loop's to handle
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        self._conn.close()
+        while True:
+            try:
+                uids, drawn = conn.recv()
+            except EOFError:
+                return
+            group = [self._utts[uid] for uid in uids]
+            if drawn is None:
+                drawn = [self._targets[uid] for uid in uids]
+            try:
+                result = _one_pass(
+                    self.params, self._spec, group, drawn, self._objective, self.slot
+                )
+            except Exception as exc:  # raised again in the loop's process
+                result = exc
+            try:
+                conn.send(result)
+            except BrokenPipeError:
+                return
+
+    def submit(self, group, drawn):
+        self._conn.send(([utt.uid for utt in group], drawn))
+
+    def result(self):
+        try:
+            result = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("the training worker process exited") from None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def close(self):
+        self._conn.close()
+        self._process.join()
+
+
+def _run_updates(
+    params: ModelParams, data, cfg: TrainConfig, targets: dict, objective, draw=None
+):
     """The shared loop. Each update draws its batch from all of `data` and
     counts an utterance with no entry in `targets` as skipped, before its
-    forward pass. The others, in uid order, are split into micro-batches
+    forward pass. The others, in uid order, are the update's members:
+    their targets are `draw(members)` when the stage draws them per update
+    (called once per update, here, before any pass) and their entries in
+    `targets` otherwise. The members are split into micro-batches
     (`_micro_batches`), and each micro-batch gets one training-mode
     forward pass under `params.mask_spec` (full context when None), one
     call `objective(targets, traces)` with the members' targets and
     ForwardTraces in uid order, which returns (one loss per member,
     keyword arguments of `backward` in the batch's layout), and one
-    backward pass. The first micro-batch's backward writes the update's
-    gradient buffer, each later one a second buffer that is then added to
-    it, in micro-batch order. Writes each update into `params.flat` in
-    place and returns (losses per update, skipped count); the two buffers
-    and Adam's state are the loop's only parameter-sized float vectors."""
+    backward pass.
+
+    Micro-batch i runs in this process when i is even, and in a worker
+    process (`_Worker`) when i is odd, if `_fork_context` allows one; the
+    worker is forked at the first update with two micro-batches or more
+    and joined before this returns or raises, and an error in one of its
+    micro-batches is raised here. Without it every micro-batch runs here.
+    Either way the first micro-batch's backward writes the update's
+    gradient buffer and each later one a second buffer or a worker slot,
+    which is then added to it in micro-batch order, and each micro-batch's
+    batch-norm moments are folded into `params.bn_stats` in micro-batch
+    order, so the bits do not depend on the worker. Writes each update
+    into `params.flat` in place and returns (losses per update, skipped
+    count); the two buffers, Adam's state and, with a worker, the shared
+    parameter vector and slot are the loop's only parameter-sized float
+    vectors."""
     spec = params.mask_spec or BIDIRECTIONAL
-
-    def one_pass(group, out):
-        # a frame of its own, so this micro-batch's activations are freed
-        # before the next forward pass allocates its own
-        traces, cache = forward_with_cache(
-            params, [utt.features for utt in group], spec, train=True
-        )
-        losses, backward_args = objective([targets[utt.uid] for utt in group], traces)
-        backward(params, cache, out, **backward_args)
-        return losses
-
+    context = _fork_context()
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
     total = GradientBuffer.zeros(params.config)
@@ -170,27 +300,59 @@ def _run_updates(params: ModelParams, data, cfg: TrainConfig, targets: dict, obj
     losses = []
     skipped = 0
     n = len(data)
-    for step in range(cfg.total_updates):
-        lr = tri_stage_lr(step, cfg)
-        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        batch = sorted((data[int(i)] for i in idx), key=lambda u: u.uid)
-        usable = [utt for utt in batch if utt.uid in targets]
-        skipped += len(batch) - len(usable)
-        if not usable:
-            losses.append(math.nan)
-            continue
-        member_losses = []
-        for i, group in enumerate(_micro_batches(usable, spec)):
-            member_losses += one_pass(group, part if i else total)
-            if i:
-                grad += part.flat
-        grad /= len(usable)
-        adam_step(params.flat, grad, state, lr)
-        losses.append(sum(member_losses) / len(usable))
+    model, worker = params, None
+    try:
+        for step in range(cfg.total_updates):
+            lr = tri_stage_lr(step, cfg)
+            idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+            batch = sorted((data[int(i)] for i in idx), key=lambda u: u.uid)
+            usable = [utt for utt in batch if utt.uid in targets]
+            skipped += len(batch) - len(usable)
+            if not usable:
+                losses.append(math.nan)
+                continue
+            member_targets = draw(usable) if draw else [targets[u.uid] for u in usable]
+            groups = _micro_batches(usable, spec)
+            group_targets, start = [], 0
+            for group in groups:
+                group_targets.append(member_targets[start : start + len(group)])
+                start += len(group)
+            if worker is None and context is not None and len(groups) > 1:
+                worker = _Worker(context, params, spec, data, targets, objective)
+                model = worker.params
+            # the worker reads targets from its copy of `targets` unless drawn
+            sent = group_targets if draw else [None] * len(groups)
+            remote = worker is not None and len(groups) > 1
+            if remote:
+                worker.submit(groups[1], sent[1])
+            member_losses = []
+            for i, group in enumerate(groups):
+                if remote and i % 2:
+                    # the slot is added before it takes micro-batch i + 2,
+                    # which then runs while this process runs i + 1
+                    group_losses, moments = worker.result()
+                    grad += worker.slot.flat
+                    if i + 2 < len(groups):
+                        worker.submit(groups[i + 2], sent[i + 2])
+                else:
+                    group_losses, moments = _one_pass(
+                        model, spec, group, group_targets[i], objective, part if i else total
+                    )
+                    if i:
+                        grad += part.flat
+                member_losses += group_losses
+                batch_norm_fold(model.bn_stats, moments)
+            grad /= len(usable)
+            adam_step(model.flat, grad, state, lr)
+            losses.append(sum(member_losses) / len(usable))
+    finally:
+        if worker is not None:
+            worker.close()
+            params.flat[...] = model.flat
     return losses, skipped
 
 
-def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None):
+def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, draw=None):
     """The frame every training stage shares: copy `init` under mask
     `spec`, build the stage's targets, run the update loop, and log.
 
@@ -200,7 +362,8 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None):
     maps the uid of each of those that can train to its target and is the
     stage's one rule for which utterances train, `objective` feeds
     `_run_updates`, and `extra()` gives the log's extras once the updates
-    are done. Batches are still drawn from all of `data`."""
+    are done. Batches are still drawn from all of `data`, and `draw`, when
+    given, supplies each update's targets (see `_run_updates`)."""
     data = list(data)
     if not data:
         raise ValueError("training set is empty")
@@ -215,7 +378,7 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None):
     work = init.copy()
     work.mask_spec = spec
     targets, objective, extra = prepare(work, trainable)
-    losses, skipped = _run_updates(work, data, cfg, targets, objective)
+    losses, skipped = _run_updates(work, data, cfg, targets, objective, draw)
     extras = extra()
     dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
     return work, TrainLog(
@@ -418,24 +581,37 @@ def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
     `CONTRASTIVE_POSITIONS` sampled positions per utterance are pushed
     toward their own (constant) frontend outputs and away from those of
     `CONTRASTIVE_DISTRACTORS` other frames, at `CONTRASTIVE_TEMPERATURE`.
-    Always runs with the full-context mask."""
+    Always runs with the full-context mask. The positions and distractors
+    depend only on frame counts; they are drawn from one generator seeded
+    by `cfg.seed`, once per update and in member order, so which process
+    runs a micro-batch does not change them."""
     position_rng = np.random.default_rng(cfg.seed)
     top_layer = init.config.n_layers
 
-    def objective(_, traces):
-        losses, grads = [], []
-        for trace in traces:
-            context = trace.hidden[-1]
-            targets = trace.frontend
-            t_len = context.shape[0]
+    def draw(members):
+        # per member, its sorted positions, each with its distractor frames
+        picks = []
+        for utt in members:
+            t_len = utt.n_frames
             n_pos = min(CONTRASTIVE_POSITIONS, t_len)
             k = min(CONTRASTIVE_DISTRACTORS, t_len - 1)
             positions = position_rng.choice(t_len, size=n_pos, replace=False)
-            grad = np.zeros_like(context)
-            loss_total = 0.0
+            member = []
             for pos in sorted(int(p) for p in positions):
                 others = np.delete(np.arange(t_len), pos)
-                picked = position_rng.choice(others, size=k, replace=False)
+                member.append((pos, position_rng.choice(others, size=k, replace=False)))
+            picks.append(member)
+        return picks
+
+    def objective(picks, traces):
+        losses, grads = [], []
+        for member, trace in zip(picks, traces):
+            context = trace.hidden[-1]
+            targets = trace.frontend
+            n_pos = len(member)
+            grad = np.zeros_like(context)
+            loss_total = 0.0
+            for pos, picked in member:
                 loss, g_context = contrastive_loss(
                     context[pos],
                     targets[pos],
@@ -453,4 +629,4 @@ def pretrain_contrastive(init: ModelParams, data, cfg: TrainConfig):
         # position has a distractor besides its positive
         return {u.uid: None for u in data}, objective, dict
 
-    return _train(init, None, data, cfg, prepare)
+    return _train(init, None, data, cfg, prepare, draw=draw)

@@ -26,7 +26,13 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask, reception_field
-from streamctc.numerics import NonFiniteError, check_gradient, gelu_forward, layer_norm_forward
+from streamctc.numerics import (
+    NonFiniteError,
+    batch_norm_fold,
+    check_gradient,
+    gelu_forward,
+    layer_norm_forward,
+)
 
 TINY = EncoderConfig(
     n_layers=2,
@@ -516,6 +522,11 @@ class TestBatchedPass:
 
         batched = base.copy()
         traces, cache = forward_with_cache(batched, xs, spec, train=train)
+        # the pass only reads the model; the caller folds the moments
+        np.testing.assert_array_equal(batched.bn_stats.mean, base.bn_stats.mean)
+        np.testing.assert_array_equal(batched.bn_stats.var, base.bn_stats.var)
+        if train:
+            batch_norm_fold(batched.bn_stats, cache["bn_moments"])
         # a caller's buffer has every entry written, whatever it held
         buffer = GradientBuffer.zeros(cfg)
         buffer.flat[...] = np.nan
@@ -531,6 +542,8 @@ class TestBatchedPass:
         starts = np.cumsum([0, *lengths])
         for x, first, last, trace in zip(xs, starts, starts[1:], traces):
             [want], one_cache = forward_with_cache(single, [x], spec, train=train)
+            if train:
+                batch_norm_fold(single.bn_stats, one_cache["bn_moments"])
             member = {}
             if "grad_logpost" in kwargs:
                 member["grad_logpost"] = kwargs["grad_logpost"][first:last]

@@ -9,6 +9,7 @@ from streamctc.numerics import (
     EmptyReceptionFieldError,
     NonFiniteError,
     batch_norm_backward,
+    batch_norm_fold,
     batch_norm_forward,
     check_gradient,
     conv1d_backward,
@@ -152,13 +153,18 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-4)
 
     def test_running_stats_ema(self):
+        # train mode returns the moments and leaves the stats alone;
+        # `batch_norm_fold` folds them in
         rng = np.random.default_rng(9)
         stats = BatchNormStats.fresh(2)
         x1 = rng.normal(size=(8, 2))
-        batch_norm_forward(x1, np.ones(2), np.zeros(2), stats, "train")
+        moments = batch_norm_forward(x1, np.ones(2), np.zeros(2), stats, "train")[2]
+        np.testing.assert_array_equal(stats.mean, np.zeros(2))
+        np.testing.assert_array_equal(stats.var, np.ones(2))
+        batch_norm_fold(stats, moments)
         m0, v0 = stats.mean.copy(), stats.var.copy()
         x2 = rng.normal(size=(8, 2)) + 5
-        batch_norm_forward(x2, np.ones(2), np.zeros(2), stats, "train")
+        batch_norm_fold(stats, batch_norm_forward(x2, np.ones(2), np.zeros(2), stats, "train")[2])
         np.testing.assert_allclose(stats.mean, 0.9 * m0 + 0.1 * x2.mean(axis=0))
         np.testing.assert_allclose(stats.var, 0.9 * v0 + 0.1 * x2.var(axis=0))
 
@@ -178,7 +184,7 @@ class TestBatchNorm:
         w = rng.normal(size=(6, 4))
 
         def op(gv, bv):
-            y, cache = batch_norm_forward(
+            y, cache, _ = batch_norm_forward(
                 x, gv, bv, BatchNormStats.fresh(4), "train"
             )
             return (y * w).sum(), list(batch_norm_backward(w, cache))
@@ -196,7 +202,7 @@ class TestBatchNorm:
         w = rng.normal(size=(5, 4))
 
         def op(gv, bv):
-            y, cache = batch_norm_forward(x, gv, bv, stats.copy(), "infer")
+            y, cache, _ = batch_norm_forward(x, gv, bv, stats.copy(), "infer")
             return (y * w).sum(), list(batch_norm_backward(w, cache))
 
         assert check_gradient(op, [gain, bias]) <= 1e-5
@@ -216,13 +222,17 @@ class TestBatchNorm:
         w = rng.normal(size=batch.shape)
         start = BatchNormStats(mean=rng.normal(size=3), var=rng.random(3) + 0.5)
         stats = start.copy()
-        y, cache = batch_norm_forward(batch, gain, bias, stats, mode, lengths=lengths)
+        y, cache, moments = batch_norm_forward(batch, gain, bias, stats, mode, lengths=lengths)
+        if mode == "train":
+            batch_norm_fold(stats, moments)
         dg, db = batch_norm_backward(w, cache)
         alone = start.copy()
         want_dg, want_db = np.zeros(3), np.zeros(3)
         for b, x in enumerate(members):
             n = len(x)
-            want_y, one = batch_norm_forward(x, gain, bias, alone, mode)
+            want_y, one, one_moments = batch_norm_forward(x, gain, bias, alone, mode)
+            if mode == "train":
+                batch_norm_fold(alone, one_moments)
             g, bb = batch_norm_backward(w[b, :n], one)
             want_dg += g
             want_db += bb

@@ -417,6 +417,8 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
         return losses, {"grad_logpost": d}
 
     monkeypatch.setattr(stages, "forward_with_cache", spy)
+    # the spy sees the passes of this process only: no worker process
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 1)
     cfg = quick_cfg(1, batch=len(data), lr=1e-2)
     split = init_params(TINY_ENC, 0)
     split_losses, _ = stages._run_updates(split, data, cfg, targets, objective)
@@ -431,12 +433,15 @@ def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
     np.testing.assert_allclose(split.flat, whole.flat, rtol=0, atol=1e-12)
 
 
-def plain_run_updates(params, data, cfg, targets, objective):
-    """The update loop written plainly, as an oracle for `_run_updates`:
-    the same batch draws and micro-batches, a fresh gradient buffer for
-    each `backward`, the micro-batch sum in order, and Adam's formula out
-    of place. Returns what `_run_updates` returns and counts passes."""
+def plain_run_updates(params, data, cfg, targets, objective, draw=None):
+    """The update loop written plainly, in one process, as an oracle for
+    `_run_updates`: the same batch draws, per-update target draws and
+    micro-batches, each pass's batch-norm moments folded right after it,
+    a fresh gradient buffer for each `backward`, the micro-batch sum in
+    order, and Adam's formula out of place. Returns what `_run_updates`
+    returns and counts passes."""
     from streamctc.encoder import GradientBuffer, backward, forward_with_cache
+    from streamctc.numerics import batch_norm_fold
     from streamctc.pipeline import stages
 
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -455,12 +460,15 @@ def plain_run_updates(params, data, cfg, targets, objective):
         if not usable:
             losses.append(math.nan)
             continue
+        member_targets = draw(usable) if draw else [targets[u.uid] for u in usable]
         member_losses, total = [], None
         for group in stages._micro_batches(usable, spec):
             traces, cache = forward_with_cache(
                 params, [u.features for u in group], spec, train=True
             )
-            group_losses, kwargs = objective([targets[u.uid] for u in group], traces)
+            batch_norm_fold(params.bn_stats, cache["bn_moments"])
+            group_targets = member_targets[len(member_losses) : len(member_losses) + len(group)]
+            group_losses, kwargs = objective(group_targets, traces)
             grad = GradientBuffer.zeros(params.config)
             backward(params, cache, grad, **kwargs)
             plain_run_updates.passes += 1
@@ -492,16 +500,43 @@ CRITERION_9 = {
 }
 
 
-@pytest.mark.parametrize("case", ["criterion-9", "micro-batches", "distill"])
-def test_run_updates_matches_a_plain_loop(monkeypatch, case):
-    # the loop writes Adam and the gradient into buffers it reuses; 20
+def count_workers(monkeypatch):
+    """The list that each `_Worker` the stages start is appended to."""
+    from streamctc.pipeline import stages
+
+    started = []
+
+    class Counted(stages._Worker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(stages, "_Worker", Counted)
+    return started
+
+
+@pytest.mark.parametrize("case, worker", [
+    # a bare case name runs with the worker off
+    pytest.param(case, worker, id=case + ("-worker-on" if worker else ""))
+    for case in ("criterion-9", "micro-batches", "distill", "contrastive-micro-batches")
+    for worker in (False, True)
+])
+def test_run_updates_matches_a_plain_loop(monkeypatch, case, worker):
+    # the loop writes Adam and the gradient into buffers it reuses, and
+    # with a worker runs the odd micro-batches in another process; 20
     # updates of it must leave the bits of the plain loop above
     from streamctc.pipeline import stages
 
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 2 if worker else 1)
+    started = count_workers(monkeypatch)
     payload = dict(CRITERION_9)
+    split_up = case.endswith("micro-batches")
     if case == "micro-batches":
         # long utterances: a batch of 3 is over MICRO_BATCH_AREA and splits
         payload["text_len"] = [16, 24]
+    elif case == "contrastive-micro-batches":
+        # full context has one position per frame, so it needs longer ones
+        payload["text_len"] = [24, 40]
     config = PipelineConfig.from_dict(payload)
     split = generate_dataset(config.task(VOCAB), config.sizes, VOCAB)
     cfg = dataclasses.replace(config.train_config("S"), total_updates=20)
@@ -514,9 +549,13 @@ def test_run_updates_matches_a_plain_loop(monkeypatch, case):
                 init, teacher, config.stream, split.labeled + split.unlabeled,
                 config.distill_spec(), cfg, head_source=teacher,
             )
+        if case == "contrastive-micro-batches":
+            return pretrain_contrastive(init, split.labeled, cfg)
         return finetune_ctc(init, config.stream, split.labeled, cfg)
 
     model, log = train()
+    # a stage forks one worker, and only when an update splits
+    assert len(started) == (split_up and worker)
     plain_run_updates.passes = 0
     monkeypatch.setattr(stages, "_run_updates", plain_run_updates)
     want, want_log = train()
@@ -526,10 +565,41 @@ def test_run_updates_matches_a_plain_loop(monkeypatch, case):
     assert model.bn_stats.mean.tobytes() == want.bn_stats.mean.tobytes()
     assert model.bn_stats.var.tobytes() == want.bn_stats.var.tobytes()
     assert not np.array_equal(model.flat, init.flat)
-    if case == "micro-batches":
+    if split_up:
         assert plain_run_updates.passes > cfg.total_updates
     else:
         assert plain_run_updates.passes == cfg.total_updates
+
+
+def test_an_error_in_the_worker_is_raised_in_the_caller(monkeypatch):
+    from streamctc.ctc import ctc_loss
+    from streamctc.numerics import NonFiniteError
+    from streamctc.pipeline import stages
+
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 2)
+    started = count_workers(monkeypatch)
+    # each utterance is over the area budget alone, so U1 is micro-batch
+    # 1, the worker's
+    wide = math.isqrt(stages.MICRO_BATCH_AREA) + 1
+    rng = np.random.default_rng(4)
+    data = [
+        Utterance(uid=f"U{i}", features=rng.normal(size=(wide, 6)), text="ab")
+        for i in range(3)
+    ]
+    data[1].features[5, 2] = np.nan
+    targets = {u.uid: VOCAB.encode(u.text) for u in data}
+
+    def objective(labels, traces):
+        losses, d = ctc_loss(
+            np.concatenate([t.posteriorgram for t in traces]), labels,
+            [len(t.posteriorgram) for t in traces],
+        )
+        return losses, {"grad_logpost": d}
+
+    params = init_params(TINY_ENC, 0)
+    with pytest.raises(NonFiniteError, match=r"^non-finite values in posteriorgram$"):
+        stages._run_updates(params, data, quick_cfg(1, batch=3), targets, objective)
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize(
