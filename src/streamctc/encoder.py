@@ -568,10 +568,9 @@ def forward(
     params: ModelParams,
     features: np.ndarray,
     spec: MaskSpec,
-    train: bool = False,
 ) -> ForwardTrace:
-    """One T x feature_dim utterance, run as a batch of one."""
-    return forward_with_cache(params, [features], spec, train)[0][0]
+    """One T x feature_dim utterance, run as a batch of one in infer mode."""
+    return forward_with_cache(params, [features], spec)[0][0]
 
 
 def backward(

@@ -37,6 +37,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -162,13 +163,14 @@ def _cpu_count() -> int:
 
 def _fork_context():
     """The "fork" start method's context when a worker process can run
-    beside this one: at least 2 CPUs, the method exists on this platform,
-    and no other thread runs here (a fork copies only the calling
-    thread). None otherwise. "fork" is asked for by name, since the
-    worker inherits the loop's targets and objective instead of
+    beside this one: at least 2 CPUs, the method exists on this platform
+    and is safe there (not macOS, whose system libraries start threads of
+    their own), and no other thread runs here (a fork copies only the
+    calling thread). None otherwise. "fork" is asked for by name, since
+    the worker inherits the loop's data and objective instead of
     unpickling them, and the default start method differs by Python
     version and platform."""
-    if _cpu_count() < 2 or threading.active_count() > 1:
+    if _cpu_count() < 2 or threading.active_count() > 1 or sys.platform == "darwin":
         return None
     try:
         return multiprocessing.get_context("fork")
@@ -195,13 +197,13 @@ class _Worker:
     At the fork the parameter vector is copied into shared memory, and
     `params` over it is what the loop trains from then on; the worker's
     gradient slot `slot` is shared memory too. The worker inherits the
-    data, targets and objective, so `submit` pipes only a micro-batch's
-    uids (plus its targets when the stage draws them per update), and
-    `result` returns its (losses, batch-norm moments) once `slot` holds
-    its gradient, or raises its error. One micro-batch is in flight at a
-    time. `close` ends and joins the process."""
+    data and objective, so `submit` pipes only a micro-batch's uids and
+    targets, and `result` returns its (losses, batch-norm moments) once
+    `slot` holds its gradient, or raises its error. One micro-batch is in
+    flight at a time. `close` ends and joins the process. Raises OSError
+    when the shared memory or the process cannot be had."""
 
-    def __init__(self, context, params, spec, data, targets, objective):
+    def __init__(self, context, params, spec, data, objective):
         def shared():
             return np.frombuffer(context.RawArray("d", params.flat.size), dtype=np.float64)
 
@@ -211,12 +213,16 @@ class _Worker:
         self.slot = GradientBuffer.over(params.config, shared())
         self._spec = spec
         self._utts = {utt.uid: utt for utt in data}
-        self._targets = targets
         self._objective = objective
         self._conn, child = context.Pipe()
         self._process = context.Process(target=self._serve, args=(child,))
-        self._process.start()
-        child.close()
+        try:
+            self._process.start()
+        except OSError:
+            self._conn.close()
+            raise
+        finally:
+            child.close()
 
     def _serve(self, conn):
         # in the child: with the loop's end of the pipe closed here, the
@@ -226,15 +232,13 @@ class _Worker:
         self._conn.close()
         while True:
             try:
-                uids, drawn = conn.recv()
+                uids, group_targets = conn.recv()
             except EOFError:
                 return
             group = [self._utts[uid] for uid in uids]
-            if drawn is None:
-                drawn = [self._targets[uid] for uid in uids]
             try:
                 result = _one_pass(
-                    self.params, self._spec, group, drawn, self._objective, self.slot
+                    self.params, self._spec, group, group_targets, self._objective, self.slot
                 )
             except Exception as exc:  # raised again in the loop's process
                 result = exc
@@ -243,8 +247,8 @@ class _Worker:
             except BrokenPipeError:
                 return
 
-    def submit(self, group, drawn):
-        self._conn.send(([utt.uid for utt in group], drawn))
+    def submit(self, group, group_targets):
+        self._conn.send(([utt.uid for utt in group], group_targets))
 
     def result(self):
         try:
@@ -280,7 +284,8 @@ def _run_updates(
     process (`_Worker`) when i is odd, if `_fork_context` allows one; the
     worker is forked at the first update with two micro-batches or more
     and joined before this returns or raises, and an error in one of its
-    micro-batches is raised here. Without it every micro-batch runs here.
+    micro-batches is raised here. Without it (none allowed, or the fork
+    failed with OSError) every micro-batch runs here.
     Either way the first micro-batch's backward writes the update's
     gradient buffer and each later one a second buffer or a worker slot,
     which is then added to it in micro-batch order, and each micro-batch's
@@ -318,13 +323,15 @@ def _run_updates(
                 group_targets.append(member_targets[start : start + len(group)])
                 start += len(group)
             if worker is None and context is not None and len(groups) > 1:
-                worker = _Worker(context, params, spec, data, targets, objective)
-                model = worker.params
-            # the worker reads targets from its copy of `targets` unless drawn
-            sent = group_targets if draw else [None] * len(groups)
+                try:
+                    worker = _Worker(context, params, spec, data, objective)
+                except OSError:  # no memory or process to be had: run here
+                    context = None
+                else:
+                    model = worker.params
             remote = worker is not None and len(groups) > 1
             if remote:
-                worker.submit(groups[1], sent[1])
+                worker.submit(groups[1], group_targets[1])
             member_losses = []
             for i, group in enumerate(groups):
                 if remote and i % 2:
@@ -333,7 +340,7 @@ def _run_updates(
                     group_losses, moments = worker.result()
                     grad += worker.slot.flat
                     if i + 2 < len(groups):
-                        worker.submit(groups[i + 2], sent[i + 2])
+                        worker.submit(groups[i + 2], group_targets[i + 2])
                 else:
                     group_losses, moments = _one_pass(
                         model, spec, group, group_targets[i], objective, part if i else total

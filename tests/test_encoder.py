@@ -369,7 +369,7 @@ class TestForward:
         x[3, 2] = np.nan
         spec = MaskSpec("block", chunk_frames=3, future_frames=1)
         with pytest.raises(NonFiniteError, match="posteriorgram"):
-            forward(init_params(TINY, 1), x, spec, train=train)
+            forward_with_cache(init_params(TINY, 1), [x], spec, train=train)
 
 
 class TestBackward:
@@ -583,7 +583,7 @@ class TestBatchedPass:
         stats = params.bn_stats.copy()
         one = make_features(1, cfg.feature_dim)
         with pytest.raises(ValueError) as alone:
-            forward(params, one, spec, train=True)
+            forward_with_cache(params, [one], spec, train=True)
         others = [make_features(n, cfg.feature_dim, seed=n) for n in (5, 3)]
         with pytest.raises(ValueError) as batched:
             forward_with_cache(params, [others[0], one, others[1]], spec, train=True)

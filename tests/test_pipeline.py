@@ -602,6 +602,86 @@ def test_an_error_in_the_worker_is_raised_in_the_caller(monkeypatch):
     assert len(started) == 1
 
 
+def test_a_failed_fork_runs_every_micro_batch_here(monkeypatch):
+    import multiprocessing
+
+    from streamctc.ctc import ctc_loss
+    from streamctc.pipeline import stages
+
+    tried = []
+
+    class NoProcesses:
+        """The fork context under a process limit: no process starts."""
+
+        def __getattr__(self, name):
+            return getattr(multiprocessing.get_context("fork"), name)
+
+        def Process(self, *args, **kwargs):
+            process = multiprocessing.get_context("fork").Process(*args, **kwargs)
+
+            def start():
+                tried.append(process)
+                raise OSError(11, "Resource temporarily unavailable")
+
+            process.start = start
+            return process
+
+    # each utterance is over the area budget alone, so every update splits
+    wide = math.isqrt(stages.MICRO_BATCH_AREA) + 1
+    rng = np.random.default_rng(4)
+    data = [
+        Utterance(uid=f"U{i}", features=rng.normal(size=(wide, 6)), text="ab")
+        for i in range(3)
+    ]
+    targets = {u.uid: VOCAB.encode(u.text) for u in data}
+
+    def objective(labels, traces):
+        losses, d = ctc_loss(
+            np.concatenate([t.posteriorgram for t in traces]), labels,
+            [len(t.posteriorgram) for t in traces],
+        )
+        return losses, {"grad_logpost": d}
+
+    def run(context):
+        monkeypatch.setattr(stages, "_fork_context", lambda: context)
+        params = init_params(TINY_ENC, 0)
+        losses, _ = stages._run_updates(params, data, quick_cfg(2, batch=3), targets, objective)
+        return params, losses
+
+    want, want_losses = run(None)
+    got, losses = run(NoProcesses())
+    # one fork was tried, at the first update, and none after it failed
+    assert len(tried) == 1
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert np.array(losses).tobytes() == np.array(want_losses).tobytes()
+    assert got.bn_stats.mean.tobytes() == want.bn_stats.mean.tobytes()
+    assert got.bn_stats.var.tobytes() == want.bn_stats.var.tobytes()
+
+
+def test_fork_context_needs_two_cpus_one_thread_and_no_macos(monkeypatch):
+    import threading
+
+    from streamctc.pipeline import stages
+
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stages.sys, "platform", "linux")
+    assert stages._fork_context().get_start_method() == "fork"
+    monkeypatch.setattr(stages.sys, "platform", "darwin")
+    assert stages._fork_context() is None
+    monkeypatch.setattr(stages.sys, "platform", "linux")
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 1)
+    assert stages._fork_context() is None
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert stages._fork_context() is None
+    finally:
+        release.set()
+        other.join()
+
+
 @pytest.mark.parametrize(
     "stage", ["finetune_ctc", "train_guided_teacher", "pretrain_contrastive"]
 )
