@@ -21,14 +21,16 @@ pre-training draws its positions in the loop's process, once per update
 and in member order, and hands them to the objective as targets.
 
 When an update has two micro-batches or more and this process may run on
-at least 2 CPUs, the odd micro-batches run in one forked worker process
-while this process runs the even ones. The worker computes forward,
-objective and backward into a gradient slot in shared memory; this
-process adds every micro-batch's gradient and folds its batch-norm
-moments in micro-batch order, and takes the Adam step, so the
-parameters, losses and running statistics have the same bits with or
-without the worker. Stage outputs are a trained model plus a log (loss
-curve, skip count, dev token error, wall time).
+at least 2 CPUs, one forked worker process runs part of them beside this
+process: `_lanes` gives each micro-batch to one of the two lanes, largest
+padded attention area first, each to the lane with the smaller total.
+The worker runs its lane back to back, forward, objective and backward,
+into gradient slots in shared memory; this process adds every
+micro-batch's gradient, folds its batch-norm moments and joins its losses
+in micro-batch order, and takes the Adam step, so the parameters, losses
+and running statistics have the same bits with or without the worker.
+Stage outputs are a trained model plus a log (loss curve, skip count, dev
+token error, wall time).
 """
 
 from __future__ import annotations
@@ -136,21 +138,37 @@ def _posteriorgrams(traces):
     )
 
 
-def _micro_batches(utts, spec: MaskSpec) -> list:
+def _micro_batches(utts, spec: MaskSpec) -> tuple:
     """Split `utts` into consecutive runs whose padded attention area,
     members x (longest layout)^2 positions, stays within
     `MICRO_BATCH_AREA`; an utterance whose own area is over it runs
-    alone."""
-    batches, longest = [], 0
+    alone. Returns (the runs, their areas)."""
+    batches, widths = [], []
     for utt in utts:
         width = build_mask(spec, utt.n_frames).n_positions
-        if batches and (len(batches[-1]) + 1) * max(longest, width) ** 2 <= MICRO_BATCH_AREA:
+        if batches and (len(batches[-1]) + 1) * max(widths[-1], width) ** 2 <= MICRO_BATCH_AREA:
             batches[-1].append(utt)
-            longest = max(longest, width)
+            widths[-1] = max(widths[-1], width)
         else:
             batches.append([utt])
-            longest = width
-    return batches
+            widths.append(width)
+    return batches, [len(batch) * width**2 for batch, width in zip(batches, widths)]
+
+
+def _lanes(areas) -> tuple:
+    """Split an update's micro-batches, given their padded attention
+    areas, over two processes by longest-processing-time-first list
+    scheduling (Graham 1969): largest first, the lower index on a tie,
+    each to the lane whose areas sum to less, this process's on a tie.
+    Returns (the indices this process runs, the worker's), each
+    ascending. For up to 4 micro-batches no other split has a smaller
+    larger lane."""
+    lanes, loads = ([], []), [0, 0]
+    for i in sorted(range(len(areas)), key=lambda i: -areas[i]):
+        lane = int(loads[1] < loads[0])
+        lanes[lane].append(i)
+        loads[lane] += areas[i]
+    return sorted(lanes[0]), sorted(lanes[1])
 
 
 def _cpu_count() -> int:
@@ -192,25 +210,29 @@ def _one_pass(params, spec, group, group_targets, objective, out):
 
 
 class _Worker:
-    """One forked process that runs micro-batches beside the update loop.
+    """One forked process that runs a lane of micro-batches beside the
+    update loop.
 
     At the fork the parameter vector is copied into shared memory, and
-    `params` over it is what the loop trains from then on; the worker's
-    gradient slot `slot` is shared memory too. The worker inherits the
-    data and objective, so `submit` pipes only a micro-batch's uids and
-    targets, and `result` returns its (losses, batch-norm moments) once
-    `slot` holds its gradient, or raises its error. One micro-batch is in
-    flight at a time. `close` ends and joins the process. Raises OSError
+    `params` over it is what the loop trains from then on. `slots` are
+    `n_slots` gradient buffers in shared memory, allocated at the fork
+    too, since none can be added after it; the j-th micro-batch of a lane
+    writes slot j. The worker inherits the data and objective, so `submit`
+    pipes one message per update, the uids and targets of each micro-batch
+    of the lane. The worker runs them back to back and sends each one's
+    (losses, batch-norm moments) once its slot holds its gradient, or its
+    error, which ends the lane; `result` returns the next of these or
+    raises the error. `close` ends and joins the process. Raises OSError
     when the shared memory or the process cannot be had."""
 
-    def __init__(self, context, params, spec, data, objective):
+    def __init__(self, context, params, spec, data, objective, n_slots):
         def shared():
             return np.frombuffer(context.RawArray("d", params.flat.size), dtype=np.float64)
 
         flat = shared()
         flat[...] = params.flat
         self.params = ModelParams(params.config, flat, params.bn_stats, params.mask_spec)
-        self.slot = GradientBuffer.over(params.config, shared())
+        self.slots = [GradientBuffer.over(params.config, shared()) for _ in range(n_slots)]
         self._spec = spec
         self._utts = {utt.uid: utt for utt in data}
         self._objective = objective
@@ -232,23 +254,27 @@ class _Worker:
         self._conn.close()
         while True:
             try:
-                uids, group_targets = conn.recv()
+                lane = conn.recv()
             except EOFError:
                 return
-            group = [self._utts[uid] for uid in uids]
-            try:
-                result = _one_pass(
-                    self.params, self._spec, group, group_targets, self._objective, self.slot
-                )
-            except Exception as exc:  # raised again in the loop's process
-                result = exc
-            try:
-                conn.send(result)
-            except BrokenPipeError:
-                return
+            for slot, (uids, group_targets) in zip(self.slots, lane):
+                group = [self._utts[uid] for uid in uids]
+                try:
+                    result = _one_pass(
+                        self.params, self._spec, group, group_targets, self._objective, slot
+                    )
+                except Exception as exc:  # raised again in the loop's process
+                    result = exc
+                try:
+                    conn.send(result)
+                except BrokenPipeError:
+                    return
+                if isinstance(result, Exception):
+                    break
 
-    def submit(self, group, group_targets):
-        self._conn.send(([utt.uid for utt in group], group_targets))
+    def submit(self, lane):
+        """Start the lane: (micro-batch, its members' targets) pairs."""
+        self._conn.send([([utt.uid for utt in group], targets) for group, targets in lane])
 
     def result(self):
         try:
@@ -280,21 +306,24 @@ def _run_updates(
     keyword arguments of `backward` in the batch's layout), and one
     backward pass.
 
-    Micro-batch i runs in this process when i is even, and in a worker
-    process (`_Worker`) when i is odd, if `_fork_context` allows one; the
-    worker is forked at the first update with two micro-batches or more
-    and joined before this returns or raises, and an error in one of its
-    micro-batches is raised here. Without it (none allowed, or the fork
-    failed with OSError) every micro-batch runs here.
-    Either way the first micro-batch's backward writes the update's
-    gradient buffer and each later one a second buffer or a worker slot,
-    which is then added to it in micro-batch order, and each micro-batch's
-    batch-norm moments are folded into `params.bn_stats` in micro-batch
-    order, so the bits do not depend on the worker. Writes each update
-    into `params.flat` in place and returns (losses per update, skipped
-    count); the two buffers, Adam's state and, with a worker, the shared
-    parameter vector and slot are the loop's only parameter-sized float
-    vectors."""
+    When `_fork_context` allows a worker process (`_Worker`), it is forked
+    at the first update with two micro-batches or more, with one slot per
+    micro-batch an update can hand it, and joined before this returns or
+    raises; an error in one of its micro-batches is raised here. From then
+    on `_lanes` splits each update's micro-batches between this process
+    and the worker by padded attention area. Without a worker (none
+    allowed, or the fork failed with OSError) this process's lane is every
+    micro-batch. This process runs its micro-batches that come before the
+    worker's first in order, then the rest of its lane, each into a buffer
+    of its own while the worker's results before it are outstanding.
+    Either way each micro-batch's gradient is added to the update's
+    gradient buffer (or copied into it, for the first), its batch-norm
+    moments folded into `params.bn_stats` and its losses joined strictly in
+    micro-batch order, so the bits do not depend on the worker. Writes
+    each update into `params.flat` in place and returns (losses per
+    update, skipped count); the two buffers, Adam's state and, with a
+    worker, the shared parameter vector and slots are the loop's only
+    parameter-sized float vectors."""
     spec = params.mask_spec or BIDIRECTIONAL
     context = _fork_context()
     rng = np.random.default_rng(cfg.seed)
@@ -317,38 +346,56 @@ def _run_updates(
                 losses.append(math.nan)
                 continue
             member_targets = draw(usable) if draw else [targets[u.uid] for u in usable]
-            groups = _micro_batches(usable, spec)
+            groups, areas = _micro_batches(usable, spec)
             group_targets, start = [], 0
             for group in groups:
                 group_targets.append(member_targets[start : start + len(group)])
                 start += len(group)
             if worker is None and context is not None and len(groups) > 1:
                 try:
-                    worker = _Worker(context, params, spec, data, objective)
+                    # the worker's lane is never the whole batch
+                    worker = _Worker(
+                        context, params, spec, data, objective, min(cfg.batch_size, n) - 1
+                    )
                 except OSError:  # no memory or process to be had: run here
                     context = None
                 else:
                     model = worker.params
-            remote = worker is not None and len(groups) > 1
-            if remote:
-                worker.submit(groups[1], group_targets[1])
-            member_losses = []
-            for i, group in enumerate(groups):
-                if remote and i % 2:
-                    # the slot is added before it takes micro-batch i + 2,
-                    # which then runs while this process runs i + 1
+            here, there = _lanes(areas) if worker else (range(len(groups)), [])
+            if there:
+                worker.submit([(groups[i], group_targets[i]) for i in there])
+                spare = iter([part, *worker.slots[len(there) :]])
+                slots = iter(worker.slots)
+            first = there[0] if there else len(groups)
+            held, member_losses = {}, []
+            for i in range(len(groups)):
+                if i == first:
+                    # the rest of this lane runs now, each micro-batch into
+                    # a buffer of its own (`part`, then a slot the worker's
+                    # lane leaves free), and is added in its turn
+                    for j in here:
+                        if j > first:
+                            out = next(spare)
+                            result = _one_pass(
+                                model, spec, groups[j], group_targets[j], objective, out
+                            )
+                            held[j] = result, out
+                if i in held:
+                    (group_losses, moments), out = held.pop(i)
+                elif i in there:
                     group_losses, moments = worker.result()
-                    grad += worker.slot.flat
-                    if i + 2 < len(groups):
-                        worker.submit(groups[i + 2], group_targets[i + 2])
+                    out = next(slots)
                 else:
+                    out = part if i else total
                     group_losses, moments = _one_pass(
-                        model, spec, group, group_targets[i], objective, part if i else total
+                        model, spec, groups[i], group_targets[i], objective, out
                     )
-                    if i:
-                        grad += part.flat
                 member_losses += group_losses
                 batch_norm_fold(model.bn_stats, moments)
+                if i:
+                    grad += out.flat
+                elif out is not total:  # micro-batch 0 ran in the worker
+                    np.copyto(grad, out.flat)
             grad /= len(usable)
             adam_step(model.flat, grad, state, lr)
             losses.append(sum(member_losses) / len(usable))

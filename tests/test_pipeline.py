@@ -462,7 +462,7 @@ def plain_run_updates(params, data, cfg, targets, objective, draw=None):
             continue
         member_targets = draw(usable) if draw else [targets[u.uid] for u in usable]
         member_losses, total = [], None
-        for group in stages._micro_batches(usable, spec):
+        for group in stages._micro_batches(usable, spec)[0]:
             traces, cache = forward_with_cache(
                 params, [u.features for u in group], spec, train=True
             )
@@ -515,25 +515,65 @@ def count_workers(monkeypatch):
     return started
 
 
+def spy_lanes(monkeypatch):
+    """The list of (areas, lanes) of each `_lanes` call."""
+    from streamctc.pipeline import stages
+
+    calls = []
+    original = stages._lanes
+
+    def spy(areas):
+        lanes = original(areas)
+        calls.append((list(areas), lanes))
+        return lanes
+
+    monkeypatch.setattr(stages, "_lanes", spy)
+    return calls
+
+
+def schedules(calls):
+    """Which of the schedules the worker-on oracle must reach occur in the
+    `_lanes` calls: the worker runs micro-batch 0, the worker runs two
+    micro-batches or more of one update, and an update has an odd number
+    (3 or more) of micro-batches of unequal areas."""
+    seen = set()
+    for areas, (_, there) in calls:
+        if 0 in there:
+            seen.add("worker-runs-0")
+        if len(there) >= 2:
+            seen.add("worker-runs-2")
+        if len(areas) >= 3 and len(areas) % 2 and len(set(areas)) > 1:
+            seen.add("odd-unequal")
+    return seen
+
+
 @pytest.mark.parametrize("case, worker", [
     # a bare case name runs with the worker off
     pytest.param(case, worker, id=case + ("-worker-on" if worker else ""))
-    for case in ("criterion-9", "micro-batches", "distill", "contrastive-micro-batches")
+    for case in (
+        "criterion-9", "micro-batches", "distill", "contrastive-micro-batches",
+        "wide-micro-batches",
+    )
     for worker in (False, True)
 ])
 def test_run_updates_matches_a_plain_loop(monkeypatch, case, worker):
     # the loop writes Adam and the gradient into buffers it reuses, and
-    # with a worker runs the odd micro-batches in another process; 20
+    # with a worker runs a lane of micro-batches in another process; 20
     # updates of it must leave the bits of the plain loop above
     from streamctc.pipeline import stages
 
     monkeypatch.setattr(stages, "_cpu_count", lambda: 2 if worker else 1)
     started = count_workers(monkeypatch)
+    calls = spy_lanes(monkeypatch)
     payload = dict(CRITERION_9)
     split_up = case.endswith("micro-batches")
     if case == "micro-batches":
         # long utterances: a batch of 3 is over MICRO_BATCH_AREA and splits
         payload["text_len"] = [16, 24]
+    elif case == "wide-micro-batches":
+        # a batch of 5 splits into 2 or 3 micro-batches of unequal areas
+        payload["text_len"] = [16, 24]
+        payload["batch_size"] = 5
     elif case == "contrastive-micro-batches":
         # full context has one position per frame, so it needs longer ones
         payload["text_len"] = [24, 40]
@@ -554,8 +594,12 @@ def test_run_updates_matches_a_plain_loop(monkeypatch, case, worker):
         return finetune_ctc(init, config.stream, split.labeled, cfg)
 
     model, log = train()
-    # a stage forks one worker, and only when an update splits
+    # a stage forks one worker, and only when an update splits; the lanes
+    # are asked for only once it runs
     assert len(started) == (split_up and worker)
+    assert bool(calls) == (split_up and worker)
+    if worker and case in ("wide-micro-batches", "contrastive-micro-batches"):
+        assert schedules(calls) == {"worker-runs-0", "worker-runs-2", "odd-unequal"}
     plain_run_updates.passes = 0
     monkeypatch.setattr(stages, "_run_updates", plain_run_updates)
     want, want_log = train()
@@ -571,23 +615,69 @@ def test_run_updates_matches_a_plain_loop(monkeypatch, case, worker):
         assert plain_run_updates.passes == cfg.total_updates
 
 
-def test_an_error_in_the_worker_is_raised_in_the_caller(monkeypatch):
+def test_lanes_split_by_area_largest_first():
+    import itertools
+
+    from streamctc.pipeline import stages
+
+    # ties: the lower index first, and to this process
+    assert stages._lanes([5, 5]) == ([0], [1])
+    assert stages._lanes([1, 1, 1, 1]) == ([0, 2], [1, 3])
+    assert stages._lanes([3, 5, 5]) == ([0, 1], [2])
+    assert stages._lanes([7]) == ([0], [])
+    assert stages._lanes([]) == ([], [])
+    # every input of up to 4 micro-batches of 1 or 2 members, each of
+    # layout width 2, 3 or 5 (area members x width^2)
+    areas = sorted({m * w * w for m in (1, 2) for w in (2, 3, 5)})
+    for n in range(1, 5):
+        for update in itertools.product(areas, repeat=n):
+            here, there = stages._lanes(list(update))
+            assert sorted(here + there) == list(range(n))
+            assert here == sorted(here) and there == sorted(there)
+            larger = max(sum(update[i] for i in here), sum(update[i] for i in there))
+            best = min(
+                max(sum(a for a, side in zip(update, sides) if side),
+                    sum(a for a, side in zip(update, sides) if not side))
+                for sides in itertools.product((0, 1), repeat=n)
+            )
+            assert larger == best, update
+
+
+def test_lanes_do_not_read_the_cpu_count(monkeypatch):
+    from streamctc.pipeline import stages
+
+    update = [6724, 15123, 8712, 3025]
+    want = stages._lanes(update)
+    for cpus in (1, 2, 64):
+        monkeypatch.setattr(stages, "_cpu_count", lambda: cpus)
+        assert stages._lanes(update) == want
+
+
+def raise_in_a_lane(monkeypatch, lane, nth):
+    """Runs one update of three one-utterance micro-batches, micro-batch
+    1 the largest, with NaN features in the `nth` micro-batch of `lane`
+    (0 this process's, 1 the worker's), which the caller must see raised.
+    Returns the index of that micro-batch."""
     from streamctc.ctc import ctc_loss
     from streamctc.numerics import NonFiniteError
     from streamctc.pipeline import stages
 
     monkeypatch.setattr(stages, "_cpu_count", lambda: 2)
     started = count_workers(monkeypatch)
-    # each utterance is over the area budget alone, so U1 is micro-batch
-    # 1, the worker's
+    # each utterance is over the area budget alone
     wide = math.isqrt(stages.MICRO_BATCH_AREA) + 1
     rng = np.random.default_rng(4)
     data = [
-        Utterance(uid=f"U{i}", features=rng.normal(size=(wide, 6)), text="ab")
-        for i in range(3)
+        Utterance(uid=f"U{i}", features=rng.normal(size=(wide + extra, 6)), text="ab")
+        for i, extra in enumerate((5, 10, 0))
     ]
-    data[1].features[5, 2] = np.nan
+    groups, areas = stages._micro_batches(data, BIDI)
+    lanes = stages._lanes(areas)
+    failing = lanes[lane][nth]
+    (utt,) = groups[failing]
+    utt.features[5, 2] = np.nan
     targets = {u.uid: VOCAB.encode(u.text) for u in data}
+    calls = spy_lanes(monkeypatch)
 
     def objective(labels, traces):
         losses, d = ctc_loss(
@@ -600,6 +690,21 @@ def test_an_error_in_the_worker_is_raised_in_the_caller(monkeypatch):
     with pytest.raises(NonFiniteError, match=r"^non-finite values in posteriorgram$"):
         stages._run_updates(params, data, quick_cfg(1, batch=3), targets, objective)
     assert len(started) == 1
+    assert [got for _, got in calls] == [lanes]
+    return failing
+
+
+def test_an_error_in_the_worker_is_raised_in_the_caller(monkeypatch):
+    assert raise_in_a_lane(monkeypatch, 1, 0) == 0
+
+
+def test_an_error_in_the_workers_second_micro_batch_is_raised_in_the_caller(monkeypatch):
+    assert raise_in_a_lane(monkeypatch, 1, 1) == 2
+
+
+def test_an_error_in_this_process_lane_ends_the_worker(monkeypatch):
+    # micro-batch 1 runs here while the worker runs 0 and 2
+    assert raise_in_a_lane(monkeypatch, 0, 0) == 1
 
 
 def test_a_failed_fork_runs_every_micro_batch_here(monkeypatch):
