@@ -186,7 +186,15 @@ class PipelineConfig:
             raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
         if check_int("n_symbols", self.n_symbols, 1) > 26:
             raise ValueError(f"n_symbols must be in 1..26, got {self.n_symbols}")
-        check_generation(self.frames_per_token, self.text_len, self.noise_std, self.sizes)
+        frames, text_len, _ = check_generation(
+            self.frames_per_token, self.text_len, self.noise_std, self.sizes
+        )
+        if frames[1] * text_len[1] < 2:
+            # train-mode batch norm normalizes each utterance by its own frames
+            raise ValueError(
+                f"frames_per_token {list(frames)} and text_len {list(text_len)} give "
+                "utterances of 1 frame only, and training needs 2 or more"
+            )
         top = max(self.token_ids(Vocabulary.default()))
         if self.encoder.vocab_size <= top:
             raise ValueError(

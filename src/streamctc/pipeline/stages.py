@@ -13,24 +13,20 @@ before its forward pass. The others, in utterance-id order, run as
 consecutive micro-batches whose padded attention area stays within
 `MICRO_BATCH_AREA`: one encoder forward pass per micro-batch, one call
 of the stage's objective, `objective(targets, traces)`, on the whole
-micro-batch, and one backward pass, with gradients summed over the
-micro-batches. CTC and guided CTC make one batched `ctc_loss` call per
+micro-batch, and one backward pass into the micro-batch's own gradient
+slot. CTC and guided CTC make one batched `ctc_loss` call per
 micro-batch; distillation and contrastive loop over the members inside
 their objective, which is a pure function of its arguments: contrastive
 pre-training draws its positions in the loop's process, once per update
 and in member order, and hands them to the objective as targets.
 
 When an update has two micro-batches or more and this process may run on
-at least 2 CPUs, one forked worker process runs part of them beside this
-process: `_lanes` gives each micro-batch to one of the two lanes, largest
-padded attention area first, each to the lane with the smaller total.
-The worker runs its lane back to back, forward, objective and backward,
-into gradient slots in shared memory; this process adds every
-micro-batch's gradient, folds its batch-norm moments and joins its losses
-in micro-batch order, and takes the Adam step, so the parameters, losses
-and running statistics have the same bits with or without the worker.
-Stage outputs are a trained model plus a log (loss curve, skip count, dev
-token error, wall time).
+at least 2 CPUs, a forked worker process runs one lane of them (`_lanes`,
+by padded attention area) into gradient slots in shared memory. This
+process runs the other lane, then joins losses, batch-norm moments and
+gradients in micro-batch order before the Adam step, so the bits do not
+depend on the worker. Stage outputs are a trained model plus a log (loss
+curve, skip count, dev token error, wall time).
 """
 
 from __future__ import annotations
@@ -214,16 +210,16 @@ class _Worker:
     update loop.
 
     At the fork the parameter vector is copied into shared memory, and
-    `params` over it is what the loop trains from then on. `slots` are
-    `n_slots` gradient buffers in shared memory, allocated at the fork
-    too, since none can be added after it; the j-th micro-batch of a lane
-    writes slot j. The worker inherits the data and objective, so `submit`
-    pipes one message per update, the uids and targets of each micro-batch
-    of the lane. The worker runs them back to back and sends each one's
-    (losses, batch-norm moments) once its slot holds its gradient, or its
-    error, which ends the lane; `result` returns the next of these or
-    raises the error. `close` ends and joins the process. Raises OSError
-    when the shared memory or the process cannot be had."""
+    `params` over it is what the loop trains from then on; `slots`, one
+    gradient buffer per micro-batch an update can have, are allocated in
+    shared memory then too, since none can be added after it. The worker
+    inherits the data and objective, so `submit` pipes one message per
+    update: the index, uids and targets of each micro-batch of the lane.
+    The worker runs them back to back, micro-batch i into slot i, and
+    sends each one's (losses, batch-norm moments) once its slot holds its
+    gradient, or its error, which ends the lane; `result` returns the next
+    of these or raises the error. `close` ends and joins the process.
+    Raises OSError when the shared memory or the process cannot be had."""
 
     def __init__(self, context, params, spec, data, objective, n_slots):
         def shared():
@@ -257,11 +253,12 @@ class _Worker:
                 lane = conn.recv()
             except EOFError:
                 return
-            for slot, (uids, group_targets) in zip(self.slots, lane):
+            for i, uids, group_targets in lane:
                 group = [self._utts[uid] for uid in uids]
                 try:
                     result = _one_pass(
-                        self.params, self._spec, group, group_targets, self._objective, slot
+                        self.params, self._spec, group, group_targets, self._objective,
+                        self.slots[i],
                     )
                 except Exception as exc:  # raised again in the loop's process
                     result = exc
@@ -273,8 +270,8 @@ class _Worker:
                     break
 
     def submit(self, lane):
-        """Start the lane: (micro-batch, its members' targets) pairs."""
-        self._conn.send([([utt.uid for utt in group], targets) for group, targets in lane])
+        """Start the lane: (index, micro-batch, its members' targets) triples."""
+        self._conn.send([(i, [utt.uid for utt in group], targets) for i, group, targets in lane])
 
     def result(self):
         try:
@@ -304,33 +301,27 @@ def _run_updates(
     call `objective(targets, traces)` with the members' targets and
     ForwardTraces in uid order, which returns (one loss per member,
     keyword arguments of `backward` in the batch's layout), and one
-    backward pass.
+    backward pass, which writes micro-batch i's gradient into slot i.
 
     When `_fork_context` allows a worker process (`_Worker`), it is forked
-    at the first update with two micro-batches or more, with one slot per
-    micro-batch an update can hand it, and joined before this returns or
-    raises; an error in one of its micro-batches is raised here. From then
-    on `_lanes` splits each update's micro-batches between this process
-    and the worker by padded attention area. Without a worker (none
-    allowed, or the fork failed with OSError) this process's lane is every
-    micro-batch. This process runs its micro-batches that come before the
-    worker's first in order, then the rest of its lane, each into a buffer
-    of its own while the worker's results before it are outstanding.
-    Either way each micro-batch's gradient is added to the update's
-    gradient buffer (or copied into it, for the first), its batch-norm
-    moments folded into `params.bn_stats` and its losses joined strictly in
-    micro-batch order, so the bits do not depend on the worker. Writes
-    each update into `params.flat` in place and returns (losses per
-    update, skipped count); the two buffers, Adam's state and, with a
-    worker, the shared parameter vector and slots are the loop's only
-    parameter-sized float vectors."""
+    at the first update with two micro-batches or more, with its slots,
+    and joined before this returns or raises; an error in one of its
+    micro-batches is raised here. From then on `_lanes` splits each
+    update's micro-batches between the two processes by padded attention
+    area. Without a worker (none allowed, or the fork raised OSError) this
+    process's lane is every micro-batch and a slot is allocated when first
+    needed. This process runs its lane, then, in micro-batch order, joins
+    the losses, folds the batch-norm moments into `params.bn_stats` and
+    adds each slot into slot 0, the update's gradient, so the bits do not
+    depend on the worker. Writes each update into `params.flat` in place
+    and returns (losses per update, skipped count); the slots, Adam's
+    state and, with a worker, the shared parameter vector are the loop's
+    only parameter-sized float vectors."""
     spec = params.mask_spec or BIDIRECTIONAL
     context = _fork_context()
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.fresh(params.flat)
-    total = GradientBuffer.zeros(params.config)
-    part = GradientBuffer.zeros(params.config)
-    grad = total.flat
+    slots = []
     losses = []
     skipped = 0
     n = len(data)
@@ -347,55 +338,32 @@ def _run_updates(
                 continue
             member_targets = draw(usable) if draw else [targets[u.uid] for u in usable]
             groups, areas = _micro_batches(usable, spec)
-            group_targets, start = [], 0
+            runs, start = [], 0  # (micro-batch, its members' targets)
             for group in groups:
-                group_targets.append(member_targets[start : start + len(group)])
+                runs.append((group, member_targets[start : start + len(group)]))
                 start += len(group)
             if worker is None and context is not None and len(groups) > 1:
                 try:
-                    # the worker's lane is never the whole batch
                     worker = _Worker(
-                        context, params, spec, data, objective, min(cfg.batch_size, n) - 1
+                        context, params, spec, data, objective, min(cfg.batch_size, n)
                     )
                 except OSError:  # no memory or process to be had: run here
                     context = None
                 else:
-                    model = worker.params
+                    model, slots = worker.params, worker.slots
+            while len(slots) < len(groups):
+                slots.append(GradientBuffer.zeros(params.config))
             here, there = _lanes(areas) if worker else (range(len(groups)), [])
             if there:
-                worker.submit([(groups[i], group_targets[i]) for i in there])
-                spare = iter([part, *worker.slots[len(there) :]])
-                slots = iter(worker.slots)
-            first = there[0] if there else len(groups)
-            held, member_losses = {}, []
+                worker.submit([(i, *runs[i]) for i in there])
+            results = {i: _one_pass(model, spec, *runs[i], objective, slots[i]) for i in here}
+            grad, member_losses = slots[0].flat, []
             for i in range(len(groups)):
-                if i == first:
-                    # the rest of this lane runs now, each micro-batch into
-                    # a buffer of its own (`part`, then a slot the worker's
-                    # lane leaves free), and is added in its turn
-                    for j in here:
-                        if j > first:
-                            out = next(spare)
-                            result = _one_pass(
-                                model, spec, groups[j], group_targets[j], objective, out
-                            )
-                            held[j] = result, out
-                if i in held:
-                    (group_losses, moments), out = held.pop(i)
-                elif i in there:
-                    group_losses, moments = worker.result()
-                    out = next(slots)
-                else:
-                    out = part if i else total
-                    group_losses, moments = _one_pass(
-                        model, spec, groups[i], group_targets[i], objective, out
-                    )
+                group_losses, moments = results[i] if i in results else worker.result()
                 member_losses += group_losses
                 batch_norm_fold(model.bn_stats, moments)
                 if i:
-                    grad += out.flat
-                elif out is not total:  # micro-batch 0 ran in the worker
-                    np.copyto(grad, out.flat)
+                    grad += slots[i].flat
             grad /= len(usable)
             adam_step(model.flat, grad, state, lr)
             losses.append(sum(member_losses) / len(usable))

@@ -659,6 +659,9 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("use_delimiter", "no", "use_delimiter"),
         ("resume", "no", "resume"),
         ("stream", {**STREAM, "frame_ms": math.nan}, "frame_ms"),
+        # two fields at once (key None): every utterance would have 1 frame
+        (None, {"frames_per_token": [1, 1], "text_len": [1, 1]},
+         "frames_per_token [1, 1] and text_len [1, 1]"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
          "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
@@ -669,12 +672,12 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
          "inf-lm_weight", "fractional-sizes", "fractional-distill_layers",
          "float-model_dim", "fractional-chunk_frames", "fractional-batch_size",
          "fractional-n_symbols", "string-use_delimiter", "string-resume",
-         "nan-frame_ms"],
+         "nan-frame_ms", "one-frame-utterances"],
 )
 def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     tmp, cfg = workdir
     payload = json.loads(open(cfg).read())
-    payload[key] = value
+    payload.update({key: value} if key else value)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(payload))
     code, out, err = run(
@@ -683,6 +686,7 @@ def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     )
     assert code == 1
     assert field in err
+    assert err.count("error:") == 1
     assert out == ""
 
 

@@ -763,6 +763,68 @@ def test_a_failed_fork_runs_every_micro_batch_here(monkeypatch):
     assert got.bn_stats.var.tobytes() == want.bn_stats.var.tobytes()
 
 
+@pytest.mark.parametrize("case", ["no-split", "worker-off", "worker-on"])
+def test_run_updates_makes_one_gradient_slot_per_micro_batch(monkeypatch, case):
+    # the loop allocates no parameter-sized float vector per update: a
+    # stage makes one gradient slot per micro-batch of its largest update,
+    # or the worker's shared slots, one per member a batch can have
+    from streamctc.ctc import ctc_loss
+    from streamctc.encoder import GradientBuffer
+    from streamctc.pipeline import stages
+
+    made = {"zeros": [], "over": []}
+    for name in made:
+        def spy(*args, _original=getattr(GradientBuffer, name), _made=made[name], **kwargs):
+            buffer = _original(*args, **kwargs)
+            _made.append(buffer)
+            return buffer
+
+        monkeypatch.setattr(GradientBuffer, name, spy)
+    sizes = []
+    original = stages._micro_batches
+
+    def count_micro_batches(utts, spec):
+        groups, areas = original(utts, spec)
+        sizes.append(len(groups))
+        return groups, areas
+
+    monkeypatch.setattr(stages, "_micro_batches", count_micro_batches)
+    monkeypatch.setattr(stages, "_cpu_count", lambda: 1 if case == "worker-off" else 2)
+    started = count_workers(monkeypatch)
+    # short utterances share one micro-batch; a wide one is over the area
+    # budget alone, so a batch of 4 from 3 wide and 3 short ones splits
+    wide = math.isqrt(stages.MICRO_BATCH_AREA) + 1
+    lengths = [10] * 6 if case == "no-split" else [wide, 10, wide, 10, 10, wide]
+    rng = np.random.default_rng(6)
+    data = [
+        Utterance(uid=f"U{i}", features=rng.normal(size=(n, 6)), text="ab")
+        for i, n in enumerate(lengths)
+    ]
+    targets = {u.uid: VOCAB.encode(u.text) for u in data}
+
+    def objective(labels, traces):
+        losses, d = ctc_loss(
+            np.concatenate([t.posteriorgram for t in traces]), labels,
+            [len(t.posteriorgram) for t in traces],
+        )
+        return losses, {"grad_logpost": d}
+
+    cfg = quick_cfg(4, batch=4)
+    stages._run_updates(init_params(TINY_ENC, 0), data, cfg, targets, objective)
+    private, shared = len(made["zeros"]), len(made["over"]) - len(made["zeros"])
+    assert len(sizes) == cfg.total_updates
+    if case == "no-split":
+        assert set(sizes) == {1} and not started
+        assert (private, shared) == (1, 0)
+    elif case == "worker-off":
+        # updates of unequal micro-batch counts: slots are made on need
+        assert len(set(sizes)) > 1 and not started
+        assert (private, shared) == (max(sizes), 0)
+    else:
+        assert min(sizes) > 1 and len(started) == 1
+        assert (private, shared) == (0, min(cfg.batch_size, len(data)))
+
+
 def test_fork_context_needs_two_cpus_one_thread_and_no_macos(monkeypatch):
     import threading
 
