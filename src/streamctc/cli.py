@@ -1,5 +1,6 @@
 """Command-line front end: latency analysis, data and LM tooling, the
-training stages, decoding, metrics, and the full six-stage pipeline.
+training stages (each subcommand runs its stage's trainer from the
+pipeline), decoding, metrics, and the full six-stage pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every run prints
 the digest of its resolved configuration to stderr; human-readable
@@ -28,19 +29,15 @@ from .pipeline import (
     PipelineConfig,
     config_digest,
     decode_utterances,
-    distill,
     dev_posteriors,
-    finetune_ctc,
     generate_dataset,
     load_dataset,
     plan_stages,
     pseudo_label,
     run_two_stage,
     save_dataset,
-    self_train,
-    train_guided_teacher,
 )
-from .pipeline.stages import BIDIRECTIONAL
+from .pipeline.run import TRAINERS
 from .vocab import Vocabulary
 
 CONFIG_DIR_ENV = "STREAMCTC_CONFIG_DIR"
@@ -151,16 +148,8 @@ def _load_labeled(path):
     data = load_dataset(path)
     missing = [u.uid for u in data if not u.text]
     if missing:
-        raise ValueError(f"utterances without labels: {', '.join(missing[:5])}")
+        raise ValueError(f"{path}: utterances without labels: {', '.join(missing[:5])}")
     return data
-
-
-def _checkpoint(path, config: PipelineConfig):
-    return load_checkpoint(path, expect_config=config.encoder) if path else None
-
-
-def _init_model(args, config: PipelineConfig):
-    return _checkpoint(args.init, config) or init_params(config.encoder, config.seed)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -331,15 +320,16 @@ def cmd_train_lm(args) -> int:
 
 @dataclass(frozen=True)
 class _TrainCommand:
-    """One training subcommand: which pipeline stage it trains, the flags it
-    adds to the shared training flags, and its call into that stage."""
+    """One training subcommand: which pipeline stage it trains with that
+    stage's trainer, the flags it adds to the shared training flags, and
+    the stage whose model each checkpoint flag names."""
 
     name: str
     help: str
     stage: Callable  # args -> stage key ("S", "N", "T", "KD" or "ST")
     flags: tuple  # (flag, argparse keyword arguments) pairs
-    labeled: bool  # --data, --pseudo and --dev must carry transcripts
-    train: Callable  # (args, config, train config, data, dev) -> (model, log)
+    models: dict  # checkpoint flag (argparse dest) -> the stage it stands for
+    labeled: bool  # --data and --pseudo must carry transcripts
 
 
 _TRAIN_COMMANDS = (
@@ -350,12 +340,8 @@ _TRAIN_COMMANDS = (
             ("--init", {"help": "starting checkpoint (default: fresh init)"}),
             ("--mask", {"choices": ("stream", "bidirectional"), "default": "stream"}),
         ),
+        models={"init": "P"},
         labeled=True,
-        train=lambda a, config, cfg, data, dev: finetune_ctc(
-            _init_model(a, config),
-            config.stream if a.mask == "stream" else BIDIRECTIONAL,
-            data, cfg, dev=dev,
-        ),
     ),
     _TrainCommand(
         "guided-teacher", "train T with the guided loss",
@@ -365,11 +351,8 @@ _TRAIN_COMMANDS = (
             ("--init", {}),
             ("--alpha", {"type": float}),
         ),
+        models={"streaming": "S", "init": "P"},
         labeled=True,
-        train=lambda a, config, cfg, data, dev: train_guided_teacher(
-            _init_model(a, config), _checkpoint(a.streaming, config),
-            data, config.alpha, cfg, dev=dev,
-        ),
     ),
     _TrainCommand(
         "distill", "distill teacher T into a streaming student",
@@ -380,12 +363,8 @@ _TRAIN_COMMANDS = (
             ("--init", {}),
             ("--layers", {"type": _int_tuple, "help": "matched layers, 1-based"}),
         ),
+        models={"teacher": "T", "head_from": "S", "init": "P"},
         labeled=False,  # distillation never reads labels
-        train=lambda a, config, cfg, data, dev: distill(
-            _init_model(a, config), _checkpoint(a.teacher, config), config.stream,
-            data, config.distill_spec(), cfg,
-            head_source=_checkpoint(a.head_from, config), dev=dev,
-        ),
     ),
     _TrainCommand(
         "self-train", "fine-tune on labeled plus pseudo labels",
@@ -394,10 +373,8 @@ _TRAIN_COMMANDS = (
             ("--pseudo", {"help": "pseudo-labeled container"}),
             ("--init", {"required": True, "help": "checkpoint to continue from"}),
         ),
+        models={"init": "KD"},
         labeled=True,
-        train=lambda a, config, cfg, data, dev: self_train(
-            _init_model(a, config), data, cfg, dev=dev
-        ),
     ),
 )
 
@@ -422,8 +399,15 @@ def cmd_train(args) -> int:
     data = list(read(args.data))
     if getattr(args, "pseudo", None):
         data += read(args.pseudo)
-    dev = read(args.dev) if args.dev else ()
-    model, log = command.train(args, config, cfg, data, dev)
+    dev = _load_labeled(args.dev) if args.dev else ()
+    models = {
+        source: load_checkpoint(path, expect_config=config.encoder)
+        for name, source in command.models.items()
+        if (path := getattr(args, name))
+    }
+    if "P" not in models:
+        models["P"] = init_params(config.encoder, config.seed)
+    model, log = TRAINERS[stage](config, models, data, cfg, dev, Vocabulary.default())
     ck_digest = save_checkpoint(model, args.out)
     if "alpha" in log.extra:
         print(f"alpha {log.extra['alpha']:g}")

@@ -15,7 +15,8 @@
 
 Each row names the stages whose artifacts it reads, the config fields its
 producer reads, and its files under the output directory. The dry-run
-plan, the resume decision and the run all read that table.
+plan, the resume decision and the run all read that table. A model stage
+trains with its entry in `TRAINERS`, as the CLI's training subcommands do.
 
 Resume: a stage's input key is a sha256 of its config fields and of the
 input keys of the stages it reads; `reports/inputs.json` holds the key of
@@ -324,13 +325,38 @@ class _Run:
         return os.path.join(self.config.out_dir, *parts)
 
 
+# One trainer per model stage: (config, models, training set, train config,
+# dev set, vocabulary) -> (model, log). `models` maps a stage name ("P",
+# "S", "T", "KD") to its model; KD takes its head from S when there is one.
+TRAINERS = {
+    "S": lambda config, models, data, cfg, dev, vocab: finetune_ctc(
+        models["P"], config.stream, data, cfg, dev, vocab
+    ),
+    "T": lambda config, models, data, cfg, dev, vocab: train_guided_teacher(
+        models["P"], models["S"], data, config.alpha, cfg, dev, vocab
+    ),
+    "KD": lambda config, models, data, cfg, dev, vocab: distill(
+        models["P"], models["T"], config.stream, data, config.distill_spec(), cfg,
+        head_source=models.get("S"), dev=dev, vocabulary=vocab,
+    ),
+    "N": lambda config, models, data, cfg, dev, vocab: finetune_ctc(
+        models["P"], BIDIRECTIONAL, data, cfg, dev, vocab
+    ),
+    "ST": lambda config, models, data, cfg, dev, vocab: self_train(
+        models["KD"], data, cfg, dev, vocab
+    ),
+}
+
+
 def _trained(name, alias, reads, fields, fit, note):
-    """The row of a stage that trains one model. `fit(run, data split,
-    train config)` returns (training set, (model, log))."""
+    """The row of a stage that trains one model by `TRAINERS[name]` on `fit(run)`."""
 
     def produce(run, paths):
         cfg = run.config.train_config(name)
-        data, (params, log) = fit(run, run.got["data"], cfg)
+        data = fit(run)
+        params, log = TRAINERS[name](
+            run.config, run.got, data, cfg, run.got["data"].dev, run.vocabulary
+        )
         digest = save_checkpoint(params, paths[0])
         report = StageReport(
             stage=name,
@@ -392,38 +418,6 @@ def _load_model(run, paths):
     return load_checkpoint(paths[0], expect_config=run.config.encoder), None
 
 
-def _fit_streaming(run, split, cfg):
-    return split.labeled, finetune_ctc(
-        run.got["P"], run.config.stream, split.labeled, cfg, split.dev, run.vocabulary
-    )
-
-
-def _fit_teacher(run, split, cfg):
-    return split.labeled, train_guided_teacher(
-        run.got["P"], run.got["S"], split.labeled, run.config.alpha, cfg, split.dev,
-        run.vocabulary,
-    )
-
-
-def _fit_distilled(run, split, cfg):
-    data = list(split.labeled) + list(split.unlabeled)
-    return data, distill(
-        run.got["P"], run.got["T"], run.config.stream, data, run.config.distill_spec(),
-        cfg, head_source=run.got["S"], dev=split.dev, vocabulary=run.vocabulary,
-    )
-
-
-def _fit_labeler(run, split, cfg):
-    return split.labeled, finetune_ctc(
-        run.got["P"], BIDIRECTIONAL, split.labeled, cfg, split.dev, run.vocabulary
-    )
-
-
-def _fit_self_trained(run, split, cfg):
-    data = list(split.labeled) + list(run.got["U'"])
-    return data, self_train(run.got["KD"], data, cfg, split.dev, run.vocabulary)
-
-
 def _produce_pseudo(run, paths):
     started = time.perf_counter()
     unlabeled = run.got["data"].unlabeled
@@ -459,10 +453,10 @@ def _produce_pseudo(run, paths):
     return pseudo, report
 
 
-# The callables reach the training, data and I/O functions through this
-# module's globals when they run, never through references taken when the
-# table is built, so patching `run.finetune_ctc` and its like reaches
-# every stage.
+# The callables and `TRAINERS` reach the training, data and I/O functions
+# through this module's globals when they run, never through references
+# taken when the tables are built, so patching `run.finetune_ctc` and its
+# like reaches every stage and every training subcommand.
 STAGES = (
     Stage(
         "data", None, (),
@@ -482,20 +476,21 @@ STAGES = (
         ("checkpoints/P.ckpt",), _produce_pretrained, _load_model,
     ),
     _trained(
-        "S", "S4", ("P", "data"), ("stream",), _fit_streaming,
+        "S", "S4", ("P", "data"), ("stream",), lambda run: run.got["data"].labeled,
         lambda c: "streaming CTC on labeled set",
     ),
     _trained(
-        "T", "T4", ("P", "S", "data"), ("alpha",), _fit_teacher,
+        "T", "T4", ("P", "S", "data"), ("alpha",), lambda run: run.got["data"].labeled,
         lambda c: f"guided teacher, alpha={c.alpha}",
     ),
     _trained(
         "KD", "S5", ("P", "T", "S", "data"),
-        ("stream", "distill_layers", "encoder.n_layers"), _fit_distilled,
+        ("stream", "distill_layers", "encoder.n_layers"),
+        lambda run: [*run.got["data"].labeled, *run.got["data"].unlabeled],
         lambda c: f"distillation, layers {list(c.distill_spec().layer_indices)}",
     ),
     _trained(
-        "N", "N1", ("P", "data"), (), _fit_labeler,
+        "N", "N1", ("P", "data"), (), lambda run: run.got["data"].labeled,
         lambda c: "full-context CTC on labeled set",
     ),
     Stage(
@@ -509,7 +504,8 @@ STAGES = (
         lambda c: "pseudo-labeling of the unlabeled set",
     ),
     _trained(
-        "ST", "S7", ("KD", "U'", "data"), (), _fit_self_trained,
+        "ST", "S7", ("KD", "U'", "data"), (),
+        lambda run: [*run.got["data"].labeled, *run.got["U'"]],
         lambda c: "self-training on labeled + pseudo",
     ),
 )
@@ -564,7 +560,12 @@ def _stale(config: PipelineConfig, keys: dict) -> list:
     stored = {}
     if config.resume and os.path.exists(path):
         with open(path) as fh:
-            stored = json.load(fh)
+            try:
+                stored = json.load(fh)
+            except ValueError:
+                stored = None
+        if not isinstance(stored, dict):
+            raise ValueError(f"{path} does not hold a JSON object of stage keys")
     stale = []
     for stage in STAGES:
         if (

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, flag handling, output channels."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from streamctc.cli import dispatch
+from streamctc.cli import _TRAIN_COMMANDS, dispatch
 from streamctc.encoder import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -19,7 +21,8 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask
-from streamctc.pipeline import PipelineConfig, load_dataset
+from streamctc.pipeline import PipelineConfig, load_dataset, save_dataset
+from streamctc.pipeline.run import STAGES, TRAINERS
 
 ENC = {
     "n_layers": 2,
@@ -282,6 +285,77 @@ def test_remaining_stage_commands_chain(capsys, trained):
     assert code == 0
     assert (tmp / "ST.ckpt").exists()
     assert kept == [6]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("finetune",),
+        ("guided-teacher", "--streaming", "S.ckpt"),
+        ("distill", "--teacher", "S.ckpt"),
+        ("self-train", "--init", "S.ckpt"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_dev_without_transcripts_fails_before_training(capsys, trained, command):
+    # the dev token error needs references; `distill` used to train every
+    # update and then die on the first unlabeled dev utterance
+    tmp, cfg, labeled = trained
+    dev = tmp / "dev-unlabeled.bin"
+    save_dataset(
+        [dataclasses.replace(u, text=None) for u in load_dataset(labeled)], dev
+    )
+    name, *rest = command
+    rest = [str(tmp / a) if a.endswith(".ckpt") else a for a in rest]
+    code, out, err = run(
+        capsys, name, *rest, "--config", cfg, "--data", labeled, "--dev", str(dev),
+        "--out", str(tmp / "x.ckpt"),
+    )
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"{dev}: utterances without labels" in errors[0]
+    assert "Traceback" not in err
+    assert not (tmp / "x.ckpt").exists()
+
+
+def test_training_subcommands_rebuild_the_pipeline_stages(capsys, workdir):
+    # each subcommand runs its stage's trainer, so given the pipeline's own
+    # inputs it writes the pipeline's checkpoint byte for byte
+    tmp, cfg = workdir
+    out = tmp / "run"
+    assert run(capsys, "pipeline", "--config", cfg, "--workdir", str(out))[0] == 0
+    data, ckpt = out / "data", out / "checkpoints"
+    pooled = tmp / "labeled+unlabeled.bin"
+    save_dataset(load_dataset(data / "labeled.bin") + load_dataset(data / "unlabeled.bin"),
+                 pooled)
+    labeled = ("--data", str(data / "labeled.bin"))
+    commands = {
+        "S": ("finetune", *labeled, "--mask", "stream"),
+        "N": ("finetune", *labeled, "--mask", "bidirectional"),
+        "T": ("guided-teacher", *labeled, "--streaming", str(ckpt / "S.ckpt")),
+        "KD": ("distill", "--data", str(pooled), "--teacher", str(ckpt / "T.ckpt"),
+               "--head-from", str(ckpt / "S.ckpt")),
+        "ST": ("self-train", "--init", str(ckpt / "KD.ckpt"), *labeled,
+               "--pseudo", str(data / "pseudo.bin")),
+    }
+    for stage, argv in commands.items():
+        target = tmp / f"{stage}.ckpt"
+        code, *_ = run(capsys, *argv, "--config", cfg, "--out", str(target))
+        assert code == 0, stage
+        assert target.read_bytes() == (ckpt / f"{stage}.ckpt").read_bytes(), stage
+
+
+def test_checkpoint_flags_name_stages_the_row_reads():
+    rows = {stage.name: stage for stage in STAGES}
+    for command in _TRAIN_COMMANDS:
+        dests = {flag[2:].replace("-", "_") for flag, _ in command.flags}
+        assert set(command.models) <= dests, command.name
+        for mask in ("stream", "bidirectional"):
+            stage = command.stage(argparse.Namespace(mask=mask))
+            assert stage in TRAINERS, command.name
+            # P, the fresh init when --init names no checkpoint, counts as read
+            allowed = {"P", *rows[stage].reads}
+            assert set(command.models.values()) <= allowed, (command.name, stage)
 
 
 def test_pseudo_label_jobs_do_not_change_bytes(capsys, trained):
@@ -730,6 +804,21 @@ def test_pipeline_jobs_below_one_fails_before_any_stage(capsys, workdir):
     assert "--jobs" in err
     assert out == ""
     assert list(run_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("stored", ["[]", "not json"], ids=["list", "not-json"])
+def test_malformed_stage_keys_fail_before_any_stage(capsys, workdir, stored):
+    tmp, cfg = workdir
+    keys = tmp / "run" / "reports" / "inputs.json"
+    keys.parent.mkdir(parents=True)
+    keys.write_text(stored)
+    code, out, err = run(capsys, "pipeline", "--config", cfg, "--workdir", str(tmp / "run"))
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(keys) in errors[0]
+    assert "Traceback" not in err
+    assert list((tmp / "run" / "data").iterdir()) == []
+    assert keys.read_text() == stored
 
 
 @pytest.mark.parametrize("command", [("pseudo-label", "--out", "x.bin"), ("decode",)])
