@@ -17,6 +17,10 @@ Each row names the stages whose artifacts it reads, the config fields its
 producer reads, and its files under the output directory. The dry-run
 plan, the resume decision and the run all read that table. A model stage
 trains with its entry in `TRAINERS`, as the CLI's training subcommands do.
+A row's files are its only hand-off: `produce` only writes them, and on
+every run, fresh or resumed, the row's `load` reads them back for the
+later rows. A row's `produce`, `load` and trainer see only the values of
+its `reads`, so a read the row does not declare fails at once.
 
 Resume: a stage's input key is a sha256 of its config fields and of the
 input keys of the stages it reads; `reports/inputs.json` holds the key of
@@ -34,7 +38,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 from ..ctc import DecodeConfig, error_counts
@@ -66,6 +70,7 @@ from .stages import (
 
 STAGE_SEED_OFFSET = {"pretrain": 1, "S": 2, "T": 3, "KD": 4, "N": 5, "ST": 6}
 _TUPLE_FIELDS = ("frames_per_token", "text_len", "sizes", "distill_layers")
+_KEYS_FILE = os.path.join("reports", "inputs.json")  # the stored input keys
 
 
 @dataclass
@@ -91,6 +96,12 @@ class StageReport:
         return d
 
 
+def _report_paths(reports_dir, stage: str) -> tuple:
+    """A stage report's JSON and loss-curve paths; U' is stored as U."""
+    key = stage.rstrip("'")
+    return tuple(os.path.join(reports_dir, name) for name in (f"{key}.json", f"loss_{key}.csv"))
+
+
 def save_stage_report(report: StageReport, reports_dir) -> str:
     """Write {stage}.json and loss_{stage}.csv; returns the JSON path."""
     if not os.path.exists(report.checkpoint):
@@ -99,8 +110,7 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
             f"{report.checkpoint}"
         )
     os.makedirs(reports_dir, exist_ok=True)
-    key = report.stage.rstrip("'")  # U' is stored as U
-    csv_path = os.path.join(reports_dir, f"loss_{key}.csv")
+    json_path, csv_path = _report_paths(reports_dir, report.stage)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
@@ -108,7 +118,6 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
             writer.writerow([step, f"{loss:.17g}"])
     payload = report.to_dict()
     payload["loss_curve"] = os.path.basename(csv_path)
-    json_path = os.path.join(reports_dir, f"{key}.json")
     with open(json_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -116,16 +125,10 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
 
 
 def load_stage_report(reports_dir, stage: str) -> StageReport:
-    key = stage.rstrip("'")
-    json_path = os.path.join(reports_dir, f"{key}.json")
-    with open(json_path) as fh:
+    with open(_report_paths(reports_dir, stage)[0]) as fh:
         payload = json.load(fh)
-    csv_path = os.path.join(reports_dir, payload.pop("loss_curve"))
-    losses = []
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            losses.append(float(row["loss"]))
-    payload["losses"] = losses
+    with open(os.path.join(reports_dir, payload.pop("loss_curve")), newline="") as fh:
+        payload["losses"] = [float(row["loss"]) for row in csv.DictReader(fh)]
     return StageReport(**payload)
 
 
@@ -295,26 +298,27 @@ def config_digest(config: PipelineConfig) -> str:
 class Stage:
     """One row of the stage table.
 
-    `produce(run, paths)` computes the stage and writes its files;
-    `load(run, paths)` reads them back. Both get the absolute `files` and
-    return (value, report), the report being None for data, lm and P.
+    `produce(run, paths)` computes the stage, writes its files and returns
+    nothing; `load(run, paths)` reads them back as (value, report), the
+    report None for data, lm and P, and later rows get only that value.
+    Both get the absolute `files`, and `run.got` holds the loaded values
+    of `reads` and nothing else.
     """
 
     name: str
     alias: str | None  # the model's name in the paper's tables
-    reads: tuple  # stages whose artifacts the producer reads
+    reads: tuple  # the stages whose values its callables see
     fields: tuple  # config fields it reads; "updates.S" is one key of a dict
     files: tuple  # artifacts, relative to the output directory
     produce: Callable
     load: Callable
-    note: Callable | None = None  # config -> dry-run note; None: not planned
 
 
 @dataclass
 class _Run:
-    """What the stage callables see: the config, decode fan-out, and the
-    value of every stage so far (a `DataSplit` for data, the model for P
-    and the trained stages, the pseudo-labeled set for U')."""
+    """What one row's callables see: the config, decode fan-out, and the
+    loaded value of each stage the row reads (a `DataSplit` for data, the
+    model for P and the trained stages, the pseudo-labeled set for U')."""
 
     config: PipelineConfig
     jobs: int
@@ -327,7 +331,8 @@ class _Run:
 
 # One trainer per model stage: (config, models, training set, train config,
 # dev set, vocabulary) -> (model, log). `models` maps a stage name ("P",
-# "S", "T", "KD") to its model; KD takes its head from S when there is one.
+# "S", "T", "KD") to its model; in the pipeline it is the row's `run.got`.
+# KD takes its head from S when there is one.
 TRAINERS = {
     "S": lambda config, models, data, cfg, dev, vocab: finetune_ctc(
         models["P"], config.stream, data, cfg, dev, vocab
@@ -348,7 +353,7 @@ TRAINERS = {
 }
 
 
-def _trained(name, alias, reads, fields, fit, note):
+def _trained(name, alias, reads, fields, fit):
     """The row of a stage that trains one model by `TRAINERS[name]` on `fit(run)`."""
 
     def produce(run, paths):
@@ -373,15 +378,14 @@ def _trained(name, alias, reads, fields, fit, note):
             extra=log.extra,
         )
         save_stage_report(report, run.path("reports"))
-        return params, report
 
     def load(run, paths):
         report = load_stage_report(run.path("reports"), name)
         return load_checkpoint(paths[0], expect_config=run.config.encoder), report
 
-    files = (f"checkpoints/{name}.ckpt", f"reports/{name}.json", f"reports/loss_{name}.csv")
+    files = (f"checkpoints/{name}.ckpt", *_report_paths("reports", name))
     train_fields = ("peak_lr", "batch_size", "seed", f"updates.{name}")
-    return Stage(name, alias, reads, fields + train_fields, files, produce, load, note)
+    return Stage(name, alias, reads, fields + train_fields, files, produce, load)
 
 
 def _produce_data(run, paths):
@@ -390,7 +394,6 @@ def _produce_data(run, paths):
     )
     for utts, path in zip((split.labeled, split.unlabeled, split.dev), paths):
         save_dataset(utts, path)
-    return split, None
 
 
 def _produce_lm(run, paths):
@@ -400,7 +403,6 @@ def _produce_lm(run, paths):
         run.config.lm_smoothing,
     )
     save_lm(model, paths[0])
-    return model, None
 
 
 def _produce_pretrained(run, paths):
@@ -411,7 +413,6 @@ def _produce_pretrained(run, paths):
             params, run.got["data"].unlabeled, config.train_config("pretrain")
         )
     save_checkpoint(params, paths[0])
-    return params, None
 
 
 def _load_model(run, paths):
@@ -450,7 +451,6 @@ def _produce_pseudo(run, paths):
         },
     )
     save_stage_report(report, run.path("reports"))
-    return pseudo, report
 
 
 # The callables and `TRAINERS` reach the training, data and I/O functions
@@ -477,52 +477,46 @@ STAGES = (
     ),
     _trained(
         "S", "S4", ("P", "data"), ("stream",), lambda run: run.got["data"].labeled,
-        lambda c: "streaming CTC on labeled set",
     ),
     _trained(
         "T", "T4", ("P", "S", "data"), ("alpha",), lambda run: run.got["data"].labeled,
-        lambda c: f"guided teacher, alpha={c.alpha}",
     ),
     _trained(
         "KD", "S5", ("P", "T", "S", "data"),
         ("stream", "distill_layers", "encoder.n_layers"),
         lambda run: [*run.got["data"].labeled, *run.got["data"].unlabeled],
-        lambda c: f"distillation, layers {list(c.distill_spec().layer_indices)}",
     ),
     _trained(
         "N", "N1", ("P", "data"), (), lambda run: run.got["data"].labeled,
-        lambda c: "full-context CTC on labeled set",
     ),
     Stage(
         "U'", None, ("N", "lm", "data"),
         ("beam_size", "lm_weight", "word_insertion_penalty"),
-        ("data/pseudo.bin", "reports/U.json", "reports/loss_U.csv"),
+        ("data/pseudo.bin", *_report_paths("reports", "U'")),
         _produce_pseudo,
         lambda run, paths: (
             load_dataset(paths[0]), load_stage_report(run.path("reports"), "U'")
         ),
-        lambda c: "pseudo-labeling of the unlabeled set",
     ),
     _trained(
         "ST", "S7", ("KD", "U'", "data"), (),
         lambda run: [*run.got["data"].labeled, *run.got["U'"]],
-        lambda c: "self-training on labeled + pseudo",
     ),
 )
 
 
 def plan_stages(config: PipelineConfig) -> list:
-    """The dry-run listing: six stages, dependencies, and settings."""
+    """The dry-run listing: the six stages that write a stage report, their
+    dependencies, and settings."""
     plan = []
     for stage in STAGES:
-        if stage.note is None:
+        if _report_paths("reports", stage.name)[0] not in stage.files:
             continue
         entry = {
             "stage": stage.name,
             "alias": stage.alias,
             "depends_on": list(stage.reads),
             "updates": config.updates.get(stage.name, 0),
-            "note": stage.note(config),
         }
         if stage.name == "U'":
             entry["decode"] = config.decode_config().to_dict()
@@ -547,7 +541,7 @@ def input_keys(config: PipelineConfig) -> dict:
 
 
 def _write_keys(config: PipelineConfig, keys: dict) -> None:
-    path = os.path.join(config.out_dir, "reports", "inputs.json")
+    path = os.path.join(config.out_dir, _KEYS_FILE)
     with open(path + ".tmp", "w") as fh:
         json.dump(keys, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -556,7 +550,7 @@ def _write_keys(config: PipelineConfig, keys: dict) -> None:
 
 def _stale(config: PipelineConfig, keys: dict) -> list:
     """The stages a run must recompute, in table order."""
-    path = os.path.join(config.out_dir, "reports", "inputs.json")
+    path = os.path.join(config.out_dir, _KEYS_FILE)
     stored = {}
     if config.resume and os.path.exists(path):
         with open(path) as fh:
@@ -580,10 +574,10 @@ def _stale(config: PipelineConfig, keys: dict) -> list:
 def run_two_stage(config: PipelineConfig, jobs: int = 1):
     """Execute the full six-stage recipe (`plan_stages` lists it).
 
-    Returns the ordered stage reports for S, T, KD, N, U', ST. With
-    `resume` set, stages whose inputs are unchanged are loaded from disk
-    instead of recomputed. `jobs` parallelizes pseudo-label decoding
-    without changing results; it must be >= 1.
+    Returns the ordered stage reports for S, T, KD, N, U', ST, each read
+    back by its row's `load`. With `resume` set, a stage whose inputs are
+    unchanged is loaded without being produced again. `jobs` parallelizes
+    pseudo-label decoding without changing results; it must be >= 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -594,20 +588,21 @@ def run_two_stage(config: PipelineConfig, jobs: int = 1):
     done = {name: key for name, key in keys.items() if name not in stale}
     _write_keys(config, done)
 
-    run = _Run(config, jobs)
+    base = _Run(config, jobs)
     started = time.perf_counter()
-    reports = {}
+    values, reports = {}, {}
     for stage in STAGES:
+        run = replace(base, got={name: values[name] for name in stage.reads})
         paths = [run.path(f) for f in stage.files]
-        step = stage.produce if stage.name in stale else stage.load
-        run.got[stage.name], report = step(run, paths)
-        if report is not None:
-            reports[stage.name] = report
         if stage.name in stale:
+            stage.produce(run, paths)
             done[stage.name] = keys[stage.name]
             _write_keys(config, done)
+        values[stage.name], report = stage.load(run, paths)
+        if report is not None:
+            reports[stage.name] = report
 
-    split = run.got["data"]
+    split = values["data"]
     summary = {
         "config": config.to_dict(),
         "config_digest": config_digest(config),
@@ -620,7 +615,7 @@ def run_two_stage(config: PipelineConfig, jobs: int = 1):
             "unlabeled": len(split.unlabeled),
             "dev": len(split.dev),
             "kd_consumed": reports["KD"].utterances_in,
-            "pseudo_labeled": len(run.got["U'"]),
+            "pseudo_labeled": len(values["U'"]),
             "pseudo_dropped": reports["U'"].extra.get("dropped", 0),
             "st_consumed": reports["ST"].utterances_in,
         },
@@ -628,7 +623,7 @@ def run_two_stage(config: PipelineConfig, jobs: int = 1):
         "recomputed": stale,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(run.path("reports", "pipeline.json"), "w") as fh:
+    with open(base.path("reports", "pipeline.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return list(reports.values())

@@ -504,19 +504,17 @@ def distill(
         if head_source is not None:
             work.arrays["head.w"][...] = head_source.arrays["head.w"]
             work.arrays["head.b"][...] = head_source.arrays["head.b"]
-        # every utterance can train: its target is the teacher's trace
-        traces = {
-            u.uid: forward(teacher, u.features, teacher_spec) for u in (*data, *dev)
-        }
+        # every utterance can train: its target is the teacher's trace; the
+        # dev set's traces stay apart, as a dev uid may repeat a training one
+        traces = {u.uid: forward(teacher, u.features, teacher_spec) for u in data}
+        dev_traces = [forward(teacher, u.features, teacher_spec) for u in dev]
 
         def dev_distill_loss() -> float | None:
             if not dev:
                 return None
             values = [
-                distillation_loss(
-                    forward(work, u.features, spec), traces[u.uid], distill_spec
-                )[0]
-                for u in dev
+                distillation_loss(forward(work, u.features, spec), trace, distill_spec)[0]
+                for u, trace in zip(dev, dev_traces)
             ]
             return float(np.mean(values))
 

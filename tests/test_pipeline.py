@@ -1064,6 +1064,28 @@ def test_distill_ignores_labels():
     assert len(log.losses) == 5
 
 
+@pytest.mark.parametrize("same_lengths", [False, True])
+def test_distill_dev_set_sharing_uids_changes_no_training_target(same_lengths):
+    # the dev set reuses the training uids with other features: the teacher's
+    # dev traces must not replace the training targets of the same uids
+    train = data_fixture(sizes=(6, 2, 2)).labeled
+    other = [
+        u for u in data_fixture(sizes=(6, 2, 2), seed=8).labeled
+        if (u.n_frames == train[0].n_frames) == same_lengths
+    ]
+    assert other, "no dev utterance of the wanted length"
+    dev = [dataclasses.replace(other[0], uid=train[0].uid)]
+    assert not np.array_equal(dev[0].features, train[0].features)
+    init = init_params(TINY_ENC, 0)
+    teacher = init.copy()
+    teacher.mask_spec = BIDI
+    args = (init, teacher, STREAM, train, DistillSpec((1, 2)), quick_cfg(6))
+    alone, _ = distill(*args)
+    with_dev, log = distill(*args, dev=dev)
+    assert checkpoint_digest(with_dev) == checkpoint_digest(alone)
+    assert log.extra["dev_distill_first"] is not None
+
+
 # -------------------------------------------------------------- pseudo-label
 
 
@@ -1197,7 +1219,18 @@ def test_resume_reuses_everything_when_all_artifacts_exist(tmp_path):
     config = small_pipeline_config(tmp_path)
     first = run_two_stage(config)
     second = run_two_stage(config)
-    assert [r.wall_time_s for r in first] == [r.wall_time_s for r in second]
+    assert recomputed(tmp_path) == []
+    assert len(first) == len(second) == 6
+    # a fresh run and a resumed one return equal reports, field by field:
+    # wall times, `extra`, `train_config` and `decode_config` included
+    for a, b in zip(first, second):
+        for f in dataclasses.fields(StageReport):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "losses":
+                # a skipped update logs NaN, which equals no float
+                np.testing.assert_array_equal(x, y, err_msg=a.stage)
+            else:
+                assert x == y, (a.stage, f.name)
 
 
 def test_dry_run_depends_on_is_the_stage_table(tmp_path):
@@ -1298,6 +1331,77 @@ def test_workdir_without_input_keys_is_recomputed_once(tmp_path):
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
     run_two_stage(dataclasses.replace(config, resume=False))
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+
+
+def test_rows_hand_on_only_what_load_returns_and_see_only_their_reads(
+    tmp_path, monkeypatch
+):
+    from streamctc.pipeline import run as pipeline_run
+
+    calls, loaded, loaded_reports, trained = [], {}, [], {}
+
+    def seen(step, stage, got):
+        calls.append((step, stage.name, sorted(got)))
+        for name, value in got.items():
+            assert value is loaded[name], (step, stage.name, name)
+
+    def spy(stage):
+        def produce(run, paths):
+            seen("produce", stage, run.got)
+            assert stage.produce(run, paths) is None
+
+        def load(run, paths):
+            seen("load", stage, run.got)
+            value, report = stage.load(run, paths)
+            loaded[stage.name] = value
+            if report is not None:
+                loaded_reports.append(report)
+            return value, report
+
+        return dataclasses.replace(stage, produce=produce, load=load)
+
+    def spy_trainer(name, trainer):
+        def train(config, models, *rest):
+            trained[name] = sorted(models)
+            assert all(models[r] is loaded[r] for r in models), name
+            return trainer(config, models, *rest)
+
+        return train
+
+    monkeypatch.setattr(pipeline_run, "STAGES", tuple(spy(s) for s in STAGES))
+    for name, trainer in pipeline_run.TRAINERS.items():
+        monkeypatch.setitem(pipeline_run.TRAINERS, name, spy_trainer(name, trainer))
+    reads = {stage.name: sorted(stage.reads) for stage in STAGES}
+
+    reports = run_two_stage(resume_config(tmp_path))
+    # a fresh run loads each row once, right after producing it
+    assert calls == [
+        (step, stage.name, reads[stage.name])
+        for stage in STAGES
+        for step in ("produce", "load")
+    ]
+    assert all(a is b for a, b in zip(reports, loaded_reports, strict=True))
+    assert trained == {name: reads[name] for name in pipeline_run.TRAINERS}
+
+    calls.clear()
+    loaded_reports.clear()
+    reports = run_two_stage(resume_config(tmp_path))
+    assert calls == [("load", stage.name, reads[stage.name]) for stage in STAGES]
+    assert all(a is b for a, b in zip(reports, loaded_reports, strict=True))
+
+
+def test_a_trainer_reading_a_stage_its_row_does_not_declare_fails(tmp_path, monkeypatch):
+    from streamctc.pipeline import run as pipeline_run
+
+    finetune_n = pipeline_run.TRAINERS["N"]
+
+    def reads_s(config, models, *rest):
+        models["S"]  # N's row reads P and data only
+        return finetune_n(config, models, *rest)
+
+    monkeypatch.setitem(pipeline_run.TRAINERS, "N", reads_s)
+    with pytest.raises(KeyError, match="'S'"):
+        run_two_stage(resume_config(tmp_path))
 
 
 def test_stage_report_round_trip(tmp_path):
