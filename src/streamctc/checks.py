@@ -431,10 +431,10 @@ def round_trip_failures(directory=None) -> list:
         failed.append("checkpoint")
 
     model = train_ngram(["ab|ba", "aab|b", "ba"], order=3, smoothing=0.2)
-    lm_first = root / "lm.txt"
+    lm_first = root / "lm.json"
     save_lm(model, lm_first)
     lm_loaded = load_lm(lm_first)
-    lm_again = root / "lm2.txt"
+    lm_again = root / "lm2.json"
     save_lm(lm_loaded, lm_again)
     same_scores = all(
         logp(model, token, context) == logp(lm_loaded, token, context)

@@ -383,6 +383,13 @@ def cmd_train(args) -> int:
     command = args.train_command
     stage = command.stage(args)
     config = _merged_config(args, stage=stage)
+    pretrain = config.updates.get("pretrain", 0)
+    if pretrain > 0 and "P" in command.models.values() and not args.init:
+        # the pipeline's P is warmed up by these updates; a fresh P is not
+        raise UsageError(
+            f"updates.pretrain is {pretrain}, but only the pipeline runs those updates: "
+            "pass the warmed-up P.ckpt as --init"
+        )
     cfg = config.train_config(stage)
     inputs = ("data", "dev", "out") + tuple(
         flag[2:].replace("-", "_") for flag, _ in command.flags
@@ -687,9 +694,10 @@ def cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(p):
+def _add_config_flags(p, seed: bool = True):
     p.add_argument("--config", help="JSON config file (see pipeline config keys)")
-    p.add_argument("--seed", type=int)
+    if seed:
+        p.add_argument("--seed", type=int)
 
 
 def _add_train_flags(p):
@@ -731,7 +739,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train-lm", help="train the character n-gram model")
-    _add_config_flags(p)
+    _add_config_flags(p, seed=False)
     p.add_argument("--data", required=True, help="labeled container")
     p.add_argument("--order", type=int)
     p.add_argument("--smoothing", type=float)
@@ -747,7 +755,7 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=cmd_train, train_command=command)
 
     p = sub.add_parser("pseudo-label", help="beam-decode unlabeled data into labels")
-    _add_config_flags(p)
+    _add_config_flags(p, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lm")

@@ -7,13 +7,13 @@ training time). Sequence ends are modeled separately per context as an
 add-k Bernoulli "stop" probability, so token distributions stay
 normalized over the vocabulary itself.
 
-Models serialize to a line-oriented text format; log probabilities are
-written with 17 significant digits so a save/load round trip is
-bit-exact.
+A model saves as one JSON object; a float's repr reads back with the same
+bits, so a save/load round trip keeps every log-prob.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -22,11 +22,13 @@ from .vocab import Vocabulary
 START = "<s>"
 UNK = "<unk>"
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_FIELDS = {"format", "order", "smoothing", "vocab", "tokens", "ends"}
 
 
 class LmFormatError(ValueError):
-    """Raised with a line number when a model file cannot be parsed."""
+    """Raised when a saved model cannot be loaded; the message names the
+    file and the field at fault."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ def _check_vocab(vocab: tuple) -> tuple:
         raise ValueError("vocabulary is empty")
     seen = set()
     for t in vocab:
-        if not t or any(c.isspace() for c in t):
+        if not isinstance(t, str) or not t or any(c.isspace() for c in t):
             raise ValueError(f"bad vocabulary token {t!r}")
         if t in (START, UNK):
             raise ValueError(f"{t!r} is reserved")
@@ -90,7 +92,7 @@ def _check_tables(vocab: tuple, tokens: dict):
         table = tokens[ctx]
         if table.keys() == expected:
             continue
-        where = f"context {_ctx_field(ctx)!r}" if ctx else "the empty context"
+        where = f"context {' '.join(ctx)!r}" if ctx else "the empty context"
         missing = sorted(expected - table.keys())
         if missing:
             raise ValueError(f"{where} has no log-prob for token {missing[0]!r}")
@@ -212,130 +214,78 @@ class FusionLm:
         return logp(self.model, self.vocabulary.char_of(token_id), chars)
 
 
-def _ctx_field(ctx: tuple) -> str:
-    return " ".join(ctx)
-
-
-def _parse_ctx(field: str) -> tuple:
-    return tuple(field.split(" ")) if field else ()
-
-
 def save_lm(model: NgramModel, path):
-    """Write the line-oriented text format (17 significant digits)."""
-    lines = [
-        f"ngram {FORMAT_VERSION}",
-        f"order {model.order}",
-        f"smoothing {model.smoothing:.17g}",
-        "vocab " + " ".join(model.vocab),
-    ]
-    token_lines = []
-    for ctx in sorted(model.tokens):
-        table = model.tokens[ctx]
-        for tok in sorted(table):
-            token_lines.append(f"{_ctx_field(ctx)}\t{tok}\t{table[tok]:.17g}")
-    end_lines = [
-        f"{_ctx_field(ctx)}\t{model.ends[ctx]:.17g}" for ctx in sorted(model.ends)
-    ]
-    lines.append(f"tokens {len(token_lines)}")
-    lines.extend(token_lines)
-    lines.append(f"ends {len(end_lines)}")
-    lines.extend(end_lines)
-    lines.append(f"end {len(token_lines) + len(end_lines)}")
+    """Write one JSON object with sorted keys, each table keyed by the
+    space-joined context; a float's repr reads back with the same bits."""
+    payload = {
+        "format": FORMAT_VERSION,
+        "order": model.order,
+        "smoothing": model.smoothing,
+        "vocab": list(model.vocab),
+        "tokens": {" ".join(ctx): table for ctx, table in model.tokens.items()},
+        "ends": {" ".join(ctx): end for ctx, end in model.ends.items()},
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
-def _expect(lines, i: int, key: str) -> str:
-    if i >= len(lines):
-        raise LmFormatError(f"line {i + 1}: file ends before '{key}'")
-    line = lines[i]
-    if not line.startswith(key + " "):
-        raise LmFormatError(f"line {i + 1}: expected '{key} ...', got {line!r}")
-    return line[len(key) + 1 :]
+def _unique_keys(pairs) -> dict:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
 
 
-def _int_field(value: str, i: int, key: str) -> int:
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"bad log-prob {value!r}")
+    return value
+
+
+def _field(path, name: str, value, kind, check=lambda v: v):
+    """`check(value)` if `value` is a JSON `kind` (`float`: any number); else,
+    or if the check fails, an LmFormatError naming the file and the field."""
+    number = kind is float and type(value) in (int, float)
     try:
-        return int(value)
-    except ValueError:
-        raise LmFormatError(f"line {i + 1}: bad {key} count {value!r}") from None
+        if not number and type(value) is not kind:
+            raise ValueError(f"expected {kind.__name__}, got {value!r}")
+        return check(float(value) if number else value)
+    except (ValueError, OverflowError) as exc:
+        raise LmFormatError(f"{path}: {name}: {exc}") from None
 
 
-def _logprob_field(value: str, i: int) -> float:
-    """A table line's log-prob; a non-number or a non-finite value is an
-    error naming the line."""
-    try:
-        logprob = float(value)
-    except ValueError:
-        logprob = math.nan
-    if not math.isfinite(logprob):
-        raise LmFormatError(f"line {i + 1}: bad log-prob {value!r}")
-    return logprob
-
-
-def _header_field(lines, i: int, key: str, parse, check):
-    """Header line `i`'s value, parsed and checked as `train_ngram` checks
-    it; an error names the line."""
-    value = _expect(lines, i, key)
-    try:
-        return check(parse(value))
-    except ValueError as exc:
-        raise LmFormatError(f"line {i + 1}: bad {key} {value!r}: {exc}") from None
+def _table(path, name: str, value, depth: int) -> dict:
+    """A saved `ends` (`depth` 1) or `tokens` table, each log-prob finite."""
+    return {
+        key: _field(path, f"{name}[{key!r}]", v, float, _finite)
+        if depth == 1 else _table(path, f"{name}[{key!r}]", v, depth - 1)
+        for key, v in _field(path, name, value, dict).items()
+    }
 
 
 def load_lm(path) -> NgramModel:
-    """Parse a saved model; errors carry the offending line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-
-    version = _expect(lines, 0, "ngram")
-    if version != str(FORMAT_VERSION):
-        raise LmFormatError(f"line 1: unsupported format version {version!r}")
-    order = _header_field(lines, 1, "order", int, _check_order)
-    smoothing = _header_field(lines, 2, "smoothing", float, _check_smoothing)
-    vocab = _header_field(
-        lines, 3, "vocab", lambda v: tuple(t for t in v.split(" ") if t), _check_vocab
-    )
-
-    n_tokens = _int_field(_expect(lines, 4, "tokens"), 4, "token")
-    tokens = {}
-    pos = 5
-    for j in range(n_tokens):
-        i = pos + j
-        if i >= len(lines):
-            raise LmFormatError(f"line {i + 1}: truncated token section")
-        parts = lines[i].split("\t")
-        if len(parts) != 3:
-            raise LmFormatError(f"line {i + 1}: expected context\\ttoken\\tlogprob")
-        tokens.setdefault(_parse_ctx(parts[0]), {})[parts[1]] = _logprob_field(parts[2], i)
+    """Read what `save_lm` wrote, checked as `train_ngram` checks its
+    arguments and `NgramModel` its tables."""
     try:
-        _check_tables(vocab, tokens)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
     except ValueError as exc:
-        raise LmFormatError(f"line {pos}: token section: {exc}") from None
-    pos += n_tokens
-
-    n_ends = _int_field(_expect(lines, pos, "ends"), pos, "end")
-    ends = {}
-    pos += 1
-    for j in range(n_ends):
-        i = pos + j
-        if i >= len(lines):
-            raise LmFormatError(f"line {i + 1}: truncated end section")
-        parts = lines[i].split("\t")
-        if len(parts) != 2:
-            raise LmFormatError(f"line {i + 1}: expected context\\tlogprob")
-        ends[_parse_ctx(parts[0])] = _logprob_field(parts[1], i)
-    pos += n_ends
-
-    footer = _int_field(_expect(lines, pos, "end"), pos, "footer")
-    if footer != n_tokens + n_ends:
-        raise LmFormatError(f"line {pos + 1}: footer count mismatch")
-    if pos + 1 != len(lines):
-        raise LmFormatError(f"line {pos + 2}: unexpected content after footer")
-
-    try:
-        return NgramModel(
-            order=order, vocab=vocab, smoothing=smoothing, tokens=tokens, ends=ends
-        )
-    except ValueError as exc:
-        raise LmFormatError(f"line {len(lines)}: {exc}") from None
+        raise LmFormatError(f"{path}: {exc}") from None
+    payload = _field(path, "the file", payload, dict)
+    odd = sorted(_FIELDS ^ payload.keys())
+    if odd:
+        raise LmFormatError(f"{path}: {odd[0]}: {'missing' if odd[0] in _FIELDS else 'unknown'}")
+    if payload["format"] != FORMAT_VERSION:
+        raise LmFormatError(f"{path}: format: unsupported version {payload['format']!r}")
+    order = _field(path, "order", payload["order"], int, _check_order)
+    smoothing = _field(path, "smoothing", payload["smoothing"], float, _check_smoothing)
+    vocab = _field(path, "vocab", payload["vocab"], list, lambda v: _check_vocab(tuple(v)))
+    tables = {}
+    for name, depth in (("tokens", 2), ("ends", 1)):
+        table = _table(path, name, payload[name], depth)
+        if "" not in table:
+            raise LmFormatError(f"{path}: {name}: the empty context is missing")
+        tables[name] = {tuple(ctx.split(" ")) if ctx else (): v for ctx, v in table.items()}
+    _field(path, "tokens", tables["tokens"], dict, lambda t: _check_tables(vocab, t))
+    return NgramModel(order=order, vocab=vocab, smoothing=smoothing, **tables)

@@ -75,7 +75,9 @@ _KEYS_FILE = os.path.join("reports", "inputs.json")  # the stored input keys
 
 @dataclass
 class StageReport:
-    """One stage's outcome, written as JSON plus a CSV loss curve."""
+    """One stage's outcome, written as JSON plus a CSV loss curve.
+    `checkpoint` is stored relative to the workdir, the parent of the
+    reports directory (an absolute path stays as it is)."""
 
     stage: str
     alias: str | None
@@ -102,12 +104,16 @@ def _report_paths(reports_dir, stage: str) -> tuple:
     return tuple(os.path.join(reports_dir, name) for name in (f"{key}.json", f"loss_{key}.csv"))
 
 
+def _in_workdir(reports_dir, checkpoint: str) -> str:
+    return os.path.join(os.path.dirname(os.path.normpath(reports_dir)), checkpoint)
+
+
 def save_stage_report(report: StageReport, reports_dir) -> str:
     """Write {stage}.json and loss_{stage}.csv; returns the JSON path."""
-    if not os.path.exists(report.checkpoint):
+    checkpoint = _in_workdir(reports_dir, report.checkpoint)
+    if not os.path.exists(checkpoint):
         raise MissingArtifactError(
-            f"stage {report.stage}: report references missing checkpoint "
-            f"{report.checkpoint}"
+            f"stage {report.stage}: report references missing checkpoint {checkpoint}"
         )
     os.makedirs(reports_dir, exist_ok=True)
     json_path, csv_path = _report_paths(reports_dir, report.stage)
@@ -125,10 +131,12 @@ def save_stage_report(report: StageReport, reports_dir) -> str:
 
 
 def load_stage_report(reports_dir, stage: str) -> StageReport:
+    """The saved report, its checkpoint named under this workdir."""
     with open(_report_paths(reports_dir, stage)[0]) as fh:
         payload = json.load(fh)
     with open(os.path.join(reports_dir, payload.pop("loss_curve")), newline="") as fh:
         payload["losses"] = [float(row["loss"]) for row in csv.DictReader(fh)]
+    payload["checkpoint"] = _in_workdir(reports_dir, payload["checkpoint"])
     return StageReport(**payload)
 
 
@@ -366,7 +374,7 @@ def _trained(name, alias, reads, fields, fit):
         report = StageReport(
             stage=name,
             alias=alias,
-            checkpoint=paths[0],
+            checkpoint=f"checkpoints/{name}.ckpt",
             digest=digest,
             losses=log.losses,
             dev_token_error=log.dev_token_error,
@@ -380,12 +388,19 @@ def _trained(name, alias, reads, fields, fit):
         save_stage_report(report, run.path("reports"))
 
     def load(run, paths):
-        report = load_stage_report(run.path("reports"), name)
+        report = _loaded_report(run, name, paths[0])
         return load_checkpoint(paths[0], expect_config=run.config.encoder), report
 
     files = (f"checkpoints/{name}.ckpt", *_report_paths("reports", name))
     train_fields = ("peak_lr", "batch_size", "seed", f"updates.{name}")
     return Stage(name, alias, reads, fields + train_fields, files, produce, load)
+
+
+def _loaded_report(run, stage: str, checkpoint: str) -> StageReport:
+    """The stage's saved report naming `checkpoint`, the file the run
+    loads; a report written before reports held workdir-relative paths
+    may name the checkpoint where the workdir used to be."""
+    return replace(load_stage_report(run.path("reports"), stage), checkpoint=checkpoint)
 
 
 def _produce_data(run, paths):
@@ -435,7 +450,7 @@ def _produce_pseudo(run, paths):
     report = StageReport(
         stage="U'",
         alias=None,
-        checkpoint=run.path("checkpoints", "N.ckpt"),
+        checkpoint="checkpoints/N.ckpt",
         digest=checkpoint_digest(run.got["N"]),
         losses=[],
         dev_token_error=None,
@@ -467,7 +482,7 @@ STAGES = (
         lambda run, paths: (DataSplit(*(load_dataset(p) for p in paths)), None),
     ),
     Stage(
-        "lm", None, ("data",), ("lm_order", "lm_smoothing"), ("lm.txt",),
+        "lm", None, ("data",), ("lm_order", "lm_smoothing"), ("lm.json",),
         _produce_lm, lambda run, paths: (load_lm(paths[0]), None),
     ),
     Stage(
@@ -495,7 +510,8 @@ STAGES = (
         ("data/pseudo.bin", *_report_paths("reports", "U'")),
         _produce_pseudo,
         lambda run, paths: (
-            load_dataset(paths[0]), load_stage_report(run.path("reports"), "U'")
+            load_dataset(paths[0]),
+            _loaded_report(run, "U'", run.path("checkpoints", "N.ckpt")),
         ),
     ),
     _trained(

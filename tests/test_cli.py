@@ -345,6 +345,58 @@ def test_training_subcommands_rebuild_the_pipeline_stages(capsys, workdir):
         assert target.read_bytes() == (ckpt / f"{stage}.ckpt").read_bytes(), stage
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("finetune",),
+        ("guided-teacher", "--streaming", "S.ckpt"),
+        ("distill", "--teacher", "S.ckpt"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_pretrain_updates_need_the_warmed_up_p_as_init(capsys, trained, command):
+    # without --init these trained from a fresh P in silence, while the
+    # pipeline warms P up by `updates.pretrain` contrastive updates
+    tmp, cfg, labeled = trained
+    config = json.loads(open(cfg).read())
+    config["updates"]["pretrain"] = 3
+    warm = tmp / "warm.json"
+    warm.write_text(json.dumps(config))
+    name, *rest = command
+    rest = [str(tmp / a) if a.endswith(".ckpt") else a for a in rest]
+    argv = [name, *rest, "--config", str(warm), "--data", labeled, "--updates", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp / "x.ckpt"))
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "updates.pretrain" in errors[0] and "--init" in errors[0]
+    assert not (tmp / "x.ckpt").exists()
+    init = ("--init", str(tmp / "S.ckpt"))
+    assert run(capsys, *argv, *init, "--out", str(tmp / "y.ckpt"))[0] == 0
+    if name == "finetune":
+        # self-train continues from KD and reads no P
+        argv[0] = "self-train"
+        assert run(capsys, *argv, *init, "--out", str(tmp / "z.ckpt"))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("train-lm",), ("pseudo-label", "--model", "S.ckpt")],
+    ids=lambda c: c[0],
+)
+def test_commands_that_draw_no_random_number_take_no_seed_flag(capsys, trained, command):
+    # --seed 5 and --seed 9 wrote the same file; a config file's seed is
+    # still accepted
+    tmp, cfg, labeled = trained
+    name, *rest = command
+    rest = [str(tmp / a) if a.endswith(".ckpt") else a for a in rest]
+    argv = [name, *rest, "--config", cfg, "--data", labeled, "--out", str(tmp / "out")]
+    code, _, err = run(capsys, *argv, "--seed", "5")
+    assert code == 1
+    assert "unrecognized arguments: --seed 5" in err
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_checkpoint_flags_name_stages_the_row_reads():
     rows = {stage.name: stage for stage in STAGES}
     for command in _TRAIN_COMMANDS:
@@ -393,7 +445,7 @@ def test_unflagged_decode_scores_like_the_recipe(capsys, trained):
     # with no scoring flags, decode takes PipelineConfig's beam, LM weight
     # and word insertion penalty, as pseudo-label and the pipeline's U' do
     tmp, cfg, labeled = trained
-    lm = str(tmp / "lm.txt")
+    lm = str(tmp / "lm.json")
     assert run(capsys, "train-lm", "--config", cfg, "--data", labeled, "--out", lm)[0] == 0
     argv = ["decode", "--model", str(tmp / "S.ckpt"),
             "--data", str(tmp / "data" / "dev.bin"), "--lm", lm]
@@ -647,7 +699,7 @@ def test_decode_with_the_lm_reproduces_the_pseudo_labels(capsys, workdir):
     assert run(capsys, "pipeline", "--config", cfg, "--workdir", str(out))[0] == 0
     code, stdout, _ = run(
         capsys, "decode", "--model", str(out / "checkpoints" / "N.ckpt"),
-        "--data", str(out / "data" / "unlabeled.bin"), "--lm", str(out / "lm.txt"),
+        "--data", str(out / "data" / "unlabeled.bin"), "--lm", str(out / "lm.json"),
     )
     assert code == 0
     rows = [line.split("\t") for line in stdout.splitlines()[1:]]

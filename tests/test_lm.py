@@ -1,5 +1,6 @@
-"""Character n-gram training, scoring, backoff, and text round trips."""
+"""Character n-gram training, scoring, backoff, and JSON round trips."""
 
+import json
 import math
 import re
 import string
@@ -189,58 +190,72 @@ def test_round_trip_preserves_scores_bit_exactly(tmp_path):
         )
 
 
-def test_load_rejects_version_mismatch(tmp_path):
-    model = train_ngram(["ab"], order=1, smoothing=1.0)
+def test_save_load_save_gives_the_same_bytes(tmp_path):
+    model = train_ngram(["ab|ba", "aab"], order=3, smoothing=0.2)
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_lm(model, first)
+    save_lm(load_lm(first), again)
+    assert first.read_bytes() == again.read_bytes()
+    payload = json.loads(first.read_text())
+    assert list(payload) == ["ends", "format", "order", "smoothing", "tokens", "vocab"]
+    assert payload["format"] == 2 and payload["vocab"] == ["a", "b", "|"]
+    assert payload["tokens"]["a b"] == model.tokens[("a", "b")]
+    assert payload["ends"][""] == model.ends[()]
+
+
+def saved(tmp_path, corpus, order, smoothing):
     path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    lines[0] = "ngram 99"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LmFormatError, match="line 1"):
+    save_lm(train_ngram(corpus, order=order, smoothing=smoothing), path)
+    return path
+
+
+def rewrite(path, edit):
+    """Let `edit` change the saved JSON object in place, and write it back."""
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def rejects(path, message):
+    """load_lm raises an LmFormatError that starts with the file's name and
+    then holds `message`, a regular expression."""
+    return pytest.raises(LmFormatError, match=f"^{re.escape(str(path))}: {message}")
+
+
+def test_load_rejects_version_mismatch(tmp_path):
+    path = saved(tmp_path, ["ab"], 1, 1.0)
+    rewrite(path, lambda payload: payload.update(format=99))
+    with rejects(path, "format: unsupported version 99"):
         load_lm(path)
 
 
 def test_load_rejects_truncation(tmp_path):
-    model = train_ngram(["ab", "ba"], order=2, smoothing=1.0)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(LmFormatError):
+    path = saved(tmp_path, ["ab", "ba"], 2, 1.0)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with rejects(path, r".*line \d+ column \d+"):
         load_lm(path)
 
 
-def test_load_rejects_malformed_line_with_line_number(tmp_path):
-    model = train_ngram(["ab"], order=1, smoothing=1.0)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    lines[6] = "not a real line"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LmFormatError, match="line 7"):
+def test_load_rejects_malformed_content_naming_the_field(tmp_path):
+    path = saved(tmp_path, ["ab"], 1, 1.0)
+    rewrite(path, lambda payload: payload["tokens"].update({"": "not a table"}))
+    with rejects(path, r"tokens\[''\]: expected dict, got 'not a table'"):
         load_lm(path)
 
 
 def test_load_rejects_trailing_garbage(tmp_path):
-    model = train_ngram(["ab"], order=1, smoothing=1.0)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
+    path = saved(tmp_path, ["ab"], 1, 1.0)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("extra\n")
-    with pytest.raises(LmFormatError):
+    with rejects(path, r"Extra data: line \d+ column 1"):
         load_lm(path)
 
 
 def test_load_rejects_non_numeric_logprob(tmp_path):
-    model = train_ngram(["ab"], order=1, smoothing=1.0)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    parts = lines[6].split("\t")
-    parts[-1] = "xyz"
-    lines[6] = "\t".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LmFormatError, match="line 7"):
+    path = saved(tmp_path, ["ab"], 1, 1.0)
+    rewrite(path, lambda payload: payload["tokens"][""].update(a="xyz"))
+    with rejects(path, r"tokens\[''\]\['a'\]: expected float, got 'xyz'"):
         load_lm(path)
 
 
@@ -249,16 +264,14 @@ def test_load_rejects_non_numeric_logprob(tmp_path):
 def test_load_rejects_non_finite_logprob(tmp_path, section, value):
     # one nan log-prob once loaded, and fused decoding then ranked nan
     # scores and returned empty hypotheses
-    model = train_ngram(["ab|ba", "aab"], order=2, smoothing=0.5)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if line.startswith(section + " ")) + 2
-    parts = lines[index].split("\t")
-    parts[-1] = value
-    lines[index] = "\t".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LmFormatError, match=f"^line {index + 1}: bad log-prob '{value}'"):
+    path = saved(tmp_path, ["ab|ba", "aab"], 2, 0.5)
+    if section == "tokens":
+        rewrite(path, lambda payload: payload["tokens"]["a"].update(b=float(value)))
+        field = r"tokens\['a'\]\['b'\]"
+    else:
+        rewrite(path, lambda payload: payload["ends"].update(a=float(value)))
+        field = r"ends\['a'\]"
+    with rejects(path, f"{field}: bad log-prob {value}$"):
         load_lm(path)
 
 
@@ -268,45 +281,27 @@ def test_model_requires_empty_context():
 
 
 @pytest.mark.parametrize(
-    "index, line, message",
+    "field, value, message",
     [
-        (1, "order 0", "order must be >= 1"),
-        (1, "order two", "bad order"),
-        (2, "smoothing nan", "smoothing must be > 0"),
-        (2, "smoothing -1", "smoothing must be > 0"),
-        (2, "smoothing inf", "smoothing must be > 0 and finite"),
-        (3, "vocab a a b |", "duplicate vocabulary token 'a'"),
-        (3, "vocab a <s> |", "'<s>' is reserved"),
-        (3, "vocab ", "vocabulary is empty"),
+        ("order", 0, "order must be >= 1"),
+        ("order", "two", "expected int, got 'two'"),
+        ("smoothing", math.nan, "smoothing must be > 0"),
+        ("smoothing", -1, "smoothing must be > 0"),
+        ("smoothing", math.inf, "smoothing must be > 0 and finite"),
+        ("vocab", ["a", "a", "b", "|"], "duplicate vocabulary token 'a'"),
+        ("vocab", ["a", "<s>", "|"], "'<s>' is reserved"),
+        ("vocab", [], "vocabulary is empty"),
     ],
     ids=["order-0", "order-word", "smoothing-nan", "smoothing-negative", "smoothing-inf",
          "vocab-repeat", "vocab-reserved", "vocab-empty"],
 )
-def test_load_checks_each_header_line(tmp_path, index, line, message):
-    # header lines are checked as train_ngram checks its arguments, and the
-    # error names the header line, not the end of the file
-    model = train_ngram(["ab|ba", "aab"], order=3, smoothing=0.5)
-    path = tmp_path / "model.lm"
-    save_lm(model, path)
-    lines = path.read_text().splitlines()
-    lines[index] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(LmFormatError, match=f"^line {index + 1}: .*{re.escape(message)}"):
+def test_load_checks_each_header_line(tmp_path, field, value, message):
+    # the header fields are checked as train_ngram checks its arguments,
+    # and the error names the field
+    path = saved(tmp_path, ["ab|ba", "aab"], 3, 0.5)
+    rewrite(path, lambda payload: payload.update({field: value}))
+    with rejects(path, f"{field}: .*{re.escape(message)}"):
         load_lm(path)
-
-
-def _drop_token_line(path, context, token):
-    """Delete one `context\\ttoken\\t...` line of a saved model and fix the
-    tokens count and the footer, so only the missing log-prob is wrong."""
-    lines = path.read_text().splitlines()
-    index = next(
-        i for i, line in enumerate(lines) if line.startswith(f"{context}\t{token}\t")
-    )
-    del lines[index]
-    n_tokens = int(lines[4].split()[1])
-    lines[4] = f"tokens {n_tokens - 1}"
-    lines[-1] = f"end {int(lines[-1].split()[1]) - 1}"
-    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -315,14 +310,48 @@ def _drop_token_line(path, context, token):
     ids=["stored-context", "empty-context"],
 )
 def test_load_rejects_a_context_missing_a_token(tmp_path, context, where):
-    # without the `a\tb` line, logp(model, "b", ["a"]) raised KeyError('b');
-    # without the empty context's `b` line, "b" silently scored as <unk>
+    # without the `a` context's `b`, logp(model, "b", ["a"]) raised
+    # KeyError('b'); without the empty context's `b`, "b" silently scored
+    # as <unk>
     model = train_ngram(["ab", "ba"], order=2, smoothing=1.0)
     assert logp(model, "b", ["a"]) == model.tokens[("a",)]["b"]
     path = tmp_path / "model.lm"
     save_lm(model, path)
-    _drop_token_line(path, context, "b")
-    with pytest.raises(LmFormatError, match=f"^line 5: .*{where} has no log-prob for token 'b'"):
+    rewrite(path, lambda payload: payload["tokens"][context].pop("b"))
+    with rejects(path, f"tokens: {where} has no log-prob for token 'b'"):
+        load_lm(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: payload.pop("ends"), "ends: missing"),
+        (lambda payload: payload.update(comment="x"), "comment: unknown"),
+        (lambda payload: payload["ends"].pop(""), "ends: the empty context is missing"),
+        (lambda payload: payload.update(vocab="ab|"), "vocab: expected list, got 'ab|'"),
+    ],
+    ids=["missing-field", "unknown-field", "no-empty-context", "vocab-string"],
+)
+def test_load_rejects_a_missing_or_unknown_field(tmp_path, edit, message):
+    path = saved(tmp_path, ["ab", "ba"], 2, 1.0)
+    rewrite(path, edit)
+    with rejects(path, message):
+        load_lm(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [('{\n "ends"', '{\n "order": 1,\n "ends"', "order"),
+     ('"tokens": {\n  ""', '"tokens": {\n  "a": {},\n  ""', "a")],
+    ids=["field", "context"],
+)
+def test_load_rejects_a_repeated_key(tmp_path, old, new, key):
+    # json.load would keep the last value of a repeated key in silence
+    path = saved(tmp_path, ["ab", "ba"], 2, 1.0)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with rejects(path, f"repeated key '{key}'$"):
         load_lm(path)
 
 

@@ -1333,6 +1333,42 @@ def test_workdir_without_input_keys_is_recomputed_once(tmp_path):
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
 
 
+def test_a_moved_workdir_resumes_with_reports_naming_its_checkpoints(tmp_path, monkeypatch):
+    # the reports stored the checkpoint path the run was given, so after a
+    # move every reused report named a file under the old directory
+    monkeypatch.chdir(tmp_path)
+    run_two_stage(resume_config("w"))
+    os.rename("w", "moved")
+    reports = run_two_stage(resume_config("moved"))
+    assert recomputed(tmp_path / "moved") == []
+    for r in reports:
+        assert os.path.exists(r.checkpoint), r.stage
+        assert os.path.exists(load_stage_report("moved/reports", r.stage).checkpoint), r.stage
+    for stage, checkpoint in (("S", "S"), ("U", "N")):
+        with open(f"moved/reports/{stage}.json") as fh:
+            assert json.load(fh)["checkpoint"] == f"checkpoints/{checkpoint}.ckpt"
+
+
+def test_a_workdir_with_the_text_lm_recomputes_lm_u_and_st_once(tmp_path, monkeypatch):
+    # before the LM was saved as JSON the lm row wrote lm.txt, and reports
+    # named checkpoints by the path the run was given; the LM's floats are
+    # the same, so U' and ST come out with the same bytes
+    monkeypatch.chdir(tmp_path)
+    config = resume_config("w")
+    run_two_stage(config)
+    kept = ("w/data/pseudo.bin", "w/checkpoints/ST.ckpt")
+    before = [open(name, "rb").read() for name in kept]
+    os.rename("w/lm.json", "w/lm.txt")
+    with open("w/reports/S.json") as fh:
+        report = json.load(fh)
+    with open("w/reports/S.json", "w") as fh:
+        json.dump({**report, "checkpoint": "w/checkpoints/S.ckpt"}, fh)
+    reports = run_two_stage(config)
+    assert recomputed(tmp_path / "w") == ["lm", "U'", "ST"]
+    assert [open(name, "rb").read() for name in kept] == before
+    assert reports[0].checkpoint == os.path.join("w", "checkpoints", "S.ckpt")
+
+
 def test_rows_hand_on_only_what_load_returns_and_see_only_their_reads(
     tmp_path, monkeypatch
 ):
