@@ -400,10 +400,13 @@ def _flip(blob, pos):
     return bytes(out)
 
 
-# corruptions of a dataset container (bytes, first uid) the loader must reject
+# corruptions of a dataset file (bytes, first uid) the loader must reject;
+# an array's name is its <H length and bytes, then come its rank and extents
 DATASET_CORRUPTIONS = {
     "bad magic": lambda b, uid: bytes([b[0] ^ 0xFF]) + bytes(b[1:]),
-    "bad index offset": lambda b, uid: _flip(b, b.index(uid) + len(uid)),
+    "bad array extent": lambda b, uid: _flip(
+        b, b.index(len(uid).to_bytes(2, "little") + uid) + 2 + len(uid) + 1
+    ),
     "truncated": lambda b, uid: bytes(b[:-4]),
 }
 
@@ -411,7 +414,7 @@ DATASET_CORRUPTIONS = {
 def round_trip_failures(directory=None) -> list:
     """Names of what did not survive a save/load round trip: checkpoint
     bytes, LM bytes and scores, dataset contents, and each corrupted
-    container the loader accepted. Empty when everything holds."""
+    dataset file the loader accepted. Empty when everything holds."""
     if directory is None:
         with tempfile.TemporaryDirectory() as tmp:
             return round_trip_failures(tmp)

@@ -535,6 +535,8 @@ def cmd_decode(args) -> int:
     model = load_checkpoint(args.model)
     data = load_dataset(args.data)
     vocabulary = Vocabulary.default()
+    if args.lm:
+        cfg = replace(cfg, lm=FusionLm(load_lm(args.lm), vocabulary))
     print("uid\ttext")
     if args.greedy:
         rows = [
@@ -542,8 +544,6 @@ def cmd_decode(args) -> int:
             for utt, post in zip(data, dev_posteriors(model, data))
         ]
     else:
-        if args.lm:
-            cfg = replace(cfg, lm=FusionLm(load_lm(args.lm), vocabulary))
         hyps = decode_utterances(model, data, cfg, jobs=args.jobs)
         rows = [
             (utt.uid, top.labels.text(vocabulary), f"{top.acoustic:.17g}",

@@ -49,6 +49,12 @@ parameter gradient, summed over the batch, into the caller's
 ``GradientBuffer``. The input features are data that no stage trains, so
 it computes no gradient on them.
 
+A checkpoint is one file in the layout of ``streamctc.container``, which
+datasets share: a JSON header with the format version, the encoder
+config and the mask spec, then every named parameter array and the
+frontend's running statistics. ``checkpoint_digest`` is the sha256 of
+the bytes ``save_checkpoint`` writes.
+
 The kernels do not check finiteness; the forward pass checks only its
 posteriorgram, which every hidden state reaches through the residual path,
 so a NaN or Inf anywhere in a real frame's computation raises
@@ -59,15 +65,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
 
 import numpy as np
 
+from . import container
+from .container import CHECKPOINT_MAGIC
 from .masking import MaskSpec, build_mask
 from .numerics import (
     BatchNormStats,
@@ -87,7 +92,6 @@ from .numerics import (
     masked_softmax_backward,
 )
 
-CHECKPOINT_MAGIC = b"STCTCKPT"
 CHECKPOINT_VERSION = 1
 
 
@@ -652,76 +656,28 @@ def _params_payload(params: ModelParams) -> bytes:
         # v1 headers also mark running stats as set; here they always are
         "bn_initialized": True,
     }
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    hjson = json.dumps(header, sort_keys=True).encode()
-    buf.write(struct.pack("<I", len(hjson)))
-    buf.write(hjson)
-    named = {
+    arrays = {
         **params.arrays,
         "buffer.frontend.bn.mean": params.bn_stats.mean,
         "buffer.frontend.bn.var": params.bn_stats.var,
     }
-    buf.write(struct.pack("<I", len(named)))
-    for name in sorted(named):
-        arr = np.ascontiguousarray(named[name], dtype="<f8")
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        for extent in arr.shape:
-            buf.write(struct.pack("<Q", extent))
-        buf.write(arr.tobytes())
-    return buf.getvalue()
+    return container.pack(CHECKPOINT_MAGIC, header, arrays)
 
 
 def save_checkpoint(params: ModelParams, path) -> str:
-    """Write a checkpoint; returns its digest. The trailing length field
-    covers the whole file so truncation or trailing garbage is detected."""
-    payload = _params_payload(params)
-    total = len(payload) + 8
-    blob = payload + struct.pack("<Q", total)
+    """Write a checkpoint; returns its digest."""
+    blob = _params_payload(params)
     with open(path, "wb") as fh:
         fh.write(blob)
     return hashlib.sha256(blob).hexdigest()
 
 
 def checkpoint_digest(params: ModelParams) -> str:
-    payload = _params_payload(params)
-    return hashlib.sha256(payload + struct.pack("<Q", len(payload) + 8)).hexdigest()
+    return hashlib.sha256(_params_payload(params)).hexdigest()
 
 
 def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 12 or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    (total,) = struct.unpack("<Q", blob[-8:])
-    if total != len(blob):
-        raise CheckpointError(
-            f"{path}: length field says {total} bytes, file has {len(blob)}"
-        )
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob) - 8:
-            raise CheckpointError(f"{path}: truncated at byte {off}")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    (hlen,) = struct.unpack("<I", take(4))
-    try:
-        header = json.loads(take(hlen).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('version')} unsupported"
-        )
+    header, named = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     if not isinstance(header.get("config"), dict):
         raise CheckpointError(f"{path}: header config is missing or not an object")
     spec = header.get("mask_spec")
@@ -739,19 +695,6 @@ def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelPa
             f"{path}: checkpoint config {config.to_dict()} does not match "
             f"expected {expect_config.to_dict()}"
         )
-    (n_arrays,) = struct.unpack("<I", take(4))
-    named = {}
-    for _ in range(n_arrays):
-        (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode()
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = tuple(
-            struct.unpack("<Q", take(8))[0] for _ in range(ndim)
-        )
-        count = int(np.prod(shape)) if shape else 1
-        named[name] = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
-    if off != len(blob) - 8:
-        raise CheckpointError(f"{path}: {len(blob) - 8 - off} unread bytes")
     # the frontend's running statistics are stored beside the parameters
     buffers = ("buffer.frontend.bn.mean", "buffer.frontend.bn.var")
     layout = {**dict(param_layout(config)), **dict.fromkeys(buffers, (config.feature_dim,))}

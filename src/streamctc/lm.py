@@ -267,9 +267,13 @@ def _table(path, name: str, value, depth: int) -> dict:
 def load_lm(path) -> NgramModel:
     """Read what `save_lm` wrote, checked as `train_ngram` checks its
     arguments and `NgramModel` its tables."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(b"ngram "):  # lm.txt, the line format from before JSON
+        raise LmFormatError(f"{path}: an LM in the text format from before JSON, which is "
+                            "no longer read; train it again with train-lm")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh, object_pairs_hook=_unique_keys)
+        payload = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise LmFormatError(f"{path}: {exc}") from None
     payload = _field(path, "the file", payload, dict)

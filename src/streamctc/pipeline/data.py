@@ -1,27 +1,29 @@
-"""Synthetic utterances and the binary dataset container.
+"""Synthetic utterances and their dataset files.
 
 A task maps each usable token to a fixed feature template; an utterance
 is a random token string with each template repeated a few frames and
-Gaussian noise added. Datasets live in one binary file with an index
-header so splits can be reloaded and validated byte-for-byte.
+Gaussian noise added. A dataset is one file in the container layout that
+checkpoints use (`streamctc.container`): a JSON header with the format
+version, `frame_ms`, and the uids and texts in order, then one float64
+array of features per utterance, named by its uid.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .. import container
 from ..numerics import check_float, check_int
 from ..vocab import BLANK, LabelSequence, Vocabulary
 
-MAGIC = b"STCDSET1"
-FORMAT_VERSION = 1
+DATASET_VERSION = 2
 
 
 class DatasetFormatError(ValueError):
-    """Raised when a dataset container fails structural validation."""
+    """Raised when a dataset file fails validation; the message starts
+    with the file's path."""
 
 
 def check_generation(frames_per_token, text_len, noise_std, sizes=(1, 1, 1)) -> tuple:
@@ -225,109 +227,48 @@ def generate_dataset(
     )
 
 
-# ---------------------------------------------------------------------------
-# binary container
-# ---------------------------------------------------------------------------
-
-
-def _record_bytes(utt: Utterance) -> bytes:
-    t_len, dim = utt.features.shape
-    label = utt.text.encode("utf-8") if utt.text is not None else b""
-    head = struct.pack(
-        "<IIBH", t_len, dim, 1 if utt.text is not None else 0, len(label)
-    )
-    return head + label + utt.features.astype("<f8").tobytes(order="C")
-
-
 def save_dataset(utterances, path) -> None:
-    """Single-file container: index header, then per-utterance records."""
+    """Write `utterances` as one dataset file (see the module docstring)."""
     utts = list(utterances)
     frame_ms = utts[0].frame_ms if utts else 20.0
     for u in utts:
         if u.frame_ms != frame_ms:
             raise ValueError("mixed frame rates in one container")
-    records = [_record_bytes(u) for u in utts]
-    index_size = sum(2 + len(u.uid.encode("utf-8")) + 16 for u in utts)
-    offset = len(MAGIC) + 4 + 4 + 8 + index_size
-    blob = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(utts)), struct.pack("<d", frame_ms)]
-    for u, rec in zip(utts, records):
-        uid = u.uid.encode("utf-8")
-        blob.append(struct.pack("<H", len(uid)))
-        blob.append(uid)
-        blob.append(struct.pack("<QQ", offset, len(rec)))
-        offset += len(rec)
-    blob.extend(records)
-    total = sum(len(b) for b in blob) + 8
-    blob.append(struct.pack("<Q", total))
+    arrays = {u.uid: u.features for u in utts}
+    if len(arrays) != len(utts):
+        raise ValueError("repeated utterance id in one container")
+    header = {
+        "version": DATASET_VERSION,
+        "frame_ms": float(frame_ms),
+        "uids": [u.uid for u in utts],
+        "texts": [u.text for u in utts],
+    }
     with open(path, "wb") as fh:
-        for b in blob:
-            fh.write(b)
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise DatasetFormatError("container truncated")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        fh.write(container.pack(container.DATASET_MAGIC, header, arrays))
 
 
 def load_dataset(path) -> tuple:
-    """Read a container back, validating the index against the records.
+    """Read a `save_dataset` file back in its order; each utterance gets a
+    copy of its features, so no view of the file outlives the call.
 
     This is where outside data enters, so non-finite features are rejected
     here; the numeric kernels downstream do not check."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise DatasetFormatError("not a dataset container")
-    version, count = r.unpack("<II")
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported container version {version}")
-    (frame_ms,) = r.unpack("<d")
-    index = []
-    seen = set()
-    for _ in range(count):
-        (uid_len,) = r.unpack("<H")
-        uid = r.take(uid_len).decode("utf-8")
-        offset, nbytes = r.unpack("<QQ")
-        if uid in seen:
-            raise DatasetFormatError(f"duplicate utterance id {uid!r}")
-        seen.add(uid)
-        index.append((uid, offset, nbytes))
+    header, arrays = container.read(
+        path, container.DATASET_MAGIC, DATASET_VERSION, DatasetFormatError
+    )
+    frame_ms, uids, texts = (header.get(k) for k in ("frame_ms", "uids", "texts"))
+    if type(frame_ms) is not float:
+        raise DatasetFormatError(f"{path}: header frame_ms is not a float")
+    if not isinstance(uids, list) or sorted(uids, key=str) != sorted(arrays):
+        raise DatasetFormatError(f"{path}: header uids do not name the stored arrays one to one")
+    if not isinstance(texts, list) or len(texts) != len(uids) or not all(
+        t is None or isinstance(t, str) for t in texts
+    ):
+        raise DatasetFormatError(f"{path}: header texts is not one string or null per uid")
     utts = []
-    for uid, offset, nbytes in index:
-        if offset != r.pos:
-            raise DatasetFormatError(f"index offset mismatch for {uid!r}")
-        t_len, dim, has_label, label_len = r.unpack("<IIBH")
-        label = r.take(label_len).decode("utf-8") if label_len else ""
-        feats = np.frombuffer(r.take(t_len * dim * 8), dtype="<f8").reshape(
-            t_len, dim
-        )
-        if r.pos - offset != nbytes:
-            raise DatasetFormatError(f"index length mismatch for {uid!r}")
-        if not np.isfinite(feats).all():
-            raise DatasetFormatError(f"non-finite features in {uid!r}")
-        utts.append(
-            Utterance(
-                uid=uid,
-                features=feats.copy(),
-                text=label if has_label else None,
-                frame_ms=frame_ms,
-            )
-        )
-    (recorded_total,) = r.unpack("<Q")
-    if recorded_total != len(buf):
-        raise DatasetFormatError("trailing length does not match file size")
-    if r.pos != len(buf):
-        raise DatasetFormatError("unexpected bytes after trailer")
+    for uid, text in zip(uids, texts):
+        feats = arrays[uid]
+        if feats.ndim != 2 or not np.isfinite(feats).all():
+            raise DatasetFormatError(f"{path}: features of {uid!r} are not finite T x D values")
+        utts.append(Utterance(uid=uid, features=feats.copy(), text=text, frame_ms=frame_ms))
     return tuple(utts)

@@ -22,8 +22,9 @@ every run, fresh or resumed, the row's `load` reads them back for the
 later rows. A row's `produce`, `load` and trainer see only the values of
 its `reads`, so a read the row does not declare fails at once.
 
-Resume: a stage's input key is a sha256 of its config fields and of the
-input keys of the stages it reads; `reports/inputs.json` holds the key of
+Resume: a stage's input key is a sha256 of its config fields, of the
+input keys of the stages it reads and, for data, of the dataset file
+format; `reports/inputs.json` holds the key of
 every stage whose files on disk were built from it. With `resume` set, a
 stage is reused when its files exist, its stored key matches and no stage
 it reads was recomputed; otherwise it is recomputed. Training is
@@ -55,7 +56,7 @@ from ..masking import MaskSpec
 from ..numerics import check_float, check_int
 from ..vocab import DELIMITER, Vocabulary
 from .data import DataSplit, SyntheticTask, check_generation, generate_dataset
-from .data import load_dataset, save_dataset
+from .data import DATASET_VERSION, load_dataset, save_dataset
 from .optim import TrainConfig
 from .stages import (
     BIDIRECTIONAL,
@@ -71,6 +72,9 @@ from .stages import (
 STAGE_SEED_OFFSET = {"pretrain": 1, "S": 2, "T": 3, "KD": 4, "N": 5, "ST": 6}
 _TUPLE_FIELDS = ("frames_per_token", "text_len", "sizes", "distill_layers")
 _KEYS_FILE = os.path.join("reports", "inputs.json")  # the stored input keys
+# the file format of a row whose format changed since input keys were
+# stored; it is part of the row's key, so an older workdir recomputes once
+_FORMATS = {"data": DATASET_VERSION}
 
 
 @dataclass
@@ -541,8 +545,8 @@ def plan_stages(config: PipelineConfig) -> list:
 
 
 def input_keys(config: PipelineConfig) -> dict:
-    """Stage name -> sha256 of the config fields its row names and of the
-    input keys of the stages it reads."""
+    """Stage name -> sha256 of the config fields its row names, of the
+    input keys of the stages it reads and of its `_FORMATS` entry."""
     values = config.to_dict()
     keys = {}
     for stage in STAGES:
@@ -551,6 +555,8 @@ def input_keys(config: PipelineConfig) -> dict:
             top, _, sub = name.partition(".")
             picked[name] = values[top].get(sub) if sub else values[top]
         blob = {"fields": picked, "reads": {r: keys[r] for r in stage.reads}}
+        if stage.name in _FORMATS:
+            blob["format"] = _FORMATS[stage.name]
         data = json.dumps(blob, sort_keys=True).encode("utf-8")
         keys[stage.name] = hashlib.sha256(data).hexdigest()
     return keys

@@ -311,5 +311,5 @@ def test_criterion_10_round_trips(capsys, tmp_path):
         assert checks.round_trip_failures(tmp_path) == []
         info["detail"] = (
             "(checkpoint bytes, lm bytes and scores, dataset contents,"
-            f" {len(checks.DATASET_CORRUPTIONS)} index corruptions rejected)"
+            f" {len(checks.DATASET_CORRUPTIONS)} dataset corruptions rejected)"
         )

@@ -462,6 +462,32 @@ def test_unflagged_decode_scores_like_the_recipe(capsys, trained):
     assert len(unflagged.splitlines()) == 1 + len(load_dataset(tmp / "data" / "dev.bin"))
 
 
+@pytest.mark.parametrize("bad", ["model", "data", "lm"])
+def test_decode_with_a_bad_input_leaves_stdout_empty(capsys, trained, bad):
+    # decode once printed its header before it loaded --lm
+    tmp, cfg, labeled = trained
+    lm = tmp / "lm.json"
+    assert run(capsys, "train-lm", "--config", cfg, "--data", labeled, "--out", str(lm))[0] == 0
+    paths = {"model": tmp / "S.ckpt", "data": tmp / "data" / "dev.bin", "lm": lm}
+    paths[bad] = tmp / "broken"
+    paths[bad].write_bytes(b"broken")
+    code, out, err = run(capsys, "decode", *(f"--{k}={v}" for k, v in paths.items()))
+    assert code == 2 and out == ""
+    assert f"error: {paths[bad]}: " in err
+
+
+def test_decode_names_an_lm_txt_as_the_old_text_format(capsys, trained):
+    tmp, cfg, labeled = trained
+    old = tmp / "lm.txt"
+    old.write_text("ngram 1\norder 3\nsmoothing 0.20000000000000001\nvocab a b |\n")
+    code, out, err = run(
+        capsys, "decode", "--model", str(tmp / "S.ckpt"),
+        "--data", str(tmp / "data" / "dev.bin"), "--lm", str(old),
+    )
+    assert code == 2 and out == ""
+    assert f"error: {old}: an LM in the text format from before JSON" in err
+
+
 def test_decode_usage_and_runtime_errors(capsys, trained):
     tmp, cfg, labeled = trained
     s = str(tmp / "S.ckpt")

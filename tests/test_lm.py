@@ -229,6 +229,17 @@ def test_load_rejects_version_mismatch(tmp_path):
         load_lm(path)
 
 
+# the head of an lm.txt in the line-oriented text format from before JSON
+OLD_TEXT_LM = "ngram 1\norder 2\nsmoothing 0.20000000000000001\nvocab a b |\n"
+
+
+def test_load_names_the_text_format_from_before_json(tmp_path):
+    path = tmp_path / "lm.txt"
+    path.write_text(OLD_TEXT_LM)
+    with rejects(path, "an LM in the text format from before JSON"):
+        load_lm(path)
+
+
 def test_load_rejects_truncation(tmp_path):
     path = saved(tmp_path, ["ab", "ba"], 2, 1.0)
     text = path.read_text()

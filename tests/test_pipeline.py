@@ -4,10 +4,13 @@ import dataclasses
 import json
 import math
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
+from streamctc import container
 from streamctc.ctc import DecodeConfig, UnsatisfiableTargetError, edit_distance, greedy_decode
 from streamctc.encoder import (
     EncoderConfig,
@@ -151,28 +154,76 @@ def test_task_validation():
 
 
 def test_container_round_trip_and_validation(tmp_path):
-    task = tiny_task()
-    split = generate_dataset(task, (5, 3, 2))
-    path = tmp_path / "set.bin"
-    save_dataset(split.labeled, path)
+    bits = np.array([[0.1, -0.0], [5e-324, -1.7976931348623157e308]])
+    utts = (
+        Utterance(uid="z", features=bits, text="ab|c", frame_ms=12.5),
+        Utterance(uid="a", features=np.ones((3, 2)), text=None, frame_ms=12.5),
+        Utterance(uid="m", features=np.zeros((0, 2)), text="", frame_ms=12.5),
+    )
+    path, again = tmp_path / "set.bin", tmp_path / "again.bin"
+    save_dataset(utts, path)
     back = load_dataset(path)
-    assert len(back) == 5
-    for a, b in zip(split.labeled, back):
-        assert a.uid == b.uid and a.text == b.text
-        assert np.array_equal(a.features, b.features)
-        assert a.frame_ms == b.frame_ms
+    assert [u.uid for u in back] == ["z", "a", "m"]
+    assert [u.text for u in back] == ["ab|c", None, ""]
+    assert all(u.frame_ms == 12.5 for u in back)
+    for a, b in zip(utts, back):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert b.features.flags.writeable and b.features.flags.owndata
+    save_dataset(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
-    blob = path.read_bytes()
+    # a well-formed container whose header or arrays are not a dataset's
+    header = {"version": 2, "frame_ms": 20.0, "uids": ["a", "b"], "texts": ["x", None]}
+    arrays = {"a": np.ones((2, 2)), "b": np.ones((1, 2))}
+    cases = [
+        ({**header, "version": 1}, arrays, "format version 1"),
+        ({**header, "frame_ms": "20"}, arrays, "frame_ms"),
+        ({**header, "uids": ["a", 2]}, arrays, "uids do not name"),
+        ({**header, "uids": "ab"}, arrays, "uids do not name"),
+        ({**header, "texts": ["x"]}, arrays, "texts"),
+        ({**header, "texts": ["x", 3]}, arrays, "texts"),
+        ({**header, "uids": ["a", "a"]}, arrays, "uids do not name"),
+        (header, {**arrays, "c": np.ones((1, 2))}, "uids do not name"),
+        (header, {**arrays, "b": np.ones(2)}, "'b' are not finite T x D"),
+    ]
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(blob[:-9])
-    with pytest.raises(DatasetFormatError):
-        load_dataset(bad)
-    bad.write_bytes(b"NOTADSET" + blob[8:])
-    with pytest.raises(DatasetFormatError):
-        load_dataset(bad)
-    bad.write_bytes(blob + b"x")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(bad)
+    for edited, stored, message in cases:
+        bad.write_bytes(container.pack(container.DATASET_MAGIC, edited, stored))
+        with pytest.raises(DatasetFormatError, match=re.escape(str(bad)) + ": .*" + message):
+            load_dataset(bad)
+
+
+def test_a_dataset_with_a_repeated_uid_is_not_written(tmp_path):
+    utts = [Utterance(uid="a", features=np.ones((1, 2)))] * 2
+    with pytest.raises(ValueError, match="repeated utterance id"):
+        save_dataset(utts, tmp_path / "set.bin")
+    assert not (tmp_path / "set.bin").exists()
+
+
+def _old_dataset_bytes(utts) -> bytes:
+    """A dataset file in the STCDSET1 layout that the shared container
+    replaced: an index of uids, offsets and lengths, then the records."""
+    records = []
+    for u in utts:
+        label = (u.text or "").encode()
+        head = struct.pack("<IIBH", *u.features.shape, u.text is not None, len(label))
+        records.append(head + label + u.features.astype("<f8").tobytes())
+    index_size = sum(2 + len(u.uid.encode()) + 16 for u in utts)
+    offset = 8 + 4 + 4 + 8 + index_size
+    blob = b"STCDSET1" + struct.pack("<IId", 1, len(utts), utts[0].frame_ms)
+    for u, rec in zip(utts, records):
+        blob += struct.pack("<H", len(u.uid.encode())) + u.uid.encode()
+        blob += struct.pack("<QQ", offset, len(rec))
+        offset += len(rec)
+    blob += b"".join(records)
+    return blob + struct.pack("<Q", len(blob) + 8)
+
+
+def test_a_dataset_in_the_pre_container_format_is_named_as_such(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(_old_dataset_bytes(generate_dataset(tiny_task(), (2, 1, 1)).labeled))
+    with pytest.raises(DatasetFormatError, match=re.escape(str(path)) + ": .*pre-container"):
+        load_dataset(path)
 
 
 def test_container_with_non_finite_features_is_rejected(tmp_path):
@@ -181,7 +232,7 @@ def test_container_with_non_finite_features_is_rejected(tmp_path):
     path = tmp_path / "nan.bin"
     save_dataset((Utterance(uid="ok", features=np.ones((2, 2))),
                   Utterance(uid="bad", features=feats)), path)
-    with pytest.raises(DatasetFormatError, match="'bad'"):
+    with pytest.raises(DatasetFormatError, match=re.escape(str(path)) + ": .*'bad'"):
         load_dataset(path)
 
 
@@ -1367,6 +1418,38 @@ def test_a_workdir_with_the_text_lm_recomputes_lm_u_and_st_once(tmp_path, monkey
     assert recomputed(tmp_path / "w") == ["lm", "U'", "ST"]
     assert [open(name, "rb").read() for name in kept] == before
     assert reports[0].checkpoint == os.path.join("w", "checkpoints", "S.ckpt")
+
+
+def test_a_workdir_with_pre_container_data_recomputes_every_stage_once(
+    tmp_path, monkeypatch
+):
+    # before datasets moved into the checkpoints' container, data files had
+    # the STCDSET1 layout under the same names and the data row's input key
+    # held no format; the data's contents are the same, so every checkpoint
+    # comes out with the same bytes
+    from streamctc.pipeline import run as pipeline_run
+
+    config = resume_config(tmp_path)
+    run_two_stage(config)
+    checkpoints = sorted((tmp_path / "checkpoints").glob("*.ckpt"))
+    before = [p.read_bytes() for p in checkpoints]
+    data = sorted((tmp_path / "data").glob("*.bin"))
+    contents = [load_dataset(p) for p in data]
+    for path, utts in zip(data, contents):
+        path.write_bytes(_old_dataset_bytes(utts))
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline_run, "_FORMATS", {})
+        old_keys = input_keys(config)
+    (tmp_path / "reports" / "inputs.json").write_text(json.dumps(old_keys))
+    run_two_stage(config)
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    assert [p.read_bytes() for p in checkpoints] == before
+    for path, utts in zip(data, contents):
+        back = load_dataset(path)
+        assert [(u.uid, u.text) for u in back] == [(u.uid, u.text) for u in utts]
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(back, utts))
+    run_two_stage(config)
+    assert recomputed(tmp_path) == []
 
 
 def test_rows_hand_on_only_what_load_returns_and_see_only_their_reads(
