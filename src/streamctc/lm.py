@@ -3,9 +3,9 @@
 Additive-k estimates over the declared vocabulary with backoff to the
 longest stored shorter context when a context was never seen in training
 (all context tables, for every order up to n-1, are materialized at
-training time). Sequence ends are modeled separately per context as an
-add-k Bernoulli "stop" probability, so token distributions stay
-normalized over the vocabulary itself.
+training time). Each context's distribution is normalized over the
+vocabulary itself; sequence ends are not modeled, since shallow fusion
+scores emitted tokens only.
 
 A model saves as one JSON object; a float's repr reads back with the same
 bits, so a save/load round trip keeps every log-prob.
@@ -22,8 +22,8 @@ from .vocab import Vocabulary
 START = "<s>"
 UNK = "<unk>"
 
-FORMAT_VERSION = 2
-_FIELDS = {"format", "order", "smoothing", "vocab", "tokens", "ends"}
+FORMAT_VERSION = 3
+_FIELDS = {"format", "order", "smoothing", "vocab", "tokens"}
 
 
 class LmFormatError(ValueError):
@@ -33,20 +33,18 @@ class LmFormatError(ValueError):
 
 @dataclass(frozen=True)
 class NgramModel:
-    """Immutable n-gram tables: context tuple -> token -> log-prob, plus a
-    per-context log-probability of the sequence ending there. Every stored
-    context holds a log-prob for each vocabulary token and `UNK`, and for
-    no other token."""
+    """Immutable n-gram tables: context tuple -> token -> log-prob. Every
+    stored context holds a log-prob for each vocabulary token and `UNK`,
+    and for no other token."""
 
     order: int
     vocab: tuple
     smoothing: float
     tokens: dict
-    ends: dict
 
     def __post_init__(self):
         _check_order(self.order)
-        if () not in self.tokens or () not in self.ends:
+        if () not in self.tokens:
             raise ValueError("model must store the empty context")
         _check_tables(self.vocab, self.tokens)
 
@@ -120,7 +118,6 @@ def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
     known = set(vocab)
 
     counts = {}  # context -> token -> count
-    eos = {}  # context -> end-of-sequence count
     for seq in sequences:
         toks = [t if t in known else UNK for t in seq]
         padded = [START] * (order - 1) + toks
@@ -130,26 +127,20 @@ def train_ngram(corpus, order: int, smoothing: float, vocab=None) -> NgramModel:
                 ctx = tuple(padded[i - length : i])
                 counts.setdefault(ctx, {}).setdefault(tok, 0)
                 counts[ctx][tok] += 1
+        # a context a sequence ends in is stored even when no token follows
+        # it, so a later lookup there does not back off to a shorter one
         for length in range(order):
-            ctx = tuple(padded[len(padded) - length :])
-            counts.setdefault(ctx, {})
-            eos[ctx] = eos.get(ctx, 0) + 1
+            counts.setdefault(tuple(padded[len(padded) - length :]), {})
 
     k = float(smoothing)
     v = len(vocab)
     tokens = {}
-    ends = {}
     for ctx, per_tok in counts.items():
-        emitted = sum(per_tok.values())
-        denom = emitted + k * v
+        denom = sum(per_tok.values()) + k * v
         table = {t: math.log((per_tok.get(t, 0) + k) / denom) for t in vocab}
         table[UNK] = math.log(k / denom)
         tokens[ctx] = table
-        stops = eos.get(ctx, 0)
-        ends[ctx] = math.log((stops + k) / (emitted + stops + 2.0 * k))
-    return NgramModel(
-        order=order, vocab=vocab, smoothing=k, tokens=tokens, ends=ends
-    )
+    return NgramModel(order=order, vocab=vocab, smoothing=k, tokens=tokens)
 
 
 def _window(model: NgramModel, context) -> tuple:
@@ -168,34 +159,6 @@ def logp(model: NgramModel, token: str, context) -> float:
     while ctx not in model.tokens:
         ctx = ctx[1:]
     return model.tokens[ctx][token]
-
-
-def end_logp(model: NgramModel, context) -> float:
-    """Log-prob that the sequence stops after `context`."""
-    ctx = _window(model, context)
-    while ctx not in model.ends:
-        ctx = ctx[1:]
-    return model.ends[ctx]
-
-
-def score(model: NgramModel, sequence, boundaries: bool = True) -> float:
-    """Total log-prob of a token sequence.
-
-    With `boundaries` (the default) the context starts at sentence-start
-    padding and the per-context stop probability of the final context is
-    added, so the empty sequence scores log p(end | start context). Without
-    boundaries the result is the bare chain-rule sum of the per-token
-    conditionals, which is additive over concatenation.
-    """
-    toks = _as_tokens(sequence)
-    history = [START] * (model.order - 1) if boundaries else []
-    total = 0.0
-    for tok in toks:
-        total += logp(model, tok, history)
-        history.append(tok)
-    if boundaries:
-        total += end_logp(model, history)
-    return total
 
 
 class FusionLm:
@@ -223,7 +186,6 @@ def save_lm(model: NgramModel, path):
         "smoothing": model.smoothing,
         "vocab": list(model.vocab),
         "tokens": {" ".join(ctx): table for ctx, table in model.tokens.items()},
-        "ends": {" ".join(ctx): end for ctx, end in model.ends.items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -255,12 +217,14 @@ def _field(path, name: str, value, kind, check=lambda v: v):
         raise LmFormatError(f"{path}: {name}: {exc}") from None
 
 
-def _table(path, name: str, value, depth: int) -> dict:
-    """A saved `ends` (`depth` 1) or `tokens` table, each log-prob finite."""
+def _table(path, name: str, value) -> dict:
+    """A saved `tokens` table, context -> token -> finite log-prob."""
     return {
-        key: _field(path, f"{name}[{key!r}]", v, float, _finite)
-        if depth == 1 else _table(path, f"{name}[{key!r}]", v, depth - 1)
-        for key, v in _field(path, name, value, dict).items()
+        ctx: {
+            tok: _field(path, f"{name}[{ctx!r}][{tok!r}]", lp, float, _finite)
+            for tok, lp in _field(path, f"{name}[{ctx!r}]", per_tok, dict).items()
+        }
+        for ctx, per_tok in _field(path, name, value, dict).items()
     }
 
 
@@ -285,11 +249,9 @@ def load_lm(path) -> NgramModel:
     order = _field(path, "order", payload["order"], int, _check_order)
     smoothing = _field(path, "smoothing", payload["smoothing"], float, _check_smoothing)
     vocab = _field(path, "vocab", payload["vocab"], list, lambda v: _check_vocab(tuple(v)))
-    tables = {}
-    for name, depth in (("tokens", 2), ("ends", 1)):
-        table = _table(path, name, payload[name], depth)
-        if "" not in table:
-            raise LmFormatError(f"{path}: {name}: the empty context is missing")
-        tables[name] = {tuple(ctx.split(" ")) if ctx else (): v for ctx, v in table.items()}
-    _field(path, "tokens", tables["tokens"], dict, lambda t: _check_tables(vocab, t))
-    return NgramModel(order=order, vocab=vocab, smoothing=smoothing, **tables)
+    table = _table(path, "tokens", payload["tokens"])
+    if "" not in table:
+        raise LmFormatError(f"{path}: tokens: the empty context is missing")
+    tokens = {tuple(ctx.split(" ")) if ctx else (): v for ctx, v in table.items()}
+    _field(path, "tokens", tokens, dict, lambda t: _check_tables(vocab, t))
+    return NgramModel(order=order, vocab=vocab, smoothing=smoothing, tokens=tokens)

@@ -44,10 +44,6 @@ class GuideMask:
             raise ValueError("at most one marked symbol per time index")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_marked(self) -> int:
-        return int(self.matrix.sum())
-
 
 def guide_mask(streaming_log_posteriors: np.ndarray) -> GuideMask:
     """Per frame: one-hot at the argmax token, all-zero when the argmax is

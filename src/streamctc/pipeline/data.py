@@ -4,8 +4,8 @@ A task maps each usable token to a fixed feature template; an utterance
 is a random token string with each template repeated a few frames and
 Gaussian noise added. A dataset is one file in the container layout that
 checkpoints use (`streamctc.container`): a JSON header with the format
-version, `frame_ms`, and the uids and texts in order, then one float64
-array of features per utterance, named by its uid.
+version and the uids and texts in order, then one float64 array of
+features per utterance, named by its uid.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .. import container
 from ..numerics import check_float, check_int
 from ..vocab import BLANK, LabelSequence, Vocabulary
 
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 
 class DatasetFormatError(ValueError):
@@ -123,7 +123,6 @@ class Utterance:
     uid: str
     features: np.ndarray
     text: str | None = None
-    frame_ms: float = 20.0
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=np.float64)
@@ -161,14 +160,6 @@ class DataSplit:
                         f"utterance id {u.uid!r} in both {seen[u.uid]} and {part}"
                     )
                 seen[u.uid] = part
-
-    @property
-    def sizes(self) -> dict:
-        return {
-            "labeled": len(self.labeled),
-            "unlabeled": len(self.unlabeled),
-            "dev": len(self.dev),
-        }
 
 
 def synthesize_utterance(
@@ -230,16 +221,11 @@ def generate_dataset(
 def save_dataset(utterances, path) -> None:
     """Write `utterances` as one dataset file (see the module docstring)."""
     utts = list(utterances)
-    frame_ms = utts[0].frame_ms if utts else 20.0
-    for u in utts:
-        if u.frame_ms != frame_ms:
-            raise ValueError("mixed frame rates in one container")
     arrays = {u.uid: u.features for u in utts}
     if len(arrays) != len(utts):
         raise ValueError("repeated utterance id in one container")
     header = {
         "version": DATASET_VERSION,
-        "frame_ms": float(frame_ms),
         "uids": [u.uid for u in utts],
         "texts": [u.text for u in utts],
     }
@@ -256,9 +242,7 @@ def load_dataset(path) -> tuple:
     header, arrays = container.read(
         path, container.DATASET_MAGIC, DATASET_VERSION, DatasetFormatError
     )
-    frame_ms, uids, texts = (header.get(k) for k in ("frame_ms", "uids", "texts"))
-    if type(frame_ms) is not float:
-        raise DatasetFormatError(f"{path}: header frame_ms is not a float")
+    uids, texts = header.get("uids"), header.get("texts")
     if not isinstance(uids, list) or sorted(uids, key=str) != sorted(arrays):
         raise DatasetFormatError(f"{path}: header uids do not name the stored arrays one to one")
     if not isinstance(texts, list) or len(texts) != len(uids) or not all(
@@ -270,5 +254,5 @@ def load_dataset(path) -> tuple:
         feats = arrays[uid]
         if feats.ndim != 2 or not np.isfinite(feats).all():
             raise DatasetFormatError(f"{path}: features of {uid!r} are not finite T x D values")
-        utts.append(Utterance(uid=uid, features=feats.copy(), text=text, frame_ms=frame_ms))
+        utts.append(Utterance(uid=uid, features=feats.copy(), text=text))
     return tuple(utts)

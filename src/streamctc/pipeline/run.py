@@ -23,9 +23,9 @@ later rows. A row's `produce`, `load` and trainer see only the values of
 its `reads`, so a read the row does not declare fails at once.
 
 Resume: a stage's input key is a sha256 of its config fields, of the
-input keys of the stages it reads and, for data, of the dataset file
-format; `reports/inputs.json` holds the key of
-every stage whose files on disk were built from it. With `resume` set, a
+input keys of the stages it reads and, for data and lm, of their file
+format; `reports/inputs.json` holds the key of every stage whose files
+on disk were built from it. With `resume` set, a
 stage is reused when its files exist, its stored key matches and no stage
 it reads was recomputed; otherwise it is recomputed. Training is
 deterministic, so a recomputed artifact is bit-identical to what a fresh
@@ -50,6 +50,7 @@ from ..encoder import (
     load_checkpoint,
     save_checkpoint,
 )
+from ..lm import FORMAT_VERSION as LM_VERSION
 from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
@@ -74,7 +75,7 @@ _TUPLE_FIELDS = ("frames_per_token", "text_len", "sizes", "distill_layers")
 _KEYS_FILE = os.path.join("reports", "inputs.json")  # the stored input keys
 # the file format of a row whose format changed since input keys were
 # stored; it is part of the row's key, so an older workdir recomputes once
-_FORMATS = {"data": DATASET_VERSION}
+_FORMATS = {"data": DATASET_VERSION, "lm": LM_VERSION}
 
 
 @dataclass
@@ -109,7 +110,8 @@ def _report_paths(reports_dir, stage: str) -> tuple:
 
 
 def _in_workdir(reports_dir, checkpoint: str) -> str:
-    return os.path.join(os.path.dirname(os.path.normpath(reports_dir)), checkpoint)
+    """`checkpoint` under the workdir, spelled as `reports_dir` spells it."""
+    return os.path.join(os.path.dirname(os.fspath(reports_dir).rstrip(os.sep)), checkpoint)
 
 
 def save_stage_report(report: StageReport, reports_dir) -> str:
@@ -392,19 +394,12 @@ def _trained(name, alias, reads, fields, fit):
         save_stage_report(report, run.path("reports"))
 
     def load(run, paths):
-        report = _loaded_report(run, name, paths[0])
+        report = load_stage_report(run.path("reports"), name)
         return load_checkpoint(paths[0], expect_config=run.config.encoder), report
 
     files = (f"checkpoints/{name}.ckpt", *_report_paths("reports", name))
     train_fields = ("peak_lr", "batch_size", "seed", f"updates.{name}")
     return Stage(name, alias, reads, fields + train_fields, files, produce, load)
-
-
-def _loaded_report(run, stage: str, checkpoint: str) -> StageReport:
-    """The stage's saved report naming `checkpoint`, the file the run
-    loads; a report written before reports held workdir-relative paths
-    may name the checkpoint where the workdir used to be."""
-    return replace(load_stage_report(run.path("reports"), stage), checkpoint=checkpoint)
 
 
 def _produce_data(run, paths):
@@ -515,7 +510,7 @@ STAGES = (
         _produce_pseudo,
         lambda run, paths: (
             load_dataset(paths[0]),
-            _loaded_report(run, "U'", run.path("checkpoints", "N.ckpt")),
+            load_stage_report(run.path("reports"), "U'"),
         ),
     ),
     _trained(

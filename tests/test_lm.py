@@ -1,5 +1,6 @@
 """Character n-gram training, scoring, backoff, and JSON round trips."""
 
+import hashlib
 import json
 import math
 import re
@@ -14,14 +15,23 @@ from streamctc.lm import (
     FusionLm,
     LmFormatError,
     NgramModel,
-    end_logp,
     load_lm,
     logp,
     save_lm,
-    score,
     train_ngram,
 )
 from streamctc.vocab import Vocabulary
+
+
+def chain(model, sequence, history=()) -> float:
+    """The chain-rule sum of the per-token log-probs of `sequence` after
+    `history`."""
+    history = list(history)
+    total = 0.0
+    for tok in sequence:
+        total += logp(model, tok, history)
+        history.append(tok)
+    return total
 
 
 def random_corpus(rng, n_seqs, alphabet="ab|", max_len=12):
@@ -63,10 +73,14 @@ def test_per_context_normalization():
             assert abs(total - 1.0) < 1e-9, ctx
 
 
-def test_end_model_is_a_proper_bernoulli():
-    model = train_ngram(["aa"], order=1, smoothing=1.0, vocab=("a", "b"))
-    # two token emissions and one stop from the empty context
-    assert math.isclose(math.exp(end_logp(model, [])), 2.0 / 5.0, rel_tol=1e-15)
+def test_token_tables_are_pinned():
+    # every log-prob of a trained model keeps the bits it had while the
+    # model also stored an end-of-sequence table
+    model = train_ngram(["ab|ba", "aab|b", "ba", "abc|cab|a"], order=3, smoothing=0.2)
+    table = json.dumps({" ".join(k): v for k, v in model.tokens.items()}, sort_keys=True)
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "be6adf5b99a389a7b3d7ca3c265ca2c70a035549b842abca4ea2308dd0c4c08d"
+    )
 
 
 def test_training_rejects_bad_inputs():
@@ -107,15 +121,19 @@ def test_out_of_vocabulary_tokens_count_as_unknown():
 # ------------------------------------------------------------------- scoring
 
 
-def test_empty_sequence_scores_end_probability_only():
-    model = train_ngram(["aa", "ab"], order=2, smoothing=1.0, vocab=("a", "b"))
-    assert score(model, "") == end_logp(model, [START])
+def test_a_context_seen_only_where_a_sequence_ends_is_stored():
+    # "b" ends "ab" and never precedes a token, yet its context is stored,
+    # so a token after "b" scores at full order instead of backing off
+    model = train_ngram(["aa", "ab", ""], order=2, smoothing=1.0, vocab=("a", "b"))
+    assert set(model.tokens) == {(), (START,), ("a",), ("b",)}
+    assert logp(model, "a", ["b"]) == math.log(1.0 / 2.0) != logp(model, "a", [])
+    assert chain(model, "", [START]) == 0.0
 
 
 def test_score_matches_hand_arithmetic_on_unigram_model():
     model = train_ngram(["aa"], order=1, smoothing=1.0, vocab=("a", "b"))
-    want = math.log(3.0 / 4.0) + math.log(1.0 / 4.0) + math.log(2.0 / 5.0)
-    assert abs(score(model, "ab") - want) < 1e-12
+    want = math.log(3.0 / 4.0) + math.log(1.0 / 4.0)
+    assert abs(chain(model, "ab") - want) < 1e-12
 
 
 def test_boundary_free_score_is_chain_rule_sum():
@@ -124,25 +142,31 @@ def test_boundary_free_score_is_chain_rule_sum():
         random_corpus(rng, 20), order=3, smoothing=1.0, vocab=("a", "b", "|")
     )
     s1, s2 = "ab|a", "ba"
-    joint = score(model, s1 + s2, boundaries=False)
-    parts = score(model, s1, boundaries=False)
+    parts = chain(model, s1)
     history = list(s1)
     for ch in s2:
+        # a context longer than order - 1 backs off to its last two tokens
+        assert logp(model, ch, history) == logp(model, ch, history[-2:])
         parts += logp(model, ch, history)
         history.append(ch)
-    assert joint == parts
+    assert chain(model, s1 + s2) == parts
 
 
 def test_order_one_score_is_exact_sum_of_unigrams():
     model = train_ngram(["abba"], order=1, smoothing=0.5, vocab=("a", "b"))
     seq = "abab"
     want = sum(model.tokens[()][ch] for ch in seq)
-    assert score(model, seq, boundaries=False) == want
+    assert chain(model, seq) == want
+    # an order-1 model ignores any context
+    assert chain(model, seq, [START, "b"]) == want
 
 
 def test_score_is_deterministic():
-    model = train_ngram(["ab", "ba"], order=2, smoothing=1.0, vocab=("a", "b"))
-    values = {score(model, "abba") for _ in range(5)}
+    corpus = ["ab", "ba"]
+    values = {
+        chain(train_ngram(corpus, order=2, smoothing=1.0, vocab=("a", "b")), "abba", [START])
+        for _ in range(5)
+    }
     assert len(values) == 1
 
 
@@ -177,17 +201,14 @@ def test_round_trip_preserves_scores_bit_exactly(tmp_path):
     assert loaded.vocab == model.vocab
     assert loaded.smoothing == model.smoothing
     assert loaded.tokens == model.tokens
-    assert loaded.ends == model.ends
     for _ in range(100):
         seq = "".join(
             np.random.default_rng(int(rng.integers(0, 2**32))).choice(
                 list(string.ascii_lowercase + "|"), size=int(rng.integers(0, 10))
             )
         )
-        assert score(loaded, seq) == score(model, seq)
-        assert score(loaded, seq, boundaries=False) == score(
-            model, seq, boundaries=False
-        )
+        assert chain(loaded, seq, [START, START]) == chain(model, seq, [START, START])
+        assert chain(loaded, seq) == chain(model, seq)
 
 
 def test_save_load_save_gives_the_same_bytes(tmp_path):
@@ -197,10 +218,9 @@ def test_save_load_save_gives_the_same_bytes(tmp_path):
     save_lm(load_lm(first), again)
     assert first.read_bytes() == again.read_bytes()
     payload = json.loads(first.read_text())
-    assert list(payload) == ["ends", "format", "order", "smoothing", "tokens", "vocab"]
-    assert payload["format"] == 2 and payload["vocab"] == ["a", "b", "|"]
+    assert list(payload) == ["format", "order", "smoothing", "tokens", "vocab"]
+    assert payload["format"] == 3 and payload["vocab"] == ["a", "b", "|"]
     assert payload["tokens"]["a b"] == model.tokens[("a", "b")]
-    assert payload["ends"][""] == model.ends[()]
 
 
 def saved(tmp_path, corpus, order, smoothing):
@@ -270,25 +290,20 @@ def test_load_rejects_non_numeric_logprob(tmp_path):
         load_lm(path)
 
 
-@pytest.mark.parametrize("section", ["tokens", "ends"])
+@pytest.mark.parametrize("section", ["tokens"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_logprob(tmp_path, section, value):
     # one nan log-prob once loaded, and fused decoding then ranked nan
     # scores and returned empty hypotheses
     path = saved(tmp_path, ["ab|ba", "aab"], 2, 0.5)
-    if section == "tokens":
-        rewrite(path, lambda payload: payload["tokens"]["a"].update(b=float(value)))
-        field = r"tokens\['a'\]\['b'\]"
-    else:
-        rewrite(path, lambda payload: payload["ends"].update(a=float(value)))
-        field = r"ends\['a'\]"
-    with rejects(path, f"{field}: bad log-prob {value}$"):
+    rewrite(path, lambda payload: payload[section]["a"].update(b=float(value)))
+    with rejects(path, rf"{section}\['a'\]\['b'\]: bad log-prob {value}$"):
         load_lm(path)
 
 
 def test_model_requires_empty_context():
     with pytest.raises(ValueError):
-        NgramModel(order=1, vocab=("a",), smoothing=1.0, tokens={}, ends={})
+        NgramModel(order=1, vocab=("a",), smoothing=1.0, tokens={})
 
 
 @pytest.mark.parametrize(
@@ -336,9 +351,9 @@ def test_load_rejects_a_context_missing_a_token(tmp_path, context, where):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda payload: payload.pop("ends"), "ends: missing"),
+        (lambda payload: payload.pop("tokens"), "tokens: missing"),
         (lambda payload: payload.update(comment="x"), "comment: unknown"),
-        (lambda payload: payload["ends"].pop(""), "ends: the empty context is missing"),
+        (lambda payload: payload["tokens"].pop(""), "tokens: the empty context is missing"),
         (lambda payload: payload.update(vocab="ab|"), "vocab: expected list, got 'ab|'"),
     ],
     ids=["missing-field", "unknown-field", "no-empty-context", "vocab-string"],
@@ -352,7 +367,7 @@ def test_load_rejects_a_missing_or_unknown_field(tmp_path, edit, message):
 
 @pytest.mark.parametrize(
     "old, new, key",
-    [('{\n "ends"', '{\n "order": 1,\n "ends"', "order"),
+    [('{\n "format"', '{\n "order": 1,\n "format"', "order"),
      ('"tokens": {\n  ""', '"tokens": {\n  "a": {},\n  ""', "a")],
     ids=["field", "context"],
 )
@@ -371,8 +386,8 @@ def test_model_rejects_tables_that_differ_from_the_vocabulary():
     tokens = {ctx: dict(table) for ctx, table in model.tokens.items()}
     del tokens[("b",)][UNK]
     with pytest.raises(ValueError, match="context 'b' has no log-prob for token '<unk>'"):
-        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens, ends=model.ends)
+        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens)
     tokens = {ctx: dict(table) for ctx, table in model.tokens.items()}
     tokens[()]["c"] = -1.0
     with pytest.raises(ValueError, match="empty context has a log-prob for 'c'"):
-        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens, ends=model.ends)
+        NgramModel(order=2, vocab=model.vocab, smoothing=1.0, tokens=tokens)

@@ -156,16 +156,15 @@ def test_task_validation():
 def test_container_round_trip_and_validation(tmp_path):
     bits = np.array([[0.1, -0.0], [5e-324, -1.7976931348623157e308]])
     utts = (
-        Utterance(uid="z", features=bits, text="ab|c", frame_ms=12.5),
-        Utterance(uid="a", features=np.ones((3, 2)), text=None, frame_ms=12.5),
-        Utterance(uid="m", features=np.zeros((0, 2)), text="", frame_ms=12.5),
+        Utterance(uid="z", features=bits, text="ab|c"),
+        Utterance(uid="a", features=np.ones((3, 2)), text=None),
+        Utterance(uid="m", features=np.zeros((0, 2)), text=""),
     )
     path, again = tmp_path / "set.bin", tmp_path / "again.bin"
     save_dataset(utts, path)
     back = load_dataset(path)
     assert [u.uid for u in back] == ["z", "a", "m"]
     assert [u.text for u in back] == ["ab|c", None, ""]
-    assert all(u.frame_ms == 12.5 for u in back)
     for a, b in zip(utts, back):
         assert a.features.tobytes() == b.features.tobytes()
         assert b.features.flags.writeable and b.features.flags.owndata
@@ -173,11 +172,10 @@ def test_container_round_trip_and_validation(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
     # a well-formed container whose header or arrays are not a dataset's
-    header = {"version": 2, "frame_ms": 20.0, "uids": ["a", "b"], "texts": ["x", None]}
+    header = {"version": 3, "uids": ["a", "b"], "texts": ["x", None]}
     arrays = {"a": np.ones((2, 2)), "b": np.ones((1, 2))}
     cases = [
         ({**header, "version": 1}, arrays, "format version 1"),
-        ({**header, "frame_ms": "20"}, arrays, "frame_ms"),
         ({**header, "uids": ["a", 2]}, arrays, "uids do not name"),
         ({**header, "uids": "ab"}, arrays, "uids do not name"),
         ({**header, "texts": ["x"]}, arrays, "texts"),
@@ -210,7 +208,7 @@ def _old_dataset_bytes(utts) -> bytes:
         records.append(head + label + u.features.astype("<f8").tobytes())
     index_size = sum(2 + len(u.uid.encode()) + 16 for u in utts)
     offset = 8 + 4 + 4 + 8 + index_size
-    blob = b"STCDSET1" + struct.pack("<IId", 1, len(utts), utts[0].frame_ms)
+    blob = b"STCDSET1" + struct.pack("<IId", 1, len(utts), 20.0)
     for u, rec in zip(utts, records):
         blob += struct.pack("<H", len(u.uid.encode())) + u.uid.encode()
         blob += struct.pack("<QQ", offset, len(rec))
@@ -1386,13 +1384,16 @@ def test_workdir_without_input_keys_is_recomputed_once(tmp_path):
 
 def test_a_moved_workdir_resumes_with_reports_naming_its_checkpoints(tmp_path, monkeypatch):
     # the reports stored the checkpoint path the run was given, so after a
-    # move every reused report named a file under the old directory
+    # move every reused report named a file under the old directory; a
+    # returned report names its checkpoint as the workdir is spelled
     monkeypatch.chdir(tmp_path)
     run_two_stage(resume_config("w"))
     os.rename("w", "moved")
-    reports = run_two_stage(resume_config("moved"))
+    reports = run_two_stage(resume_config("./moved/"))
     assert recomputed(tmp_path / "moved") == []
     for r in reports:
+        name = "N" if r.stage == "U'" else r.stage
+        assert r.checkpoint == os.path.join("./moved/", "checkpoints", f"{name}.ckpt")
         assert os.path.exists(r.checkpoint), r.stage
         assert os.path.exists(load_stage_report("moved/reports", r.stage).checkpoint), r.stage
     for stage, checkpoint in (("S", "S"), ("U", "N")):
@@ -1401,19 +1402,14 @@ def test_a_moved_workdir_resumes_with_reports_naming_its_checkpoints(tmp_path, m
 
 
 def test_a_workdir_with_the_text_lm_recomputes_lm_u_and_st_once(tmp_path, monkeypatch):
-    # before the LM was saved as JSON the lm row wrote lm.txt, and reports
-    # named checkpoints by the path the run was given; the LM's floats are
-    # the same, so U' and ST come out with the same bytes
+    # before the LM was saved as JSON the lm row wrote lm.txt; the LM's
+    # floats are the same, so U' and ST come out with the same bytes
     monkeypatch.chdir(tmp_path)
     config = resume_config("w")
     run_two_stage(config)
     kept = ("w/data/pseudo.bin", "w/checkpoints/ST.ckpt")
     before = [open(name, "rb").read() for name in kept]
     os.rename("w/lm.json", "w/lm.txt")
-    with open("w/reports/S.json") as fh:
-        report = json.load(fh)
-    with open("w/reports/S.json", "w") as fh:
-        json.dump({**report, "checkpoint": "w/checkpoints/S.ckpt"}, fh)
     reports = run_two_stage(config)
     assert recomputed(tmp_path / "w") == ["lm", "U'", "ST"]
     assert [open(name, "rb").read() for name in kept] == before
@@ -1448,6 +1444,54 @@ def test_a_workdir_with_pre_container_data_recomputes_every_stage_once(
         back = load_dataset(path)
         assert [(u.uid, u.text) for u in back] == [(u.uid, u.text) for u in utts]
         assert all(np.array_equal(a.features, b.features) for a, b in zip(back, utts))
+    run_two_stage(config)
+    assert recomputed(tmp_path) == []
+
+
+def test_a_workdir_with_frame_rates_and_an_end_model_recomputes_every_stage_once(
+    tmp_path, monkeypatch
+):
+    # datasets of version 2 held a frame_ms and lm.json of format 2 an
+    # `ends` table, and only the data row's input key held a format; the
+    # stored contents are otherwise the same, so every checkpoint and the
+    # pseudo-labels come out the same
+    from streamctc.pipeline import run as pipeline_run
+
+    config = resume_config(tmp_path)
+    run_two_stage(config)
+    checkpoints = sorted((tmp_path / "checkpoints").glob("*.ckpt"))
+    before = [p.read_bytes() for p in checkpoints]
+    pseudo = [(u.uid, u.text) for u in load_dataset(tmp_path / "data" / "pseudo.bin")]
+    for path in (tmp_path / "data").glob("*.bin"):
+        utts = load_dataset(path)
+        header = {"version": 2, "frame_ms": 20.0, "uids": [u.uid for u in utts],
+                  "texts": [u.text for u in utts]}
+        arrays = {u.uid: u.features for u in utts}
+        path.write_bytes(container.pack(b"STCDSET2", header, arrays))
+    lm_path = tmp_path / "lm.json"
+    payload = json.loads(lm_path.read_text())
+    old_lm = json.dumps({**payload, "format": 2, "ends": {ctx: -1.0 for ctx in payload["tokens"]}})
+
+    def store_keys(formats):
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_run, "_FORMATS", formats)
+            keys = input_keys(config)
+        (tmp_path / "reports" / "inputs.json").write_text(json.dumps(keys))
+
+    lm_path.write_text(old_lm)
+    store_keys({"data": 2})
+    run_two_stage(config)
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    assert [p.read_bytes() for p in checkpoints] == before
+    assert [(u.uid, u.text) for u in load_dataset(tmp_path / "data" / "pseudo.bin")] == pseudo
+    assert "ends" not in json.loads(lm_path.read_text())
+    # the LM's own format is in its key, so the old LM beside current data
+    # is rewritten too
+    lm_path.write_text(old_lm)
+    store_keys({"data": pipeline_run.DATASET_VERSION})
+    run_two_stage(config)
+    assert recomputed(tmp_path) == ["lm", "U'", "ST"]
+    assert [p.read_bytes() for p in checkpoints] == before
     run_two_stage(config)
     assert recomputed(tmp_path) == []
 
