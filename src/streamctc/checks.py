@@ -94,52 +94,6 @@ def reference_latencies() -> list:
     return [eil(spec, 12) for spec in REFERENCE_CONFIGS]
 
 
-# ------------------------------------------------------------------ CTC
-
-
-def ctc_brute_force_error(rng, repeats: int) -> float:
-    """Worst |ctc_loss - enumeration| over `repeats` satisfiable instances."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    done = 0
-    while done < repeats:
-        t_len = int(rng.integers(1, 7))
-        v = int(rng.integers(2, 5))
-        n = int(rng.integers(0, 4))
-        target = LabelSequence(tuple(int(x) for x in rng.integers(1, v, size=n)))
-        if min_frames(target) > t_len:
-            continue
-        lp = log_softmax(rng.normal(size=(t_len, v)))
-        [loss], _ = ctc_loss(lp, [target], [t_len])
-        worst = max(worst, abs(loss - ctc_brute_force(lp, target)))
-        done += 1
-    return worst
-
-
-GUIDE_ALPHAS = (1.0, 0.1, 0.01)
-
-
-def guided_identity_residual(rng, repeats: int) -> float:
-    """Worst |guided - ctc - alpha * penalty|: the guided loss must be
-    plain CTC plus exactly alpha times the guide penalty."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(repeats):
-        stream_lp = log_softmax(rng.normal(size=(6, 5)))
-        teacher_lp = log_softmax(rng.normal(size=(6, 5)))
-        target = LabelSequence((1, 3))
-        mask = guide_mask(stream_lp)
-        [base], _ = ctc_loss(teacher_lp, [target], [len(teacher_lp)])
-        penalty, _ = guide_penalty(mask, np.exp(teacher_lp))
-        for alpha in GUIDE_ALPHAS:
-            [loss], _ = guided_ctc_loss(teacher_lp, [target], [len(teacher_lp)], [mask], alpha)
-            worst = max(worst, abs((loss - base) - alpha * penalty))
-    return worst
-
-
-# ------------------------------------------------------------ gradients
-
-
 def _repeated(single):
     """Turn a one-draw check into `check(rng, repeats=1, ...)` returning
     the worst error over `repeats` consecutive draws from `rng`."""
@@ -150,6 +104,49 @@ def _repeated(single):
         return max(single(rng, **kwargs) for _ in range(repeats))
 
     return check
+
+
+# ------------------------------------------------------------------ CTC
+
+
+@_repeated
+def ctc_brute_force_error(rng) -> float:
+    """|ctc_loss - enumeration| on one satisfiable instance; an
+    unsatisfiable draw is drawn again."""
+    while True:
+        t_len = int(rng.integers(1, 7))
+        v = int(rng.integers(2, 5))
+        n = int(rng.integers(0, 4))
+        target = LabelSequence(tuple(int(x) for x in rng.integers(1, v, size=n)))
+        if min_frames(target) <= t_len:
+            break
+    lp = log_softmax(rng.normal(size=(t_len, v)))
+    [loss], _ = ctc_loss(lp, [target], [t_len])
+    return abs(loss - ctc_brute_force(lp, target))
+
+
+GUIDE_ALPHAS = (1.0, 0.1, 0.01)
+
+
+@_repeated
+def guided_identity_residual(rng) -> float:
+    """Worst |guided - ctc - alpha * penalty| over `GUIDE_ALPHAS`: the
+    guided loss must be plain CTC plus exactly alpha times the guide
+    penalty."""
+    stream_lp = log_softmax(rng.normal(size=(6, 5)))
+    teacher_lp = log_softmax(rng.normal(size=(6, 5)))
+    target = LabelSequence((1, 3))
+    spikes = guide_mask(stream_lp)
+    [base], _ = ctc_loss(teacher_lp, [target], [len(teacher_lp)])
+    penalty, _ = guide_penalty(spikes, np.exp(teacher_lp))
+    residuals = []
+    for alpha in GUIDE_ALPHAS:
+        [loss], _ = guided_ctc_loss(teacher_lp, [target], [len(teacher_lp)], [spikes], alpha)
+        residuals.append(abs((loss - base) - alpha * penalty))
+    return max(residuals)
+
+
+# ------------------------------------------------------------ gradients
 
 
 @_repeated
@@ -217,12 +214,12 @@ def ctc_gradient_error(rng) -> float:
 @_repeated
 def guided_ctc_gradient_error(rng) -> float:
     stream_lp = log_softmax(rng.normal(size=(6, 5)))
-    mask = guide_mask(stream_lp)
+    spikes = guide_mask(stream_lp)
     target = LabelSequence((1, 3))
 
     def op(x):
         lp = log_softmax(x)
-        [loss], g = guided_ctc_loss(lp, [target], [len(lp)], [mask], 0.1)
+        [loss], g = guided_ctc_loss(lp, [target], [len(lp)], [spikes], 0.1)
         return loss, [log_softmax_backward(g, lp)]
 
     return check_gradient(op, [rng.normal(size=(6, 5))])
@@ -330,36 +327,30 @@ def _exhaustive_best(lp, n_vocab):
     return best_seq, best_score
 
 
-def beam_exhaustive_error(rng, repeats: int) -> float:
-    """Worst |score gap| between a very wide beam and the best labeling by
+@_repeated
+def beam_exhaustive_error(rng) -> float:
+    """|score gap| between a very wide beam and the best labeling by
     enumeration; infinite when the labelings differ."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(repeats):
-        t_len = int(rng.integers(4, 7))
-        v = int(rng.integers(3, 5))
-        lp = log_softmax(rng.normal(size=(t_len, v)))
-        best_seq, best_score = _exhaustive_best(lp, v)
-        top = prefix_beam_search(lp, DecodeConfig(beam_size=2048))[0]
-        if top.labels.tokens != best_seq:
-            return math.inf
-        worst = max(worst, abs(top.acoustic - best_score))
-    return worst
+    t_len = int(rng.integers(4, 7))
+    v = int(rng.integers(3, 5))
+    lp = log_softmax(rng.normal(size=(t_len, v)))
+    best_seq, best_score = _exhaustive_best(lp, v)
+    top = prefix_beam_search(lp, DecodeConfig(beam_size=2048))[0]
+    if top.labels.tokens != best_seq:
+        return math.inf
+    return abs(top.acoustic - best_score)
 
 
-def beam_monotone_drop(rng, repeats: int) -> float:
-    """Worst fall of the top combined score as the beam widens 1 -> 16."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(repeats):
-        lp = log_softmax(rng.normal(size=(7, 5)))
-        scores = [
-            prefix_beam_search(lp, DecodeConfig(beam_size=b))[0].combined
-            for b in (1, 2, 4, 8, 16)
-        ]
-        for small, big in zip(scores, scores[1:]):
-            worst = max(worst, small - big)
-    return worst
+@_repeated
+def beam_monotone_drop(rng) -> float:
+    """Worst fall of the top combined score as the beam widens 1 -> 16
+    (0.0 when it never falls)."""
+    lp = log_softmax(rng.normal(size=(7, 5)))
+    scores = [
+        prefix_beam_search(lp, DecodeConfig(beam_size=b))[0].combined
+        for b in (1, 2, 4, 8, 16)
+    ]
+    return max(0.0, *(small - big for small, big in zip(scores, scores[1:])))
 
 
 # --------------------------------------------------------------- masks

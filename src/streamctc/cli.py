@@ -5,8 +5,8 @@ pipeline), decoding, metrics, and the full six-stage pipeline.
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every run prints
 the digest of its resolved configuration to stderr; human-readable
 tables go to stdout and machine formats are written only to `--out`
-paths. Flags override config-file values. A relative `--config` path
-that does not exist is also looked up under $STREAMCTC_CONFIG_DIR.
+paths. Flags override config-file values; `--config` is the path of a
+JSON config file.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .pipeline import (
 )
 from .pipeline.run import TRAINERS
 from .vocab import Vocabulary
-
-CONFIG_DIR_ENV = "STREAMCTC_CONFIG_DIR"
-
 
 class UsageError(Exception):
     pass
@@ -81,21 +78,12 @@ def _announce(resolved: dict) -> str:
     return digest
 
 
-def _resolve_config_path(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    base = os.environ.get(CONFIG_DIR_ENV)
-    if base and not os.path.isabs(path):
-        candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
-            return candidate
-    raise UsageError(f"config file not found: {path}")
-
-
 def _config_dict(args) -> dict:
     if getattr(args, "config", None) is None:
         return {}
-    with open(_resolve_config_path(args.config)) as fh:
+    if not os.path.exists(args.config):
+        raise UsageError(f"config file not found: {args.config}")
+    with open(args.config) as fh:
         try:
             loaded = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -135,9 +123,9 @@ def _merged_config(args, stage: str | None = None) -> PipelineConfig:
         if value is not None:
             d[key] = value
     if stage is not None and getattr(args, "updates", None) is not None:
-        d.setdefault("updates", {})
-        d["updates"] = dict(PipelineConfig(out_dir=".").updates, **d["updates"])
-        d["updates"][stage] = args.updates
+        updates = d.get("updates", {})
+        if isinstance(updates, dict):  # anything else is PipelineConfig's to reject
+            d["updates"] = {**PipelineConfig(out_dir=".").updates, **updates, stage: args.updates}
     try:
         return PipelineConfig.from_dict(d)
     except (TypeError, ValueError) as exc:

@@ -81,6 +81,7 @@ from .numerics import (
     conv1d_forward,
     conv1d_backward,
     check_int,
+    check_keys,
     ensure_finite,
     gelu_backward,
     gelu_forward,
@@ -132,13 +133,11 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = dict(d)
+        allowed = [*cls.__dataclass_fields__, *HEADER_CONSTANTS]
+        d = dict(check_keys("encoder config", d, allowed))
         for key, value in HEADER_CONSTANTS.items():
             if (got := d.pop(key, value)) != value:
                 raise ValueError(f"{key} {got!r} is not supported; only {value!r} is accepted")
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown encoder config key(s): {', '.join(unknown)}")
         return cls(**d)
 
 
@@ -678,14 +677,10 @@ def checkpoint_digest(params: ModelParams) -> str:
 
 def load_checkpoint(path, expect_config: EncoderConfig | None = None) -> ModelParams:
     header, named = container.read(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
-    if not isinstance(header.get("config"), dict):
-        raise CheckpointError(f"{path}: header config is missing or not an object")
     spec = header.get("mask_spec")
-    if spec is not None and not isinstance(spec, dict):
-        raise CheckpointError(f"{path}: header mask_spec is neither null nor an object")
     try:
-        config = EncoderConfig.from_dict(header["config"])
-        mask_spec = MaskSpec.from_dict(spec) if spec else None
+        config = EncoderConfig.from_dict(header.get("config"))
+        mask_spec = None if spec is None else MaskSpec.from_dict(spec)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
     if header.get("bn_initialized") is not True:

@@ -4,7 +4,8 @@ Three losses on top of plain CTC:
 
 * guided CTC: CTC plus ``alpha`` times a penalty that rewards the model
   under training for putting posterior mass where a frozen streaming
-  model's per-frame argmax spikes are (blank frames contribute nothing);
+  model spikes. The guide is that model's spike sequence, one argmax
+  token per frame (`guide_mask`); blank frames contribute nothing;
 * layer-wise distillation: summed per-layer MSE between selected student
   and teacher hidden states, teacher treated as constant;
 * contrastive: InfoNCE over cosine similarities of a context vector
@@ -27,64 +28,47 @@ from .numerics import check_float, check_int
 from .vocab import BLANK
 
 
-@dataclass(frozen=True, eq=False)
-class GuideMask:
-    """T x V 0/1 matrix: at most one 1 per time index, none when that
-    frame's argmax was the blank."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError("mask must be T x V")
-        if not np.isin(m, (0.0, 1.0)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        if (m.sum(axis=1) > 1).any():
-            raise ValueError("at most one marked symbol per time index")
-        object.__setattr__(self, "matrix", m)
+def guide_mask(streaming_log_posteriors: np.ndarray) -> np.ndarray:
+    """The streaming model's spike sequence: each frame's argmax token,
+    ties broken to the lowest index, so BLANK (a full tie included) means
+    the frame has no spike."""
+    return np.asarray(streaming_log_posteriors, dtype=np.float64).argmax(axis=1)
 
 
-def guide_mask(streaming_log_posteriors: np.ndarray) -> GuideMask:
-    """Per frame: one-hot at the argmax token, all-zero when the argmax is
-    the blank. Ties break to the lowest index (so a full tie goes blank)."""
-    lp = np.asarray(streaming_log_posteriors, dtype=np.float64)
-    t_len, v = lp.shape
-    top = lp.argmax(axis=1)
-    m = np.zeros((t_len, v))
-    rows = top != BLANK
-    m[np.flatnonzero(rows), top[rows]] = 1.0
-    return GuideMask(m)
+def guide_penalty(spikes, teacher_posteriors: np.ndarray):
+    """Negative teacher probability mass at the spikes: the sum over frames
+    whose spike is not BLANK of the teacher's probability of that token.
 
-
-def guide_penalty(mask: GuideMask, teacher_posteriors: np.ndarray):
-    """Negative teacher probability mass at the marked positions.
-
-    `teacher_posteriors` are probabilities, not logs. Returns the scalar
-    and its gradient with respect to the probabilities (just -mask).
+    `teacher_posteriors` are probabilities, not logs, one row per spike.
+    Returns the scalar and its gradient with respect to the probabilities:
+    minus the T x V 0/1 matrix that marks the spikes.
     """
     p = np.asarray(teacher_posteriors, dtype=np.float64)
-    if p.shape != mask.matrix.shape:
-        raise ValueError(
-            f"shape mismatch: mask {mask.matrix.shape}, posteriors {p.shape}"
-        )
-    value = -float((mask.matrix * p).sum())
-    return value, -mask.matrix
+    spikes = np.asarray(spikes)
+    if p.ndim != 2 or spikes.shape != p.shape[:1]:
+        raise ValueError(f"shape mismatch: spikes {spikes.shape}, posteriors {p.shape}")
+    if ((spikes < 0) | (spikes >= p.shape[1])).any():
+        raise ValueError(f"spikes must be token ids below {p.shape[1]}")
+    mask = np.zeros_like(p)
+    frames = np.flatnonzero(spikes != BLANK)
+    mask[frames, spikes[frames]] = 1.0
+    return -float((mask * p).sum()), -mask
 
 
 def guided_ctc_loss(
     teacher_log_posteriors: np.ndarray,
     targets,
     lengths,
-    masks,
+    spikes,
     alpha: float,
 ):
     """Per member, CTC loss plus alpha times the guide penalty, with the
     gradient taken w.r.t. the log-posteriors. The layout is `ctc_loss`'s
     (the members' T_b x V rows back to back, `lengths[b]` rows aiming at
-    `targets[b]`), and `masks[b]` is member b's guide mask. Returns (one
-    loss per member, grad). alpha = 0 reproduces ctc_loss bit for bit
-    (the penalty path is skipped entirely)."""
+    `targets[b]`), and `spikes[b]` is member b's spike sequence
+    (`guide_mask`). Returns (one loss per member, grad). alpha = 0
+    reproduces ctc_loss bit for bit (the penalty path is skipped
+    entirely)."""
     alpha = check_float("alpha", alpha)
     losses, grad = ctc_loss(teacher_log_posteriors, targets, lengths)
     if alpha == 0.0:
@@ -92,9 +76,9 @@ def guided_ctc_loss(
     probs = np.exp(np.asarray(teacher_log_posteriors, dtype=np.float64))
     d_probs = np.empty_like(probs)
     start = 0
-    for b, (mask, n) in enumerate(zip(masks, lengths, strict=True)):
+    for b, (member_spikes, n) in enumerate(zip(spikes, lengths, strict=True)):
         rows = slice(start, start + n)
-        penalty, d_probs[rows] = guide_penalty(mask, probs[rows])
+        penalty, d_probs[rows] = guide_penalty(member_spikes, probs[rows])
         losses[b] += alpha * penalty
         start = rows.stop
     return losses, grad + alpha * d_probs * probs

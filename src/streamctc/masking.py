@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numerics import check_float, check_int
+from .numerics import check_float, check_int, check_keys
 
 VARIANTS = ("bidirectional", "time_restricted", "chunk", "block")
 # masks kept by `build_mask`, least recently used dropped first: a
@@ -102,21 +102,11 @@ class MaskSpec:
         return " ".join(f"{key}={value}" for key, value in fields if value is not None)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "right_frames": self.right_frames,
-            "chunk_frames": self.chunk_frames,
-            "future_frames": self.future_frames,
-            "left_limit": self.left_limit,
-            "frame_ms": self.frame_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaskSpec":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown mask spec key(s): {', '.join(unknown)}")
-        return cls(**d)
+        return cls(**check_keys("mask spec", d, cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True, eq=False)

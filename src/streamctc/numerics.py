@@ -70,6 +70,18 @@ def check_float(name: str, value) -> float:
     return float(value)
 
 
+def check_keys(name: str, value, allowed) -> dict:
+    """`value` if it is a dict (a JSON object) whose keys are all in
+    `allowed`; otherwise a ValueError that names `name` and, for unknown
+    keys, every one of them, sorted."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------

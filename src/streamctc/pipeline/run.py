@@ -42,7 +42,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
-from ..ctc import DecodeConfig, error_counts
+from ..ctc import DecodeConfig, UnsatisfiableTargetError, error_counts
 from ..encoder import (
     EncoderConfig,
     checkpoint_digest,
@@ -54,7 +54,7 @@ from ..lm import FORMAT_VERSION as LM_VERSION
 from ..lm import load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
-from ..numerics import check_float, check_int
+from ..numerics import check_float, check_int, check_keys
 from ..vocab import DELIMITER, Vocabulary
 from .data import DataSplit, SyntheticTask, check_generation, generate_dataset
 from .data import DATASET_VERSION, load_dataset, save_dataset
@@ -68,6 +68,7 @@ from .stages import (
     pseudo_label,
     self_train,
     train_guided_teacher,
+    trainable,
 )
 
 STAGE_SEED_OFFSET = {"pretrain": 1, "S": 2, "T": 3, "KD": 4, "N": 5, "ST": 6}
@@ -190,18 +191,23 @@ class PipelineConfig:
     resume: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         check_int("seed", self.seed, 0)
         for name in ("noise_std", "alpha", "lm_smoothing", "lm_weight",
                      "word_insertion_penalty", "peak_lr"):
             check_float(name, getattr(self, name))
         if not isinstance(self.resume, bool):
             raise ValueError(f"resume must be true or false, got {self.resume!r}")
+        for name in _TUPLE_FIELDS:
+            value = getattr(self, name)
+            optional = name == "distill_layers" and value is None
+            if not (optional or isinstance(value, (tuple, list))):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        check_keys("updates", self.updates, STAGE_SEED_OFFSET)
         missing = [s for s in ("S", "T", "KD", "N", "ST") if s not in self.updates]
         if missing:
             raise ValueError(f"updates missing stages: {missing}")
-        unknown = sorted(set(self.updates) - set(STAGE_SEED_OFFSET))
-        if unknown:
-            raise ValueError(f"unknown updates key(s): {', '.join(unknown)}")
         if check_int("n_symbols", self.n_symbols, 1) > 26:
             raise ValueError(f"n_symbols must be in 1..26, got {self.n_symbols}")
         frames, text_len, _ = check_generation(
@@ -289,16 +295,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown pipeline config key(s): {', '.join(unknown)}")
-        if "encoder" in d:
-            d["encoder"] = EncoderConfig.from_dict(d["encoder"])
-        if "stream" in d:
-            d["stream"] = MaskSpec.from_dict(d["stream"])
+        """The config a JSON object describes; an error in the encoder or
+        stream section names the section."""
+        d = dict(check_keys("pipeline config", d, cls.__dataclass_fields__))
+        for key, section in (("encoder", EncoderConfig), ("stream", MaskSpec)):
+            if key in d:
+                try:
+                    d[key] = section.from_dict(d[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key}: {exc}") from None
         for key in _TUPLE_FIELDS:
-            if d.get(key) is not None:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -410,6 +417,17 @@ def _produce_data(run, paths):
         save_dataset(utts, path)
 
 
+def _load_data(run, paths):
+    split = DataSplit(*(load_dataset(p) for p in paths))
+    if not trainable(split.labeled):
+        # S, T and N train on the labeled set alone: stop before P trains
+        raise UnsatisfiableTargetError(
+            f"the labeled set {paths[0]} has no utterance of 2 frames or more, "
+            "and training needs one"
+        )
+    return split, None
+
+
 def _produce_lm(run, paths):
     model = train_ngram(
         [u.text for u in run.got["data"].labeled],
@@ -477,8 +495,7 @@ STAGES = (
         ("seed", "n_symbols", "frames_per_token", "noise_std", "text_len", "sizes",
          "encoder.feature_dim"),
         ("data/labeled.bin", "data/unlabeled.bin", "data/dev.bin"),
-        _produce_data,
-        lambda run, paths: (DataSplit(*(load_dataset(p) for p in paths)), None),
+        _produce_data, _load_data,
     ),
     Stage(
         "lm", None, ("data",), ("lm_order", "lm_smoothing"), ("lm.json",),

@@ -4,21 +4,22 @@ pseudo-labeling, self-training, and contrastive pre-training.
 All training stages share one deterministic update loop. Before it runs,
 each stage builds its target map once: the uid of every utterance that
 can train, mapped to what it trains toward (an encoded label that fits
-its frames, that label plus a guide mask, a teacher trace, or nothing for
-contrastive pairs). Only utterances of at least 2 frames can train, since
-the frontend's train-mode batch norm normalizes each utterance by its own
-statistics. Batches are drawn from a seeded generator over the
-whole training set; an utterance without a target is skipped and counted
-before its forward pass. The others, in utterance-id order, run as
-consecutive micro-batches whose padded attention area stays within
-`MICRO_BATCH_AREA`: one encoder forward pass per micro-batch, one call
-of the stage's objective, `objective(targets, traces)`, on the whole
-micro-batch, and one backward pass into the micro-batch's own gradient
-slot. CTC and guided CTC make one batched `ctc_loss` call per
-micro-batch; distillation and contrastive loop over the members inside
-their objective, which is a pure function of its arguments: contrastive
-pre-training draws its positions in the loop's process, once per update
-and in member order, and hands them to the objective as targets.
+its frames, that label plus the streaming model's spike sequence, a
+teacher trace, or nothing for contrastive pairs). Only utterances of at
+least 2 frames can train (`trainable`), since the frontend's train-mode
+batch norm normalizes each utterance by its own statistics. Batches are
+drawn from a seeded generator over the whole training set; an utterance
+without a target is skipped and counted before its forward pass. The
+others, in utterance-id order, run as consecutive micro-batches whose
+padded attention area stays within `MICRO_BATCH_AREA`: one encoder
+forward pass per micro-batch, one call of the stage's objective,
+`objective(targets, traces)`, on the whole micro-batch, and one backward
+pass into the micro-batch's own gradient slot. CTC and guided CTC make
+one batched `ctc_loss` call per micro-batch; distillation and
+contrastive loop over the members inside their objective, which is a
+pure function of its arguments: contrastive pre-training draws its
+positions in the loop's process, once per update and in member order,
+and hands them to the objective as targets.
 
 When an update has two micro-batches or more and this process may run on
 at least 2 CPUs, a forked worker process runs one lane of them (`_lanes`,
@@ -108,6 +109,12 @@ def token_error_rate(params: ModelParams, utts, vocabulary: Vocabulary) -> float
     if total == 0:
         raise ValueError("empty references")
     return errors / total
+
+
+def trainable(data) -> list:
+    """The utterances of `data` that can train: those of 2 frames or more,
+    since train-mode batch norm needs two."""
+    return [utt for utt in data if utt.n_frames >= 2]
 
 
 def _ctc_targets(data, vocabulary: Vocabulary) -> dict:
@@ -378,28 +385,28 @@ def _train(init, spec, data, cfg, prepare, dev=(), vocabulary=None, draw=None):
     """The frame every training stage shares: copy `init` under mask
     `spec`, build the stage's targets, run the update loop, and log.
 
-    `prepare(work, trainable)` runs on the copy inside the timed span,
-    `trainable` being the utterances of at least 2 frames (train-mode batch
-    norm needs two), and returns (targets, objective, extra): `targets`
-    maps the uid of each of those that can train to its target and is the
-    stage's one rule for which utterances train, `objective` feeds
-    `_run_updates`, and `extra()` gives the log's extras once the updates
-    are done. Batches are still drawn from all of `data`, and `draw`, when
-    given, supplies each update's targets (see `_run_updates`)."""
+    `prepare(work, usable)` runs on the copy inside the timed span,
+    `usable` being `trainable(data)`, and returns (targets, objective,
+    extra): `targets` maps the uid of each of those that can train to its
+    target and is the stage's one rule for which utterances train,
+    `objective` feeds `_run_updates`, and `extra()` gives the log's extras
+    once the updates are done. Batches are still drawn from all of `data`,
+    and `draw`, when given, supplies each update's targets (see
+    `_run_updates`)."""
     data = list(data)
     if not data:
         raise ValueError("training set is empty")
     if len({utt.uid for utt in data}) < len(data):
         raise ValueError("training set repeats an utterance id")
-    trainable = [utt for utt in data if utt.n_frames >= 2]
-    if not trainable:
+    usable = trainable(data)
+    if not usable:
         raise UnsatisfiableTargetError(
             f"all {len(data)} training samples have fewer than 2 frames"
         )
     started = time.perf_counter()
     work = init.copy()
     work.mask_spec = spec
-    targets, objective, extra = prepare(work, trainable)
+    targets, objective, extra = prepare(work, usable)
     losses, skipped = _run_updates(work, data, cfg, targets, objective, draw)
     extras = extra()
     dev_ter = token_error_rate(work, dev, vocabulary) if dev else None
@@ -452,9 +459,9 @@ def train_guided_teacher(
         raise ValueError("guide model does not record a streaming mask spec")
 
     def objective(targets, traces):
-        labels, masks = zip(*targets)
+        labels, spikes = zip(*targets)
         logpost, lengths = _posteriorgrams(traces)
-        losses, d_logpost = guided_ctc_loss(logpost, labels, lengths, masks, alpha)
+        losses, d_logpost = guided_ctc_loss(logpost, labels, lengths, spikes, alpha)
         return losses, {"grad_logpost": d_logpost}
 
     def prepare(work, data):

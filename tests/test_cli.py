@@ -4,7 +4,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import struct
 
@@ -149,20 +148,25 @@ def test_gen_data_same_seed_same_bytes(capsys, workdir):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
 
 
-def test_config_dir_env_var(capsys, workdir, monkeypatch):
-    tmp, cfg = workdir
-    cfg_dir = tmp / "configs"
-    cfg_dir.mkdir()
-    os.rename(cfg, cfg_dir / "task.json")
-    code, *_ = run(
-        capsys, "gen-data", "--config", "task.json", "--out-dir", str(tmp / "x")
+def test_missing_config_file_is_a_usage_error_naming_it(capsys, tmp_path):
+    missing = tmp_path / "task.json"
+    code, _, err = run(
+        capsys, "gen-data", "--config", str(missing), "--out-dir", str(tmp_path / "x")
     )
     assert code == 1
-    monkeypatch.setenv("STREAMCTC_CONFIG_DIR", str(cfg_dir))
-    code, *_ = run(
-        capsys, "gen-data", "--config", "task.json", "--out-dir", str(tmp / "x")
+    assert f"error: config file not found: {missing}" in err
+
+
+def test_training_subcommand_with_null_updates_is_a_usage_error(capsys, tmp_path):
+    # `--updates` was once merged into a null `updates` with a TypeError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"updates": None}))
+    code, out, err = run(
+        capsys, "finetune", "--config", str(cfg), "--updates", "3",
+        "--data", str(tmp_path / "x.bin"), "--out", str(tmp_path / "y.ckpt"),
     )
-    assert code == 0
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "updates must be a JSON object" in err
 
 
 def test_train_lm_round_trip_and_determinism(capsys, workdir):
@@ -735,6 +739,26 @@ def test_decode_with_the_lm_reproduces_the_pseudo_labels(capsys, workdir):
     assert pseudo and decoded == pseudo
 
 
+def test_labeled_set_that_cannot_train_stops_before_any_stage_trains(capsys, tmp_path):
+    # at seed 1 every labeled utterance has 1 frame: P once warmed up on the
+    # unlabeled set, wrote its checkpoint, and only then did S find that out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sizes": [1, 3, 1], "frames_per_token": [1, 1], "text_len": [1, 2],
+        "encoder": {"n_layers": 1, "model_dim": 8, "n_heads": 2, "ffn_dim": 8,
+                    "feature_dim": 4, "frontend_kernel": 2},
+        "stream": {"variant": "chunk", "chunk_frames": 2},
+        "updates": {"pretrain": 1, "S": 1, "T": 1, "KD": 1, "N": 1, "ST": 1},
+        "batch_size": 2, "beam_size": 2, "seed": 1,
+    }))
+    out = tmp_path / "run"
+    code, stdout, err = run(capsys, "pipeline", "--config", str(cfg), "--workdir", str(out))
+    assert code == 2 and stdout == ""
+    assert err.count("error:") == 1
+    assert f"the labeled set {out / 'data' / 'labeled.bin'} has no utterance" in err
+    assert not list((out / "checkpoints").iterdir())
+
+
 def test_pipeline_needs_workdir(capsys):
     assert dispatch(["pipeline"]) == 1
 
@@ -814,6 +838,16 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         # two fields at once (key None): every utterance would have 1 frame
         (None, {"frames_per_token": [1, 1], "text_len": [1, 1]},
          "frames_per_token [1, 1] and text_len [1, 1]"),
+        # a section or list of the wrong JSON type once failed naming no field
+        ("stream", None, "stream"),
+        ("encoder", None, "encoder"),
+        ("frames_per_token", None, "frames_per_token"),
+        ("sizes", None, "sizes"),
+        ("updates", None, "updates"),
+        ("distill_layers", 5, "distill_layers"),
+        ("text_len", 3, "text_len"),
+        # run without --workdir, so the config's out_dir is the one used
+        ("out_dir", 5, "out_dir"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
          "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
@@ -824,7 +858,9 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
          "inf-lm_weight", "fractional-sizes", "fractional-distill_layers",
          "float-model_dim", "fractional-chunk_frames", "fractional-batch_size",
          "fractional-n_symbols", "string-use_delimiter", "string-resume",
-         "nan-frame_ms", "one-frame-utterances"],
+         "nan-frame_ms", "one-frame-utterances", "null-stream", "null-encoder",
+         "null-frames_per_token", "null-sizes", "null-updates", "int-distill_layers",
+         "int-text_len", "int-out_dir"],
 )
 def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     tmp, cfg = workdir
@@ -832,9 +868,9 @@ def test_bad_config_value_fails_dry_run(capsys, workdir, key, value, field):
     payload.update({key: value} if key else value)
     bad = tmp / "bad.json"
     bad.write_text(json.dumps(payload))
+    workdir_flag = [] if key == "out_dir" else ["--workdir", str(tmp / "run")]
     code, out, err = run(
-        capsys, "pipeline", "--config", str(bad), "--workdir", str(tmp / "run"),
-        "--dry-run",
+        capsys, "pipeline", "--config", str(bad), *workdir_flag, "--dry-run"
     )
     assert code == 1
     assert field in err

@@ -11,7 +11,6 @@ from streamctc.ctc import ctc_loss
 from streamctc.encoder import ForwardTrace
 from streamctc.losses import (
     DistillSpec,
-    GuideMask,
     contrastive_loss,
     distillation_loss,
     frame_agreement,
@@ -29,9 +28,9 @@ def ctc_one(lp, target):
     return loss, grad
 
 
-def guided_one(lp, target, mask, alpha):
+def guided_one(lp, target, spikes, alpha):
     """`guided_ctc_loss` on one utterance, as a batch of one."""
-    [loss], grad = guided_ctc_loss(lp, [target], [len(lp)], [mask], alpha)
+    [loss], grad = guided_ctc_loss(lp, [target], [len(lp)], [spikes], alpha)
     return loss, grad
 
 
@@ -40,32 +39,33 @@ def random_log_posteriors(rng, t_len, v):
     return log_softmax(logits)
 
 
-# ---------------------------------------------------------------- guide mask
+# ----------------------------------------------------------- spike sequence
 
 
 def test_guide_mask_blank_argmax_gives_zero_column():
+    # a blank argmax is no spike: the penalty marks nothing in that frame
     lp = log_softmax(np.array([[3.0, 0.0, 1.0]]))
-    m = guide_mask(lp)
-    assert m.matrix.tolist() == [[0.0, 0.0, 0.0]]
+    spikes = guide_mask(lp)
+    assert spikes.tolist() == [0]
+    assert guide_penalty(spikes, np.exp(lp))[1].tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_guide_mask_nonblank_argmax_is_one_hot():
     lp = log_softmax(np.array([[0.0, 4.0, 1.0], [0.0, 1.0, 5.0]]))
-    m = guide_mask(lp)
-    assert m.matrix.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    assert m.matrix.sum() == 2
+    spikes = guide_mask(lp)
+    assert spikes.tolist() == [1, 2]
+    _, grad = guide_penalty(spikes, np.exp(lp))
+    assert (-grad).tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def test_guide_mask_uniform_tie_goes_to_blank():
     lp = log_softmax(np.zeros((3, 4)))
-    m = guide_mask(lp)
-    assert m.matrix.sum() == 0.0
+    assert guide_mask(lp).tolist() == [0, 0, 0]
 
 
 def test_guide_mask_nonblank_tie_breaks_low():
     lp = log_softmax(np.array([[0.0, 2.0, 2.0, 1.0]]))
-    m = guide_mask(lp)
-    assert m.matrix.tolist() == [[0.0, 1.0, 0.0, 0.0]]
+    assert guide_mask(lp).tolist() == [1]
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 7.5))
@@ -75,54 +75,41 @@ def test_guide_mask_invariant_to_logit_scaling(seed, scale):
     logits = rng.normal(size=(6, 5))
     a = guide_mask(log_softmax(logits))
     b = guide_mask(log_softmax(scale * logits))
-    assert np.array_equal(a.matrix, b.matrix)
-
-
-def test_guide_mask_rejects_bad_matrix():
-    with pytest.raises(ValueError):
-        GuideMask(np.array([[0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        GuideMask(np.array([[1.0, 1.0]]))
-    with pytest.raises(ValueError):
-        GuideMask(np.zeros(3))
+    assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------- guide penalty
 
 
 def test_guide_penalty_zero_mask_is_zero():
-    m = GuideMask(np.zeros((4, 3)))
-    value, grad = guide_penalty(m, np.full((4, 3), 0.3))
+    # all-blank spikes mark no position
+    value, grad = guide_penalty(np.zeros(4, dtype=int), np.full((4, 3), 0.3))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros((4, 3)))
 
 
 def test_guide_penalty_perfect_agreement_reaches_minus_t():
     t_len = 5
-    m = np.zeros((t_len, 3))
-    m[:, 1] = 1.0
     p = np.zeros((t_len, 3))
     p[:, 1] = 1.0
-    value, _ = guide_penalty(GuideMask(m), p)
+    value, _ = guide_penalty(np.ones(t_len, dtype=int), p)
     assert value == -float(t_len)
 
 
 def test_guide_penalty_matches_double_loop():
     rng = np.random.default_rng(7)
     t_len, v = 6, 4
-    cols = rng.integers(0, v, size=t_len)
-    m = np.zeros((t_len, v))
-    for t in range(t_len):
-        if cols[t] != 0:
-            m[t, cols[t]] = 1.0
+    spikes = rng.integers(0, v, size=t_len)
     p = np.exp(random_log_posteriors(rng, t_len, v))
-    value, grad = guide_penalty(GuideMask(m), p)
+    value, grad = guide_penalty(spikes, p)
     direct = 0.0
+    marked = np.zeros((t_len, v))
     for t in range(t_len):
-        for k in range(v):
-            direct -= m[t, k] * p[t, k]
+        if spikes[t] != 0:
+            direct -= p[t, spikes[t]]
+            marked[t, spikes[t]] = 1.0
     assert abs(value - direct) < 1e-12
-    assert np.array_equal(grad, -m)
+    assert np.array_equal(grad, -marked)
 
 
 def test_guide_penalty_bounds():
@@ -130,15 +117,21 @@ def test_guide_penalty_bounds():
     for _ in range(20):
         t_len, v = 5, 4
         lp = random_log_posteriors(rng, t_len, v)
-        m = guide_mask(random_log_posteriors(rng, t_len, v))
-        value, _ = guide_penalty(m, np.exp(lp))
+        spikes = guide_mask(random_log_posteriors(rng, t_len, v))
+        value, _ = guide_penalty(spikes, np.exp(lp))
         assert -t_len <= value <= 0.0
 
 
 def test_guide_penalty_shape_mismatch():
-    m = GuideMask(np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        guide_penalty(m, np.zeros((4, 2)))
+    # one spike per posterior row, each a token id of the vocabulary
+    for spikes, shape in [
+        (np.zeros(4, dtype=int), (3, 3)),
+        (np.zeros(4, dtype=int), (4,)),
+        (np.array([0, 3]), (2, 3)),
+        (np.array([-1, 0]), (2, 3)),
+    ]:
+        with pytest.raises(ValueError):
+            guide_penalty(spikes, np.full(shape, 0.25))
 
 
 # --------------------------------------------------------------- guided CTC
@@ -148,9 +141,9 @@ def test_guided_alpha_zero_identical_to_ctc():
     rng = np.random.default_rng(3)
     lp = random_log_posteriors(rng, 6, 4)
     target = LabelSequence((1, 2))
-    mask = guide_mask(random_log_posteriors(rng, 6, 4))
+    spikes = guide_mask(random_log_posteriors(rng, 6, 4))
     plain_loss, plain_grad = ctc_one(lp, target)
-    loss, grad = guided_one(lp, target, mask, alpha=0.0)
+    loss, grad = guided_one(lp, target, spikes, alpha=0.0)
     assert loss == plain_loss
     assert np.array_equal(grad, plain_grad)
 
@@ -159,9 +152,8 @@ def test_guided_zero_mask_equals_ctc():
     rng = np.random.default_rng(4)
     lp = random_log_posteriors(rng, 6, 4)
     target = LabelSequence((1, 3))
-    mask = GuideMask(np.zeros((6, 4)))
     plain_loss, plain_grad = ctc_one(lp, target)
-    loss, grad = guided_one(lp, target, mask, alpha=1.0)
+    loss, grad = guided_one(lp, target, np.zeros(6, dtype=int), alpha=1.0)
     assert loss == plain_loss
     assert np.allclose(grad, plain_grad, atol=1e-15)
 
@@ -171,10 +163,10 @@ def test_guided_alpha_identity():
     for _ in range(20):
         lp = random_log_posteriors(rng, 7, 4)
         target = LabelSequence((1, 2, 1))
-        mask = guide_mask(random_log_posteriors(rng, 7, 4))
-        penalty, _ = guide_penalty(mask, np.exp(lp))
+        spikes = guide_mask(random_log_posteriors(rng, 7, 4))
+        penalty, _ = guide_penalty(spikes, np.exp(lp))
         losses = {
-            a: guided_one(lp, target, mask, alpha=a)[0]
+            a: guided_one(lp, target, spikes, alpha=a)[0]
             for a in (1.0, 0.1, 0.01)
         }
         for a2 in (1.0, 0.1, 0.01):
@@ -187,10 +179,10 @@ def test_guided_alpha_identity():
 def test_guided_gradient_finite_differences():
     rng = np.random.default_rng(6)
     target = LabelSequence((2, 1))
-    mask = guide_mask(random_log_posteriors(rng, 6, 4))
+    spikes = guide_mask(random_log_posteriors(rng, 6, 4))
 
     def op(lp):
-        loss, grad = guided_one(lp, target, mask, alpha=0.3)
+        loss, grad = guided_one(lp, target, spikes, alpha=0.3)
         return loss, [grad]
 
     lp = random_log_posteriors(rng, 6, 4)
@@ -206,11 +198,11 @@ def test_guided_batch_equals_each_member_alone_bit_for_bit():
             LabelSequence(tuple(int(x) for x in rng.integers(1, 4, size=n // 3)))
             for n in lengths
         ]
-        masks = [guide_mask(random_log_posteriors(rng, n, 4)) for n in lengths]
-        losses, grad = guided_ctc_loss(np.concatenate(lps), targets, lengths, masks, 0.3)
+        spikes = [guide_mask(random_log_posteriors(rng, n, 4)) for n in lengths]
+        losses, grad = guided_ctc_loss(np.concatenate(lps), targets, lengths, spikes, 0.3)
         rows = np.split(grad, np.cumsum(lengths)[:-1])
-        for lp, target, mask, loss, got in zip(lps, targets, masks, losses, rows, strict=True):
-            want_loss, want_grad = guided_one(lp, target, mask, alpha=0.3)
+        for lp, target, member, loss, got in zip(lps, targets, spikes, losses, rows, strict=True):
+            want_loss, want_grad = guided_one(lp, target, member, alpha=0.3)
             assert loss == want_loss and got.tobytes() == want_grad.tobytes()
 
 
