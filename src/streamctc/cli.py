@@ -5,8 +5,9 @@ pipeline), decoding, metrics, and the full six-stage pipeline.
 Exit codes: 0 success, 1 usage error, 2 runtime error. Every run prints
 the digest of its resolved configuration to stderr; human-readable
 tables go to stdout and machine formats are written only to `--out`
-paths. Flags override config-file values; `--config` is the path of a
-JSON config file.
+paths. Flags override config-file values, each parsed under the name of
+the `PipelineConfig` field it sets; `--config` is the path of a JSON
+config file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from . import checks
@@ -93,39 +94,21 @@ def _config_dict(args) -> dict:
     return loaded
 
 
-_OVERRIDE_KEYS = (
-    ("seed", "seed"),
-    ("n_symbols", "n_symbols"),
-    ("noise", "noise_std"),
-    ("frames_per_token", "frames_per_token"),
-    ("text_len", "text_len"),
-    ("sizes", "sizes"),
-    ("peak_lr", "peak_lr"),
-    ("batch_size", "batch_size"),
-    ("alpha", "alpha"),
-    ("order", "lm_order"),
-    ("smoothing", "lm_smoothing"),
-    ("beam", "beam_size"),
-    ("lm_weight", "lm_weight"),
-    ("penalty", "word_insertion_penalty"),
-    ("layers", "distill_layers"),
-)
-
-
 def _merged_config(args, stage: str | None = None) -> PipelineConfig:
-    """Config file (if any) with flag overrides applied on top."""
+    """Config file (if any) with each flag set on the field its dest names;
+    a training stage's --updates sets its own entry of `updates`."""
     d = _config_dict(args)
-    d.setdefault("out_dir", getattr(args, "workdir", None) or ".")
-    if getattr(args, "workdir", None):
-        d["out_dir"] = args.workdir
-    for attr, key in _OVERRIDE_KEYS:
-        value = getattr(args, attr, None)
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            d[key] = value
-    if stage is not None and getattr(args, "updates", None) is not None:
+            d[f.name] = value
+    d.setdefault("out_dir", ".")
+    if stage is not None and getattr(args, "stage_updates", None) is not None:
         updates = d.get("updates", {})
         if isinstance(updates, dict):  # anything else is PipelineConfig's to reject
-            d["updates"] = {**PipelineConfig(out_dir=".").updates, **updates, stage: args.updates}
+            d["updates"] = {
+                **PipelineConfig(out_dir=".").updates, **updates, stage: args.stage_updates
+            }
     try:
         return PipelineConfig.from_dict(d)
     except (TypeError, ValueError) as exc:
@@ -165,14 +148,6 @@ def _loss_summary(losses) -> str:
     if not losses:
         return "loss (no updates)"
     return f"loss {losses[0]:.6g} -> {losses[-1]:.6g}"
-
-
-def _file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +239,7 @@ def cmd_gen_data(args) -> int:
     vocabulary = Vocabulary.default()
     resolved = {"cmd": "gen-data", "config": config.to_dict()}
     _announce(resolved)
-    out_dir = args.out_dir or os.path.join(config.out_dir, "data")
+    out_dir = args.data_dir or os.path.join(config.out_dir, "data")
     os.makedirs(out_dir, exist_ok=True)
     split = generate_dataset(config.task(vocabulary), config.sizes, vocabulary)
     names = (
@@ -292,8 +267,7 @@ def cmd_train_lm(args) -> int:
     digest = _announce(resolved)
     corpus = [u.text for u in _load_labeled(args.data)]
     model = train_ngram(corpus, config.lm_order, config.lm_smoothing)
-    save_lm(model, args.out)
-    file_digest = _file_digest(args.out)
+    file_digest = save_lm(model, args.out)
     print(f"order {model.order}  smoothing {model.smoothing:g}")
     print(f"vocabulary {len(model.vocab)}  contexts {len(model.tokens)}")
     print(f"model digest {file_digest}")
@@ -349,7 +323,8 @@ _TRAIN_COMMANDS = (
             ("--teacher", {"required": True}),
             ("--head-from", {"help": "checkpoint whose output head seeds KD"}),
             ("--init", {}),
-            ("--layers", {"type": _int_tuple, "help": "matched layers, 1-based"}),
+            ("--layers", {"type": _int_tuple, "dest": "distill_layers",
+                          "help": "matched layers, 1-based"}),
         ),
         models={"teacher": "T", "head_from": "S", "init": "P"},
         labeled=False,  # distillation never reads labels
@@ -379,15 +354,16 @@ def cmd_train(args) -> int:
             "pass the warmed-up P.ckpt as --init"
         )
     cfg = config.train_config(stage)
-    inputs = ("data", "dev", "out") + tuple(
-        flag[2:].replace("-", "_") for flag, _ in command.flags
-    )
+    inputs = {name: getattr(args, name) for name in ("data", "dev", "out")}
+    for flag, kwargs in command.flags:
+        name = flag[2:].replace("-", "_")
+        inputs[name] = getattr(args, kwargs.get("dest", name))
     resolved = {
         "cmd": command.name,
         "config": config.to_dict(),
         "stage": stage,
         "train": cfg.to_dict(),
-        **{name: getattr(args, name) for name in inputs},
+        **inputs,
     }
     digest = _announce(resolved)
     read = _load_labeled if command.labeled else load_dataset
@@ -473,7 +449,7 @@ def cmd_pseudo_label(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if not args.workdir and "out_dir" not in _config_dict(args):
+    if not args.out_dir and "out_dir" not in _config_dict(args):
         raise UsageError("pipeline needs --workdir or an out_dir config key")
     config = _merged_config(args)
     digest = config_digest(config)
@@ -505,9 +481,9 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.greedy and args.beam is not None:
+    if args.greedy and args.beam_size is not None:
         raise UsageError("--greedy and --beam are mutually exclusive")
-    if args.greedy and (args.lm or args.lm_weight or args.penalty):
+    if args.greedy and (args.lm or args.lm_weight or args.word_insertion_penalty):
         raise UsageError("--greedy does not take language-model flags")
     cfg = None if args.greedy else _merged_config(args).decode_config()
     _check_lm_weight(args)
@@ -534,7 +510,7 @@ def cmd_decode(args) -> int:
     else:
         hyps = decode_utterances(model, data, cfg, jobs=args.jobs)
         rows = [
-            (utt.uid, top.labels.text(vocabulary), f"{top.acoustic:.17g}",
+            (utt.uid, vocabulary.decode(top.labels), f"{top.acoustic:.17g}",
              f"{top.lm:.17g}", f"{top.combined:.17g}")
             for utt, top in zip(data, hyps)
         ]
@@ -690,7 +666,7 @@ def _add_config_flags(p, seed: bool = True):
 
 def _add_train_flags(p):
     _add_config_flags(p)
-    p.add_argument("--updates", type=int)
+    p.add_argument("--updates", type=int, dest="stage_updates")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--peak-lr", type=float)
     p.add_argument("--data", required=True, help="training container")
@@ -718,19 +694,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic data split")
     _add_config_flags(p)
     p.add_argument("--n-symbols", type=int)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--noise", type=float, dest="noise_std")
     p.add_argument("--frames-per-token", type=_int_tuple)
     p.add_argument("--text-len", type=_int_tuple)
     p.add_argument("--sizes", type=_int_tuple, help="labeled,unlabeled,dev")
-    p.add_argument("--out-dir")
-    p.add_argument("--workdir")
+    p.add_argument("--out-dir", dest="data_dir")
+    p.add_argument("--workdir", dest="out_dir")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train-lm", help="train the character n-gram model")
     _add_config_flags(p, seed=False)
     p.add_argument("--data", required=True, help="labeled container")
-    p.add_argument("--order", type=int)
-    p.add_argument("--smoothing", type=float)
+    p.add_argument("--order", type=int, dest="lm_order")
+    p.add_argument("--smoothing", type=float, dest="lm_smoothing")
     p.add_argument("--report")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train_lm)
@@ -747,9 +723,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lm")
-    p.add_argument("--beam", type=int)
+    p.add_argument("--beam", type=int, dest="beam_size")
     p.add_argument("--lm-weight", type=float)
-    p.add_argument("--penalty", type=float)
+    p.add_argument("--penalty", type=float, dest="word_insertion_penalty")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--report")
     p.add_argument("--out", required=True)
@@ -757,7 +733,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pipeline", help="run the six-stage two-stage recipe")
     _add_config_flags(p)
-    p.add_argument("--workdir")
+    p.add_argument("--workdir", dest="out_dir")
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_pipeline)
@@ -765,11 +741,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decode a container with a checkpoint")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beam", type=int)
+    p.add_argument("--beam", type=int, dest="beam_size")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--lm")
     p.add_argument("--lm-weight", type=float)
-    p.add_argument("--penalty", type=float)
+    p.add_argument("--penalty", type=float, dest="word_insertion_penalty")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", help="TSV path (uid, text, scores)")
     p.set_defaults(fn=cmd_decode)

@@ -13,6 +13,7 @@ bits, so a save/load round trip keeps every log-prob.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -177,9 +178,10 @@ class FusionLm:
         return logp(self.model, self.vocabulary.char_of(token_id), chars)
 
 
-def save_lm(model: NgramModel, path):
+def save_lm(model: NgramModel, path) -> str:
     """Write one JSON object with sorted keys, each table keyed by the
-    space-joined context; a float's repr reads back with the same bits."""
+    space-joined context; a float's repr reads back with the same bits.
+    Returns the file's sha256 digest."""
     payload = {
         "format": FORMAT_VERSION,
         "order": model.order,
@@ -187,9 +189,10 @@ def save_lm(model: NgramModel, path):
         "vocab": list(model.vocab),
         "tokens": {" ".join(ctx): table for ctx, table in model.tokens.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    blob = (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _unique_keys(pairs) -> dict:

@@ -66,7 +66,9 @@ def guided_ctc_loss(
     gradient taken w.r.t. the log-posteriors. The layout is `ctc_loss`'s
     (the members' T_b x V rows back to back, `lengths[b]` rows aiming at
     `targets[b]`), and `spikes[b]` is member b's spike sequence
-    (`guide_mask`). Returns (one loss per member, grad). alpha = 0
+    (`guide_mask`), one per frame. The guide matrix is built once, from
+    the spikes back to back; a member's penalty sums its own rows. Returns
+    (one loss per member, grad). alpha = 0
     reproduces ctc_loss bit for bit (the penalty path is skipped
     entirely)."""
     alpha = check_float("alpha", alpha)
@@ -74,14 +76,15 @@ def guided_ctc_loss(
     if alpha == 0.0:
         return losses, grad
     probs = np.exp(np.asarray(teacher_log_posteriors, dtype=np.float64))
-    d_probs = np.empty_like(probs)
+    _, d_probs = guide_penalty(np.concatenate(spikes), probs)
+    d_probs *= probs  # -mask * p: each row's penalty terms
     start = 0
     for b, (member_spikes, n) in enumerate(zip(spikes, lengths, strict=True)):
-        rows = slice(start, start + n)
-        penalty, d_probs[rows] = guide_penalty(member_spikes, probs[rows])
-        losses[b] += alpha * penalty
-        start = rows.stop
-    return losses, grad + alpha * d_probs * probs
+        if len(member_spikes) != n:
+            raise ValueError(f"member {b}: {len(member_spikes)} spikes for {n} frames")
+        losses[b] += alpha * float(d_probs[start : start + n].sum())
+        start += n
+    return losses, grad + alpha * d_probs
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ with these two maps. ``chunk`` is ``block`` without lookahead,
 ``time_restricted`` a band over one chunk's layout. Only ``block`` with
 lookahead and more than one chunk has copies.
 
-Induced latency is reported in milliseconds given the per-frame stride.
+Induced latency is reported in milliseconds given the per-frame stride,
+and lookahead in frames: one rule (`_lookahead`) gives a mask's average
+and worst-case lookahead at each depth.
 ``reception_field`` composes a mask with itself to answer "which input
 frames can influence output frame i after n layers"; the causality tests
 drive the encoder against those bounds by perturbation.
@@ -233,28 +235,34 @@ def _chunk_layout(spec: MaskSpec) -> tuple:
     return spec.chunk_frames or math.inf, spec.future_frames or 0
 
 
-def _max_lookahead_at_depth(spec: MaskSpec, depth: int) -> float:
+def _lookahead(spec: MaskSpec, depth: int) -> tuple:
+    """(average, worst) lookahead in frames after `depth` layers: both
+    depth * R for time_restricted, whose right context compounds; for a
+    chunk layout (C-1)/2 + F over a full chunk's frames and C-1+F."""
     if spec.variant == "time_restricted":
-        return depth * spec.right_frames
+        return float(depth * spec.right_frames), depth * spec.right_frames
     c, f = _chunk_layout(spec)
-    return c - 1 + f
+    return (c - 1) / 2.0 + f, c - 1 + f
 
 
 @dataclass(frozen=True)
 class LatencyReport:
     """Latency summary for one mask configuration.
 
-    `per_frame_lookahead` is the exact average lookahead in frames over
-    positions of a full chunk ((C-1)/2 based); `max_lookahead` the worst
-    case at full depth; `growth` tabulates max lookahead per layer depth.
+    `per_frame_lookahead` is the average lookahead in frames at full depth;
+    `growth` tabulates the worst case per layer depth, and `max_lookahead`
+    is its last entry.
     """
 
     spec: MaskSpec
     n_layers: int
     eil_ms: float
     per_frame_lookahead: float
-    max_lookahead: float
     growth: tuple[tuple[int, float], ...]
+
+    @property
+    def max_lookahead(self) -> float:
+        return self.growth[-1][1]
 
     def table(self) -> str:
         lines = [
@@ -287,20 +295,10 @@ def _num(x: float) -> str:
 
 
 def latency_report(spec: MaskSpec, n_layers: int) -> LatencyReport:
-    if spec.variant == "time_restricted":
-        per_frame = float(n_layers * spec.right_frames)
-    else:
-        c, f = _chunk_layout(spec)
-        per_frame = (c - 1) / 2.0 + f
-    growth = tuple(
-        (depth, _max_lookahead_at_depth(spec, depth))
-        for depth in range(1, n_layers + 1)
-    )
     return LatencyReport(
         spec=spec,
         n_layers=n_layers,
         eil_ms=eil(spec, n_layers),
-        per_frame_lookahead=per_frame,
-        max_lookahead=_max_lookahead_at_depth(spec, n_layers),
-        growth=growth,
+        per_frame_lookahead=_lookahead(spec, n_layers)[0],
+        growth=tuple((depth, _lookahead(spec, depth)[1]) for depth in range(1, n_layers + 1)),
     )

@@ -88,10 +88,6 @@ class SyntheticTask:
         object.__setattr__(self, "frames_per_token", frames)
         object.__setattr__(self, "text_len", text_len)
 
-    @property
-    def feature_dim(self) -> int:
-        return next(iter(self.templates.values())).shape[0]
-
     @classmethod
     def make(
         cls,

@@ -23,8 +23,9 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One stage's optimization settings: peak learning rate, number of
-    updates, utterances per update and the seed of the batch draws.
+    """One stage's optimization settings: peak learning rate (at most 1),
+    number of updates, utterances per update and the seed of the batch
+    draws.
 
     The schedule's shape (`WARMUP_FRAC`, `HOLD_FRAC`) and Adam's
     `BETA1`, `BETA2` and `EPS` are module constants.
@@ -36,8 +37,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not check_float("peak_lr", self.peak_lr) > 0:
-            raise ValueError("peak_lr must be > 0")
+        # Adam moves each weight by up to about lr per update, and no init
+        # bound 1/sqrt(fan_in) exceeds 1: a larger rate overflows in training
+        if not 0 < check_float("peak_lr", self.peak_lr) <= 1:
+            raise ValueError(f"peak_lr must be in (0, 1], got {self.peak_lr}")
         for name, low in (("total_updates", 0), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
 

@@ -39,7 +39,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from ..ctc import DecodeConfig, UnsatisfiableTargetError, error_counts
@@ -83,19 +83,20 @@ _FORMATS = {"data": DATASET_VERSION, "lm": LM_VERSION}
 class StageReport:
     """One stage's outcome, written as JSON plus a CSV loss curve.
     `checkpoint` is stored relative to the workdir, the parent of the
-    reports directory (an absolute path stays as it is)."""
+    reports directory (an absolute path stays as it is). The fields with
+    defaults are the parts a stage may leave empty."""
 
     stage: str
     alias: str | None
     checkpoint: str
     digest: str
-    losses: list
-    dev_token_error: float | None
-    decode_config: dict | None
-    train_config: dict | None
     wall_time_s: float
     utterances_in: int
-    skipped: int
+    losses: list = field(default_factory=list)
+    dev_token_error: float | None = None
+    decode_config: dict | None = None
+    train_config: dict | None = None
+    skipped: int = 0
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -282,16 +283,7 @@ class PipelineConfig:
         return DistillSpec.thirds(self.encoder.n_layers)
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d.update(
-            encoder=self.encoder.to_dict(),
-            stream=self.stream.to_dict(),
-            updates=dict(self.updates),
-        )
-        for key in _TUPLE_FIELDS:
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -391,7 +383,6 @@ def _trained(name, alias, reads, fields, fit):
             digest=digest,
             losses=log.losses,
             dev_token_error=log.dev_token_error,
-            decode_config=None,
             train_config=cfg.to_dict(),
             wall_time_s=log.wall_time_s,
             utterances_in=len(data),
@@ -469,13 +460,9 @@ def _produce_pseudo(run, paths):
         alias=None,
         checkpoint="checkpoints/N.ckpt",
         digest=checkpoint_digest(run.got["N"]),
-        losses=[],
-        dev_token_error=None,
         decode_config=decode_cfg.to_dict(),
-        train_config=None,
         wall_time_s=time.perf_counter() - started,
         utterances_in=len(unlabeled),
-        skipped=0,
         extra={
             "dropped": dropped,
             "pseudo_labeled": len(pseudo),

@@ -68,12 +68,3 @@ class LabelSequence:
         if any(t < 0 for t in toks):
             raise ValueError("negative token index")
         object.__setattr__(self, "tokens", toks)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def text(self, vocab: Vocabulary) -> str:
-        return vocab.decode(self)

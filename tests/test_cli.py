@@ -10,7 +10,8 @@ import struct
 import numpy as np
 import pytest
 
-from streamctc.cli import _TRAIN_COMMANDS, dispatch
+from streamctc import cli
+from streamctc.cli import _TRAIN_COMMANDS, _merged_config, build_parser, dispatch
 from streamctc.encoder import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -155,6 +156,91 @@ def test_missing_config_file_is_a_usage_error_naming_it(capsys, tmp_path):
     )
     assert code == 1
     assert f"error: config file not found: {missing}" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "config is not valid JSON"), ("[1, 2]", "config file must hold a JSON object")],
+    ids=["not-json", "not-object"],
+)
+def test_config_that_is_not_a_json_object_is_a_usage_error(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "gen-data", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and message in err
+
+
+# a value each flag that overrides a config field can take, and the value
+# the merged config must then hold; none is the field's default
+FIELD_FLAG_VALUES = {
+    "out_dir": ("wd", "wd"),
+    "seed": ("5", 5),
+    "n_symbols": ("2", 2),
+    "noise_std": ("0.3", 0.3),
+    "frames_per_token": ("2,3", (2, 3)),
+    "text_len": ("2,4", (2, 4)),
+    "sizes": ("3,4,5", (3, 4, 5)),
+    "alpha": ("0.5", 0.5),
+    "distill_layers": ("1,2", (1, 2)),
+    "lm_order": ("2", 2),
+    "lm_smoothing": ("0.5", 0.5),
+    "beam_size": ("3", 3),
+    "lm_weight": ("0.5", 0.5),
+    "word_insertion_penalty": ("-0.1", -0.1),
+    "peak_lr": ("0.01", 0.01),
+    "batch_size": ("2", 2),
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _field_flags():
+    """(subcommand, flag, dest) of every parser action whose dest is a
+    PipelineConfig field."""
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    return [
+        (command, action.option_strings[0], action.dest)
+        for command, parser in _subparsers().items()
+        for action in parser._actions
+        if action.dest in names
+    ]
+
+
+def test_every_field_flag_has_a_value_to_test():
+    assert {dest for *_, dest in _field_flags()} == set(FIELD_FLAG_VALUES)
+
+
+@pytest.mark.parametrize(
+    "command, flag, dest", _field_flags(), ids=lambda x: x if isinstance(x, str) else None
+)
+def test_a_field_flag_overrides_the_field_its_dest_names(command, flag, dest):
+    parser = _subparsers()[command]
+    required = [
+        arg for action in parser._actions if action.required
+        for arg in (action.option_strings[0], "x")
+    ]
+    text, want = FIELD_FLAG_VALUES[dest]
+    args = parser.parse_args([*required, flag, text])
+    assert getattr(PipelineConfig(out_dir="."), dest) != want
+    assert getattr(_merged_config(args), dest) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen-data", "--sizes", "3,x"),
+        ("distill", "--teacher", "t", "--data", "d", "--out", "o", "--layers", "1,"),
+    ],
+    ids=["gen-data", "distill"],
+)
+def test_a_list_flag_that_is_not_a_list_of_ints_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "not a comma-separated int list" in err
 
 
 def test_training_subcommand_with_null_updates_is_a_usage_error(capsys, tmp_path):
@@ -320,6 +406,49 @@ def test_dev_without_transcripts_fails_before_training(capsys, trained, command)
     assert len(errors) == 1 and f"{dev}: utterances without labels" in errors[0]
     assert "Traceback" not in err
     assert not (tmp / "x.ckpt").exists()
+
+
+def test_training_with_a_dev_set_prints_its_scores(capsys, trained):
+    tmp, cfg, labeled = trained
+    dev = str(tmp / "data" / "dev.bin")
+    report = tmp / "ft.json"
+    code, out, _ = run(
+        capsys, "finetune", "--config", cfg, "--data", labeled, "--dev", dev,
+        "--updates", "2", "--report", str(report), "--out", str(tmp / "a.ckpt"),
+    )
+    assert code == 0
+    ter = json.loads(report.read_text())["dev_token_error"]
+    assert f"dev token error {ter:.6g}" in out.splitlines()
+    report = tmp / "kd.json"
+    code, out, _ = run(
+        capsys, "distill", "--config", cfg, "--data", labeled, "--dev", dev,
+        "--teacher", str(tmp / "S.ckpt"), "--updates", "2", "--report", str(report),
+        "--out", str(tmp / "b.ckpt"),
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    first, last = payload["dev_distill_first"], payload["dev_distill_last"]
+    assert f"dev distill loss {first:.6g} -> {last:.6g}" in out.splitlines()
+
+
+def test_report_writes_null_for_an_update_without_a_trainable_member(capsys, trained):
+    # one utterance of four can be aligned; at seed 0 four of five updates
+    # of batch size 1, the first and the last among them, draw the others
+    tmp, cfg, labeled = trained
+    data = list(load_dataset(labeled)[:4])
+    data[1:] = [dataclasses.replace(u, text="abc" * 20) for u in data[1:]]
+    subset = tmp / "mostly-unalignable.bin"
+    save_dataset(data, subset)
+    report = tmp / "rep.json"
+    code, out, _ = run(
+        capsys, "finetune", "--config", cfg, "--data", str(subset), "--batch-size", "1",
+        "--updates", "5", "--seed", "0", "--report", str(report), "--out", str(tmp / "o.ckpt"),
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["losses_first"] is None and payload["losses_last"] is None
+    assert "loss nan -> nan  skipped 4" in out
+    assert payload["skipped"] == 4
 
 
 def test_training_subcommands_rebuild_the_pipeline_stages(capsys, workdir):
@@ -641,6 +770,30 @@ def test_score_known_values(capsys, trained, tmp_path):
     assert f"{payload['cer']:.4f}" in out
 
 
+def test_score_skips_the_header_and_blank_lines_and_counts_missing(capsys, trained, tmp_path):
+    tmp, cfg, labeled = trained
+    data = load_dataset(labeled)
+    full, partial = tmp_path / "full.tsv", tmp_path / "partial.tsv"
+    full.write_text("".join(f"{u.uid}\t{u.text}\n" for u in data))
+    # decode's header, a blank line, and no line for the first utterance
+    partial.write_text("uid\ttext\n\n" + "".join(f"{u.uid}\t{u.text}\n" for u in data[1:]))
+    code, out, _ = run(capsys, "score", "--data", labeled, "--hyp", str(full))
+    assert code == 0 and "missing" not in out
+    code, out, _ = run(capsys, "score", "--data", labeled, "--hyp", str(partial))
+    assert code == 0
+    assert "missing hypotheses 1 (scored as empty)" in out.splitlines()
+    assert f"{'CER':<6} {len(data[0].text):>7}" in out
+
+
+def test_score_rejects_a_line_without_a_tab(capsys, trained, tmp_path):
+    tmp, cfg, labeled = trained
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("justone\n")
+    code, out, err = run(capsys, "score", "--data", labeled, "--hyp", str(hyp))
+    assert code == 2 and out == ""
+    assert "bad hypothesis line: 'justone'" in err
+
+
 def test_score_rejects_unknown_uid(capsys, trained, tmp_path):
     tmp, cfg, labeled = trained
     hyp = tmp_path / "hyp.tsv"
@@ -678,6 +831,16 @@ def test_posteriors_csv_export(capsys, trained, tmp_path):
     assert len(lines) == 1 + data[0].n_frames
     assert len(lines[1].split(",")) == 1 + ENC["vocab_size"]
     assert data[0].uid in stdout
+
+
+def test_posteriors_for_an_unknown_utterance_is_an_error(capsys, trained):
+    tmp, cfg, labeled = trained
+    code, out, err = run(
+        capsys, "posteriors", "--model", str(tmp / "S.ckpt"), "--data", labeled,
+        "--uid", "NOSUCH",
+    )
+    assert code == 2 and out == ""
+    assert "error: utterance not found: NOSUCH" in err
 
 
 def test_posteriors_out_requires_uid(capsys, trained, tmp_path):
@@ -801,6 +964,8 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("updates", {**UPDATES, "S": -5}, "updates.S"),
         ("batch_size", 0, "batch_size"),
         ("peak_lr", -1, "peak_lr"),
+        # a rate above 1 once trained until a gradient or posteriorgram overflowed
+        ("peak_lr", 1.5, "peak_lr"),
         ("alpha", -1, "alpha"),
         ("distill_layers", [9], "distill_layers"),
         ("encoder", {**ENC, "n_heads": 0}, "n_heads"),
@@ -850,7 +1015,7 @@ UPDATES = {"pretrain": 0, "S": 12, "T": 12, "KD": 8, "N": 12, "ST": 12}
         ("out_dir", 5, "out_dir"),
     ],
     ids=["fractional-updates", "bool-updates", "negative-updates", "batch_size",
-         "peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
+         "peak_lr", "big-peak_lr", "alpha", "distill_layers", "n_heads", "model_dim", "ffn_dim",
          "feature_dim", "vocab_size", "lm_order", "lm_smoothing", "noise_std",
          "sizes", "text_len", "frames_per_token", "beam_size", "template_scale",
          "seed", "nan-alpha", "nan-peak_lr", "nan-noise_std", "nan-lm_smoothing",
@@ -965,6 +1130,14 @@ def test_non_finite_ms_is_a_usage_error(capsys, flag, value):
     assert out == ""
 
 
+def test_ms_and_frames_for_one_size_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "latency", "--variant", "chunk", "--chunk-ms", "40", "--chunk-frames", "2"
+    )
+    assert code == 1 and out == ""
+    assert "error: pass --chunk-ms or --chunk-frames, not both" in err
+
+
 @pytest.mark.parametrize("command", ["latency", "mask-dump"])
 @pytest.mark.parametrize("size", [("--chunk-frames", "4"), ("--chunk-ms", "240")])
 @pytest.mark.parametrize("frame_ms", ["nan", "inf", "0"])
@@ -986,6 +1159,22 @@ def test_selfcheck_passes(capsys):
     assert code == 0
     assert "all 11 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selfcheck_reports_each_failure_and_exits_2(capsys, monkeypatch):
+    def broken():
+        raise ValueError("broken oracle")
+
+    checks = (("raises", broken, 0.0), ("too far", lambda: 2.0, 1.0), ("fine", lambda: 0.0, 0.0))
+    monkeypatch.setattr(cli, "_SELFCHECKS", checks)
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 2
+    assert out.splitlines() == [
+        "FAIL raises: broken oracle",
+        "FAIL too far: measured 2, bound 1",
+        "ok   fine",
+        "2 of 3 checks failed",
+    ]
 
 
 def test_no_subcommand_is_usage_error(capsys):

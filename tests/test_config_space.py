@@ -57,7 +57,7 @@ MOVES = {
     "lm_order": [0, 1, 4, 5, 8],
     "beam_size": [0, 1, 29, 30],
     "batch_size": [0, 1, 8, 9],
-    "peak_lr": [0, 1],
+    "peak_lr": [0, 1, 1.5, 1e300],
     **{f"updates.{stage}": [0, 1, 2, -1] for stage in STAGES},
     "encoder.n_layers": [0, 1],
     "encoder.model_dim": [0, 1, 2],

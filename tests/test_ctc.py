@@ -61,7 +61,7 @@ class TestLabelSequence:
     def test_text_roundtrip(self):
         vocab = Vocabulary.default()
         seq = vocab.encode("cat dog")
-        assert seq.text(vocab) == "cat|dog"
+        assert vocab.decode(seq) == "cat|dog"
         assert vocab.encode("cat|dog") == seq
 
 

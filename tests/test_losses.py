@@ -206,6 +206,16 @@ def test_guided_batch_equals_each_member_alone_bit_for_bit():
             assert loss == want_loss and got.tobytes() == want_grad.tobytes()
 
 
+def test_guided_rejects_spikes_that_do_not_match_their_member_frames():
+    # spikes of 3 and 5 frames fill 8 rows, but each member has 4
+    rng = np.random.default_rng(9)
+    lp = random_log_posteriors(rng, 8, 4)
+    spikes = [guide_mask(lp[:3]), guide_mask(lp[3:])]
+    targets = [LabelSequence((1,)), LabelSequence((2,))]
+    with pytest.raises(ValueError, match="member 0: 3 spikes for 4 frames"):
+        guided_ctc_loss(lp, targets, [4, 4], spikes, 0.3)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, "0.1", None])
 def test_guided_rejects_an_alpha_that_is_not_a_finite_number(alpha):
     rng = np.random.default_rng(8)

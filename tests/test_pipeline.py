@@ -435,6 +435,39 @@ def test_run_updates_skips_what_the_objective_rejects():
     assert skipping.bn_stats.var.tobytes() == reference.bn_stats.var.tobytes()
 
 
+def test_update_without_a_trainable_member_logs_nan_and_takes_no_step(monkeypatch):
+    # batches of one from a set where one utterance of four has a target:
+    # an update that draws another logs NaN, counts it and leaves the weights
+    from streamctc.ctc import ctc_loss
+    from streamctc.pipeline import stages
+
+    data = list(data_fixture().labeled)[:4]
+    targets = {data[0].uid: VOCAB.encode(data[0].text)}
+    steps = []
+    real_step = stages.adam_step
+
+    def counted(params, grads, state, lr):
+        steps.append(params.copy())
+        real_step(params, grads, state, lr)
+
+    def objective(labels, traces):
+        logpost = np.concatenate([t.posteriorgram for t in traces])
+        losses, d = ctc_loss(logpost, labels, [len(t.posteriorgram) for t in traces])
+        return losses, {"grad_logpost": d}
+
+    monkeypatch.setattr(stages, "adam_step", counted)
+    params = init_params(TINY_ENC, 0)
+    params.mask_spec = STREAM
+    before = params.flat.copy()
+    losses, skipped = stages._run_updates(params, data, quick_cfg(8, batch=1), targets, objective)
+    empty = [math.isnan(loss) for loss in losses]
+    assert empty == [True, True, True, True, False, False, True, True]
+    assert skipped == sum(empty)
+    assert len(steps) == 8 - sum(empty)
+    # the first step starts from the init: the four skipped updates moved nothing
+    np.testing.assert_array_equal(steps[0], before)
+
+
 def test_run_updates_splits_the_batch_under_the_area_budget(monkeypatch):
     from streamctc.ctc import ctc_loss
     from streamctc.pipeline import stages
