@@ -2,33 +2,35 @@
 training stages (each subcommand runs its stage's trainer from the
 pipeline), decoding, metrics, and the full six-stage pipeline.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. Every run prints
-the digest of its resolved configuration to stderr; human-readable
-tables go to stdout and machine formats are written only to `--out`
-paths. Flags override config-file values, each parsed under the name of
-the `PipelineConfig` field it sets; `--config` is the path of a JSON
-config file.
+Exit codes: 0 success unless the command returns another (`selfcheck`'s
+2), 1 usage error, 2 runtime error. Every run prints the digest of its
+resolved configuration to stderr; human-readable tables go to stdout, held
+until the command returns, so a command that fails leaves it empty, and
+machine formats are written only to `--out` paths. Flags override
+config-file values, each parsed under the name of the `PipelineConfig`
+field it sets; `--config` is the path of a JSON config file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import checks
 from .ctc import error_counts, greedy_decode, posteriorgram_to_csv
 from .encoder import init_params, load_checkpoint, save_checkpoint
-from .lm import FusionLm, load_lm, save_lm, train_ngram
+from .lm import load_lm, save_lm, train_ngram
 from .masking import VARIANTS, MaskSpec, build_mask, latency_report
 from .pipeline import (
     PipelineConfig,
-    config_digest,
     decode_utterances,
     dev_posteriors,
     generate_dataset,
@@ -94,10 +96,10 @@ def _config_dict(args) -> dict:
     return loaded
 
 
-def _merged_config(args, stage: str | None = None) -> PipelineConfig:
-    """Config file (if any) with each flag set on the field its dest names;
-    a training stage's --updates sets its own entry of `updates`."""
-    d = _config_dict(args)
+def _merged_config(args, stage: str | None = None, loaded: dict | None = None) -> PipelineConfig:
+    """`loaded` (else the config file, if any) with each flag set on the field
+    its dest names; a training stage's --updates sets its own entry of `updates`."""
+    d = _config_dict(args) if loaded is None else loaded
     for f in fields(PipelineConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -207,7 +209,7 @@ def _mask_from_args(args) -> MaskSpec:
 # ---------------------------------------------------------------------------
 
 
-def cmd_latency(args) -> int:
+def cmd_latency(args) -> None:
     spec = _mask_from_args(args)
     _announce({"cmd": "latency", "spec": spec.to_dict(), "layers": args.layers})
     report = latency_report(spec, args.layers)
@@ -217,10 +219,9 @@ def cmd_latency(args) -> int:
             ["variant", "chunk_ms", "future_ms", "right_frames", "layers", "eil_ms"]
         )
         _write_out(args.out, header + "\n" + report.machine_line())
-    return 0
 
 
-def cmd_mask_dump(args) -> int:
+def cmd_mask_dump(args) -> None:
     spec = _mask_from_args(args)
     _announce({"cmd": "mask-dump", "spec": spec.to_dict(), "frames": args.frames})
     mask = build_mask(spec, args.frames)
@@ -231,10 +232,9 @@ def cmd_mask_dump(args) -> int:
     print(grid)
     if args.out:
         _write_out(args.out, grid)
-    return 0
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> None:
     config = _merged_config(args)
     vocabulary = Vocabulary.default()
     resolved = {"cmd": "gen-data", "config": config.to_dict()}
@@ -253,10 +253,9 @@ def cmd_gen_data(args) -> int:
         save_dataset(utts, path)
         frames = sum(u.n_frames for u in utts)
         print(f"{name:<10} {len(utts):>10} {frames:>8}  {path}")
-    return 0
 
 
-def cmd_train_lm(args) -> int:
+def cmd_train_lm(args) -> None:
     config = _merged_config(args)
     resolved = {
         "cmd": "train-lm",
@@ -277,7 +276,6 @@ def cmd_train_lm(args) -> int:
         digest,
         {"model_digest": file_digest, "sentences": len(corpus)},
     )
-    return 0
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,7 @@ _TRAIN_COMMANDS = (
 )
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     command = args.train_command
     stage = command.stage(args)
     config = _merged_config(args, stage=stage)
@@ -407,7 +405,6 @@ def cmd_train(args) -> int:
             **log.extra,
         },
     )
-    return 0
 
 
 def _check_lm_weight(args) -> None:
@@ -417,25 +414,22 @@ def _check_lm_weight(args) -> None:
         raise UsageError(f"--lm-weight {args.lm_weight:g} needs --lm")
 
 
-def cmd_pseudo_label(args) -> int:
+def cmd_pseudo_label(args) -> None:
     config = _merged_config(args)
     _check_lm_weight(args)
-    decode_cfg = config.decode_config()
     resolved = {
         "cmd": "pseudo-label",
         "model": args.model,
         "lm": args.lm,
         "data": args.data,
-        "decode": decode_cfg.to_dict(),
+        "decode": config.decode_config().to_dict(),
         "out": args.out,
     }
     digest = _announce(resolved)
     model = load_checkpoint(args.model)
-    lm_model = load_lm(args.lm) if args.lm else None
+    decode_cfg = config.decode_config(load_lm(args.lm) if args.lm else None)
     data = load_dataset(args.data)
-    kept, dropped = pseudo_label(
-        model, lm_model, data, decode_cfg, jobs=args.jobs
-    )
+    kept, dropped = pseudo_label(model, data, decode_cfg, jobs=args.jobs)
     save_dataset(kept, args.out)
     print(f"utterances {len(data)}  kept {len(kept)}  dropped {dropped}")
     print(f"beam {decode_cfg.beam_size}  lm weight {decode_cfg.lm_weight:g}")
@@ -445,15 +439,14 @@ def cmd_pseudo_label(args) -> int:
         digest,
         {"kept": len(kept), "dropped": dropped, "total": len(data)},
     )
-    return 0
 
 
-def cmd_pipeline(args) -> int:
-    if not args.out_dir and "out_dir" not in _config_dict(args):
+def cmd_pipeline(args) -> None:
+    loaded = _config_dict(args)
+    if not args.out_dir and "out_dir" not in loaded:
         raise UsageError("pipeline needs --workdir or an out_dir config key")
-    config = _merged_config(args)
-    digest = config_digest(config)
-    print(f"config digest {digest[:16]}", file=sys.stderr)
+    config = _merged_config(args, loaded=loaded)
+    _announce(config.to_dict())
     if args.dry_run:
         plan = plan_stages(config)
         print(f"{'stage':<6} {'alias':<6} {'updates':>8}  depends on")
@@ -461,7 +454,7 @@ def cmd_pipeline(args) -> int:
             deps = ", ".join(item["depends_on"]) if item["depends_on"] else "-"
             alias = item.get("alias") or "-"
             print(f"{item['stage']:<6} {alias:<6} {item['updates']:>8}  {deps}")
-        return 0
+        return
     reports = run_two_stage(config, jobs=args.jobs)
     print(f"{'stage':<6} {'alias':<6} {'updates':>8} {'dev_ter':>8}  digest")
     for r in reports:
@@ -477,15 +470,14 @@ def cmd_pipeline(args) -> int:
         f"  dropped {u_prime.extra.get('dropped')}"
     )
     print(f"reports {os.path.join(config.out_dir, 'reports')}")
-    return 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     if args.greedy and args.beam_size is not None:
         raise UsageError("--greedy and --beam are mutually exclusive")
     if args.greedy and (args.lm or args.lm_weight or args.word_insertion_penalty):
         raise UsageError("--greedy does not take language-model flags")
-    cfg = None if args.greedy else _merged_config(args).decode_config()
+    config = None if args.greedy else _merged_config(args)
     _check_lm_weight(args)
     resolved = {
         "cmd": "decode",
@@ -493,14 +485,12 @@ def cmd_decode(args) -> int:
         "data": args.data,
         "mode": "greedy" if args.greedy else "beam",
         "lm": args.lm,
-        "decode": None if args.greedy else cfg.to_dict(),
+        "decode": None if args.greedy else config.decode_config().to_dict(),
     }
     _announce(resolved)
     model = load_checkpoint(args.model)
     data = load_dataset(args.data)
     vocabulary = Vocabulary.default()
-    if args.lm:
-        cfg = replace(cfg, lm=FusionLm(load_lm(args.lm), vocabulary))
     print("uid\ttext")
     if args.greedy:
         rows = [
@@ -508,6 +498,7 @@ def cmd_decode(args) -> int:
             for utt, post in zip(data, dev_posteriors(model, data))
         ]
     else:
+        cfg = config.decode_config(load_lm(args.lm) if args.lm else None)
         hyps = decode_utterances(model, data, cfg, jobs=args.jobs)
         rows = [
             (utt.uid, vocabulary.decode(top.labels), f"{top.acoustic:.17g}",
@@ -518,14 +509,13 @@ def cmd_decode(args) -> int:
         print(f"{row[0]}\t{row[1]}")
     if args.out:
         _write_out(args.out, "\n".join("\t".join(row) for row in rows))
-    return 0
 
 
 def _words(text: str) -> list:
     return [w for w in text.split("|") if w]
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     resolved = {"cmd": "score", "data": args.data, "hyp": args.hyp}
     _announce(resolved)
     data = _load_labeled(args.data)
@@ -567,10 +557,9 @@ def cmd_score(args) -> int:
             "missing": missing,
         }
         _write_out(args.out, json.dumps(payload, indent=2, sort_keys=True))
-    return 0
 
 
-def cmd_posteriors(args) -> int:
+def cmd_posteriors(args) -> None:
     if args.out and not args.uid:
         raise UsageError("--out needs --uid to pick one utterance")
     resolved = {
@@ -596,7 +585,6 @@ def cmd_posteriors(args) -> int:
                 ["frame"] + [vocabulary.char_of(t) for t in range(post.shape[1])]
             )
             _write_out(args.out, header + "\n" + posteriorgram_to_csv(post))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +619,7 @@ _SELFCHECKS = (
 )
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args) -> int | None:
     _announce({"cmd": "selfcheck"})
     failed = 0
     for name, measure, bound in _SELFCHECKS:
@@ -650,7 +638,6 @@ def cmd_selfcheck(args) -> int:
         print(f"{failed} of {len(_SELFCHECKS)} checks failed")
         return 2
     print(f"all {len(_SELFCHECKS)} checks passed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +763,12 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = args.fn(args)
+        # by lines: one long write to a closed pipe can end short, unraised
+        sys.stdout.writelines(out.getvalue().splitlines(keepends=True))
+        sys.stdout.flush()
+        return code or 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

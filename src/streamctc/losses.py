@@ -35,6 +35,19 @@ def guide_mask(streaming_log_posteriors: np.ndarray) -> np.ndarray:
     return np.asarray(streaming_log_posteriors, dtype=np.float64).argmax(axis=1)
 
 
+def _spike_matrix(spikes, p: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix shaped like `p` marking each non-BLANK frame's spike."""
+    spikes = np.asarray(spikes)
+    if p.ndim != 2 or spikes.shape != p.shape[:1]:
+        raise ValueError(f"shape mismatch: spikes {spikes.shape}, posteriors {p.shape}")
+    if ((spikes < 0) | (spikes >= p.shape[1])).any():
+        raise ValueError(f"spikes must be token ids below {p.shape[1]}")
+    mask = np.zeros_like(p)
+    frames = np.flatnonzero(spikes != BLANK)
+    mask[frames, spikes[frames]] = 1.0
+    return mask
+
+
 def guide_penalty(spikes, teacher_posteriors: np.ndarray):
     """Negative teacher probability mass at the spikes: the sum over frames
     whose spike is not BLANK of the teacher's probability of that token.
@@ -44,14 +57,7 @@ def guide_penalty(spikes, teacher_posteriors: np.ndarray):
     minus the T x V 0/1 matrix that marks the spikes.
     """
     p = np.asarray(teacher_posteriors, dtype=np.float64)
-    spikes = np.asarray(spikes)
-    if p.ndim != 2 or spikes.shape != p.shape[:1]:
-        raise ValueError(f"shape mismatch: spikes {spikes.shape}, posteriors {p.shape}")
-    if ((spikes < 0) | (spikes >= p.shape[1])).any():
-        raise ValueError(f"spikes must be token ids below {p.shape[1]}")
-    mask = np.zeros_like(p)
-    frames = np.flatnonzero(spikes != BLANK)
-    mask[frames, spikes[frames]] = 1.0
+    mask = _spike_matrix(spikes, p)
     return -float((mask * p).sum()), -mask
 
 
@@ -76,7 +82,7 @@ def guided_ctc_loss(
     if alpha == 0.0:
         return losses, grad
     probs = np.exp(np.asarray(teacher_log_posteriors, dtype=np.float64))
-    _, d_probs = guide_penalty(np.concatenate(spikes), probs)
+    d_probs = -_spike_matrix(np.concatenate(spikes), probs)
     d_probs *= probs  # -mask * p: each row's penalty terms
     start = 0
     for b, (member_spikes, n) in enumerate(zip(spikes, lengths, strict=True)):

@@ -51,7 +51,7 @@ from ..encoder import (
     save_checkpoint,
 )
 from ..lm import FORMAT_VERSION as LM_VERSION
-from ..lm import load_lm, save_lm, train_ngram
+from ..lm import FusionLm, NgramModel, load_lm, save_lm, train_ngram
 from ..losses import DistillSpec
 from ..masking import MaskSpec
 from ..numerics import check_float, check_int, check_keys
@@ -270,11 +270,13 @@ class PipelineConfig:
             seed=self.seed + STAGE_SEED_OFFSET[stage],
         )
 
-    def decode_config(self) -> DecodeConfig:
+    def decode_config(self, lm: NgramModel | None = None) -> DecodeConfig:
+        """The beam settings, with `lm` fused through `FusionLm` when given."""
         return DecodeConfig(
             beam_size=self.beam_size,
             lm_weight=self.lm_weight,
             word_insertion_penalty=self.word_insertion_penalty,
+            lm=None if lm is None else FusionLm(lm, Vocabulary.default()),
         )
 
     def distill_spec(self) -> DistillSpec:
@@ -445,9 +447,9 @@ def _load_model(run, paths):
 def _produce_pseudo(run, paths):
     started = time.perf_counter()
     unlabeled = run.got["data"].unlabeled
-    decode_cfg = run.config.decode_config()
+    decode_cfg = run.config.decode_config(run.got["lm"])
     pseudo, dropped = pseudo_label(
-        run.got["N"], run.got["lm"], unlabeled, decode_cfg, run.vocabulary, jobs=run.jobs
+        run.got["N"], unlabeled, decode_cfg, run.vocabulary, jobs=run.jobs
     )
     hidden_refs = {u.uid: u.text for u in unlabeled}
     edits, total = error_counts(

@@ -54,7 +54,6 @@ from ..ctc import (
     prefix_beam_search,
 )
 from ..encoder import GradientBuffer, ModelParams, backward, forward, forward_with_cache
-from ..lm import FusionLm, NgramModel
 from ..losses import (
     DistillSpec,
     contrastive_loss,
@@ -566,22 +565,19 @@ def decode_utterances(
 
 def pseudo_label(
     model: ModelParams,
-    lm: NgramModel | None,
     data,
     decode_cfg: DecodeConfig,
     vocabulary: Vocabulary | None = None,
     jobs: int = 1,
 ):
-    """Beam-decode unlabeled utterances into labels. Returns (labeled
-    utterances, dropped count); empty top hypotheses are dropped."""
+    """Beam-decode unlabeled utterances into labels under `decode_cfg`,
+    whose `lm` is the fused LM if any. Returns (labeled utterances,
+    dropped count); empty top hypotheses are dropped."""
     vocabulary = vocabulary or Vocabulary.default()
-    cfg = decode_cfg
-    if lm is not None and cfg.lm is None:
-        cfg = replace(cfg, lm=FusionLm(lm, vocabulary))
     data = list(data)
     kept = []
     dropped = 0
-    for utt, top in zip(data, decode_utterances(model, data, cfg, jobs=jobs)):
+    for utt, top in zip(data, decode_utterances(model, data, decode_cfg, jobs=jobs)):
         if not top.labels.tokens:
             dropped += 1
             continue

@@ -21,7 +21,7 @@ from streamctc.encoder import (
     save_checkpoint,
 )
 from streamctc.masking import MaskSpec, build_mask
-from streamctc.pipeline import PipelineConfig, load_dataset, save_dataset
+from streamctc.pipeline import PipelineConfig, config_digest, load_dataset, save_dataset
 from streamctc.pipeline.run import STAGES, TRAINERS
 
 ENC = {
@@ -868,6 +868,35 @@ def test_pipeline_dry_run_lists_stages_without_training(capsys, workdir):
     assert not (tmp / "run").exists()
 
 
+def test_pipeline_announces_the_config_digest(capsys, workdir):
+    tmp, cfg = workdir
+    code, _, err = run(
+        capsys, "pipeline", "--config", cfg, "--workdir", str(tmp / "run"), "--dry-run"
+    )
+    assert code == 0
+    config = PipelineConfig.from_dict(
+        {**json.loads(open(cfg).read()), "out_dir": str(tmp / "run")}
+    )
+    assert err == f"config digest {config_digest(config)[:16]}\n"
+
+
+def test_pipeline_reads_its_config_file_once(capsys, workdir, monkeypatch):
+    # with no --workdir the out_dir check and the run once read the file
+    # each, so a file rewritten between the two was checked in one version
+    # and run in the other
+    tmp, cfg = workdir
+    opened = []
+    real_open = open
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert run(capsys, "pipeline", "--config", cfg, "--dry-run")[0] == 0
+    assert opened.count(cfg) == 1
+
+
 def test_pipeline_full_run_and_resume(capsys, workdir):
     tmp, cfg = workdir
     code, first, _ = run(
@@ -1149,6 +1178,45 @@ def test_bad_frame_ms_is_a_usage_error(capsys, command, size, frame_ms):
     assert code == 1
     assert "frame-ms" in err
     assert out == ""
+
+
+# ------------------------------------------------------------ stdout rule
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decode", "--model", "{wide}", "--data", "{dev}", "--beam", "2"),
+        ("decode", "--model", "{wide}", "--data", "{dev}", "--greedy"),
+        ("posteriors", "--model", "{wide}", "--data", "{dev}"),
+        ("latency", "--variant", "chunk", "--chunk-frames", "4", "--out", "{missing}"),
+        ("mask-dump", "--variant", "chunk", "--chunk-frames", "2", "--frames", "4",
+         "--out", "{missing}"),
+        ("decode", "--model", "{model}", "--data", "{dev}", "--beam", "2",
+         "--out", "{missing}"),
+        ("score", "--data", "{dev}", "--hyp", "{hyp}", "--out", "{missing}"),
+        ("posteriors", "--model", "{model}", "--data", "{dev}", "--uid", "{uid}",
+         "--out", "{missing}"),
+    ],
+    ids=["decode-feature-dim", "greedy-feature-dim", "posteriors-feature-dim",
+         "latency-out", "mask-dump-out", "decode-out", "score-out", "posteriors-out"],
+)
+def test_a_failing_command_leaves_stdout_empty(capsys, workdir, argv):
+    # each of these once printed its header or its whole table first: a
+    # model of 8 features on 6-feature data fails in the forward pass, and
+    # an --out in a missing directory fails after the table
+    tmp, cfg = workdir
+    assert run(capsys, "gen-data", "--config", cfg, "--out-dir", str(tmp / "data"))[0] == 0
+    paths = {"model": tmp / "m.ckpt", "wide": tmp / "wide.ckpt", "hyp": tmp / "hyp.tsv",
+             "dev": tmp / "data" / "dev.bin", "missing": tmp / "missing" / "out"}
+    save_checkpoint(init_params(EncoderConfig(**ENC), 0), paths["model"])
+    save_checkpoint(init_params(EncoderConfig(**{**ENC, "feature_dim": 8}), 0), paths["wide"])
+    paths["hyp"].write_text("uid\ttext\n")
+    paths["uid"] = load_dataset(paths["dev"])[0].uid
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- selfcheck

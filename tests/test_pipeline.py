@@ -1173,7 +1173,7 @@ def test_distill_dev_set_sharing_uids_changes_no_training_target(same_lengths):
 
 def test_pseudo_label_empty_set():
     init = init_params(TINY_ENC, 0)
-    kept, dropped = pseudo_label(init, None, (), DecodeConfig(beam_size=4))
+    kept, dropped = pseudo_label(init, (), DecodeConfig(beam_size=4))
     assert kept == () and dropped == 0
 
 
@@ -1181,7 +1181,7 @@ def test_pseudo_label_conservation():
     split = data_fixture(sizes=(4, 6, 2))
     init = init_params(TINY_ENC, 0)
     init.mask_spec = BIDI
-    kept, dropped = pseudo_label(init, None, split.unlabeled, DecodeConfig(beam_size=4))
+    kept, dropped = pseudo_label(init, split.unlabeled, DecodeConfig(beam_size=4))
     assert len(kept) + dropped == 6
 
 
@@ -1192,7 +1192,7 @@ def test_pseudo_labels_match_hidden_references_on_separable_task():
         init, BIDI, split.labeled, quick_cfg(250, seed=3, lr=3e-3), dev=split.dev
     )
     assert log.dev_token_error == 0.0
-    kept, dropped = pseudo_label(model, None, split.unlabeled, DecodeConfig(beam_size=4))
+    kept, dropped = pseudo_label(model, split.unlabeled, DecodeConfig(beam_size=4))
     assert dropped == 0
     for utt, ref in zip(kept, split.unlabeled):
         assert utt.uid == ref.uid
@@ -1276,6 +1276,10 @@ def test_full_run_emits_six_reports_with_artifacts(tmp_path):
     assert cons["pseudo_labeled"] + cons["pseudo_dropped"] == cons["unlabeled"]
     assert cons["st_consumed"] == cons["labeled"] + cons["pseudo_labeled"]
     assert summary["config_digest"] == config_digest(config)
+    # U' decodes with the LM fused, and its report records that config
+    assert reports[4].decode_config["lm"] == "attached"
+    u_report = json.load(open(tmp_path / "reports" / "U.json"))
+    assert u_report["decode_config"] == reports[4].decode_config
 
 
 def test_rerun_is_bit_identical_across_directories(tmp_path):
