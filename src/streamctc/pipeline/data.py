@@ -2,15 +2,21 @@
 
 A task maps each usable token to a fixed feature template; an utterance
 is a random token string with each template repeated a few frames and
-Gaussian noise added. A dataset is one file in the container layout that
-checkpoints use (`streamctc.container`): a JSON header with the format
-version and the uids and texts in order, then one float64 array of
-features per utterance, named by its uid.
+Gaussian noise added. `synthesize_utterance` draws from its generator in
+one fixed order: the length, then each token with its resamples, then all
+repeat counts in one draw, then the noise. Every dataset byte, and so
+every checkpoint digest, depends on that order. The frames are one gather
+from the task's stacked templates.
+
+A dataset is one file in the container layout that checkpoints use
+(`streamctc.container`): a JSON header with the format version and the
+uids and texts in order, then one float64 array of features per
+utterance, named by its uid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +57,8 @@ class SyntheticTask:
     `templates` maps non-blank vocabulary token ids to D-dim vectors; a
     generated utterance repeats each drawn token's template for a count
     sampled from `frames_per_token` and adds `noise_std` Gaussian noise.
+    `ids` lists the token ids in ascending order and `table` stacks their
+    templates in that order (read-only).
     """
 
     templates: dict
@@ -58,6 +66,8 @@ class SyntheticTask:
     noise_std: float
     seed: int
     text_len: tuple = (2, 6)
+    ids: tuple = field(init=False, repr=False)
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.templates:
@@ -82,6 +92,10 @@ class SyntheticTask:
                 if np.array_equal(normalized[a], normalized[b]):
                     raise ValueError(f"templates for {a} and {b} coincide")
         object.__setattr__(self, "templates", normalized)
+        table = np.stack([normalized[tid] for tid in ids])
+        table.flags.writeable = False
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "table", table)
         frames, text_len, _ = check_generation(
             self.frames_per_token, self.text_len, self.noise_std
         )
@@ -162,27 +176,32 @@ def synthesize_utterance(
     task: SyntheticTask, rng: np.random.Generator, uid: str, vocabulary: Vocabulary
 ):
     """One utterance plus its per-token repeat counts (the construction
-    log: the frame count is exactly the sum of the repeats). Immediate
+    log, a list of ints: the frame count is exactly their sum). Immediate
     token repeats are resampled away so a noise-free task stays decodable
-    without blank-separated alignments."""
-    ids = sorted(task.templates)
+    without blank-separated alignments.
+
+    Draws from `rng` in this order, which every dataset byte depends on:
+    the length, each token with its resamples, all repeat counts in one
+    draw, then the noise. Tokens are drawn in batches of the slots still
+    empty; a sized draw takes the same values as that many scalar draws,
+    and every value of a batch fills a slot or is resampled away, so no
+    draw is wasted. The frames are one gather from `task.table`, so they
+    never share memory with it."""
+    n = len(task.ids)
     length = int(rng.integers(task.text_len[0], task.text_len[1] + 1))
-    tokens = []
-    for _ in range(length):
-        tid = ids[int(rng.integers(0, len(ids)))]
-        while len(ids) > 1 and tokens and tid == tokens[-1]:
-            tid = ids[int(rng.integers(0, len(ids)))]
-        tokens.append(tid)
+    positions = []
+    while len(positions) < length:
+        for pos in rng.integers(0, n, size=length - len(positions)).tolist():
+            if n == 1 or not positions or pos != positions[-1]:
+                positions.append(pos)
     lo, hi = task.frames_per_token
-    repeats = [int(rng.integers(lo, hi + 1)) for _ in tokens]
-    rows = np.vstack(
-        [np.tile(task.templates[t], (r, 1)) for t, r in zip(tokens, repeats)]
-    )
+    repeats = rng.integers(lo, hi + 1, size=length)
+    rows = task.table[np.repeat(positions, repeats)]
     if task.noise_std > 0:
         rows = rows + task.noise_std * rng.standard_normal(rows.shape)
-    text = vocabulary.decode(LabelSequence(tuple(tokens)))
+    text = vocabulary.decode(LabelSequence(tuple(task.ids[p] for p in positions)))
     utt = Utterance(uid=uid, features=rows, text=text)
-    return utt, repeats
+    return utt, repeats.tolist()
 
 
 def generate_dataset(

@@ -526,6 +526,9 @@ STAGES = (
 )
 
 
+_PLANNED_LM = object()  # stands in for the LM in `plan_stages`; never scored
+
+
 def plan_stages(config: PipelineConfig) -> list:
     """The dry-run listing: the six stages that write a stage report, their
     dependencies, and settings."""
@@ -540,7 +543,9 @@ def plan_stages(config: PipelineConfig) -> list:
             "updates": config.updates.get(stage.name, 0),
         }
         if stage.name == "U'":
-            entry["decode"] = config.decode_config().to_dict()
+            # U' decodes with the LM stage's model fused; a plan has none
+            # yet, and the record says only that one is attached
+            entry["decode"] = config.decode_config(_PLANNED_LM).to_dict()
         plan.append(entry)
     return plan
 

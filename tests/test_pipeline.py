@@ -1,6 +1,7 @@
 """Synthetic data, optimizer, training stages, and the six-stage run."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamctc import container
 from streamctc.ctc import DecodeConfig, UnsatisfiableTargetError, edit_distance, greedy_decode
@@ -52,7 +55,7 @@ from streamctc.pipeline import (
 )
 from streamctc.losses import DistillSpec
 from streamctc.pipeline.run import STAGES, input_keys
-from streamctc.vocab import Vocabulary
+from streamctc.vocab import LabelSequence, Vocabulary
 
 VOCAB = Vocabulary.default()
 TINY_ENC = EncoderConfig(
@@ -106,6 +109,85 @@ def test_same_seed_gives_bit_identical_split():
         assert ua.uid == ub.uid
         assert ua.text == ub.text
         assert np.array_equal(ua.features, ub.features)
+
+
+def plain_synthesize_utterance(task, rng, uid, vocabulary):
+    """The synthesizer written plainly: one scalar draw per token, per
+    resample and per repeat count, one `np.tile` per token."""
+    ids = sorted(task.templates)
+    length = int(rng.integers(task.text_len[0], task.text_len[1] + 1))
+    tokens = []
+    for _ in range(length):
+        tid = ids[int(rng.integers(0, len(ids)))]
+        while len(ids) > 1 and tokens and tid == tokens[-1]:
+            tid = ids[int(rng.integers(0, len(ids)))]
+        tokens.append(tid)
+    lo, hi = task.frames_per_token
+    repeats = [int(rng.integers(lo, hi + 1)) for _ in tokens]
+    rows = np.vstack([np.tile(task.templates[t], (r, 1)) for t, r in zip(tokens, repeats)])
+    if task.noise_std > 0:
+        rows = rows + task.noise_std * rng.standard_normal(rows.shape)
+    text = vocabulary.decode(LabelSequence(tuple(tokens)))
+    return Utterance(uid=uid, features=rows, text=text), repeats
+
+
+@given(
+    n_symbols=st.integers(1, 5),
+    frames=st.tuples(st.integers(1, 4), st.integers(0, 3)),
+    text_len=st.tuples(st.integers(1, 40), st.integers(0, 6)),
+    noise=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_symbols=1, frames=(1, 0), text_len=(40, 0), noise=0.0, seed=0)
+@example(n_symbols=2, frames=(1, 0), text_len=(40, 0), noise=0.5, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_synthesize_utterance_matches_a_plain_loop(n_symbols, frames, text_len, noise, seed):
+    task = SyntheticTask.make(
+        token_ids=range(3, 3 + n_symbols),
+        feature_dim=4,
+        frames_per_token=(frames[0], frames[0] + frames[1]),
+        noise_std=noise,
+        seed=seed,
+        text_len=(text_len[0], text_len[0] + text_len[1]),
+    )
+    fast, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):
+        utt, repeats = synthesize_utterance(task, fast, "x", VOCAB)
+        want, want_repeats = plain_synthesize_utterance(task, plain, "x", VOCAB)
+        assert utt.text == want.text
+        assert repeats == want_repeats and all(type(r) is int for r in repeats)
+        assert np.array_equal(utt.features, want.features)
+        assert fast.bit_generator.state == plain.bit_generator.state
+        if noise == 0:
+            assert not np.shares_memory(utt.features, task.table)
+
+
+# sha256 of each split's `save_dataset` bytes at seed 2027 for the
+# `pipeline_short` and `train_long` text lengths; every checkpoint digest
+# trained on these sets rests on them, so they must not move
+PINNED_DATASETS = {
+    (2, 6): (
+        "2598bde806544012a2d46aaa3c37269c010361ed22b5d700feb91c007617da09",
+        "db9e7c93b44c92bcba2c2683ef8c2e34631c425c3b876ce6f8f72d1c7026e99e",
+        "203d6bd9c9f97057330d4f8a52c2bf8d5a54289673322ffd6afe49c0fc93c029",
+    ),
+    (16, 24): (
+        "218fe7564d5c05ad5e28ed309f571811cd4f2e23bc0bfcfd3798e7a31c8a94cc",
+        "bc6b5d3bc966824a5f1bdbb67c34006d61ef27ee40a72a0f505cd1e3ec923b89",
+        "1b57a0180186234b6337637bdedb8b143a609832f884df1007aa619dd8539942",
+    ),
+}
+
+
+@pytest.mark.parametrize("text_len", sorted(PINNED_DATASETS))
+def test_dataset_bytes_are_pinned(tmp_path, text_len):
+    config = PipelineConfig(out_dir="x", seed=2027, text_len=text_len)
+    split = generate_dataset(config.task(VOCAB), config.sizes, VOCAB)
+    digests = []
+    for part in ("labeled", "unlabeled", "dev"):
+        save_dataset(getattr(split, part), tmp_path / part)
+        digests.append(hashlib.sha256((tmp_path / part).read_bytes()).hexdigest())
+    assert tuple(digests) == PINNED_DATASETS[text_len]
 
 
 def test_utterance_length_is_sum_of_repeats():
@@ -1256,6 +1338,15 @@ def test_dry_run_lists_six_stages(tmp_path):
     assert all("depends_on" in p and "updates" in p for p in plan)
     assert plan[4]["decode"]["beam_size"] == 8
     assert not any((tmp_path / d).exists() for d in ("checkpoints", "reports"))
+
+
+def test_dry_run_lists_the_decode_config_u_prime_records(tmp_path):
+    updates = {"pretrain": 0, "S": 1, "T": 1, "KD": 1, "N": 1, "ST": 1}
+    config = dataclasses.replace(small_pipeline_config(tmp_path), updates=updates)
+    planned = plan_stages(config)[4]
+    run_two_stage(config)
+    recorded = json.load(open(tmp_path / "reports" / "U.json"))["decode_config"]
+    assert planned["stage"] == "U'" and planned["decode"] == recorded
 
 
 def test_full_run_emits_six_reports_with_artifacts(tmp_path):
