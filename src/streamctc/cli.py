@@ -477,6 +477,8 @@ def cmd_decode(args) -> None:
         raise UsageError("--greedy and --beam are mutually exclusive")
     if args.greedy and (args.lm or args.lm_weight or args.word_insertion_penalty):
         raise UsageError("--greedy does not take language-model flags")
+    if args.greedy and args.jobs != 1:
+        raise UsageError("--greedy decodes in one process and does not take --jobs")
     config = None if args.greedy else _merged_config(args)
     _check_lm_weight(args)
     resolved = {

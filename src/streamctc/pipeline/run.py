@@ -22,14 +22,14 @@ every run, fresh or resumed, the row's `load` reads them back for the
 later rows. A row's `produce`, `load` and trainer see only the values of
 its `reads`, so a read the row does not declare fails at once.
 
-Resume: a stage's input key is a sha256 of its config fields, of the
-input keys of the stages it reads and, for data and lm, of their file
-format; `reports/inputs.json` holds the key of every stage whose files
-on disk were built from it. With `resume` set, a
-stage is reused when its files exist, its stored key matches and no stage
-it reads was recomputed; otherwise it is recomputed. Training is
-deterministic, so a recomputed artifact is bit-identical to what a fresh
-run would produce.
+Resume: a stage's record is its input key (a sha256 of its config
+fields and, for data and lm, of their file format), the sha256 of each
+file the stages it reads hand on (those outside `reports/`) and of each
+of its own files; `reports/inputs.json` holds every stage's record,
+written when its `produce` returns. With `resume` set, a stage is reused
+when its stored record equals the one computed from the config and the
+disk; otherwise it is recomputed. Training is deterministic, so a
+recomputed artifact is bit-identical to what a fresh run would produce.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ from .stages import (
 
 STAGE_SEED_OFFSET = {"pretrain": 1, "S": 2, "T": 3, "KD": 4, "N": 5, "ST": 6}
 _TUPLE_FIELDS = ("frames_per_token", "text_len", "sizes", "distill_layers")
-_KEYS_FILE = os.path.join("reports", "inputs.json")  # the stored input keys
-# the file format of a row whose format changed since input keys were
-# stored; it is part of the row's key, so an older workdir recomputes once
+_RECORDS_FILE = os.path.join("reports", "inputs.json")  # the stored stage records
+# part of a row's key: a file in an old format still hashes to its old
+# record, so a row whose format changes must recompute through its key
 _FORMATS = {"data": DATASET_VERSION, "lm": LM_VERSION}
 
 
@@ -551,8 +551,8 @@ def plan_stages(config: PipelineConfig) -> list:
 
 
 def input_keys(config: PipelineConfig) -> dict:
-    """Stage name -> sha256 of the config fields its row names, of the
-    input keys of the stages it reads and of its `_FORMATS` entry."""
+    """Stage name -> sha256 of the config fields its row names and of its
+    `_FORMATS` entry."""
     values = config.to_dict()
     keys = {}
     for stage in STAGES:
@@ -560,50 +560,33 @@ def input_keys(config: PipelineConfig) -> dict:
         for name in stage.fields:
             top, _, sub = name.partition(".")
             picked[name] = values[top].get(sub) if sub else values[top]
-        blob = {"fields": picked, "reads": {r: keys[r] for r in stage.reads}}
-        if stage.name in _FORMATS:
-            blob["format"] = _FORMATS[stage.name]
+        blob = {"fields": picked, "format": _FORMATS.get(stage.name)}
         data = json.dumps(blob, sort_keys=True).encode("utf-8")
         keys[stage.name] = hashlib.sha256(data).hexdigest()
     return keys
 
 
-def _write_keys(config: PipelineConfig, keys: dict) -> None:
-    path = os.path.join(config.out_dir, _KEYS_FILE)
-    with open(path + ".tmp", "w") as fh:
-        json.dump(keys, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(path + ".tmp", path)
+def _sha256(path) -> str | None:
+    """The file's sha256; None, which matches no record, when it is missing."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _stale(config: PipelineConfig, keys: dict) -> list:
-    """The stages a run must recompute, in table order."""
-    path = os.path.join(config.out_dir, _KEYS_FILE)
-    stored = {}
-    if config.resume and os.path.exists(path):
-        with open(path) as fh:
-            try:
-                stored = json.load(fh)
-            except ValueError:
-                stored = None
-        if not isinstance(stored, dict):
-            raise ValueError(f"{path} does not hold a JSON object of stage keys")
-    stale = []
-    for stage in STAGES:
-        if (
-            stored.get(stage.name) != keys[stage.name]
-            or any(name in stale for name in stage.reads)
-            or not all(os.path.exists(os.path.join(config.out_dir, f)) for f in stage.files)
-        ):
-            stale.append(stage.name)
-    return stale
+def _record(stage: Stage, keys: dict, digests: dict) -> dict:
+    """The stage's input key, the digests of the files handed on by the
+    stages it reads (those outside `reports/`) and of its own files."""
+    handed = [f for s in STAGES if s.name in stage.reads for f in s.files]
+    reads = {f: digests[f] for f in handed if os.path.dirname(f) != "reports"}
+    return {"key": keys[stage.name], "reads": reads, "files": {f: digests[f] for f in stage.files}}
 
 
 def run_two_stage(config: PipelineConfig, jobs: int = 1):
     """Execute the full six-stage recipe (`plan_stages` lists it).
 
     Returns the ordered stage reports for S, T, KD, N, U', ST, each read
-    back by its row's `load`. With `resume` set, a stage whose inputs are
+    back by its row's `load`. With `resume` set, a stage whose record is
     unchanged is loaded without being produced again. `jobs` parallelizes
     pseudo-label decoding without changing results; it must be >= 1.
     """
@@ -612,20 +595,32 @@ def run_two_stage(config: PipelineConfig, jobs: int = 1):
     for sub in ("checkpoints", "data", "reports"):
         os.makedirs(os.path.join(config.out_dir, sub), exist_ok=True)
     keys = input_keys(config)
-    stale = _stale(config, keys)
-    done = {name: key for name, key in keys.items() if name not in stale}
-    _write_keys(config, done)
+    record_file, records = os.path.join(config.out_dir, _RECORDS_FILE), {}
+    if config.resume and os.path.exists(record_file):
+        with open(record_file) as fh:
+            try:
+                records = json.load(fh)
+            except ValueError:
+                records = None
+        if not isinstance(records, dict):
+            raise ValueError(f"{record_file} does not hold a JSON object of stage records")
+    digests = {f: _sha256(os.path.join(config.out_dir, f)) for s in STAGES for f in s.files}
 
     base = _Run(config, jobs)
     started = time.perf_counter()
-    values, reports = {}, {}
+    values, reports, recomputed = {}, {}, []
     for stage in STAGES:
         run = replace(base, got={name: values[name] for name in stage.reads})
         paths = [run.path(f) for f in stage.files]
-        if stage.name in stale:
+        if records.get(stage.name) != _record(stage, keys, digests):
             stage.produce(run, paths)
-            done[stage.name] = keys[stage.name]
-            _write_keys(config, done)
+            digests.update((f, _sha256(p)) for f, p in zip(stage.files, paths))
+            records[stage.name] = _record(stage, keys, digests)
+            with open(record_file + ".tmp", "w") as fh:  # replaced whole, never half written
+                json.dump(records, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(record_file + ".tmp", record_file)
+            recomputed.append(stage.name)
         values[stage.name], report = stage.load(run, paths)
         if report is not None:
             reports[stage.name] = report
@@ -648,7 +643,7 @@ def run_two_stage(config: PipelineConfig, jobs: int = 1):
             "st_consumed": reports["ST"].utterances_in,
         },
         "total_updates": sum(len(r.losses) for r in reports.values()),
-        "recomputed": stale,
+        "recomputed": recomputed,
         "wall_time_s": time.perf_counter() - started,
     }
     with open(base.path("reports", "pipeline.json"), "w") as fh:

@@ -631,6 +631,14 @@ def test_decode_usage_and_runtime_errors(capsys, trained):
     assert run(
         capsys, "decode", "--model", s, "--data", dev, "--greedy", "--lm", "x"
     )[0] == 1
+    code, out, err = run(
+        capsys, "decode", "--model", s, "--data", dev, "--greedy", "--jobs", "2"
+    )
+    assert code == 1 and out == ""
+    assert "--jobs" in err
+    assert run(
+        capsys, "decode", "--model", s, "--data", dev, "--greedy", "--jobs", "1"
+    )[0] == 0
     assert run(
         capsys, "decode", "--model", str(tmp / "nope.ckpt"), "--data", dev, "--greedy"
     )[0] == 2

@@ -1,11 +1,14 @@
 """Synthetic data, optimizer, training stages, and the six-stage run."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamctc import container
+from streamctc.cli import dispatch
 from streamctc.ctc import DecodeConfig, UnsatisfiableTargetError, edit_distance, greedy_decode
 from streamctc.encoder import (
     EncoderConfig,
@@ -1450,11 +1454,28 @@ def recomputed(out_dir):
         return json.load(fh)["recomputed"]
 
 
+# the files a stage hands on to the stages that read it
+HANDED_ON = [f for s in STAGES for f in s.files if not f.startswith("reports")]
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_fresh_run_records_every_stage_as_recomputed(tmp_path):
     run_two_stage(resume_config(tmp_path))
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
     with open(tmp_path / "reports" / "inputs.json") as fh:
-        assert json.load(fh) == input_keys(resume_config(tmp_path))
+        records = json.load(fh)
+    keys = input_keys(resume_config(tmp_path))
+    for stage in STAGES:
+        reads = [f for s in STAGES if s.name in stage.reads for f in s.files]
+        assert records[stage.name] == {
+            "key": keys[stage.name],
+            "reads": {f: sha256(tmp_path / f) for f in reads if f in HANDED_ON},
+            "files": {f: sha256(tmp_path / f) for f in stage.files},
+        }, stage.name
     run_two_stage(resume_config(tmp_path))
     assert recomputed(tmp_path) == []
 
@@ -1491,23 +1512,86 @@ def test_pretrain_updates_switch_the_contrastive_warm_up(tmp_path, pretrain):
         assert json.load(fh)["pretrain_updates"] == pretrain
 
 
-def test_resume_after_deleting_kd_checkpoint_recomputes_kd_and_st(tmp_path):
+def test_resume_after_deleting_kd_checkpoint_recomputes_kd_only(tmp_path):
+    # KD comes out with the same bytes, so ST, which reads them, is reused
     config = resume_config(tmp_path)
     first = run_two_stage(config)
     os.remove(tmp_path / "checkpoints" / "KD.ckpt")
     second = run_two_stage(config)
-    assert recomputed(tmp_path) == ["KD", "ST"]
+    assert recomputed(tmp_path) == ["KD"]
     assert [r.digest for r in first] == [r.digest for r in second]
 
 
 def test_workdir_without_input_keys_is_recomputed_once(tmp_path):
     config = resume_config(tmp_path)
     run_two_stage(config)
+    before = [(tmp_path / f).read_bytes() for f in HANDED_ON]
     os.remove(tmp_path / "reports" / "inputs.json")
     run_two_stage(config)
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    # before records, inputs.json mapped each stage to its input key alone
+    (tmp_path / "reports" / "inputs.json").write_text(json.dumps(input_keys(config)))
+    run_two_stage(config)
+    assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+    assert [(tmp_path / f).read_bytes() for f in HANDED_ON] == before
     run_two_stage(dataclasses.replace(config, resume=False))
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
+
+
+def pipeline_stdout(cfg, workdir):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert dispatch(["pipeline", "--config", str(cfg), "--workdir", workdir]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A directory holding `cfg.json` and the finished `resume_config`
+    workdir `w` it wrote, and the stdout of that fresh run."""
+    root = tmp_path_factory.mktemp("finished")
+    config = resume_config("w").to_dict()
+    del config["out_dir"]
+    (root / "cfg.json").write_text(json.dumps(config))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        return root, pipeline_stdout("cfg.json", "w")
+
+
+def tampered_cases():
+    """(stage, file, the file its new bytes come from): every file of every
+    row with a byte appended, and every checkpoint with another's bytes."""
+    for stage in STAGES:
+        for name in stage.files:
+            yield pytest.param(stage.name, name, None, id=f"{name}-appended")
+            if name.endswith(".ckpt"):
+                other = "checkpoints/KD.ckpt" if stage.name == "S" else "checkpoints/S.ckpt"
+                yield pytest.param(stage.name, name, other, id=f"{name}-from-{other}")
+
+
+@pytest.mark.parametrize("stage, name, source", tampered_cases())
+def test_a_tampered_file_recomputes_its_stage_alone(
+    finished, tmp_path, monkeypatch, stage, name, source
+):
+    # the recomputed stage hands on the same bytes as before, so no stage
+    # that reads it recomputes, and the rerun prints what the fresh run did
+    root, fresh = finished
+    work = tmp_path / "w"
+    shutil.copytree(root / "w", work)
+    before = {f: (work / f).read_bytes() for f in HANDED_ON}
+    if source is None:
+        with open(work / name, "ab") as fh:
+            fh.write(b"\0")
+    else:
+        shutil.copyfile(work / source, work / name)
+    monkeypatch.chdir(tmp_path)
+    assert pipeline_stdout(root / "cfg.json", "w") == fresh
+    assert recomputed(work) == [stage]
+    assert {f: (work / f).read_bytes() for f in HANDED_ON} == before
+    with open(work / "reports" / "pipeline.json") as fh:
+        digests = json.load(fh)["stage_digests"]
+    for s, digest in digests.items():
+        checkpoint = "N" if s == "U'" else s
+        assert digest == sha256(work / "checkpoints" / f"{checkpoint}.ckpt"), s
 
 
 def test_a_moved_workdir_resumes_with_reports_naming_its_checkpoints(tmp_path, monkeypatch):
@@ -1529,17 +1613,17 @@ def test_a_moved_workdir_resumes_with_reports_naming_its_checkpoints(tmp_path, m
             assert json.load(fh)["checkpoint"] == f"checkpoints/{checkpoint}.ckpt"
 
 
-def test_a_workdir_with_the_text_lm_recomputes_lm_u_and_st_once(tmp_path, monkeypatch):
-    # before the LM was saved as JSON the lm row wrote lm.txt; the LM's
-    # floats are the same, so U' and ST come out with the same bytes
+def test_a_workdir_with_the_text_lm_recomputes_only_lm(tmp_path, monkeypatch):
+    # before the LM was saved as JSON the lm row wrote lm.txt; the LM comes
+    # out with the same bytes, so U' and ST, which read it, are reused
     monkeypatch.chdir(tmp_path)
     config = resume_config("w")
     run_two_stage(config)
-    kept = ("w/data/pseudo.bin", "w/checkpoints/ST.ckpt")
+    kept = ("w/lm.json", "w/data/pseudo.bin", "w/checkpoints/ST.ckpt")
     before = [open(name, "rb").read() for name in kept]
     os.rename("w/lm.json", "w/lm.txt")
     reports = run_two_stage(config)
-    assert recomputed(tmp_path / "w") == ["lm", "U'", "ST"]
+    assert recomputed(tmp_path / "w") == ["lm"]
     assert [open(name, "rb").read() for name in kept] == before
     assert reports[0].checkpoint == os.path.join("w", "checkpoints", "S.ckpt")
 
@@ -1580,8 +1664,8 @@ def test_a_workdir_with_frame_rates_and_an_end_model_recomputes_every_stage_once
     tmp_path, monkeypatch
 ):
     # datasets of version 2 held a frame_ms and lm.json of format 2 an
-    # `ends` table, and only the data row's input key held a format; the
-    # stored contents are otherwise the same, so every checkpoint and the
+    # `ends` table, and inputs.json held input keys alone; the stored
+    # contents are otherwise the same, so every checkpoint and the
     # pseudo-labels come out the same
     from streamctc.pipeline import run as pipeline_run
 
@@ -1600,25 +1684,28 @@ def test_a_workdir_with_frame_rates_and_an_end_model_recomputes_every_stage_once
     payload = json.loads(lm_path.read_text())
     old_lm = json.dumps({**payload, "format": 2, "ends": {ctx: -1.0 for ctx in payload["tokens"]}})
 
-    def store_keys(formats):
-        with monkeypatch.context() as patch:
-            patch.setattr(pipeline_run, "_FORMATS", formats)
-            keys = input_keys(config)
-        (tmp_path / "reports" / "inputs.json").write_text(json.dumps(keys))
-
+    records = tmp_path / "reports" / "inputs.json"
+    records.write_text(json.dumps(input_keys(config)))
+    current_lm = lm_path.read_bytes()
     lm_path.write_text(old_lm)
-    store_keys({"data": 2})
     run_two_stage(config)
     assert recomputed(tmp_path) == [stage.name for stage in STAGES]
     assert [p.read_bytes() for p in checkpoints] == before
     assert [(u.uid, u.text) for u in load_dataset(tmp_path / "data" / "pseudo.bin")] == pseudo
-    assert "ends" not in json.loads(lm_path.read_text())
-    # the LM's own format is in its key, so the old LM beside current data
-    # is rewritten too
+    assert lm_path.read_bytes() == current_lm
+    # the LM's own format is in its key: an old LM whose record matches its
+    # bytes, beside current data, is rewritten, and with the same bytes as
+    # before nothing that reads it recomputes
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline_run, "_FORMATS", {**pipeline_run._FORMATS, "lm": 2})
+        old_key = input_keys(config)["lm"]
     lm_path.write_text(old_lm)
-    store_keys({"data": pipeline_run.DATASET_VERSION})
+    stored = json.loads(records.read_text())
+    stored["lm"] = {**stored["lm"], "key": old_key, "files": {"lm.json": sha256(lm_path)}}
+    records.write_text(json.dumps(stored))
     run_two_stage(config)
-    assert recomputed(tmp_path) == ["lm", "U'", "ST"]
+    assert recomputed(tmp_path) == ["lm"]
+    assert lm_path.read_bytes() == current_lm
     assert [p.read_bytes() for p in checkpoints] == before
     run_two_stage(config)
     assert recomputed(tmp_path) == []
