@@ -64,6 +64,7 @@ from .numerics import (
     masked_softmax,
     masked_softmax_backward,
 )
+from .numerics import _erf
 from .pipeline import (
     DatasetFormatError,
     SyntheticTask,
@@ -92,6 +93,15 @@ def reference_latencies() -> list:
     """EIL in ms of each reference configuration at 12 layers (480 for all
     four)."""
     return [eil(spec, 12) for spec in REFERENCE_CONFIGS]
+
+
+def erf_error() -> float:
+    """Largest |GELU's erf - `math.erf`| over t = -7, -6.999, ..., 7, a
+    grid through +-1 and +-6, where the port changes branch and clamps.
+    `math.erf` is the C library's own erf, so this needs no SciPy."""
+    t = np.arange(-7000, 7001) / 1000.0
+    want = np.array([math.erf(v) for v in t.tolist()])
+    return float(np.max(np.abs(_erf(t) - want)))
 
 
 def _repeated(single):

@@ -618,6 +618,7 @@ _SELFCHECKS = (
      lambda: max(abs(v - 480.0) for v in checks.reference_latencies()), 0.0),
     ("checkpoint, lm, and dataset round trips",
      lambda: len(checks.round_trip_failures()), 0),
+    ("gelu's erf matches math.erf", checks.erf_error, 1e-15),
 )
 
 

@@ -18,6 +18,16 @@ All arrays are 64-bit floats in row-major order. The kernels do not check
 finiteness, so a NaN or Inf propagates to their outputs; ``ensure_finite``
 (raising ``NonFiniteError``) runs once where values cross a boundary: on
 the encoder's posteriorgram and on the gradient Adam applies.
+
+The package needs NumPy and nothing else. The one special function, the
+`erf` inside GELU, is a NumPy port of Cephes `ndtr.c` (Moshier 1989,
+"Methods and Programs for Mathematical Functions"), the code behind
+`scipy.special.erf`: the same coefficients, Horner steps in the same
+order, one rounding per operation, and the C library's `exp` through
+`math.exp`, so each value has SciPy's bits. `np.exp` is NumPy's own SIMD
+code and differs from the C library's in the last bit on about 0.1% of
+inputs, which would change every checkpoint. The bits match SciPy's where
+Python and SciPy call the same libm `exp`, as the pinned digests assume.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -305,11 +314,91 @@ def conv1d_backward(grad_out: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 
+# Cephes ndtr.c: erf(t) = t T(t^2) / U(t^2) for |t| <= 1, and
+# 1 - exp(-t^2) P(t) / Q(t) for 1 < t < 8, odd in t; U and Q are monic, their
+# leading 1 left out as in Cephes. From t = 6 up, erfc(t) < 2^-54 and the
+# result rounds to 1, so t is clamped at 6 in place of Cephes's branches for
+# t >= 8. P and Q run as one complex Horner sum (real part P, imaginary part
+# Q) in half the steps: times a + 0i, each part is one rounded real product
+# plus an exact 0, so it keeps the bits of its own real sum. The
+# coefficients are 0-d arrays, which a ufunc takes without converting a
+# Python float on every call.
+_ERF_T = tuple(map(np.array, (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4,
+)))
+_ERF_U = tuple(map(np.array, (
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4,
+)))
+_ERFC_P = (
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2,
+)
+_ERFC_Q = (
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2,
+)
+_ERFC_PQ = tuple(np.array(complex(p, q)) for p, q in zip(_ERFC_P, (1.0,) + _ERFC_Q))
+
+
+def _polevl(x, coefs):
+    """coefs[0] x^n + ... + coefs[n] by Horner's rule, one multiply and one
+    add per step, as Cephes `polevl`."""
+    acc = coefs[0] * x
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x, coefs):
+    """x^n + coefs[0] x^(n-1) + ... + coefs[n-1], as Cephes `p1evl`."""
+    acc = x + coefs[0]
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(t):
+    """erf with the bits of Cephes `erf` (and `scipy.special.erf`): -0.0
+    keeps its sign, +-inf gives +-1 and any NaN gives NumPy's `nan`."""
+    t = as_f64(t)
+    flat = t.reshape(-1)
+    # a huge |t| overflows the |t| <= 1 sums; the other branch overwrites it
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = flat * flat
+        y = _polevl(z, _ERF_T)
+        y *= flat
+        y /= _p1evl(z, _ERF_U)
+        # |t| > 1 or NaN: z <= 1 exactly when |t| <= 1
+        big = (~(z <= 1.0)).nonzero()[0]
+        if big.size:
+            tb = flat[big]
+            a = np.abs(tb)
+            np.minimum(a, 6.0, out=a)
+            pq = _polevl(a.astype(np.complex128), _ERFC_PQ)
+            e = np.fromiter(map(math.exp, (-a * a).tolist()), np.float64, big.size)
+            e *= pq.real
+            e /= pq.imag
+            np.subtract(1.0, e, out=e)
+            np.copysign(e, tb, out=e)
+            e[np.isnan(tb)] = np.nan
+            y[big] = e
+    return y.reshape(t.shape)
+
+
 def gelu_forward(x):
-    """Exact (erf-based) GELU, 0.5 * x * (1 + erf(x / sqrt 2)). The cache
-    keeps the erf term, so the backward computes no second erf."""
+    """Exact (erf-based) GELU, 0.5 * x * (1 + erf(x / sqrt 2)) (Hendrycks
+    and Gimpel 2016), with `_erf`, the NumPy port of Cephes `erf` that
+    gives `scipy.special.erf`'s bits. The cache keeps the erf term, so the
+    backward computes no second erf."""
     x = as_f64(x)
-    one_plus_erf = erf(x / _SQRT2)
+    one_plus_erf = _erf(x / _SQRT2)
     one_plus_erf += 1.0
     y = 0.5 * x
     y *= one_plus_erf

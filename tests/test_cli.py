@@ -4,8 +4,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1233,7 +1237,7 @@ def test_a_failing_command_leaves_stdout_empty(capsys, workdir, argv):
 def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
-    assert "all 11 checks passed" in out
+    assert "all 12 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -1251,6 +1255,38 @@ def test_selfcheck_reports_each_failure_and_exits_2(capsys, monkeypatch):
         "ok   fine",
         "2 of 3 checks failed",
     ]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code):
+    """`code` in a fresh interpreter that imports the package from `src/`."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600,
+    )
+
+
+def test_cli_imports_no_scipy():
+    # SciPy is a test oracle, not a runtime dependency
+    proc = run_python(
+        "import sys, streamctc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_selfcheck_passes_without_scipy():
+    # an import of scipy raises ImportError in this interpreter
+    proc = run_python(
+        "import sys; sys.modules['scipy'] = None; "
+        "from streamctc.cli import dispatch; sys.exit(dispatch(['selfcheck']))"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all 12 checks passed" in proc.stdout
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from streamctc.numerics import (
@@ -24,6 +25,7 @@ from streamctc.numerics import (
     masked_softmax,
     masked_softmax_backward,
 )
+from streamctc.numerics import _erf
 
 
 class TestMaskedSoftmax:
@@ -317,6 +319,76 @@ class TestGelu:
             return (y * w).sum(), [gelu_backward(w, cache)]
 
         assert check_gradient(op, [x]) <= 1e-5
+
+
+def float64_of(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# +-0, the smallest subnormal, +-inf, quiet and signaling NaNs of either sign
+# with payloads, and both sides of |t| = 1 and |t| = 6, where the port
+# changes branch and clamps
+SPECIAL = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1e308, -1e308],
+    float64_of([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0xFFF4000000000123]),
+    [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 6.0, -6.0,
+     np.nextafter(6.0, 0.0), np.nextafter(-6.0, 0.0)],
+])
+
+# the views the port is handed, each of any shape: as drawn, every other
+# entry of the last axis, and transposed
+LAYOUTS = {
+    "contiguous": lambda a: a,
+    "every other": lambda a: a[..., ::2] if a.ndim else a,
+    "transposed": lambda a: a.T,
+}
+
+
+def assert_same_bytes(got, want):
+    """Same shape, dtype and bytes: -0.0 is not 0.0, and a NaN must be
+    SciPy's NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestErfIsScipys:
+    """GELU's erf is a port of the Cephes erf behind `scipy.special.erf`
+    and gives its bits for every float64, NaN, infinities and subnormals
+    included."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+            elements=st.floats(width=64, allow_nan=True, allow_infinity=True,
+                               allow_subnormal=True),
+        ),
+        st.sampled_from(sorted(LAYOUTS)),
+    )
+    @example(np.array(0.5), "contiguous")
+    @example(np.array(-0.0), "contiguous")
+    @example(np.zeros((0,)), "contiguous")
+    @example(np.zeros((3, 0, 2)), "transposed")
+    @example(SPECIAL, "contiguous")
+    @example(SPECIAL.reshape(3, 7), "every other")
+    @example(SPECIAL.reshape(3, 1, 7), "transposed")
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_scipy(self, x, layout):
+        x = LAYOUTS[layout](x)
+        copy = x.copy()
+        assert_same_bytes(_erf(x), erf(x))
+        assert_same_bytes(x, copy)
+
+    @pytest.mark.parametrize("lo, hi", [(0.999, 1.001), (5.9, 6.1), (7.99, 8.01), (0.0, 8.0)])
+    def test_bytes_match_scipy_on_grids(self, lo, hi):
+        # 1 and 6 are where the port's branches meet, 8 is where Cephes's
+        # erfc switches to its third branch, which the clamp at 6 replaces;
+        # 0 to 8 has about 12,000 points where the port calls exp
+        grid = np.linspace(lo, hi, 20001)
+        for x in (grid, -grid):
+            assert_same_bytes(_erf(x), erf(x))
 
 
 # ---------------------------------------------------------------------------
